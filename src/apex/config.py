@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InputNotFoundError
 from .harness import TrainConfig
 from .prompting import ApexConfig
 from .synthdata import BenchmarkConfig, DomainSpec
@@ -36,7 +36,10 @@ def parse_kv(text: str) -> dict:
 
 
 def load_file(path) -> dict:
-    return parse_kv(Path(path).read_text(encoding="utf-8"))
+    path = Path(path)
+    if not path.is_file():
+        raise InputNotFoundError(f"config file {path} does not exist")
+    return parse_kv(path.read_text(encoding="utf-8"))
 
 
 def _to_bool(key: str, val: str) -> bool:

@@ -27,3 +27,7 @@ class AsymmetricSpectrumError(ApexError):
 
 class ConfigError(ApexError):
     """Invalid or inconsistent configuration values."""
+
+
+class InputNotFoundError(ApexError, FileNotFoundError):
+    """A required input file (a config, benchmark or checkpoint) does not exist."""

@@ -93,16 +93,8 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
 
             nodes = prompting.forward_batch(state, images, train=True)
             preds = synthdata.backbone_forward(backbone, nodes.output)
-            dice_terms = None
-            ce_terms = None
-            for i in range(len(batch)):
-                pred_i = nm.getitem(preds, i)
-                d = losses.dice_loss(pred_i, masks[i])
-                e = losses.ce_loss(pred_i, masks[i])
-                dice_terms = d if dice_terms is None else nm.add(dice_terms, d)
-                ce_terms = e if ce_terms is None else nm.add(ce_terms, e)
-            dice_mean = nm.div(dice_terms, float(len(batch)))
-            ce_mean = nm.div(ce_terms, float(len(batch)))
+            dice_mean = losses.dice_loss(preds, masks, batched=True)
+            ce_mean = losses.ce_loss(preds, masks)
             seg = nm.add(dice_mean, ce_mean)
 
             if config.lfc_enabled:

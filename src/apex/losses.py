@@ -1,6 +1,13 @@
 """Segmentation loss (Dice + binary cross-entropy) and the low-frequency
 feature contrastive loss with its batch pair-sampling scheme.
 
+Training evaluates each loss once per batch: Dice per sample, then the
+batch mean (``dice_loss(..., batched=True)``); cross-entropy as one mean
+over the batch; the contrastive loss as one row-wise log-sum-exp over a
+[B, k] matrix that gathers each anchor's k denominator cosines from the
+[B, B] cosine matrix. The per-sample and per-anchor forms (``dice_loss`` on
+one sample, ``lfc_term``) define the losses and serve as test oracles.
+
 The contrastive denominator contains only other-domain embeddings; the
 positive term is excluded, so individual anchor terms (and the loss) can be
 negative. ``include_positive=True`` switches to the conventional form for
@@ -28,17 +35,31 @@ def _pair(pred, gt) -> tuple[Node, Node]:
     return p, g
 
 
-def dice_loss(pred, gt) -> Node:
-    """1 - (2 sum(p g) + eps) / (sum p + sum g + eps), eps = 1."""
+def dice_loss(pred, gt, batched: bool = False) -> Node:
+    """1 - (2 sum(p g) + eps) / (sum p + sum g + eps), eps = 1.
+
+    The sums run over every entry. With ``batched`` the leading axis indexes
+    samples instead: each sample's Dice sums over its own entries, and the
+    mean over the batch is returned.
+    """
     p, g = _pair(pred, gt)
-    inter = nm.reduce_sum(nm.mul(p, g))
-    total = nm.add(nm.reduce_sum(p), nm.reduce_sum(g))
-    return nm.sub(1.0, nm.div(nm.add(nm.mul(2.0, inter), DICE_SMOOTH),
+    axis = None
+    if batched:
+        rows = (p.shape[0], -1)
+        p, g, axis = nm.reshape(p, rows), nm.as_node(g.array.reshape(rows)), 1
+    inter = nm.reduce_sum(nm.mul(p, g), axis=axis)
+    total = nm.add(nm.reduce_sum(p, axis=axis), nm.reduce_sum(g, axis=axis))
+    loss = nm.sub(1.0, nm.div(nm.add(nm.mul(2.0, inter), DICE_SMOOTH),
                               nm.add(total, DICE_SMOOTH)))
+    return nm.reduce_mean(loss) if batched else loss
 
 
 def ce_loss(pred, gt) -> Node:
-    """Mean binary cross-entropy; predictions clamped to [1e-7, 1 - 1e-7]."""
+    """Mean binary cross-entropy; predictions clamped to [1e-7, 1 - 1e-7].
+
+    Over a batch of equally sized samples the mean over every entry equals
+    the mean of the per-sample losses.
+    """
     p, g = _pair(pred, gt)
     pc = nm.clip(p, CE_CLAMP, 1.0 - CE_CLAMP)
     pos = nm.mul(g, nm.log(pc))
@@ -135,8 +156,11 @@ def lfc_loss(embeddings, labels, tau: float, positives=None, rng=None,
     ``embeddings`` is [B, D] (Node or array); ``labels`` gives each row's
     domain. Every anchor uses one same-domain positive (``positives`` or a
     uniform draw from ``rng``) against all other-domain embeddings; the mean
-    over anchors is returned.
+    over anchors of :func:`lfc_term` is returned, computed for all anchors at
+    once as a row-wise log-sum-exp over each anchor's gathered cosines / tau.
     """
+    if tau <= 0.0:
+        raise ConfigError("temperature must be positive")
     emb = nm.as_node(embeddings)
     labels = list(labels)
     n = len(labels)
@@ -161,16 +185,31 @@ def lfc_loss(embeddings, labels, tau: float, positives=None, rng=None,
         if j == i or labels[j] != labels[i]:
             raise ConfigError(f"positive {j} invalid for anchor {i}")
 
+    # each anchor's denominator columns in the order lfc_term sums them:
+    # other-domain columns ascending, then the positive when it is included.
+    # Gathered into one [B, k] matrix, every row sums in the per-anchor
+    # order; with equal domain sizes, as in every training batch, each
+    # anchor's term and the gradient are bit-identical to the per-anchor form.
+    cols = [[j for j in range(n) if labels[j] != labels[i]] for i in range(n)]
+    if include_positive:
+        for i, row in enumerate(cols):
+            row.append(int(positives[i]))
+    width = max(len(row) for row in cols)
+    # rows of anchors with fewer columns are padded at the end with a copy of
+    # their own first column, so the row max is unchanged, and masked out
+    index = np.array([row + row[:1] * (width - len(row)) for row in cols])
+    keep = nm.as_node(np.array([[j < len(row) for j in range(width)] for row in cols],
+                               dtype=np.float64))
+
+    anchors = np.arange(n)
     sims = nm.cosine_rows(emb, emb)
-    terms = None
-    for i in range(n):
-        neg_cols = [j for j in range(n) if labels[j] != labels[i]]
-        pos = nm.getitem(sims, (i, int(positives[i])))
-        cols = neg_cols + [int(positives[i])] if include_positive else neg_cols
-        negs = nm.getitem(sims, (np.full(len(cols), i), np.array(cols)))
-        term = lfc_term(pos, negs, tau)
-        terms = term if terms is None else nm.add(terms, term)
-    return nm.div(terms, float(n))
+    pos = nm.div(nm.getitem(sims, (anchors, positives)), tau)
+    negs = nm.div(nm.getitem(sims, (anchors[:, None], index)), tau)
+    peak = negs.array.max(axis=1)  # held constant, as in lfc_term
+    shifted = nm.sub(negs, peak[:, None])
+    sums = nm.reduce_sum(nm.mul(nm.exp(shifted), keep), axis=1)
+    lse = nm.add(peak, nm.log(sums))
+    return nm.reduce_mean(nm.sub(lse, pos))
 
 
 @dataclass(frozen=True)

@@ -110,15 +110,18 @@ class Node:
     """A value in the computation graph.
 
     ``value`` is a :class:`Tensor`; ``grad`` is a same-shaped float64 array,
-    zero-initialized, accumulated additively by :func:`backward`.
+    accumulated additively by :func:`backward`. Its buffer is allocated when
+    the first gradient arrives (see :meth:`accumulate`), so nodes that no
+    gradient reaches, such as constants and everything built in evaluation,
+    never hold one; until then ``grad`` reads as zeros.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "op", "_parents", "_backward", "_needs_grad")
+    __slots__ = ("value", "_grad", "requires_grad", "op", "_parents", "_backward", "_needs_grad")
 
     def __init__(self, value, requires_grad: bool = False, parents: Sequence["Node"] = (),
                  backward: Callable[[np.ndarray], None] | None = None, op: str = "leaf"):
         self.value = as_tensor(value)
-        self.grad = np.zeros(self.value.shape, dtype=np.float64)
+        self._grad = None
         self.requires_grad = requires_grad
         self.op = op
         self._parents = tuple(parents)
@@ -133,8 +136,28 @@ class Node:
     def array(self) -> np.ndarray:
         return self.value.array
 
+    @property
+    def grad(self) -> np.ndarray:
+        """Accumulated gradient. The array may be shared with other nodes of
+        the graph: read it, never modify it in place."""
+        if self._grad is None:
+            return np.zeros(self.value.shape, dtype=np.float64)
+        return self._grad
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` (same shape as the value) into the gradient.
+
+        A row-major ``g`` is stored as given and later gradients make a new
+        sum, so no array handed in is ever written to. Other layouts (a
+        transpose, a broadcast) are copied: the gradient is always row-major,
+        so reductions over it, such as the trainer's clip norm, sum in the
+        same order whichever op produced it.
+        """
+        total = g if self._grad is None else self._grad + g
+        self._grad = np.asarray(total, order="C")
+
     def zero_grad(self) -> None:
-        self.grad = np.zeros(self.value.shape, dtype=np.float64)
+        self._grad = None
 
     def item(self) -> float:
         return self.value.item()
@@ -207,10 +230,11 @@ def backward(loss: Node) -> None:
             if id(p) not in seen and p._needs_grad:
                 stack.append((p, False))
 
-    loss.grad = loss.grad + np.ones(loss.value.shape, dtype=np.float64)
+    loss.accumulate(np.ones(loss.value.shape, dtype=np.float64))
     for node in reversed(topo):
-        if node._backward is not None and node._needs_grad:
-            node._backward(node.grad)
+        # a node no gradient reached contributes nothing to its parents
+        if node._backward is not None and node._needs_grad and node._grad is not None:
+            node._backward(node._grad)
 
 
 def zero_grads(nodes: Iterable[Node]) -> None:
@@ -237,9 +261,9 @@ def _binary(op_name: str, a, b, fwd, bwd_a, bwd_b) -> Node:
 
     def back(g: np.ndarray) -> None:
         if a._needs_grad:
-            a.grad += _unbroadcast(bwd_a(g, a.array, b.array), a.shape)
+            a.accumulate(_unbroadcast(bwd_a(g, a.array, b.array), a.shape))
         if b._needs_grad:
-            b.grad += _unbroadcast(bwd_b(g, a.array, b.array), b.shape)
+            b.accumulate(_unbroadcast(bwd_b(g, a.array, b.array), b.shape))
 
     return Node(Tensor._wrap(out), parents=(a, b), backward=back, op=op_name)
 
@@ -267,7 +291,7 @@ def _unary(op_name: str, a, fwd, bwd) -> Node:
 
     def back(g: np.ndarray) -> None:
         if a._needs_grad:
-            a.grad += bwd(g, a.array, out)
+            a.accumulate(bwd(g, a.array, out))
 
     return Node(Tensor._wrap(out), parents=(a,), backward=back, op=op_name)
 
@@ -340,7 +364,7 @@ def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Node:
             return
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
-        a.grad += np.broadcast_to(g, a.shape)
+        a.accumulate(np.broadcast_to(g, a.shape))
 
     return Node(Tensor._wrap(out), parents=(a,), backward=back, op="sum")
 
@@ -361,12 +385,11 @@ def reduce_max(a, axis: int | None = None, keepdims: bool = False) -> Node:
         if not a._needs_grad:
             return
         if axis is None:
-            mask = a.array == out
-            a.grad += g * mask
+            a.accumulate(g * (a.array == out))
         else:
             gx = g if keepdims else np.expand_dims(g, axis=axis)
             ox = out if keepdims else np.expand_dims(out, axis=axis)
-            a.grad += gx * (a.array == ox)
+            a.accumulate(gx * (a.array == ox))
 
     return Node(Tensor._wrap(out), parents=(a,), backward=back, op="max")
 
@@ -377,7 +400,7 @@ def reshape(a, shape) -> Node:
 
     def back(g: np.ndarray) -> None:
         if a._needs_grad:
-            a.grad += g.reshape(a.shape)
+            a.accumulate(g.reshape(a.shape))
 
     return Node(Tensor._wrap(out), parents=(a,), backward=back, op="reshape")
 
@@ -390,7 +413,7 @@ def transpose(a) -> Node:
 
     def back(g: np.ndarray) -> None:
         if a._needs_grad:
-            a.grad += g.T
+            a.accumulate(g.T)
 
     return Node(Tensor._wrap(out), parents=(a,), backward=back, op="transpose")
 
@@ -403,7 +426,7 @@ def getitem(a, index) -> Node:
         if a._needs_grad:
             buf = np.zeros(a.shape, dtype=np.float64)
             np.add.at(buf, index, g)
-            a.grad += buf
+            a.accumulate(buf)
 
     return Node(Tensor._wrap(out), parents=(a,), backward=back, op="getitem")
 
@@ -418,9 +441,9 @@ def matmul(a, b) -> Node:
 
     def back(g: np.ndarray) -> None:
         if a._needs_grad:
-            a.grad += g @ b.array.T
+            a.accumulate(g @ b.array.T)
         if b._needs_grad:
-            b.grad += a.array.T @ g
+            b.accumulate(a.array.T @ g)
 
     return Node(Tensor._wrap(out), parents=(a, b), backward=back, op="matmul")
 

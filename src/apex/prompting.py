@@ -25,7 +25,7 @@ import numpy as np
 from . import numerics as nm
 from . import spectral as sp
 from . import tensorio
-from .errors import ConfigError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, InputNotFoundError, ShapeError, TrainingDivergedError
 from .numerics import MlpParams, Node, Tensor
 
 RAW_PROMPT_LIMIT = 20.0  # |log multiplier| bound; exp stays finite and positive
@@ -150,16 +150,18 @@ def encode_batch(encoder: MlpParams, region_values: np.ndarray, center=None) -> 
     return nm.mlp_forward(encoder, nm.as_node(x))
 
 
-def region_amplitudes(region: sp.LowFreqRegion, images: np.ndarray) -> np.ndarray:
-    """Masked amplitude stack [batch, l, l, c] for a [batch, h, w, c] stack."""
-    spec = np.fft.fftshift(np.fft.fft2(images, axes=(1, 2)), axes=(1, 2))
+def region_amplitudes(region: sp.LowFreqRegion, spectrum: np.ndarray) -> np.ndarray:
+    """Masked amplitude stack [batch, l, l, c] from the unshifted spectra
+    ``np.fft.fft2(images, axes=(1, 2))`` of a [batch, h, w, c] stack."""
+    spec = np.fft.fftshift(spectrum, axes=(1, 2))
     return np.abs(spec)[:, region.row0:region.row0 + region.side,
                         region.col0:region.col0 + region.side, :]
 
 
 def fit_input_center(state: ApexState, images: np.ndarray) -> None:
     """Set the encoder's centering constant to the mean training profile."""
-    feats = lowfreq_features(region_amplitudes(state.region, images))
+    spectrum = np.fft.fft2(images, axes=(1, 2))
+    feats = lowfreq_features(region_amplitudes(state.region, spectrum))
     state.input_center = feats.mean(axis=0)
 
 
@@ -218,15 +220,6 @@ def project_aux(head: MlpParams, z) -> Node:
     return nm.mlp_forward(head, nm.as_node(z))
 
 
-def multiplier_from_node(p: Node | np.ndarray, region: sp.LowFreqRegion,
-                         index: int | None = None) -> sp.PromptMultiplier:
-    arr = p.array if isinstance(p, Node) else np.asarray(p)
-    if arr.ndim == 2:
-        arr = arr[index if index is not None else 0]
-    r = region.geometry()
-    return sp.PromptMultiplier(region=r, values=arr.reshape(r.side, r.side, r.channels))
-
-
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
@@ -252,14 +245,15 @@ def forward_batch(state: ApexState, images: np.ndarray, *, train: bool = True) -
     cfg = state.config
     region = state.region
     imgs = np.asarray(images, dtype=np.float64)
-    amps = region_amplitudes(region, imgs)
+    spectrum = np.fft.fft2(imgs, axes=(1, 2))  # shared by the encoder input and the prompt
+    amps = region_amplitudes(region, spectrum)
     z = encode_batch(state.encoder, amps, center=state.input_center)
     mem_for_graph = state.memory if (train and cfg.memory_grad_mode == "fullgraph") \
         else nm.stop_gradient(state.memory)
     a = address(mem_for_graph, z, softmax=cfg.softmax_addressing)
     zprime = retrieve(mem_for_graph, a) if cfg.use_memory else z
     p = decode_prompt(state.decoder, zprime, region)
-    out = sp.prompted_image_node(imgs, p, region)
+    out = sp.prompted_image_node(imgs, p, region, spectrum)
     return ForwardNodes(features=z, addressing=a, prompt_feature=zprime,
                         multiplier=p, output=out)
 
@@ -362,7 +356,10 @@ def _parse_manifest(path: Path) -> dict:
 
 def load_state(directory) -> ApexState:
     d = Path(directory)
-    meta = _parse_manifest(d / "manifest.txt")
+    manifest = d / "manifest.txt"
+    if not manifest.is_file():
+        raise InputNotFoundError(f"no checkpoint in {d}: {manifest.name} does not exist")
+    meta = _parse_manifest(manifest)
 
     def tup(key):
         return tuple(int(v) for v in meta[key].split(",") if v)

@@ -153,10 +153,6 @@ class LowFreqRegion:
         return LowFreqRegion(self.beta, self.height, self.width, self.channels,
                              self.row0, self.col0, self.side)
 
-    def same_geometry(self, other: "LowFreqRegion") -> bool:
-        return (self.height, self.width, self.channels, self.row0, self.col0, self.side) == \
-               (other.height, other.width, other.channels, other.row0, other.col0, other.side)
-
     @cached_property
     def _pairing(self) -> tuple[np.ndarray, np.ndarray]:
         """(perm, pinned) over flat [side*side*c] local indices.
@@ -281,50 +277,47 @@ def symmetrize_multiplier(raw: nm.Node, region: LowFreqRegion) -> nm.Node:
             return
         gg = g.copy()
         gg[..., pinned] = 0.0
-        raw.grad += 0.5 * (gg + gg[..., perm])
+        raw.accumulate(0.5 * (gg + gg[..., perm]))
 
     return nm.custom_op("symmetrize", out, (raw,), back)
 
 
-def prompted_image_node(img: np.ndarray, p_flat: nm.Node, region: LowFreqRegion) -> nm.Node:
-    """Differentiable reconstruction of prompted images.
+def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion,
+                        spectrum: np.ndarray) -> nm.Node:
+    """Differentiable reconstruction of a batch of prompted images.
 
-    ``img`` is a constant [h, w, c] or [batch, h, w, c] array; ``p_flat``
+    ``imgs`` is a constant [batch, h, w, c] array and ``spectrum`` its
+    unshifted ``np.fft.fft2(imgs, axes=(1, 2))``, which the caller has
+    already computed for the encoder input. ``p_flat`` [batch, flat_size]
     holds symmetric multipliers, flat per image. Gradients flow to the
     multipliers only. Linear in the multiplier, so the backward rule is the
     exact adjoint: d L / d M = Re(FFT(x) * IFFT(G)) gathered on the region.
     """
-    arr = np.asarray(img, dtype=np.float64)
-    batched = arr.ndim == 4
-    if not batched:
-        arr = arr[None]
+    arr = np.asarray(imgs, dtype=np.float64)
+    if arr.ndim != 4:
+        raise ShapeError(f"images must be [batch, h, w, c], got {arr.shape}")
     b, h, w, c = arr.shape
     if (h, w, c) != (region.height, region.width, region.channels):
         raise ShapeError(f"image shape {(h, w, c)} does not match region")
+    if spectrum.shape != arr.shape:
+        raise ShapeError(f"spectrum shape {spectrum.shape} != image batch shape {arr.shape}")
     p = p_flat.array
-    if p.ndim == 1:
-        p = p[None]
     if p.shape != (b, region.flat_size):
         raise ShapeError(f"multiplier batch shape {p.shape} != {(b, region.flat_size)}")
     if np.any(p <= 0.0):
         raise ValueError("prompt multiplier must be strictly positive")
 
     l, r0, c0 = region.side, region.row0, region.col0
-    spec = np.fft.fft2(arr, axes=(1, 2))  # unshifted, constant w.r.t. p
     mult = np.ones((b, h, w, c))
     mult[:, r0:r0 + l, c0:c0 + l, :] = p.reshape(b, l, l, c)
     mult_unshifted = np.fft.ifftshift(mult, axes=(1, 2))
-    out = np.real(np.fft.ifft2(mult_unshifted * spec, axes=(1, 2)))
-    if not batched:
-        out = out[0]
+    out = np.real(np.fft.ifft2(mult_unshifted * spectrum, axes=(1, 2)))
 
     def back(g: np.ndarray) -> None:
         if not p_flat._needs_grad:
             return
-        gb = g if batched else g[None]
-        grad_mult = np.real(spec * np.fft.ifft2(gb, axes=(1, 2)))
+        grad_mult = np.real(spectrum * np.fft.ifft2(g, axes=(1, 2)))
         grad_mult = np.fft.fftshift(grad_mult, axes=(1, 2))
-        grad_p = grad_mult[:, r0:r0 + l, c0:c0 + l, :].reshape(b, region.flat_size)
-        p_flat.grad += grad_p if p_flat.array.ndim == 2 else grad_p[0]
+        p_flat.accumulate(grad_mult[:, r0:r0 + l, c0:c0 + l, :].reshape(b, region.flat_size))
 
     return nm.custom_op("prompted_image", out, (p_flat,), back)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import tensorio
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, InputNotFoundError, ShapeError
 from .numerics import Node
 
 SCENE_BACKGROUND = 0.3
@@ -244,7 +244,10 @@ def load_benchmark(directory, config: BenchmarkConfig, seed: int) -> Benchmark:
     """Load tensors saved by :func:`save_benchmark`; metadata comes from the
     manifest, which must match the given config's splits."""
     d = Path(directory)
-    rows = (d / "manifest.csv").read_text(encoding="ascii").splitlines()[1:]
+    manifest = d / "manifest.csv"
+    if not manifest.is_file():
+        raise InputNotFoundError(f"no benchmark in {d}: {manifest.name} does not exist")
+    rows = manifest.read_text(encoding="ascii").splitlines()[1:]
     meta: dict = {name: [] for name in Benchmark.SPLITS}
     for row in rows:
         sample_id, domain_id, split, scene_seed = row.split(",")[:4]
@@ -302,7 +305,7 @@ def box_blur(x, radius: int):
 
     def back(g: np.ndarray) -> None:
         if x._needs_grad:
-            x.grad += run(g)
+            x.accumulate(run(g))
 
     return nm.custom_op("box_blur", result, (x,), back)
 

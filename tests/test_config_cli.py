@@ -164,6 +164,20 @@ class TestCli:
     def test_eval_requires_ckpt_without_source_only(self, bench_dir):
         assert cli.main(["eval", "--bench", str(bench_dir), "--split", "seen"]) == 2
 
+    def test_eval_missing_bench_is_one_line_error(self, workdir, run_dir, capsys):
+        assert cli.main(["eval", "--ckpt", str(run_dir / "seed0"),
+                         "--bench", str(workdir / "no_bench"), "--split", "seen"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no_bench" in err
+
+    def test_eval_missing_ckpt_is_one_line_error(self, workdir, bench_dir, capsys):
+        assert cli.main(["eval", "--ckpt", str(workdir / "no_ckpt"),
+                         "--bench", str(bench_dir), "--split", "seen"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no_ckpt" in err
+
     def test_eval_rerun_byte_identical(self, workdir, bench_dir, run_dir):
         a = workdir / "eval_a.csv"
         b = workdir / "eval_b.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apex import harness as hn
+from apex import numerics as nm
 from apex import prompting as pr
 from apex import synthdata as sd
 from apex import tensorio
@@ -95,6 +96,27 @@ class TestTrain:
         cfg = replace(TINY_TRAIN, optimizer="adam", mlp_learning_rate=0.01)
         _state, log = hn.train(cfg, bench, backbone, seed=0)
         assert all(np.isfinite(rep.total) for rep in log)
+
+
+class TestGraphSize:
+    def test_default_step_builds_at_most_140_nodes(self, bench, backbone, monkeypatch):
+        """One default training step (32x32, batch 8) builds a batch-shaped
+        graph: the losses add a fixed number of nodes, not one set per sample
+        or per anchor."""
+        created = [0]
+        node_init = nm.Node.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created[0] += 1
+            node_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nm.Node, "__init__", counting_init)
+        hn.train(hn.TrainConfig(epochs=0, seeds=(0,)), bench, backbone, seed=0)
+        setup = created[0]
+        created[0] = 0
+        _state, log = hn.train(hn.TrainConfig(epochs=1, seeds=(0,)), bench, backbone, seed=0)
+        assert log
+        assert (created[0] - setup) / len(log) <= 140
 
 
 class TestMetrics:

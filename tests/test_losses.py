@@ -212,6 +212,125 @@ class TestLfcLoss:
         assert val < base
 
 
+def _rel_close(value: float, oracle: float, rel: float = 1e-12) -> bool:
+    return abs(value - oracle) <= rel * abs(oracle)
+
+
+class TestBatchedForms:
+    """The batched losses training evaluates against the per-sample and
+    per-anchor definitions they replace."""
+
+    @staticmethod
+    def _seg_batch(rng, batch: int):
+        pred = rng.uniform(0.02, 0.98, size=(batch, 6, 5, 1))
+        gt = (rng.random((batch, 6, 5, 1)) > 0.5).astype(float)
+        return pred, gt
+
+    def test_batched_dice_is_mean_of_per_sample(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            pred, gt = self._seg_batch(rng, int(rng.integers(1, 9)))
+            val = losses.dice_loss(pred, gt, batched=True).item()
+            oracle = float(np.mean([losses.dice_loss(p, g).item() for p, g in zip(pred, gt)]))
+            assert _rel_close(val, oracle)
+
+    def test_batch_ce_is_mean_of_per_sample(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            pred, gt = self._seg_batch(rng, int(rng.integers(1, 9)))
+            val = losses.ce_loss(pred, gt).item()
+            oracle = float(np.mean([losses.ce_loss(p, g).item() for p, g in zip(pred, gt)]))
+            assert _rel_close(val, oracle)
+
+    def test_batched_seg_gradients(self):
+        rng = np.random.default_rng(23)
+        pred, gt = self._seg_batch(rng, 3)
+
+        def build(leaves):
+            return nm.add(losses.dice_loss(leaves[0], gt, batched=True),
+                          losses.ce_loss(leaves[0], gt))
+
+        assert nm.gradcheck(build, [pred]) < 1e-6
+
+    def test_batched_seg_gradient_matches_per_sample_loop_exactly(self):
+        """Training takes the same steps as with the per-sample loop."""
+        rng = np.random.default_rng(25)
+        pred, gt = self._seg_batch(rng, 8)
+        batched = nm.parameter(pred)
+        nm.backward(nm.add(losses.dice_loss(batched, gt, batched=True),
+                           losses.ce_loss(batched, gt)))
+        looped = nm.parameter(pred)
+        dice = ce = None
+        for i in range(len(pred)):
+            d = losses.dice_loss(nm.getitem(looped, i), gt[i])
+            e = losses.ce_loss(nm.getitem(looped, i), gt[i])
+            dice = d if dice is None else nm.add(dice, d)
+            ce = e if ce is None else nm.add(ce, e)
+        nm.backward(nm.add(nm.div(dice, 8.0), nm.div(ce, 8.0)))
+        assert np.array_equal(batched.grad, looped.grad)
+
+    def test_batched_dice_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            losses.dice_loss(np.ones((2, 4, 4, 1)), np.ones((3, 4, 4, 1)), batched=True)
+
+    def test_batched_lfc_is_mean_of_anchor_terms(self):
+        rng = np.random.default_rng(24)
+        for trial in range(40):
+            # unequal domain sizes give anchors different numbers of negatives
+            sizes = rng.integers(2, 5, size=int(rng.integers(2, 5)))
+            labels = [f"d{k}" for k, size in enumerate(sizes) for _ in range(size)]
+            labels = [labels[i] for i in rng.permutation(len(labels))]
+            emb = rng.standard_normal((len(labels), 5))
+            positives = losses.sample_positives(labels, rng)
+            # tiny temperatures put the positive and the diagonal hundreds of
+            # units above the negatives; the padding must stay out of the peak
+            # and out of exp()
+            tau = 1e-3 if trial % 10 == 0 else float(rng.uniform(0.05, 1.0))
+            sims = nm.cosine_rows(emb, emb).array
+            for include_positive in (False, True):
+                val = losses.lfc_loss(emb, labels, tau, positives=positives,
+                                      include_positive=include_positive).item()
+                terms = []
+                for i, lab in enumerate(labels):
+                    cols = [j for j, other in enumerate(labels) if other != lab]
+                    if include_positive:
+                        cols.append(int(positives[i]))
+                    terms.append(losses.lfc_term(sims[i, positives[i]], sims[i, cols],
+                                                 tau).item())
+                assert _rel_close(val, float(np.mean(terms))), (trial, include_positive)
+
+    def test_batched_lfc_gradient_matches_anchor_loop_exactly(self):
+        """With equal domain sizes, as every training batch has, each row of
+        the batched form sums in the per-anchor order, so the gradient is
+        bit-identical and training takes the same steps."""
+        rng = np.random.default_rng(26)
+        labels = ["a"] * 4 + ["b"] * 4
+        emb = rng.standard_normal((8, 6))
+        positives = losses.sample_positives(labels, rng)
+        for include_positive in (False, True):
+            batched = nm.parameter(emb)
+            nm.backward(losses.lfc_loss(batched, labels, 0.1, positives=positives,
+                                        include_positive=include_positive))
+            looped = nm.parameter(emb)
+            sims = nm.cosine_rows(looped, looped)
+            total = None
+            for i, lab in enumerate(labels):
+                cols = [j for j, other in enumerate(labels) if other != lab]
+                if include_positive:
+                    cols.append(int(positives[i]))
+                pos = nm.getitem(sims, (i, int(positives[i])))
+                negs = nm.getitem(sims, (np.full(len(cols), i), np.array(cols)))
+                term = losses.lfc_term(pos, negs, 0.1)
+                total = term if total is None else nm.add(total, term)
+            nm.backward(nm.div(total, 8.0))
+            assert np.array_equal(batched.grad, looped.grad), include_positive
+
+    def test_lfc_invalid_tau(self):
+        emb, labels, positives = _two_domain_embeddings()
+        with pytest.raises(ConfigError):
+            losses.lfc_loss(emb, labels, 0.0, positives=positives)
+
+
 class TestBatchPlan:
     def test_plan_validation(self):
         with pytest.raises(ConfigError):

@@ -192,6 +192,20 @@ class TestBackward:
         x.zero_grad()
         assert np.array_equal(x.grad, np.zeros(2))
 
+    def test_unreached_node_reads_zero_grad(self):
+        x = nm.parameter(np.ones(3))
+        y = nm.parameter(np.ones(2))
+        nm.backward(nm.reduce_sum(x))
+        assert np.array_equal(y.grad, np.zeros(2))
+
+    def test_gradients_are_row_major(self):
+        """Reductions over a gradient (such as the trainer's clip norm) must
+        sum in the same order however the gradient was produced."""
+        w = nm.parameter(np.arange(6.0).reshape(2, 3))
+        nm.backward(nm.reduce_sum(nm.matmul(nm.as_node(np.ones((4, 3))), nm.transpose(w))))
+        assert w.grad.flags.c_contiguous
+        assert np.array_equal(w.grad, np.full((2, 3), 4.0))
+
     def test_composite_graph_vs_finite_differences(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((3, 3))

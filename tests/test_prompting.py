@@ -9,7 +9,7 @@ import pytest
 from apex import numerics as nm
 from apex import prompting as pr
 from apex import spectral as sp
-from apex.errors import ConfigError, DegenerateInputError, ShapeError
+from apex.errors import ConfigError, DegenerateInputError, InputNotFoundError, ShapeError
 from apex.numerics import Tensor
 
 SMALL = pr.ApexConfig(feature_dim=16, slot_count=8, encoder_hidden=(10, 10, 10),
@@ -253,7 +253,8 @@ class TestApexForward:
         for w, _ in dec_proto.layers:
             w.value = Tensor(rng.standard_normal(w.shape) * 0.1)
         mem0 = nm.orthogonal_rows(4, 8, seed=3).array
-        amps = pr.region_amplitudes(region, img[None])
+        spectrum = np.fft.fft2(img[None], axes=(1, 2))
+        amps = pr.region_amplitudes(region, spectrum)
         inputs = [p.array for p in enc_proto.parameters()] \
             + [p.array for p in dec_proto.parameters()] + [mem0]
 
@@ -267,7 +268,7 @@ class TestApexForward:
             a = pr.address(mem, z)
             zprime = pr.retrieve(mem, a)
             p = pr.decode_prompt(dec, zprime, region)
-            out = sp.prompted_image_node(img[None], p, region)
+            out = sp.prompted_image_node(img[None], p, region, spectrum)
             diff = nm.sub(out, nm.as_node(target[None]))
             return nm.reduce_sum(nm.mul(diff, diff))
 
@@ -362,15 +363,37 @@ class TestAttentionRuleInvariant:
         explicit = pr.memory_gradient(nodes.addressing.value, nodes.prompt_feature.grad)
 
         # oracle: same forward with the memory live in retrieval only
-        amps = pr.region_amplitudes(state.region, imgs)
+        spectrum = np.fft.fft2(imgs, axes=(1, 2))
+        amps = pr.region_amplitudes(state.region, spectrum)
         z = pr.encode_batch(state.encoder, amps, center=state.input_center)
         a = pr.address(nm.stop_gradient(state.memory), z)
         zprime = pr.retrieve(state.memory, a)
         p = pr.decode_prompt(state.decoder, zprime, state.region)
-        out = sp.prompted_image_node(imgs, p, state.region)
+        out = sp.prompted_image_node(imgs, p, state.region, spectrum)
         nm.zero_grads(state.all_parameters())
         nm.backward(nm.reduce_sum(nm.mul(out, out)))
         assert np.max(np.abs(explicit.array - state.memory.grad)) < 1e-10
+
+
+class TestForwardBatch:
+    def test_transforms_the_batch_once(self, monkeypatch):
+        """The encoder input and the prompted reconstruction share one fft2."""
+        state = small_state()
+        imgs = np.random.default_rng(21).random((3, 8, 8, 1))
+        calls = []
+        fft2 = np.fft.fft2
+
+        def counting_fft2(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+        nodes = pr.forward_batch(state, imgs, train=True)
+        assert calls == [imgs.shape]
+        monkeypatch.undo()
+        ref = sp.prompted_image_node(imgs, nodes.multiplier, state.region,
+                                     np.fft.fft2(imgs, axes=(1, 2)))
+        assert np.array_equal(nodes.output.array, ref.array)
 
 
 class TestCheckpoint:
@@ -389,6 +412,10 @@ class TestCheckpoint:
         out2, a2, z2 = pr.apex_forward(loaded, img)
         assert np.array_equal(out1, out2)
         assert np.array_equal(a1, a2)
+
+    def test_missing_checkpoint_rejected(self, tmp_path):
+        with pytest.raises(InputNotFoundError):
+            pr.load_state(tmp_path / "nothing")
 
     def test_manifest_echoes_config(self, tmp_path):
         state = small_state()

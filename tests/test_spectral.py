@@ -207,13 +207,14 @@ class TestPromptedImage:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        img = rng.random((8, 8, 1))
-        reg = sp.extract_low_freq(sp.fft2(img), 0.375)
-        raw0 = rng.standard_normal(reg.flat_size) * 0.3
+        imgs = rng.random((1, 8, 8, 1))
+        reg = sp.extract_low_freq(sp.fft2(imgs[0]), 0.375)
+        spectrum = np.fft.fft2(imgs, axes=(1, 2))
+        raw0 = rng.standard_normal((1, reg.flat_size)) * 0.3
 
         def build(leaves):
             p = sp.symmetrize_multiplier(nm.exp(leaves[0]), reg)
-            out = sp.prompted_image_node(img, p, reg)
+            out = sp.prompted_image_node(imgs, p, reg, spectrum)
             return nm.reduce_sum(out)
 
         assert nm.gradcheck(build, [raw0]) < 1e-4
@@ -224,12 +225,17 @@ class TestPromptedImage:
         reg = sp.LowFreqRegion.plan(8, 8, 1, 0.375)
         raws = rng.standard_normal((3, reg.flat_size)) * 0.2
         p = sp.symmetrize_multiplier(nm.exp(nm.as_node(raws)), reg)
-        outs = sp.prompted_image_node(imgs, p, reg)
+        spectrum = np.fft.fft2(imgs, axes=(1, 2))
+        outs = sp.prompted_image_node(imgs, p, reg, spectrum)
         for i in range(3):
             pm = sp.PromptMultiplier(region=reg,
                                      values=p.array[i].reshape(3, 3, 1))
             ref = sp.prompted_image(imgs[i], pm)
             assert np.max(np.abs(outs.array[i] - ref)) < 1e-12
+        with pytest.raises(ShapeError):
+            sp.prompted_image_node(imgs, p, reg, spectrum[:2])
+        with pytest.raises(ShapeError):
+            sp.prompted_image_node(imgs[0], p, reg, spectrum[0])
 
 
 class TestInvariants:

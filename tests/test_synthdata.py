@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from apex import harness, numerics as nm, spectral as sp, synthdata as sd
-from apex.errors import ConfigError, ShapeError
+from apex.errors import ConfigError, InputNotFoundError, ShapeError
 
 SMALL_BENCH = sd.BenchmarkConfig(train_per_domain=24, test_per_domain=12,
                                  source_train=24, source_test=12)
@@ -139,6 +139,12 @@ class TestBuildBenchmark:
                 assert a.sample_id == b.sample_id
                 assert np.array_equal(a.image, b.image)
                 assert np.array_equal(a.mask, b.mask)
+
+    def test_load_without_manifest_is_input_not_found(self, tmp_path):
+        with pytest.raises(InputNotFoundError):
+            sd.load_benchmark(tmp_path, SMALL_BENCH, seed=5)
+        with pytest.raises(InputNotFoundError):
+            sd.load_benchmark(tmp_path / "missing", SMALL_BENCH, seed=5)
 
 
 class TestBackbone:
