@@ -138,7 +138,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
                     mem_grad = prompting.memory_gradient(nodes.addressing.value,
                                                          nodes.prompt_feature.grad)
                 else:
-                    mem_grad = nm.Tensor(state.memory.grad)
+                    mem_grad = state.memory.grad
                 state.memory.value = prompting.update_memory(
                     state.memory.value, mem_grad, cfg.learning_rate)
 

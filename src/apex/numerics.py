@@ -9,6 +9,20 @@ are single-use: call :func:`backward` once per graph.
 
 Gradient accumulation is additive; call ``zero_grad`` on parameters between
 steps.
+
+The two hot composites are fused: :func:`linear` (one MLP layer) and
+:func:`cosine_rows` (a matrix of row cosines) are one node each, with a
+hand-written backward that runs the NumPy expressions of the primitive
+chain it replaces and accumulates into each input in the chain's order, so
+values and gradients are bit-identical to that chain. The primitives stay:
+they are the gradient-checked reference and build the other composites.
+A Python number used as an operand of :func:`add`, :func:`sub`, :func:`mul`
+or :func:`div` enters the arithmetic as a float, not as a constant node.
+
+Finiteness is checked once where a value is made: every :class:`Tensor`
+(so every node's value) with ``numpy.isfinite`` at construction, a
+Python-number operand with ``math.isfinite``, and in :func:`sgd_step` only
+the updated parameter, which a non-finite gradient always makes non-finite.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ class Tensor:
 
     def _install(self, arr: np.ndarray) -> None:
         arr = np.asarray(arr, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor values must all be finite")
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # 0-d arrays are already contiguous
@@ -252,20 +266,36 @@ def stop_gradient(a: Node) -> Node:
 # elementwise and structural operations
 # ---------------------------------------------------------------------------
 
+def _operand(x):
+    """A Python number as a checked float, anything else as a node. A number
+    enters the arithmetic as it is, not as a constant node: the same float64
+    values, without a node or an array check."""
+    if isinstance(x, (int, float)):
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError("tensor values must all be finite")
+        return x
+    return as_node(x)
+
+
 def _binary(op_name: str, a, b, fwd, bwd_a, bwd_b) -> Node:
-    a, b = as_node(a), as_node(b)
+    a, b = _operand(a), _operand(b)
+    xa = a.array if isinstance(a, Node) else a
+    xb = b.array if isinstance(b, Node) else b
     try:
-        out = fwd(a.array, b.array)
+        out = fwd(xa, xb)
     except ValueError as exc:
-        raise ShapeError(f"{op_name}: incompatible shapes {a.shape} and {b.shape}") from exc
+        raise ShapeError(f"{op_name}: incompatible shapes {np.shape(xa)} and {np.shape(xb)}") \
+            from exc
 
     def back(g: np.ndarray) -> None:
-        if a._needs_grad:
-            a.accumulate(_unbroadcast(bwd_a(g, a.array, b.array), a.shape))
-        if b._needs_grad:
-            b.accumulate(_unbroadcast(bwd_b(g, a.array, b.array), b.shape))
+        if isinstance(a, Node) and a._needs_grad:
+            a.accumulate(_unbroadcast(bwd_a(g, xa, xb), a.shape))
+        if isinstance(b, Node) and b._needs_grad:
+            b.accumulate(_unbroadcast(bwd_b(g, xa, xb), b.shape))
 
-    return Node(Tensor._wrap(out), parents=(a, b), backward=back, op=op_name)
+    parents = tuple(x for x in (a, b) if isinstance(x, Node))
+    return Node(Tensor._wrap(out), parents=parents, backward=back, op=op_name)
 
 
 def add(a, b) -> Node:
@@ -459,8 +489,8 @@ def custom_op(name: str, value: np.ndarray, parents: Sequence[Node],
 # cosine similarity
 # ---------------------------------------------------------------------------
 
-def _guarded_norm(v: Node, axis: int | None = None) -> Node:
-    sq = reduce_sum(mul(v, v), axis=axis, keepdims=axis is not None)
+def _guarded_norm(v: Node) -> Node:
+    sq = reduce_sum(mul(v, v))
     # max(norm, eps) rather than norm + eps so that scaling by powers of two
     # leaves the similarity bit-identical (exact scale invariance).
     return clip_min(sqrt(sq), NORM_EPS)
@@ -483,16 +513,59 @@ def cosine_similarity(u, v) -> Node:
     return clip(raw, -1.0, 1.0)  # trims fp overshoot beyond the cosine range
 
 
+def _row_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms of ``v`` as [m, 1] columns, as computed and as floored at
+    ``NORM_EPS``: the values of ``sqrt(reduce_sum(mul(v, v), axis=1,
+    keepdims=True))`` and of ``clip_min`` of it."""
+    root = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
+    return root, np.maximum(root, NORM_EPS)
+
+
+def _normalized_rows_backward(v: Node, root: np.ndarray, norm: np.ndarray,
+                              g: np.ndarray) -> None:
+    """Accumulate into ``v`` the gradient of ``v / norm`` for upstream ``g``
+    (``root`` and ``norm`` from :func:`_row_norms`) as the primitive chain
+    does: the division's branch first, then the two branches of
+    ``mul(v, v)``."""
+    gnorm = _unbroadcast(-g * v.array / (norm * norm), norm.shape)
+    gsq = gnorm * (root >= NORM_EPS) / (2.0 * norm)
+    v.accumulate(g / norm)
+    gvv = gsq * v.array
+    v.accumulate(gvv)
+    v.accumulate(gvv)
+
+
 def cosine_rows(a, b) -> Node:
-    """Pairwise cosine similarities between rows of ``a`` [m,K] and ``b`` [n,K]."""
+    """Pairwise cosine similarities between rows of ``a`` [m,K] and ``b`` [n,K].
+
+    One node with the values and gradients of the primitive chain
+    ``clip(matmul(a / |a|, transpose(b / |b|)), -1, 1)``, bit for bit; for
+    ``b is a`` the rows are normalized once.
+    """
     a, b = as_node(a), as_node(b)
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"cosine_rows expects [m,K] and [n,K], got {a.shape}, {b.shape}")
-    if np.any(~np.any(a.array, axis=1)) or np.any(~np.any(b.array, axis=1)):
+    if np.any(~np.any(a.array, axis=1)) or (b is not a and np.any(~np.any(b.array, axis=1))):
         raise DegenerateInputError("cosine_rows: a row has zero norm")
-    ahat = div(a, _guarded_norm(a, axis=1))
-    bhat = div(b, _guarded_norm(b, axis=1))
-    return clip(matmul(ahat, transpose(bhat)), -1.0, 1.0)
+    a_root, a_norm = _row_norms(a.array)
+    ahat = a.array / a_norm
+    if b is a:
+        b_root, b_norm, bhat = a_root, a_norm, ahat
+    else:
+        b_root, b_norm = _row_norms(b.array)
+        bhat = b.array / b_norm
+    bt = bhat.T.copy()
+    sims = ahat @ bt
+
+    def back(g: np.ndarray) -> None:
+        g = g * ((sims >= -1.0) & (sims <= 1.0))
+        if a._needs_grad:
+            _normalized_rows_backward(a, a_root, a_norm, g @ bt.T)
+        if b._needs_grad:
+            _normalized_rows_backward(b, b_root, b_norm, np.asarray((ahat.T @ g).T, order="C"))
+
+    return Node(Tensor._wrap(np.clip(sims, -1.0, 1.0)), parents=(a, b), backward=back,
+                op="cosine_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +641,35 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
     return MlpParams(layers=layers, activations=acts)
 
 
+def linear(x, w, b, relu: bool = False) -> Node:
+    """One fully connected layer, ``x @ w.T + b`` for ``x`` [batch, in], ``w``
+    [out, in] and ``b`` [out], followed by a ReLU when ``relu`` is set.
+
+    One node with the values and gradients of the primitive chain
+    ``relu(add(matmul(x, transpose(w)), b))``, bit for bit: it runs the
+    chain's NumPy expressions, including the row-major copy of ``w.T``.
+    """
+    x, w, b = as_node(x), as_node(w), as_node(b)
+    if x.array.ndim != 2 or w.array.ndim != 2 or x.shape[1] != w.shape[1] \
+            or b.shape != (w.shape[0],):
+        raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} disagree")
+    wt = w.array.T.copy()
+    pre = x.array @ wt + b.array
+
+    def back(g: np.ndarray) -> None:
+        if relu:
+            g = g * (pre > 0.0)
+        if x._needs_grad:
+            x.accumulate(g @ wt.T)
+        if w._needs_grad:
+            w.accumulate((x.array.T @ g).T)
+        if b._needs_grad:
+            b.accumulate(_unbroadcast(g, b.shape))
+
+    out = np.maximum(pre, 0.0) if relu else pre
+    return Node(Tensor._wrap(out), parents=(x, w, b), backward=back, op="linear")
+
+
 def mlp_forward(params: MlpParams, x) -> Node:
     """Apply the stack to ``x`` of shape [in] or [batch, in]."""
     x = as_node(x)
@@ -578,9 +680,7 @@ def mlp_forward(params: MlpParams, x) -> Node:
         raise ShapeError(f"mlp input dim {x.shape[1]} != expected {params.in_dim}")
     h = x
     for (w, b), act in zip(params.layers, params.activations):
-        h = add(matmul(h, transpose(w)), b)
-        if act == "relu":
-            h = relu(h)
+        h = linear(h, w, b, relu=act == "relu")
     if squeeze:
         h = reshape(h, (-1,))
     return h
@@ -622,13 +722,19 @@ def sgd_step(params, grads, eta: float):
     if len(plist) != len(glist):
         raise ShapeError("params and grads differ in length")
     out = []
-    for p, g in zip(plist, glist):
-        garr = g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-        if p.shape != garr.shape:
-            raise ShapeError(f"param shape {p.shape} != grad shape {garr.shape}")
-        if not np.all(np.isfinite(garr)):
-            raise TrainingDivergedError("non-finite gradient in sgd_step")
-        out.append(Tensor._wrap(p.array - eta * garr))
+    # p is finite, so for a finite eta a non-finite g always makes the update
+    # non-finite (0 * inf is NaN): the check of each new value covers the
+    # gradient, and NumPy's warnings about that arithmetic would only repeat it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for p, g in zip(plist, glist):
+            garr = g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
+            if p.shape != garr.shape:
+                raise ShapeError(f"param shape {p.shape} != grad shape {garr.shape}")
+            try:
+                out.append(Tensor._wrap(p.array - eta * garr))
+            except ValueError:
+                raise TrainingDivergedError("non-finite gradient or update in sgd_step") \
+                    from None
     return out[0] if single else out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import numerics as nm
 from . import spectral as sp
 from . import tensorio
-from .errors import ConfigError, InputNotFoundError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, InputNotFoundError, ShapeError
 from .numerics import MlpParams, Node, Tensor
 
 RAW_PROMPT_LIMIT = 20.0  # |log multiplier| bound; exp stays finite and positive
@@ -287,13 +287,13 @@ def memory_gradient(a, g) -> Tensor:
 
 
 def update_memory(memory: Tensor, grad, eta: float) -> Tensor:
-    """One plain SGD step on the slot matrix."""
+    """One plain SGD step on the slot matrix. A non-finite gradient raises
+    :class:`TrainingDivergedError` from :func:`numerics.sgd_step`; the
+    caller's gradient array is neither copied nor frozen."""
     garr = grad.array if isinstance(grad, (Node, Tensor)) else np.asarray(grad, dtype=np.float64)
     if garr.shape != memory.shape:
         raise ShapeError(f"memory grad shape {garr.shape} != {memory.shape}")
-    if not np.all(np.isfinite(garr)):
-        raise TrainingDivergedError("non-finite memory gradient")
-    return nm.sgd_step(memory, Tensor._wrap(garr.copy()), eta)
+    return nm.sgd_step(memory, garr, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InputNotFoundError
+
 MAGIC = b"APXT"
 
 
@@ -32,7 +34,11 @@ def write_tensor(path, arr) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise InputNotFoundError(f"tensor file {path} does not exist") from None
+    with fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")

@@ -178,6 +178,18 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "no_ckpt" in err
 
+    def test_eval_missing_tensor_file_is_one_line_error(self, workdir, bench_dir, capsys):
+        broken = workdir / "bench_missing_tensor"
+        assert cli.main(["gen-bench", "--config", str(workdir / "tiny.cfg"),
+                         "--seed", "4", "--out", str(broken)]) == 0
+        (broken / "test_seen_images.apxt").unlink()
+        capsys.readouterr()
+        assert cli.main(["eval", "--source-only", "--bench", str(broken),
+                         "--split", "seen"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "test_seen_images.apxt" in err
+
     def test_eval_rerun_byte_identical(self, workdir, bench_dir, run_dir):
         a = workdir / "eval_a.csv"
         b = workdir / "eval_b.csv"

@@ -165,6 +165,161 @@ class TestMlp:
                          activations=["relu", "linear"])
 
 
+def _linear_chain(x, w, b, relu):
+    h = nm.add(nm.matmul(x, nm.transpose(w)), b)
+    return nm.relu(h) if relu else h
+
+
+def _row_norm_chain(v):
+    sq = nm.reduce_sum(nm.mul(v, v), axis=1, keepdims=True)
+    return nm.clip_min(nm.sqrt(sq), nm.NORM_EPS)
+
+
+def _cosine_rows_chain(a, b):
+    ahat = nm.div(a, _row_norm_chain(a))
+    bhat = nm.div(b, _row_norm_chain(b))
+    return nm.clip(nm.matmul(ahat, nm.transpose(bhat)), -1.0, 1.0)
+
+
+def _value_and_grads(build, arrays):
+    """Value of ``build(leaves)`` and every leaf's gradient of a fixed random
+    weighting of it."""
+    leaves = [nm.parameter(a) for a in arrays]
+    out, loss = build(leaves)
+    nm.backward(loss)
+    return out.array, [leaf.grad for leaf in leaves]
+
+
+def _weighted(out, seed):
+    weights = np.random.default_rng(seed).standard_normal(out.shape)
+    return out, nm.reduce_sum(nm.mul(out, weights))
+
+
+class TestFusedOps:
+    """``linear`` and ``cosine_rows`` are single nodes that must reproduce
+    the primitive chains they replace bit for bit, in value and gradient."""
+
+    def _assert_bit_identical(self, fused, chain, arrays):
+        v_fused, g_fused = _value_and_grads(fused, arrays)
+        v_chain, g_chain = _value_and_grads(chain, arrays)
+        assert np.array_equal(v_fused, v_chain)
+        for gf, gc in zip(g_fused, g_chain):
+            assert np.array_equal(gf, gc)
+            assert gf.flags.c_contiguous
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_linear_matches_chain(self, relu):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            n, k, m = (int(d) for d in rng.integers(1, 7, size=3))
+            arrays = [rng.standard_normal((n, k)), rng.standard_normal((m, k)),
+                      rng.standard_normal(m)]
+            self._assert_bit_identical(
+                lambda ls: _weighted(nm.linear(ls[0], ls[1], ls[2], relu=relu), trial),
+                lambda ls: _weighted(_linear_chain(ls[0], ls[1], ls[2], relu), trial),
+                arrays)
+
+    def test_cosine_rows_matches_chain(self):
+        rng = np.random.default_rng(32)
+        for trial in range(20):
+            m, n, k = (int(d) for d in rng.integers(1, 7, size=3))
+            arrays = [rng.standard_normal((m, k)), rng.standard_normal((n, k))]
+            if trial == 0:
+                arrays[0][0] *= 1e-14  # a row below NORM_EPS takes the guarded branch
+            self._assert_bit_identical(
+                lambda ls: _weighted(nm.cosine_rows(ls[0], ls[1]), trial),
+                lambda ls: _weighted(_cosine_rows_chain(ls[0], ls[1]), trial),
+                arrays)
+
+    def test_cosine_rows_of_one_matrix_matches_chain(self):
+        rng = np.random.default_rng(33)
+        for trial in range(20):
+            m, k = (int(d) for d in rng.integers(1, 7, size=2))
+            arrays = [rng.standard_normal((m, k))]
+            self._assert_bit_identical(
+                lambda ls: _weighted(nm.cosine_rows(ls[0], ls[0]), trial),
+                lambda ls: _weighted(_cosine_rows_chain(ls[0], ls[0]), trial),
+                arrays)
+
+    def test_input_with_a_second_consumer_matches_chain(self):
+        """The gradient of an input that also feeds other ops sums several
+        contributions; the fused ops add theirs in the chain's order."""
+        rng = np.random.default_rng(34)
+        for trial in range(10):
+            # a positive bias keeps every row of relu(h) away from zero
+            x, w, b = rng.standard_normal((4, 5)), rng.standard_normal((3, 5)), \
+                rng.random(3) + 2.0
+            mem = rng.standard_normal((6, 3))
+
+            def build(ls, lin, cos):
+                h = lin(ls[0], ls[1], ls[2], True)
+                sims = cos(h, ls[3])
+                other = nm.mul(h, nm.exp(h))  # second and third consumers of h
+                self_sims = cos(ls[0], ls[0])
+                loss = nm.add(nm.add(_weighted(sims, trial)[1], _weighted(other, trial + 1)[1]),
+                              _weighted(self_sims, trial + 2)[1])
+                return sims, nm.add(loss, nm.reduce_sum(nm.mul(ls[0], ls[0])))
+
+            self._assert_bit_identical(
+                lambda ls: build(ls, lambda x_, w_, b_, r: nm.linear(x_, w_, b_, relu=r),
+                                 nm.cosine_rows),
+                lambda ls: build(ls, _linear_chain, _cosine_rows_chain),
+                [x, w, b, mem])
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_linear_gradcheck(self, relu):
+        rng = np.random.default_rng(35)
+        for trial in range(20):
+            n, k, m = (int(d) for d in rng.integers(1, 6, size=3))
+            inputs = [rng.standard_normal((n, k)), rng.standard_normal((m, k)),
+                      rng.standard_normal(m)]
+            weights = rng.standard_normal((n, m))
+
+            def build(ls):
+                return nm.reduce_sum(nm.mul(nm.linear(ls[0], ls[1], ls[2], relu=relu), weights))
+
+            assert nm.gradcheck(build, inputs) < 1e-4, f"trial {trial}"
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_cosine_rows_gradcheck(self, same):
+        rng = np.random.default_rng(36)
+        for trial in range(20):
+            # one row against itself is the constant 1, whose zero gradient
+            # finite differences only see as noise
+            m, n, k = (int(d) for d in rng.integers(2, 6, size=3))
+            inputs = [rng.standard_normal((m, k))]
+            if not same:
+                inputs.append(rng.standard_normal((n, k)))
+            weights = rng.standard_normal((m, m if same else n))
+
+            def build(ls):
+                sims = nm.cosine_rows(ls[0], ls[0] if same else ls[1])
+                return nm.reduce_sum(nm.mul(sims, weights))
+
+            assert nm.gradcheck(build, inputs) < 1e-4, f"trial {trial}"
+
+    def test_linear_shape_checked(self):
+        with pytest.raises(ShapeError):
+            nm.linear(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(4))
+        with pytest.raises(ShapeError):
+            nm.linear(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(3))
+
+
+class TestScalarOperands:
+    def test_scalar_is_no_node(self):
+        x = nm.parameter(np.array([1.0, -2.0]))
+        for out in (nm.div(x, 4.0), nm.mul(3, x), nm.sub(1.0, x)):
+            assert out._parents == (x,)
+        assert np.array_equal(nm.sub(1.0, x).array, [0.0, 3.0])
+
+    def test_nonfinite_scalar_rejected(self):
+        x = nm.parameter(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            nm.add(x, float("nan"))
+        with pytest.raises(ValueError):
+            nm.div(x, float("inf"))
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = nm.parameter(np.array([1.0, 2.0, 3.0]))
@@ -285,6 +440,14 @@ class TestSgd:
         bad = np.array([np.inf])
         with pytest.raises(TrainingDivergedError):
             nm.sgd_step([Tensor([1.0])], [bad], 0.1)
+
+    def test_nonfinite_gradient_rejected_at_zero_rate(self):
+        """Only the updated value is checked; 0 * inf is NaN, so an infinite
+        gradient still raises when the step does not move the parameter."""
+        with pytest.raises(TrainingDivergedError):
+            nm.sgd_step(Tensor([1.0]), np.array([np.inf]), 0.0)
+        with pytest.raises(TrainingDivergedError):
+            nm.sgd_step(Tensor([1.0]), np.array([np.nan]), 0.1)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -9,7 +9,8 @@ import pytest
 from apex import numerics as nm
 from apex import prompting as pr
 from apex import spectral as sp
-from apex.errors import ConfigError, DegenerateInputError, InputNotFoundError, ShapeError
+from apex.errors import (ConfigError, DegenerateInputError, InputNotFoundError, ShapeError,
+                         TrainingDivergedError)
 from apex.numerics import Tensor
 
 SMALL = pr.ApexConfig(feature_dim=16, slot_count=8, encoder_hidden=(10, 10, 10),
@@ -336,6 +337,20 @@ class TestUpdateMemory:
         out = pr.update_memory(mem, g, 1.0)
         assert np.max(np.abs(out.array[0])) < 1e-12
         assert np.array_equal(out.array[1:], mem.array[1:])
+
+    def test_nonfinite_gradient_raises(self):
+        mem = nm.orthogonal_rows(3, 5, seed=4)
+        g = np.zeros((3, 5))
+        g[1, 2] = np.nan
+        with pytest.raises(TrainingDivergedError):
+            pr.update_memory(mem, g, 0.05)
+
+    def test_gradient_array_left_writeable(self):
+        mem = nm.orthogonal_rows(3, 5, seed=4)
+        g = np.ones((3, 5))
+        pr.update_memory(mem, g, 0.05)
+        assert g.flags.writeable
+        g[0, 0] = 2.0
 
     def test_hundred_random_steps_stay_finite(self):
         rng = np.random.default_rng(17)

@@ -1,0 +1,74 @@
+"""Train a fixed set of configs on one benchmark and print the digest of
+each trained state, one ``label digest`` line per config.
+
+A change that only reorganises the arithmetic (fused ops, fewer graph
+nodes, fewer checks) must leave every trained state bit-identical; run
+this script in a checkout before and after the change and compare the
+output line by line:
+
+    python3 tools/state_digests.py [--bench-seed 10] [--size 32] [--seed 0]
+
+The configs cover the default, the four memory x LFC ablation cells and
+the slot counts J=1 and J=300, built as ``harness.run_ablation`` and
+``harness.slot_sweep`` build them, plus one config per experiment switch:
+``include_positive``, ``memory_grad_mode = fullgraph``,
+``softmax_addressing`` and ``optimizer = adam``. The memory-off cells are
+the sensitive ones: their training turns a last-bit change of a gradient
+into Dice changes of several points.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from apex import harness, prompting, synthdata, tensorio  # noqa: E402
+
+
+def configs() -> list[tuple[str, harness.TrainConfig]]:
+    base = harness.TrainConfig()
+    out = [("default", base)]
+    for mem_flag, lfc_flag in harness.ABLATION_CELLS:
+        out.append((f"memory_{mem_flag}-lfc_{lfc_flag}",
+                    replace(base, apex=replace(base.apex, use_memory=mem_flag == "on"),
+                            lfc_enabled=lfc_flag == "on")))
+    for j in (1, 300):
+        out.append((f"slots_{j}",
+                    replace(base, apex=replace(base.apex, slot_count=j,
+                                               allow_block_init=j > base.apex.feature_dim))))
+    out += [
+        ("include_positive", replace(base, include_positive=True)),
+        ("fullgraph", replace(base, apex=replace(base.apex, memory_grad_mode="fullgraph"))),
+        ("softmax_addressing", replace(base, apex=replace(base.apex, softmax_addressing=True))),
+        ("adam", replace(base, optimizer="adam", mlp_learning_rate=0.01)),
+    ]
+    return out
+
+
+def state_digest(state: prompting.ApexState) -> str:
+    tensors = prompting.state_tensors(state)
+    return tensorio.tensor_digest(*(tensors[name] for name in sorted(tensors)))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--bench-seed", type=int, default=10)
+    parser.add_argument("--size", type=int, default=32)
+    parser.add_argument("--seed", type=int, default=0, help="training seed")
+    args = parser.parse_args()
+
+    bench = synthdata.build_benchmark(synthdata.BenchmarkConfig(image_size=args.size),
+                                      args.bench_seed)
+    backbone = synthdata.backbone_calibrate(bench.splits["source_cal"])
+    for label, config in configs():
+        state, _log = harness.train(config, bench, backbone, args.seed)
+        print(f"{label} {state_digest(state)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
