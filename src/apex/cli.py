@@ -36,8 +36,7 @@ def _write(path: Path, lines: list[str]) -> None:
 def _load_bench(bench_dir: str) -> synthdata.Benchmark:
     kv = cfgmod.load_file(Path(bench_dir) / "config.txt")
     seed = int(kv.get("bench_seed", "0"))
-    _, bench_cfg = cfgmod.build_configs(kv)
-    return synthdata.load_benchmark(bench_dir, bench_cfg, seed)
+    return synthdata.load_benchmark(bench_dir, cfgmod.bench_config(kv), seed)
 
 
 def _backbone_for(bench: synthdata.Benchmark) -> synthdata.FrozenBackbone:
@@ -80,18 +79,15 @@ def cmd_train(args) -> int:
     metric_lines = ["seed,scope,dice,iou"]
     per_seed = []
     for seed in train_cfg.seeds:
-        state, log = harness.train(train_cfg, bench, backbone, seed)
+        res = harness.train_and_eval(train_cfg, bench, backbone, seed)
         seed_dir = out / f"seed{seed}"
-        prompting.save_state(state, seed_dir)
-        harness.write_step_log(log, seed_dir / "steps.csv")
-        seen = harness.evaluate(state, backbone, bench, "seen")
-        unseen = harness.evaluate(state, backbone, bench, "unseen")
-        for rep in (seen, unseen):
+        prompting.save_state(res.state, seed_dir)
+        harness.write_step_log(res.log, seed_dir / "steps.csv")
+        for rep in (res.seen, res.unseen):
             for dom in sorted(rep.per_domain):
                 row = rep.per_domain[dom]
                 metric_lines.append(f"{seed},{dom},{row['dice']!r},{row['iou']!r}")
-        triple = (seen.avg_seen, unseen.avg_unseen,
-                  harness.RunResult(seed, state, log, seen, unseen).avg_total)
+        triple = (res.seen.avg_seen, res.unseen.avg_unseen, res.avg_total)
         per_seed.append(triple)
         for name, val in zip(("avg_seen", "avg_unseen", "avg_total"), triple):
             metric_lines.append(f"{seed},{name},{val!r},")

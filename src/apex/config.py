@@ -1,14 +1,16 @@
 """Flat ``key = value`` config files.
 
-Unknown keys are rejected so typos fail loudly; every effective key (given
-or defaulted) is echoed back into output manifests. Booleans are ``true`` /
-``false``; tuples are comma-separated; shading modes use
-``freq_u:freq_v:amp`` joined by ``;``.
+The keys are the fields of ``ApexConfig``, ``TrainConfig`` and
+``BenchmarkConfig`` (see :func:`schema`) plus ``domain_<id>_<field>``
+overrides of the domain specs. Unknown keys are rejected so typos fail
+loudly; every effective key (given or defaulted) is echoed back into output
+manifests. Booleans are ``true`` / ``false``; tuples are comma-separated;
+shading modes use ``freq_u:freq_v:amp`` joined by ``;``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, InputNotFoundError
@@ -42,15 +44,19 @@ def load_file(path) -> dict:
     return parse_kv(path.read_text(encoding="utf-8"))
 
 
-def _to_bool(key: str, val: str) -> bool:
+def _to_bool(val: str) -> bool:
     low = val.lower()
     if low in ("true", "false"):
         return low == "true"
-    raise ConfigError(f"{key}: expected true/false, got {val!r}")
+    raise ValueError("expected true or false")
 
 
 def _to_int_tuple(val: str) -> tuple:
     return tuple(int(v) for v in val.split(",") if v.strip())
+
+
+def _to_optional_float(val: str):
+    return None if val.lower() in ("none", "off") else float(val)
 
 
 def _to_shading(val: str) -> tuple:
@@ -58,67 +64,68 @@ def _to_shading(val: str) -> tuple:
         return ()
     modes = []
     for part in val.split(";"):
-        fields = part.split(":")
-        if len(fields) != 3:
+        terms = part.split(":")
+        if len(terms) != 3:
             raise ValueError(f"shading mode must be fu:fv:amp, got {part!r}")
-        modes.append((int(fields[0]), int(fields[1]), float(fields[2])))
+        modes.append((int(terms[0]), int(terms[1]), float(terms[2])))
     return tuple(modes)
 
 
-_APEX_KEYS = {
-    "feature_dim": int, "slot_count": int, "encoder_hidden": _to_int_tuple,
-    "decoder_hidden": _to_int_tuple, "head_hidden": _to_int_tuple, "beta": float,
-    "aux_dim": int, "temperature": float, "learning_rate": float,
-    "encoder_final_scale": float, "use_memory": None, "softmax_addressing": None,
-    "memory_grad_mode": str, "allow_block_init": None,
-}
-def _to_optional_float(val: str):
-    return None if val.lower() in ("none", "off") else float(val)
-
-
-_TRAIN_KEYS = {
-    "epochs": int, "domains_per_batch": int, "samples_per_domain": int,
-    "optimizer": str, "mlp_learning_rate": float,
-    "feature_grad_clip": _to_optional_float, "lfc_enabled": None,
-    "include_positive": None, "seeds": _to_int_tuple,
-}
-_BENCH_KEYS = {
-    "image_size": int, "train_per_domain": int, "test_per_domain": int,
-    "source_train": int, "source_test": int,
-}
+# parser per field annotation; the modules annotate lazily, so these are strings
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _to_bool,
+            "tuple": _to_int_tuple, "float | None": _to_optional_float}
 _DOMAIN_FIELDS = ("gain", "bias", "noise_sigma", "shading")
 
 
-def _convert(key: str, val: str, conv):
-    if conv is None:
-        return _to_bool(key, val)
+def schema(cls, skip: tuple = ()) -> dict:
+    """Parser of every field of the config dataclass ``cls`` not named in
+    ``skip``, keyed by field name, in field order."""
+    return {f.name: _PARSERS[f.type] for f in fields(cls) if f.name not in skip}
+
+
+# The config dataclasses, each with its fields that are not config keys: the
+# apex seed, which harness.train sets per run (checkpoints record it); the
+# nested apex config; the domain specs, which the domain_* keys cover
+# (``seen`` and ``unseen`` are tuples of specs, not of ints).
+_SECTIONS = ((ApexConfig, ("seed",)), (TrainConfig, ("apex",)),
+             (BenchmarkConfig, ("source", "seen", "unseen")))
+# config key -> (index into _SECTIONS, parser), in field order
+_KEYS = {key: (section, parse) for section, (cls, skip) in enumerate(_SECTIONS)
+         for key, parse in schema(cls, skip).items()}
+
+
+def parse_value(key: str, val: str, parse):
     try:
-        return conv(val)
+        return parse(val)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{key}: cannot parse {val!r}") from exc
+        raise ConfigError(f"{key}: cannot parse {val!r} ({exc})") from exc
+
+
+def format_value(val) -> str:
+    """The config-file spelling of ``val``, which its field's parser reads back."""
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    if isinstance(val, tuple):
+        return ",".join(str(v) for v in val)
+    return str(val)
 
 
 def build_configs(kv: dict) -> tuple[TrainConfig, BenchmarkConfig]:
     """Materialize configs from a parsed mapping, defaults filling the rest."""
-    apex_kwargs: dict = {}
-    train_kwargs: dict = {}
-    bench_kwargs: dict = {}
+    apex_kwargs, train_kwargs, bench_kwargs = kwargs = ({}, {}, {})
     domain_over: dict = {}
     unknown = []
     for key, val in kv.items():
-        if key in _APEX_KEYS:
-            apex_kwargs[key] = _convert(key, val, _APEX_KEYS[key])
-        elif key in _TRAIN_KEYS:
-            train_kwargs[key] = _convert(key, val, _TRAIN_KEYS[key])
-        elif key in _BENCH_KEYS:
-            bench_kwargs[key] = _convert(key, val, _BENCH_KEYS[key])
+        if key in _KEYS:
+            section, parse = _KEYS[key]
+            kwargs[section][key] = parse_value(key, val, parse)
         elif key.startswith("domain_") and key.count("_") >= 2:
             _, dom, field_name = key.split("_", 2)
             if field_name not in _DOMAIN_FIELDS:
                 unknown.append(key)
                 continue
             conv = _to_shading if field_name == "shading" else float
-            domain_over.setdefault(dom, {})[field_name] = _convert(key, val, conv)
+            domain_over.setdefault(dom, {})[field_name] = parse_value(key, val, conv)
         elif key == "bench_seed":
             continue  # carried by benchmark directories, not a tunable
         else:
@@ -141,26 +148,20 @@ def build_configs(kv: dict) -> tuple[TrainConfig, BenchmarkConfig]:
     return train, bench
 
 
-def _fmt(val) -> str:
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    if isinstance(val, tuple):
-        return ",".join(str(v) for v in val)
-    return str(val)
+def bench_config(kv: dict) -> BenchmarkConfig:
+    """The benchmark config of a benchmark's ``config.txt``. The file also
+    echoes the training keys of the ``gen-bench`` run that wrote it, which
+    may name fields removed since; the benchmark needs none of them."""
+    names = {f.name for f in fields(BenchmarkConfig)}
+    own = {key: val for key, val in kv.items() if key in names or key.startswith("domain_")}
+    return build_configs(own)[1]
 
 
 def echo_lines(train: TrainConfig, bench: BenchmarkConfig) -> list[str]:
     """Canonical ``key = value`` listing of every effective config key."""
-    lines = []
-    for key in _APEX_KEYS:
-        lines.append(f"{key} = {_fmt(getattr(train.apex, key))}")
-    for key in _TRAIN_KEYS:
-        val = getattr(train, key)
-        if key == "mlp_learning_rate" and val is None:
-            val = train.apex.learning_rate
-        lines.append(f"{key} = {_fmt(val)}")
-    for key in _BENCH_KEYS:
-        lines.append(f"{key} = {_fmt(getattr(bench, key))}")
+    sections = (train.apex, train, bench)
+    lines = [f"{key} = {format_value(getattr(sections[section], key))}"
+             for key, (section, _) in _KEYS.items()]
     for spec in (bench.source,) + bench.seen + bench.unseen:
         shading = ";".join(f"{fu}:{fv}:{amp}" for fu, fv, amp in spec.shading)
         lines.append(f"domain_{spec.domain_id}_gain = {spec.gain}")

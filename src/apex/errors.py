@@ -31,3 +31,8 @@ class ConfigError(ApexError):
 
 class InputNotFoundError(ApexError, FileNotFoundError):
     """A required input file (a config, benchmark or checkpoint) does not exist."""
+
+
+class CorruptInputError(ApexError, ValueError):
+    """An input file exists but is malformed: a bad or cut-short tensor file,
+    or a checkpoint manifest that lacks a key."""

@@ -28,7 +28,7 @@ class TrainConfig:
     domains_per_batch: int = 2
     samples_per_domain: int = 4
     optimizer: str = "sgd"                 # "sgd" | "adam" (MLPs only; the memory always uses plain SGD)
-    mlp_learning_rate: float | None = 0.25
+    mlp_learning_rate: float = 0.25
     feature_grad_clip: float | None = 5.0  # global-norm clip on encoder+head grads
     lfc_enabled: bool = True
     include_positive: bool = False
@@ -44,11 +44,6 @@ class TrainConfig:
         if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
         BatchPlan(self.domains_per_batch, self.samples_per_domain)  # validates P, S
-
-    @property
-    def mlp_lr(self) -> float:
-        return self.mlp_learning_rate if self.mlp_learning_rate is not None \
-            else self.apex.learning_rate
 
 
 def _batch_arrays(samples) -> tuple[np.ndarray, np.ndarray, list]:
@@ -126,10 +121,10 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
                              for p, g in zip(mlp_params, grads)]
             if config.optimizer == "adam":
                 new_vals = nm.adam_step([p.value for p in mlp_params], grads,
-                                        config.mlp_lr, adam)
+                                        config.mlp_learning_rate, adam)
             else:
                 new_vals = nm.sgd_step([p.value for p in mlp_params], grads,
-                                       config.mlp_lr)
+                                       config.mlp_learning_rate)
             for p, v in zip(mlp_params, new_vals):
                 p.value = v
 

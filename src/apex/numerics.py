@@ -94,9 +94,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self._array.reshape(()))
 
-    def tolist(self):
-        return self._array.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -612,14 +609,11 @@ class MlpParams:
 
 
 def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
-             final_zero: bool = False, final_scale: float = 1.0,
-             name: str = "mlp") -> MlpParams:
+             final_zero: bool = False, name: str = "mlp") -> MlpParams:
     """He-initialized stack with ReLU hidden layers and a linear final layer.
 
     ``final_zero`` zeroes the last layer so the stack starts as the constant
-    zero map (identity prompt at the start of training); ``final_scale``
-    shrinks the last layer's init instead, which keeps early outputs small so
-    cosine-based consumers see responsive directions.
+    zero map (identity prompt at the start of training).
     """
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
@@ -633,8 +627,6 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
             w = np.zeros((fan_out, fan_in))
         else:
             w = rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in)
-            if last:
-                w = w * final_scale
         b = np.zeros(fan_out)
         layers.append((parameter(w, op=f"{name}.w{i}"), parameter(b, op=f"{name}.b{i}")))
         acts.append("linear" if last else "relu")
@@ -671,18 +663,12 @@ def linear(x, w, b, relu: bool = False) -> Node:
 
 
 def mlp_forward(params: MlpParams, x) -> Node:
-    """Apply the stack to ``x`` of shape [in] or [batch, in]."""
-    x = as_node(x)
-    squeeze = x.array.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, -1))
-    if x.shape[1] != params.in_dim:
-        raise ShapeError(f"mlp input dim {x.shape[1]} != expected {params.in_dim}")
-    h = x
+    """Apply the stack to ``x`` of shape [batch, in]."""
+    h = as_node(x)
+    if h.array.ndim != 2 or h.shape[1] != params.in_dim:
+        raise ShapeError(f"mlp input {h.shape} is not [batch, {params.in_dim}]")
     for (w, b), act in zip(params.layers, params.activations):
         h = linear(h, w, b, relu=act == "relu")
-    if squeeze:
-        h = reshape(h, (-1,))
     return h
 
 
@@ -754,15 +740,20 @@ def adam_step(params: Sequence[Tensor], grads, eta: float, state: AdamState,
         state.v = [np.zeros(p.shape) for p in params]
     state.t += 1
     out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        garr = g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-        if not np.all(np.isfinite(garr)):
-            raise TrainingDivergedError("non-finite gradient in adam_step")
-        state.m[i] = beta1 * state.m[i] + (1 - beta1) * garr
-        state.v[i] = beta2 * state.v[i] + (1 - beta2) * garr * garr
-        mhat = state.m[i] / (1 - beta1 ** state.t)
-        vhat = state.v[i] / (1 - beta2 ** state.t)
-        out.append(Tensor._wrap(p.array - eta * mhat / (np.sqrt(vhat) + eps)))
+    # a non-finite g makes m or v, and with them the update, non-finite (inf
+    # over inf is NaN), so the check of each new value covers the gradient
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, (p, g) in enumerate(zip(params, grads)):
+            garr = g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
+            state.m[i] = beta1 * state.m[i] + (1 - beta1) * garr
+            state.v[i] = beta2 * state.v[i] + (1 - beta2) * garr * garr
+            mhat = state.m[i] / (1 - beta1 ** state.t)
+            vhat = state.v[i] / (1 - beta2 ** state.t)
+            try:
+                out.append(Tensor._wrap(p.array - eta * mhat / (np.sqrt(vhat) + eps)))
+            except ValueError:
+                raise TrainingDivergedError("non-finite gradient or update in adam_step") \
+                    from None
     return out
 
 

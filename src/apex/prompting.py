@@ -1,9 +1,12 @@
 """Adaptive prompt extraction: domain encoder, prompt memory, decoder.
 
-The pipeline for one image is
+The pipeline runs on a batch of images [B, h, w, c]:
 
-    fft2 -> extract_low_freq -> encode_domain -> address -> retrieve
+    fft2 -> region_amplitudes -> encode_batch -> address -> retrieve
          -> decode_prompt -> apply to amplitudes -> ifft2
+
+Every stage takes [B, ...] arrays; ``apex_forward`` is the one
+single-image entry point.
 
 The memory is a [J, K] slot matrix queried by cosine similarity (the
 addressing vector) and combined by a plain weighted sum; no normalization
@@ -25,7 +28,7 @@ import numpy as np
 from . import numerics as nm
 from . import spectral as sp
 from . import tensorio
-from .errors import ConfigError, InputNotFoundError, ShapeError
+from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError
 from .numerics import MlpParams, Node, Tensor
 
 RAW_PROMPT_LIMIT = 20.0  # |log multiplier| bound; exp stays finite and positive
@@ -49,7 +52,6 @@ class ApexConfig:
     temperature: float = 0.1          # tau
     learning_rate: float = 0.05       # eta, the memory's SGD step
     seed: int = 0
-    encoder_final_scale: float = 1.0
     use_memory: bool = True
     softmax_addressing: bool = False
     memory_grad_mode: str = "attention"   # "attention" | "fullgraph"
@@ -108,7 +110,7 @@ def init_state(config: ApexConfig, height: int, width: int, channels: int = 1) -
     enc_sizes = [region.flat_size, *config.encoder_hidden, config.feature_dim]
     dec_sizes = [config.feature_dim, *config.decoder_hidden, region.flat_size]
     head_sizes = [config.feature_dim, *config.head_hidden, config.aux_dim]
-    encoder = nm.init_mlp(enc_sizes, rng, final_scale=config.encoder_final_scale, name="enc")
+    encoder = nm.init_mlp(enc_sizes, rng, name="enc")
     decoder = nm.init_mlp(dec_sizes, rng, final_zero=True, name="dec")
     head = nm.init_mlp(head_sizes, rng, name="head")
     memory = nm.parameter(
@@ -124,22 +126,12 @@ def init_state(config: ApexConfig, height: int, width: int, channels: int = 1) -
 # ---------------------------------------------------------------------------
 
 def lowfreq_features(region_values: np.ndarray) -> np.ndarray:
-    """log(1 + amplitude), flattened; the encoder's input scaling."""
+    """log(1 + amplitude) of a [batch, l, l, c] stack, flattened per image;
+    the encoder's input scaling."""
     vals = np.asarray(region_values, dtype=np.float64)
-    return np.log1p(vals).reshape(vals.shape[0], -1) if vals.ndim == 4 \
-        else np.log1p(vals).reshape(-1)
-
-
-def encode_domain(encoder: MlpParams, low: sp.LowFreqRegion, center=None) -> Node:
-    """Domain feature z from the masked amplitudes of one image."""
-    if low.values is None:
-        raise ValueError("region carries no amplitude values")
-    x = lowfreq_features(low.values[None])[0]
-    if x.shape[0] != encoder.in_dim:
-        raise ShapeError(f"region size {x.shape[0]} != encoder input {encoder.in_dim}")
-    if center is not None:
-        x = x - center
-    return nm.mlp_forward(encoder, nm.as_node(x))
+    if vals.ndim != 4:
+        raise ShapeError(f"region amplitudes must be [batch, l, l, c], got {vals.shape}")
+    return np.log1p(vals).reshape(vals.shape[0], -1)
 
 
 def encode_batch(encoder: MlpParams, region_values: np.ndarray, center=None) -> Node:
@@ -172,32 +164,26 @@ def _softmax_rows(a: Node) -> Node:
 
 
 def address(memory, z, *, softmax: bool = False) -> Node:
-    """Addressing vector of cosine similarities between z and each slot.
+    """Addressing vectors [B, J]: cosine similarities between each feature
+    of ``z`` [B, K] and each slot.
 
-    ``z`` may be a single feature [K] or a batch [B, K]; the result is [J]
-    or [B, J]. Gradient flows into whatever nodes are passed in, so callers
-    control the attention-weighted barrier by passing ``stop_gradient(memory)``.
+    Gradient flows into whatever nodes are passed in, so callers control the
+    attention-weighted barrier by passing ``stop_gradient(memory)``.
     """
-    mem = nm.as_node(memory)
     zn = nm.as_node(z)
-    single = zn.array.ndim == 1
-    zmat = nm.reshape(zn, (1, -1)) if single else zn
-    sims = nm.cosine_rows(zmat, mem)
-    if softmax:
-        sims = _softmax_rows(sims)
-    return nm.reshape(sims, (-1,)) if single else sims
+    if zn.array.ndim != 2:
+        raise ShapeError(f"features must be [batch, K], got {zn.shape}")
+    sims = nm.cosine_rows(zn, nm.as_node(memory))
+    return _softmax_rows(sims) if softmax else sims
 
 
 def retrieve(memory, a) -> Node:
-    """Weighted sum of slots: z' = sum_j a_j b_j."""
+    """Weighted sums of slots [B, K]: z'_i = sum_j a_ij b_j for ``a`` [B, J]."""
     mem = nm.as_node(memory)
     an = nm.as_node(a)
-    single = an.array.ndim == 1
-    amat = nm.reshape(an, (1, -1)) if single else an
-    if amat.shape[1] != mem.shape[0]:
-        raise ShapeError(f"addressing length {amat.shape[1]} != slot count {mem.shape[0]}")
-    out = nm.matmul(amat, mem)
-    return nm.reshape(out, (-1,)) if single else out
+    if an.array.ndim != 2 or an.shape[1] != mem.shape[0]:
+        raise ShapeError(f"addressing {an.shape} is not [batch, {mem.shape[0]} slots]")
+    return nm.matmul(an, mem)
 
 
 def decode_prompt(decoder: MlpParams, zprime, region: sp.LowFreqRegion) -> Node:
@@ -272,15 +258,11 @@ def apex_forward(state: ApexState, img: np.ndarray) -> tuple[np.ndarray, np.ndar
 def memory_gradient(a, g) -> Tensor:
     """dL/dB = a g^T with the addressing path held constant.
 
-    ``a`` is [J] or [B, J]; ``g`` = dL/dz' is [K] or [B, K]; batches are
-    summed. Slot j receives exactly a_j * g.
+    ``a`` is [B, J] and ``g`` = dL/dz' is [B, K]; batches are summed. Slot j
+    receives exactly sum_i a_ij * g_i.
     """
     aa = a.array if isinstance(a, (Node, Tensor)) else np.asarray(a, dtype=np.float64)
     gg = g.array if isinstance(g, (Node, Tensor)) else np.asarray(g, dtype=np.float64)
-    if aa.ndim == 1:
-        aa = aa[None]
-    if gg.ndim == 1:
-        gg = gg[None]
     if aa.ndim != 2 or gg.ndim != 2 or aa.shape[0] != gg.shape[0]:
         raise ShapeError(f"incompatible addressing {aa.shape} and upstream {gg.shape}")
     return Tensor._wrap(aa.T @ gg)
@@ -316,68 +298,44 @@ def state_tensors(state: ApexState) -> dict:
     return tensors
 
 
-def config_items(config: ApexConfig) -> list[tuple[str, str]]:
-    items = []
-    for key in ("feature_dim", "slot_count", "encoder_hidden", "decoder_hidden",
-                "head_hidden", "beta", "aux_dim", "temperature", "learning_rate",
-                "seed", "encoder_final_scale", "use_memory", "softmax_addressing",
-                "memory_grad_mode", "allow_block_init"):
-        val = getattr(config, key)
-        if isinstance(val, tuple):
-            val = ",".join(str(v) for v in val)
-        items.append((key, str(val)))
-    return items
-
-
 def save_state(state: ApexState, directory) -> None:
+    from . import config as cfgmod  # not at the top: config imports this module
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     tensors = state_tensors(state)
     for name, arr in sorted(tensors.items()):
         tensorio.write_tensor(d / f"{name}.apxt", arr)
     lines = ["[apex-checkpoint]"]
-    lines += [f"{k} = {v}" for k, v in config_items(state.config)]
+    lines += [f"{key} = {cfgmod.format_value(getattr(state.config, key))}"
+              for key in cfgmod.schema(ApexConfig)]
     lines += [f"region = {state.region.height},{state.region.width},{state.region.channels}",
               f"step = {state.step}",
               f"tensors = {','.join(sorted(tensors))}"]
     (d / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _parse_manifest(path: Path) -> dict:
-    items = {}
-    for line in path.read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if not line or line.startswith("["):
-            continue
-        key, _, val = line.partition("=")
-        items[key.strip()] = val.strip()
-    return items
-
-
 def load_state(directory) -> ApexState:
+    """Checkpoint written by :func:`save_state`. Manifest keys that name no
+    config field are ignored, so a checkpoint that records a field removed
+    since it was written still loads."""
+    from . import config as cfgmod  # not at the top: config imports this module
     d = Path(directory)
     manifest = d / "manifest.txt"
     if not manifest.is_file():
         raise InputNotFoundError(f"no checkpoint in {d}: {manifest.name} does not exist")
-    meta = _parse_manifest(manifest)
+    # below its "[apex-checkpoint]" header line, the manifest is a config file
+    meta = cfgmod.parse_kv(manifest.read_text(encoding="ascii").partition("\n")[2])
 
-    def tup(key):
-        return tuple(int(v) for v in meta[key].split(",") if v)
+    def need(key: str) -> str:
+        if key not in meta:
+            raise CorruptInputError(f"{manifest}: missing key {key!r}")
+        return meta[key]
 
-    config = ApexConfig(
-        feature_dim=int(meta["feature_dim"]), slot_count=int(meta["slot_count"]),
-        encoder_hidden=tup("encoder_hidden"), decoder_hidden=tup("decoder_hidden"),
-        head_hidden=tup("head_hidden"), beta=float(meta["beta"]),
-        aux_dim=int(meta["aux_dim"]), temperature=float(meta["temperature"]),
-        learning_rate=float(meta["learning_rate"]), seed=int(meta["seed"]),
-        encoder_final_scale=float(meta["encoder_final_scale"]),
-        use_memory=meta["use_memory"] == "True",
-        softmax_addressing=meta["softmax_addressing"] == "True",
-        memory_grad_mode=meta["memory_grad_mode"],
-        allow_block_init=meta["allow_block_init"] == "True")
-    h, w, c = (int(v) for v in meta["region"].split(","))
+    config = ApexConfig(**{key: cfgmod.parse_value(key, need(key), parse)
+                           for key, parse in cfgmod.schema(ApexConfig).items()})
+    h, w, c = (int(v) for v in need("region").split(","))
     state = init_state(config, h, w, c)
-    for name in meta["tensors"].split(","):
+    for name in need("tensors").split(","):
         arr = tensorio.read_tensor(d / f"{name}.apxt")
         part, _, idx = name.partition(".")
         if part == "memory":
@@ -392,5 +350,5 @@ def load_state(directory) -> ApexState:
         node = mlp.layers[layer][0 if idx[0] == "w" else 1]
         node.value = Tensor(arr)
         node.zero_grad()
-    state.step = int(meta["step"])
+    state.step = int(need("step"))
     return state

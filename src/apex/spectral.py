@@ -21,7 +21,7 @@ square and are free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -113,12 +113,7 @@ def lowfreq_side(beta: float, h: int, w: int) -> int:
 
 @dataclass(frozen=True)
 class LowFreqRegion:
-    """Centered low-frequency square of a spectrum; geometry plus values.
-
-    ``values`` holds the amplitude entries under the mask ([side, side, c])
-    and may be None when only the geometry is needed (e.g. to size a
-    decoder).
-    """
+    """Geometry of the centered low-frequency square of an [h, w, c] spectrum."""
 
     beta: float
     height: int
@@ -127,7 +122,6 @@ class LowFreqRegion:
     row0: int
     col0: int
     side: int
-    values: np.ndarray | None = field(default=None, compare=False)
 
     @classmethod
     def plan(cls, height: int, width: int, channels: int, beta: float) -> "LowFreqRegion":
@@ -146,12 +140,6 @@ class LowFreqRegion:
         m = np.zeros((self.height, self.width), dtype=bool)
         m[self.row0:self.row0 + self.side, self.col0:self.col0 + self.side] = True
         return m
-
-    def geometry(self) -> "LowFreqRegion":
-        if self.values is None:
-            return self
-        return LowFreqRegion(self.beta, self.height, self.width, self.channels,
-                             self.row0, self.col0, self.side)
 
     @cached_property
     def _pairing(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,23 +166,13 @@ class LowFreqRegion:
         pinned = np.broadcast_to(~inside[:, :, None], (l, l, c)).reshape(-1).copy()
         return perm, pinned
 
-    @property
-    def pair_permutation(self) -> np.ndarray:
-        return self._pairing[0]
 
-    @property
-    def pinned(self) -> np.ndarray:
-        return self._pairing[1]
-
-
-def extract_low_freq(spec: Spectrum, beta: float) -> LowFreqRegion:
-    """Amplitude values under the centered low-frequency mask."""
-    h, w, c = spec.amplitude.shape
-    plan = LowFreqRegion.plan(h, w, c, beta)
-    values = spec.amplitude[plan.row0:plan.row0 + plan.side,
-                            plan.col0:plan.col0 + plan.side, :].copy()
-    return LowFreqRegion(beta=beta, height=h, width=w, channels=c,
-                         row0=plan.row0, col0=plan.col0, side=plan.side, values=values)
+def extract_low_freq(spec: Spectrum, region: LowFreqRegion) -> np.ndarray:
+    """[side, side, c] amplitudes of ``spec`` under the region's mask."""
+    if spec.shape != (region.height, region.width, region.channels):
+        raise ShapeError(f"spectrum shape {spec.shape} does not match region")
+    return spec.amplitude[region.row0:region.row0 + region.side,
+                          region.col0:region.col0 + region.side, :].copy()
 
 
 @dataclass(frozen=True)
@@ -232,8 +210,8 @@ class PromptMultiplier:
 
 
 def identity_prompt(region: LowFreqRegion) -> PromptMultiplier:
-    r = region.geometry()
-    return PromptMultiplier(region=r, values=np.ones((r.side, r.side, r.channels)))
+    return PromptMultiplier(region=region,
+                            values=np.ones((region.side, region.side, region.channels)))
 
 
 def apply_prompt(spec: Spectrum, p: PromptMultiplier) -> Spectrum:

@@ -148,10 +148,10 @@ def test_criterion_2_spectral_correctness():
 
     img = rng.random((16, 16, 1))
     spec = sp.fft2(img)
-    reg = sp.extract_low_freq(spec, 0.25)
+    reg = sp.LowFreqRegion.plan(16, 16, 1, 0.25)
     raw = np.exp(rng.standard_normal(reg.flat_size) * 0.4)
-    sym = sp.symmetrize_multiplier(nm.as_node(raw), reg.geometry())
-    pm = sp.PromptMultiplier(region=reg.geometry(),
+    sym = sp.symmetrize_multiplier(nm.as_node(raw), reg)
+    pm = sp.PromptMultiplier(region=reg,
                              values=sym.array.reshape(reg.side, reg.side, 1))
     after = sp.apply_prompt(spec, pm)
     outside = ~reg.mask
@@ -175,17 +175,17 @@ def test_criterion_3_addressing_semantics():
     mem = nm.orthogonal_rows(6, 12, seed=0)
     for _ in range(100):
         z = rng.standard_normal(12) * 10.0 ** rng.integers(-3, 4)
-        a = pr.address(mem, nm.Tensor(z)).array
+        a = pr.address(mem, nm.Tensor(z[None])).array[0]
         assert np.all(a >= -1.0) and np.all(a <= 1.0)
-        assert np.array_equal(a, pr.address(mem, nm.Tensor(4.0 * z)).array)
+        assert np.array_equal(a, pr.address(mem, nm.Tensor(4.0 * z[None])).array[0])
 
-    one_hot = pr.address(mem, nm.Tensor(mem.array[2].copy())).array
+    one_hot = pr.address(mem, nm.Tensor(mem.array[2:3].copy())).array[0]
     expected = np.zeros(6)
     expected[2] = 1.0
     assert np.max(np.abs(one_hot - expected)) < 1e-9
-    assert np.allclose(pr.retrieve(nm.as_node(mem), nm.as_node(expected)).array,
+    assert np.allclose(pr.retrieve(nm.as_node(mem), nm.as_node(expected[None])).array[0],
                        mem.array[2])
-    assert np.array_equal(pr.retrieve(nm.as_node(mem), nm.as_node(np.zeros(6))).array,
+    assert np.array_equal(pr.retrieve(nm.as_node(mem), nm.as_node(np.zeros((1, 6)))).array[0],
                           np.zeros(12))
 
     c = nm.cosine_similarity(nm.as_node([1.0, 0.0]),
@@ -193,7 +193,7 @@ def test_criterion_3_addressing_semantics():
     assert abs(c.item() - 1.0 / math.sqrt(2.0)) < 1e-9
     mem2 = nm.as_node(np.array([[1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
                                 [0.0, 1.0]]))
-    a2 = pr.address(mem2, nm.as_node(np.array([1.0, 0.0]))).array
+    a2 = pr.address(mem2, nm.as_node(np.array([[1.0, 0.0]]))).array[0]
     assert abs(a2[0] - 0.7071) < 5e-5 and abs(a2[1]) < 1e-12
     report(3, "cosine range, scale invariance, one-hot/zero retrieval, "
               "worked examples")

@@ -1,13 +1,22 @@
 """Config parsing/echo and end-to-end CLI runs at reduced scale, including
 byte-identical rerun checks."""
 
+import dataclasses
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import apex
 from apex import cli, config as cfgmod
 from apex.errors import ConfigError
+from apex.harness import TrainConfig
+from apex.prompting import ApexConfig
+from apex.synthdata import BenchmarkConfig
 
 TINY_CONFIG = """
 # reduced scale for CLI tests
@@ -77,6 +86,66 @@ class TestParse:
         for key, val in kv.items():
             assert key in echoed
             assert echoed[key].replace(" ", "") == val.replace(" ", "")
+
+
+# The dataclass fields that are not config keys, spelled out by name.
+NOT_KEYS = {ApexConfig: {"seed"}, TrainConfig: {"apex"},
+            BenchmarkConfig: {"source", "seen", "unseen"}}
+# A valid non-default spelling per str field; a new str field must be added.
+STR_VALUES = {"memory_grad_mode": "fullgraph", "optimizer": "adam"}
+
+
+def _non_default(field: dataclasses.Field) -> str:
+    default = field.default
+    if field.type == "str":
+        return STR_VALUES[field.name]
+    if field.type == "bool":
+        return "false" if default else "true"
+    if field.type == "tuple":
+        return ",".join(str(v) for v in default + default[-1:])
+    if field.type == "int":
+        return str(default + 2)
+    return str(default / 2)
+
+
+class TestSchema:
+    """Config keys are the dataclass fields, so a new field cannot be left out."""
+
+    @pytest.mark.parametrize("cls, field", [
+        pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+        for cls, skip in NOT_KEYS.items()
+        for f in dataclasses.fields(cls) if f.name not in skip])
+    def test_every_field_parses_and_echoes(self, cls, field):
+        text = _non_default(field)
+        train, bench = cfgmod.build_configs({field.name: text})
+        owner = {ApexConfig: train.apex, TrainConfig: train, BenchmarkConfig: bench}[cls]
+        value = getattr(owner, field.name)
+        assert value != field.default
+        assert cfgmod.format_value(value) == text
+        echoed = cfgmod.parse_kv("\n".join(cfgmod.echo_lines(train, bench)))
+        assert echoed[field.name] == text
+
+    def test_echo_lists_exactly_the_fields(self):
+        train, bench = cfgmod.build_configs({})
+        keys = [line.split(" = ")[0] for line in cfgmod.echo_lines(train, bench)]
+        expected = [f.name for cls, skip in NOT_KEYS.items()
+                    for f in dataclasses.fields(cls) if f.name not in skip]
+        assert keys[:len(expected)] == expected
+        assert all(k.startswith("domain_") for k in keys[len(expected):])
+
+    def test_excluded_fields_are_not_keys(self):
+        for key in ("seed", "apex", "source", "seen", "unseen", "encoder_final_scale"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                cfgmod.build_configs({key: "1"})
+
+    @pytest.mark.parametrize("module", ["apex.prompting", "apex.config", "apex.harness",
+                                        "apex.cli"])
+    def test_module_imports_first(self, module):
+        src = str(Path(apex.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", f"import {module}"], cwd=src,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
 
 def _sha(path: Path) -> str:
@@ -189,6 +258,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "test_seen_images.apxt" in err
+
+    @pytest.mark.parametrize("cut", [
+        pytest.param(lambda raw: raw[:len(raw) // 2], id="halved"),
+        pytest.param(lambda raw: raw[:-3], id="odd_length"),
+    ])
+    def test_eval_corrupt_tensor_file_is_one_line_error(self, workdir, bench_dir, capsys,
+                                                        request, cut):
+        broken = workdir / f"bench_{request.node.callspec.id}"
+        shutil.copytree(bench_dir, broken)
+        path = broken / "test_seen_images.apxt"
+        path.write_bytes(cut(path.read_bytes()))
+        capsys.readouterr()
+        assert cli.main(["eval", "--source-only", "--bench", str(broken),
+                         "--split", "seen"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "test_seen_images.apxt" in err
+
+    def test_eval_missing_manifest_key_is_one_line_error(self, workdir, bench_dir, run_dir,
+                                                         capsys):
+        ckpt = workdir / "ckpt_without_beta"
+        shutil.copytree(run_dir / "seed0", ckpt)
+        manifest = ckpt / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(ln for ln in lines if not ln.startswith("beta =")) + "\n")
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(ckpt), "--bench", str(bench_dir),
+                         "--split", "seen"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'beta'" in err and "manifest.txt" in err
+
+    def test_bench_config_ignores_training_keys(self, workdir, bench_dir, run_dir):
+        """A benchmark's config.txt also echoes training keys, among them keys
+        of fields removed since it was written; loading the benchmark needs
+        only its own keys."""
+        old = workdir / "bench_earlier_echo"
+        shutil.copytree(bench_dir, old)
+        with open(old / "config.txt", "a") as fh:
+            fh.write("encoder_final_scale = 1.0\n")
+        for bench in (bench_dir, old):
+            assert cli.main(["eval", "--ckpt", str(run_dir / "seed0"), "--bench", str(bench),
+                             "--split", "seen", "--out", str(workdir / f"{bench.name}.csv")]) == 0
+        assert _sha(workdir / "bench.csv") == _sha(workdir / f"{old.name}.csv")
 
     def test_eval_rerun_byte_identical(self, workdir, bench_dir, run_dir):
         a = workdir / "eval_a.csv"

@@ -1,4 +1,4 @@
-"""Binary tensor format, digests, and PGM/PPM dumps."""
+"""Binary tensor format, digests, and PGM dumps."""
 
 import struct
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apex import tensorio
+from apex.errors import CorruptInputError
 
 
 class TestTensorFormat:
@@ -48,6 +49,29 @@ class TestTensorFormat:
         with pytest.raises(ValueError):
             tensorio.read_tensor(path)
 
+    @pytest.mark.parametrize("cut", [
+        pytest.param(lambda raw: b"NOPE" + raw[4:], id="bad_magic"),
+        pytest.param(lambda raw: raw[:6], id="short_header"),
+        pytest.param(lambda raw: raw[:10], id="cut_in_shape"),
+        pytest.param(lambda raw: raw[:len(raw) // 2], id="halved"),
+        pytest.param(lambda raw: raw[:-3], id="odd_length"),
+        pytest.param(lambda raw: raw + b"\x00" * 8, id="trailing"),
+    ])
+    def test_corruption_is_corrupt_input_error(self, tmp_path, cut):
+        path = tmp_path / "t.apxt"
+        tensorio.write_tensor(path, np.ones((3, 5)))
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(CorruptInputError):
+            tensorio.read_tensor(path)
+
+    def test_header_checked_against_file_size_before_data(self, tmp_path):
+        """A header that claims far more data than the file holds is rejected
+        from its sizes alone; nothing that large is read or allocated."""
+        path = tmp_path / "huge.apxt"
+        path.write_bytes(b"APXT" + struct.pack("<3I", 2, 2 ** 31, 2 ** 31) + b"\x00" * 8)
+        with pytest.raises(CorruptInputError, match="truncated"):
+            tensorio.read_tensor(path)
+
 
 class TestDigest:
     def test_stable_and_shape_sensitive(self):
@@ -79,17 +103,6 @@ class TestPnm:
         assert raw[0, 0] == 0.0
         assert raw[1, 0] == 1.0
 
-    def test_ppm_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        img = rng.random((5, 4, 3))
-        path = tmp_path / "img.ppm"
-        tensorio.write_ppm(path, img)
-        back = tensorio.read_pnm(path)
-        assert back.shape == (5, 4, 3)
-        assert np.max(np.abs(back - img)) <= 0.5 / 255.0 + 1e-9
-
     def test_channel_validation(self, tmp_path):
         with pytest.raises(ValueError):
             tensorio.write_pgm(tmp_path / "x.pgm", np.zeros((4, 4, 3)))
-        with pytest.raises(ValueError):
-            tensorio.write_ppm(tmp_path / "x.ppm", np.zeros((4, 4, 1)))

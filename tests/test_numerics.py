@@ -134,14 +134,14 @@ class TestMlp:
     def test_zero_weights_give_bias(self):
         mlp = self._zero_mlp_with_bias([0.7, -0.2])
         for x in (np.zeros(2), np.ones(2), np.array([3.0, -4.0])):
-            out = nm.mlp_forward(mlp, nm.as_node(x))
-            assert np.allclose(out.array, [0.7, -0.2])
+            out = nm.mlp_forward(mlp, nm.as_node(x[None]))
+            assert np.allclose(out.array[0], [0.7, -0.2])
 
     def test_identity_layer(self):
         mlp = nm.MlpParams(layers=[(nm.parameter(np.eye(3)), nm.parameter(np.zeros(3)))],
                            activations=["linear"])
         x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(nm.mlp_forward(mlp, nm.as_node(x)).array, x)
+        assert np.array_equal(nm.mlp_forward(mlp, nm.as_node(x[None])).array[0], x)
 
     def test_four_layer_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -157,6 +157,11 @@ class TestMlp:
             return nm.reduce_sum(nm.mul(out, out))
 
         assert nm.gradcheck(build, inputs) < 1e-4
+
+    def test_unbatched_input_rejected(self):
+        mlp = self._zero_mlp_with_bias([0.7, -0.2])
+        with pytest.raises(ShapeError):
+            nm.mlp_forward(mlp, nm.as_node(np.ones(2)))
 
     def test_dimension_chain_validated(self):
         with pytest.raises(ShapeError):
@@ -452,6 +457,30 @@ class TestSgd:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             nm.sgd_step(Tensor([1.0, 2.0]), Tensor([1.0]), 0.1)
+
+
+class TestAdam:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gradient_rejected(self, bad):
+        params = [Tensor([1.0, 2.0]), Tensor([3.0])]
+        grads = [np.array([0.5, bad]), np.array([1.0])]
+        with pytest.raises(TrainingDivergedError):
+            nm.adam_step(params, grads, 0.01, nm.AdamState())
+
+    def test_one_finiteness_check_per_parameter(self, monkeypatch):
+        """Only each updated value is checked, as in ``sgd_step``."""
+        calls = []
+        isfinite = np.isfinite
+
+        def counting_isfinite(*args, **kwargs):
+            calls.append(1)
+            return isfinite(*args, **kwargs)
+
+        params = [Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor([1.0])]
+        grads = [np.full(p.shape, 0.5) for p in params]
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        nm.adam_step(params, grads, 0.01, nm.AdamState())
+        assert len(calls) == len(params)
 
 
 def _random_shape(rng):

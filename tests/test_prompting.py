@@ -9,8 +9,8 @@ import pytest
 from apex import numerics as nm
 from apex import prompting as pr
 from apex import spectral as sp
-from apex.errors import (ConfigError, DegenerateInputError, InputNotFoundError, ShapeError,
-                         TrainingDivergedError)
+from apex.errors import (ConfigError, CorruptInputError, DegenerateInputError,
+                         InputNotFoundError, ShapeError, TrainingDivergedError)
 from apex.numerics import Tensor
 
 SMALL = pr.ApexConfig(feature_dim=16, slot_count=8, encoder_hidden=(10, 10, 10),
@@ -43,15 +43,15 @@ class TestEncodeDomain:
                     (nm.parameter(np.zeros((3, 4))), nm.parameter(bias))],
             activations=["relu", "linear"])
         img = np.random.default_rng(0).random((8, 8, 1))
-        low = sp.extract_low_freq(sp.fft2(img), 0.375)
-        z = pr.encode_domain(enc, low)
-        assert np.allclose(z.array, bias)
+        low = sp.extract_low_freq(sp.fft2(img), sp.LowFreqRegion.plan(8, 8, 1, 0.375))
+        z = pr.encode_batch(enc, low[None])
+        assert np.allclose(z.array[0], bias)
 
     def test_sees_only_masked_amplitudes(self):
         rng = np.random.default_rng(1)
         img = rng.random((8, 8, 1))
         spec = sp.fft2(img)
-        reg = sp.extract_low_freq(spec, 0.375)
+        reg = sp.LowFreqRegion.plan(8, 8, 1, 0.375)
         # boost amplitudes outside the mask, symmetrically, and rebuild
         amp = spec.amplitude.copy()
         outside = ~reg.mask
@@ -66,14 +66,14 @@ class TestEncodeDomain:
     def test_gradient_wrt_encoder_weights(self):
         rng = np.random.default_rng(2)
         img = rng.random((8, 8, 1))
-        low = sp.extract_low_freq(sp.fft2(img), 0.375)
+        low = sp.extract_low_freq(sp.fft2(img), sp.LowFreqRegion.plan(8, 8, 1, 0.375))[None]
         proto = nm.init_mlp([9, 6, 6, 6, 5], rng)
         inputs = [p.array for p in proto.parameters()]
 
         def build(leaves):
             layers = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)]
             enc = nm.MlpParams(layers=layers, activations=proto.activations)
-            z = pr.encode_domain(enc, low)
+            z = pr.encode_batch(enc, low)
             return nm.reduce_sum(nm.mul(z, z))
 
         assert nm.gradcheck(build, inputs) < 1e-4
@@ -82,47 +82,72 @@ class TestEncodeDomain:
 class TestAddress:
     def test_self_slot_is_one_hot(self):
         mem = nm.orthogonal_rows(4, 8, seed=0)
-        a = pr.address(mem, Tensor(mem.array[1].copy()))
+        a = pr.address(mem, Tensor(mem.array[1:2].copy()))
         expected = np.zeros(4)
         expected[1] = 1.0
-        assert np.max(np.abs(a.array - expected)) < 1e-9
+        assert np.max(np.abs(a.array[0] - expected)) < 1e-9
 
     def test_orthogonal_feature_gives_zeros(self):
         mem = nm.as_node(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        a = pr.address(mem, nm.as_node(np.array([0.0, 0.0, 2.0])))
-        assert np.max(np.abs(a.array)) < 1e-12
+        a = pr.address(mem, nm.as_node(np.array([[0.0, 0.0, 2.0]])))
+        assert np.max(np.abs(a.array[0])) < 1e-12
 
     def test_worked_cosine_example(self):
         mem = nm.as_node(np.array([[1.0, 1.0], [0.0, 1.0]]) / [[math.sqrt(2.0)], [1.0]])
-        a = pr.address(mem, nm.as_node(np.array([1.0, 0.0])))
-        assert abs(a.array[0] - 0.7071) < 5e-5
-        assert abs(a.array[1]) < 1e-12
+        a = pr.address(mem, nm.as_node(np.array([[1.0, 0.0]])))
+        assert abs(a.array[0, 0] - 0.7071) < 5e-5
+        assert abs(a.array[0, 1]) < 1e-12
 
     def test_range_and_scale_invariance(self):
         rng = np.random.default_rng(3)
         mem = nm.orthogonal_rows(6, 12, seed=1)
         for _ in range(50):
             z = rng.standard_normal(12) * 10.0 ** rng.integers(-3, 4)
-            a = pr.address(mem, Tensor(z)).array
+            a = pr.address(mem, Tensor(z[None])).array[0]
             assert np.all(a >= -1.0) and np.all(a <= 1.0)
-            a2 = pr.address(mem, Tensor(2.0 * z)).array   # power of two: bit-exact
+            a2 = pr.address(mem, Tensor(2.0 * z[None])).array[0]   # power of two: bit-exact
             assert np.array_equal(a, a2)
             c = float(rng.random() + 0.5)
-            a3 = pr.address(mem, Tensor(c * z)).array
+            a3 = pr.address(mem, Tensor(c * z[None])).array[0]
             assert np.argmax(a3) == np.argmax(a)
             assert np.max(np.abs(a3 - a)) < 1e-12
 
     def test_zero_feature_rejected(self):
         mem = nm.orthogonal_rows(4, 8, seed=0)
         with pytest.raises(DegenerateInputError):
-            pr.address(mem, Tensor(np.zeros(8)))
+            pr.address(mem, Tensor(np.zeros((1, 8))))
 
     def test_softmax_flag(self):
         mem = nm.orthogonal_rows(4, 8, seed=0)
         z = np.random.default_rng(4).standard_normal(8)
-        a = pr.address(mem, Tensor(z), softmax=True).array
+        a = pr.address(mem, Tensor(z[None]), softmax=True).array[0]
         assert abs(a.sum() - 1.0) < 1e-12
         assert np.all(a > 0.0)
+
+
+class TestBatchOnly:
+    """The pipeline stages take [batch, ...] inputs only; ``apex_forward`` is
+    the single-image entry point."""
+
+    def test_unbatched_feature_rejected_by_address(self):
+        mem = nm.orthogonal_rows(4, 8, seed=0)
+        with pytest.raises(ShapeError):
+            pr.address(mem, Tensor(mem.array[1].copy()))
+
+    def test_unbatched_addressing_rejected_by_retrieve(self):
+        mem = nm.orthogonal_rows(4, 8, seed=0)
+        with pytest.raises(ShapeError):
+            pr.retrieve(nm.as_node(mem), nm.as_node(np.ones(4)))
+
+    @pytest.mark.parametrize("a_shape, g_shape", [((4,), (1, 8)), ((1, 4), (8,)),
+                                                  ((4,), (8,))])
+    def test_unbatched_inputs_rejected_by_memory_gradient(self, a_shape, g_shape):
+        with pytest.raises(ShapeError):
+            pr.memory_gradient(np.ones(a_shape), np.ones(g_shape))
+
+    def test_unbatched_amplitudes_rejected(self):
+        with pytest.raises(ShapeError):
+            pr.lowfreq_features(np.ones((3, 3, 1)))
 
 
 class TestRetrieve:
@@ -130,25 +155,26 @@ class TestRetrieve:
         mem = nm.orthogonal_rows(4, 8, seed=2)
         a = np.zeros(4)
         a[2] = 1.0
-        out = pr.retrieve(nm.as_node(mem), nm.as_node(a))
-        assert np.allclose(out.array, mem.array[2])
+        out = pr.retrieve(nm.as_node(mem), nm.as_node(a[None]))
+        assert np.allclose(out.array[0], mem.array[2])
 
     def test_zero_addressing(self):
         mem = nm.orthogonal_rows(4, 8, seed=2)
-        out = pr.retrieve(nm.as_node(mem), nm.as_node(np.zeros(4)))
-        assert np.array_equal(out.array, np.zeros(8))
+        out = pr.retrieve(nm.as_node(mem), nm.as_node(np.zeros((1, 4))))
+        assert np.array_equal(out.array[0], np.zeros(8))
 
     def test_linear_combination(self):
         mem = nm.as_node(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = pr.retrieve(mem, nm.as_node(np.array([0.5, 0.5])))
-        assert np.array_equal(out.array, [0.5, 0.5])
+        out = pr.retrieve(mem, nm.as_node(np.array([[0.5, 0.5]])))
+        assert np.array_equal(out.array[0], [0.5, 0.5])
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         mem = nm.as_node(rng.standard_normal((6, 9)))
         a1, a2 = rng.standard_normal(6), rng.standard_normal(6)
-        lhs = pr.retrieve(mem, nm.as_node(a1 + a2)).array
-        rhs = pr.retrieve(mem, nm.as_node(a1)).array + pr.retrieve(mem, nm.as_node(a2)).array
+        lhs = pr.retrieve(mem, nm.as_node((a1 + a2)[None])).array[0]
+        rhs = pr.retrieve(mem, nm.as_node(a1[None])).array[0] \
+            + pr.retrieve(mem, nm.as_node(a2[None])).array[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_prompt_feature_norm_bound(self):
@@ -156,7 +182,7 @@ class TestRetrieve:
         for _ in range(25):
             mem = rng.standard_normal((5, 7))
             a = rng.uniform(-1.0, 1.0, size=5)
-            z = pr.retrieve(nm.as_node(mem), nm.as_node(a)).array
+            z = pr.retrieve(nm.as_node(mem), nm.as_node(a[None])).array[0]
             bound = np.sum(np.abs(a) * np.linalg.norm(mem, axis=1))
             assert np.linalg.norm(z) <= bound + 1e-9
 
@@ -165,8 +191,8 @@ class TestDecodePrompt:
     def test_identity_at_zero_init(self):
         state = small_state()
         zprime = np.random.default_rng(7).standard_normal(16)
-        p = pr.decode_prompt(state.decoder, Tensor(zprime), state.region)
-        assert np.array_equal(p.array, np.ones(state.region.flat_size))
+        p = pr.decode_prompt(state.decoder, Tensor(zprime[None]), state.region)
+        assert np.array_equal(p.array[0], np.ones(state.region.flat_size))
 
     def test_constant_log_two(self):
         state = small_state()
@@ -174,14 +200,14 @@ class TestDecodePrompt:
             layers=[(nm.parameter(np.zeros((9, 16))),
                      nm.parameter(np.full(9, math.log(2.0))))],
             activations=["linear"])
-        p = pr.decode_prompt(dec, Tensor(np.zeros(16)), state.region)
+        p = pr.decode_prompt(dec, Tensor(np.zeros((1, 16))), state.region)
         # odd-sided region: every entry pairs inside, so the 2 survives everywhere
         assert np.max(np.abs(p.array - 2.0)) < 1e-12
 
     def test_gradient_wrt_prompt_feature(self):
         state = small_state()
         rng = np.random.default_rng(8)
-        zprime = rng.standard_normal(16)
+        zprime = rng.standard_normal((1, 16))
 
         def build(leaves):
             p = pr.decode_prompt(state.decoder, leaves[0], state.region)
@@ -198,7 +224,7 @@ class TestDecodePrompt:
                                     nm.parameter(np.zeros(5)))],
                            activations=["linear"])
         with pytest.raises(ShapeError):
-            pr.decode_prompt(bad, Tensor(np.zeros(16)), state.region)
+            pr.decode_prompt(bad, Tensor(np.zeros((1, 16))), state.region)
 
 
 class TestProjectAux:
@@ -208,8 +234,8 @@ class TestProjectAux:
             layers=[(nm.parameter(np.zeros((5, 16))), nm.parameter(np.zeros(5))),
                     (nm.parameter(np.zeros((4, 5))), nm.parameter(bias))],
             activations=["relu", "linear"])
-        out = pr.project_aux(head, Tensor(np.ones(16)))
-        assert np.allclose(out.array, bias)
+        out = pr.project_aux(head, Tensor(np.ones((1, 16))))
+        assert np.allclose(out.array[0], bias)
 
     def test_not_on_inference_path(self):
         state = small_state()
@@ -223,7 +249,7 @@ class TestProjectAux:
     def test_gradient(self):
         rng = np.random.default_rng(11)
         proto = nm.init_mlp([6, 5, 4], rng)
-        z = rng.standard_normal(6)
+        z = rng.standard_normal((1, 6))
         inputs = [p.array for p in proto.parameters()]
 
         def build(leaves):
@@ -285,11 +311,11 @@ class TestApexForward:
 class TestMemoryGradient:
     def test_one_hot_routes_to_single_slot(self):
         g = np.array([1.0, 2.0, 3.0])
-        out = pr.memory_gradient(np.array([1.0, 0.0]), g)
+        out = pr.memory_gradient(np.array([[1.0, 0.0]]), g[None])
         assert np.array_equal(out.array, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
 
     def test_zero_upstream_is_zero(self):
-        out = pr.memory_gradient(np.array([0.3, 0.7]), np.zeros(4))
+        out = pr.memory_gradient(np.array([[0.3, 0.7]]), np.zeros((1, 4)))
         assert np.array_equal(out.array, np.zeros((2, 4)))
 
     def test_matches_autodiff_with_barrier(self):
@@ -333,7 +359,7 @@ class TestUpdateMemory:
 
     def test_one_hot_arithmetic(self):
         mem = nm.orthogonal_rows(3, 5, seed=5)
-        g = pr.memory_gradient(np.array([1.0, 0.0, 0.0]), mem.array[0].copy())
+        g = pr.memory_gradient(np.array([[1.0, 0.0, 0.0]]), mem.array[0:1].copy())
         out = pr.update_memory(mem, g, 1.0)
         assert np.max(np.abs(out.array[0])) < 1e-12
         assert np.array_equal(out.array[1:], mem.array[1:])
@@ -439,3 +465,41 @@ class TestCheckpoint:
         for key in ("feature_dim", "slot_count", "beta", "temperature",
                     "learning_rate", "seed", "step"):
             assert key in text
+
+    def test_manifest_spells_booleans_as_config_files_do(self, tmp_path):
+        state = small_state(softmax_addressing=True)
+        pr.save_state(state, tmp_path / "ckpt")
+        lines = (tmp_path / "ckpt" / "manifest.txt").read_text().splitlines()
+        assert "use_memory = true" in lines and "softmax_addressing = true" in lines
+        assert "allow_block_init = false" in lines
+        assert pr.load_state(tmp_path / "ckpt").config == state.config
+
+    def test_manifest_of_earlier_format_loads(self, tmp_path):
+        """Checkpoints written before the config schema was derived from the
+        dataclass fields spell booleans True/False and carry the removed
+        ``encoder_final_scale``; they load to the equal config."""
+        state = pr.init_state(pr.ApexConfig(), 8, 8, 1)
+        pr.save_state(state, tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        tensors = manifest.read_text().splitlines()[-1]
+        assert tensors.startswith("tensors = ")
+        manifest.write_text("\n".join([
+            "[apex-checkpoint]", "feature_dim = 256", "slot_count = 150",
+            "encoder_hidden = 96,96,96", "decoder_hidden = 96,96,96", "head_hidden = 96",
+            "beta = 0.25", "aux_dim = 64", "temperature = 0.1", "learning_rate = 0.05",
+            "seed = 0", "encoder_final_scale = 1.0", "use_memory = True",
+            "softmax_addressing = False", "memory_grad_mode = attention",
+            "allow_block_init = False", "region = 8,8,1", "step = 0", tensors]) + "\n")
+        loaded = pr.load_state(tmp_path / "ckpt")
+        assert loaded.config == pr.ApexConfig()
+        assert np.array_equal(loaded.memory.array, state.memory.array)
+
+    @pytest.mark.parametrize("key", ["beta", "use_memory", "region", "step", "tensors"])
+    def test_missing_manifest_key_names_key_and_file(self, tmp_path, key):
+        pr.save_state(small_state(), tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(ln for ln in lines
+                                      if not ln.startswith(f"{key} =")) + "\n")
+        with pytest.raises(CorruptInputError, match=f"manifest.txt: missing key '{key}'"):
+            pr.load_state(tmp_path / "ckpt")

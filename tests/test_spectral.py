@@ -109,9 +109,9 @@ class TestLowFreqRegion:
 
     def test_worked_example_8x8_quarter(self):
         spec = sp.fft2(np.random.default_rng(0).random((8, 8, 1)))
-        reg = sp.extract_low_freq(spec, 0.25)
+        reg = sp.LowFreqRegion.plan(8, 8, 1, 0.25)
         assert (reg.row0, reg.col0, reg.side) == (4, 4, 2)
-        assert np.array_equal(reg.values, spec.amplitude[4:6, 4:6, :])
+        assert np.array_equal(sp.extract_low_freq(spec, reg), spec.amplitude[4:6, 4:6, :])
         mask = reg.mask
         assert mask[4:6, 4:6].all() and mask.sum() == 4
 
@@ -163,7 +163,7 @@ class TestApplyPrompt:
     def test_identity_prompt_is_noop(self):
         img = np.random.default_rng(3).random((8, 8, 1))
         spec = sp.fft2(img)
-        reg = sp.extract_low_freq(spec, 0.25)
+        reg = sp.LowFreqRegion.plan(8, 8, 1, 0.25)
         out = sp.apply_prompt(spec, sp.identity_prompt(reg))
         assert np.array_equal(out.amplitude, spec.amplitude)
         assert np.max(np.abs(sp.ifft2(out) - img)) < 1e-12
@@ -171,44 +171,42 @@ class TestApplyPrompt:
     def test_dc_scaling_on_constant_image(self):
         img = np.full((8, 8, 1), 0.5)
         spec = sp.fft2(img)
-        reg = sp.extract_low_freq(spec, 0.25)
+        reg = sp.LowFreqRegion.plan(8, 8, 1, 0.25)
         vals = np.ones((2, 2, 1))
         vals[0, 0, 0] = 2.0  # DC at local (0, 0) for this region
-        out = sp.ifft2(sp.apply_prompt(spec, sp.PromptMultiplier(region=reg.geometry(),
-                                                                 values=vals)))
+        out = sp.ifft2(sp.apply_prompt(spec, sp.PromptMultiplier(region=reg, values=vals)))
         assert np.max(np.abs(out - 1.0)) < 1e-12
 
     def test_dc_to_zero_limit(self):
         img = np.full((8, 8, 1), 0.5)
         spec = sp.fft2(img)
-        reg = sp.extract_low_freq(spec, 0.25)
+        reg = sp.LowFreqRegion.plan(8, 8, 1, 0.25)
         vals = np.ones((2, 2, 1))
         vals[0, 0, 0] = 1e-9
-        out = sp.ifft2(sp.apply_prompt(spec, sp.PromptMultiplier(region=reg.geometry(),
-                                                                 values=vals)))
+        out = sp.ifft2(sp.apply_prompt(spec, sp.PromptMultiplier(region=reg, values=vals)))
         assert np.max(np.abs(out)) < 1e-8
 
 
 class TestPromptedImage:
     def test_identity(self):
         img = np.random.default_rng(8).random((8, 8, 1))
-        reg = sp.extract_low_freq(sp.fft2(img), 0.25)
+        reg = sp.LowFreqRegion.plan(8, 8, 1, 0.25)
         out = sp.prompted_image(img, sp.identity_prompt(reg), 0.25)
         assert np.max(np.abs(out - img)) < 1e-9
 
     def test_dc_scaling_shifts_by_mean(self):
         rng = np.random.default_rng(9)
         img = rng.random((8, 8, 1))
-        reg = sp.extract_low_freq(sp.fft2(img), 0.375)
+        reg = sp.LowFreqRegion.plan(8, 8, 1, 0.375)
         vals = np.ones((3, 3, 1))
         vals[1, 1, 0] = 1.6  # DC sits at the center of an odd-sided region
-        out = sp.prompted_image(img, sp.PromptMultiplier(region=reg.geometry(), values=vals))
+        out = sp.prompted_image(img, sp.PromptMultiplier(region=reg, values=vals))
         assert np.max(np.abs(out - (img + 0.6 * img.mean()))) < 1e-9
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         imgs = rng.random((1, 8, 8, 1))
-        reg = sp.extract_low_freq(sp.fft2(imgs[0]), 0.375)
+        reg = sp.LowFreqRegion.plan(8, 8, 1, 0.375)
         spectrum = np.fft.fft2(imgs, axes=(1, 2))
         raw0 = rng.standard_normal((1, reg.flat_size)) * 0.3
 
@@ -250,11 +248,10 @@ class TestInvariants:
 
     def _random_prompted(self, rng, beta=0.375):
         img = rng.random((8, 8, 1))
-        reg = sp.extract_low_freq(sp.fft2(img), beta)
+        reg = sp.LowFreqRegion.plan(8, 8, 1, beta)
         raw = np.exp(rng.standard_normal(reg.flat_size) * 0.4)
         sym = sp.symmetrize_multiplier(nm.as_node(raw), reg)
-        pm = sp.PromptMultiplier(region=reg.geometry(),
-                                 values=sym.array.reshape(reg.side, reg.side, 1))
+        pm = sp.PromptMultiplier(region=reg, values=sym.array.reshape(reg.side, reg.side, 1))
         return img, reg, pm
 
     def test_phase_preserved(self):
