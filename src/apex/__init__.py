@@ -1,7 +1,7 @@
 """Adaptive frequency-domain visual prompting with a learnable prompt memory.
 
 Subpackages:
-  numerics   dense tensors, micro autodiff engine, MLPs, optimizers
+  numerics   dense tensors, micro autodiff engine, MLPs, SGD
   spectral   2-D Fourier analysis and amplitude-domain prompting
   prompting  domain encoder, prompt memory, decoder, projection head
   losses     segmentation (Dice + CE) and low-frequency contrastive losses

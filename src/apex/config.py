@@ -55,10 +55,6 @@ def _to_int_tuple(val: str) -> tuple:
     return tuple(int(v) for v in val.split(",") if v.strip())
 
 
-def _to_optional_float(val: str):
-    return None if val.lower() in ("none", "off") else float(val)
-
-
 def _to_shading(val: str) -> tuple:
     if not val:
         return ()
@@ -72,8 +68,7 @@ def _to_shading(val: str) -> tuple:
 
 
 # parser per field annotation; the modules annotate lazily, so these are strings
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _to_bool,
-            "tuple": _to_int_tuple, "float | None": _to_optional_float}
+_PARSERS = {"int": int, "float": float, "bool": _to_bool, "tuple": _to_int_tuple}
 _DOMAIN_FIELDS = ("gain", "bias", "noise_sigma", "shading")
 
 

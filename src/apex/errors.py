@@ -17,6 +17,10 @@ class DegenerateInputError(ApexError):
     """Exactly-zero vector where a direction is required."""
 
 
+class NonFiniteError(ApexError, ValueError):
+    """A NaN or infinity where every value must be finite."""
+
+
 class TrainingDivergedError(ApexError):
     """Non-finite gradient or loss encountered during optimization."""
 

@@ -2,8 +2,9 @@
 ablation grid, slot sweep, and activation export.
 
 The backbone is frozen throughout: its parameter digest is checked before
-and after every run. Per default, MLPs train by plain SGD and the memory by
-the explicit attention-weighted rule; both are config switches.
+and after every run. The MLPs train by plain SGD with the feature path's
+gradient norm clipped, and the memory by the explicit attention-weighted
+rule.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, numerics as nm, prompting, synthdata, tensorio
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .losses import BatchPlan, LossReport
 from .prompting import ApexConfig, ApexState
 from .synthdata import Benchmark, FrozenBackbone
@@ -27,20 +28,16 @@ class TrainConfig:
     epochs: int = 2
     domains_per_batch: int = 2
     samples_per_domain: int = 4
-    optimizer: str = "sgd"                 # "sgd" | "adam" (MLPs only; the memory always uses plain SGD)
     mlp_learning_rate: float = 0.25
-    feature_grad_clip: float | None = 5.0  # global-norm clip on encoder+head grads
+    feature_grad_clip: float = 5.0  # global-norm clip on encoder+head grads
     lfc_enabled: bool = True
-    include_positive: bool = False
     seeds: tuple = (0, 1, 2)
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.feature_grad_clip is not None and self.feature_grad_clip <= 0:
-            raise ConfigError("feature_grad_clip must be positive (or none)")
+        if self.feature_grad_clip <= 0:
+            raise ConfigError("feature_grad_clip must be positive")
         if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
         BatchPlan(self.domains_per_batch, self.samples_per_domain)  # validates P, S
@@ -74,73 +71,68 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
     total = sum(counts.values())
     steps_per_epoch = max(1, total // plan.batch_size)
     rng = np.random.default_rng([seed, 0x5EED])
-    adam = nm.AdamState() if config.optimizer == "adam" else None
     mlp_params = state.mlp_parameters()
     feat_ids = {id(p) for p in state.encoder.parameters() + state.head.parameters()}
     log: list[LossReport] = []
 
-    for _epoch in range(config.epochs):
-        for _step in range(steps_per_epoch):
-            drawn = losses.sample_batch(counts, plan, rng)
-            batch = [by_domain[dom][i] for dom, idx in drawn.assignments for i in idx]
-            images, masks, labels = _batch_arrays(batch)
-            positives = losses.sample_positives(labels, rng)
+    def one_step() -> LossReport:
+        drawn = losses.sample_batch(counts, plan, rng)
+        batch = [by_domain[dom][i] for dom, idx in drawn.assignments for i in idx]
+        images, masks, labels = _batch_arrays(batch)
+        positives = losses.sample_positives(labels, rng)
 
-            nodes = prompting.forward_batch(state, images, train=True)
-            preds = synthdata.backbone_forward(backbone, nodes.output)
-            dice_mean = losses.dice_loss(preds, masks, batched=True)
-            ce_mean = losses.ce_loss(preds, masks)
-            seg = nm.add(dice_mean, ce_mean)
+        nodes = prompting.forward_batch(state, images)
+        preds = synthdata.backbone_forward(backbone, nodes.output)
+        dice_mean = losses.dice_loss(preds, masks, batched=True)
+        ce_mean = losses.ce_loss(preds, masks)
+        seg = nm.add(dice_mean, ce_mean)
 
-            if config.lfc_enabled:
-                aux = prompting.project_aux(state.head, nodes.features)
-                lfc = losses.lfc_loss(aux, labels, cfg.temperature, positives=positives,
-                                      include_positive=config.include_positive)
-                total_loss = nm.add(seg, lfc)
-            else:
-                lfc = None
-                total_loss = seg
+        if config.lfc_enabled:
+            aux = prompting.project_aux(state.head, nodes.features)
+            lfc = losses.lfc_loss(aux, labels, cfg.temperature, positives)
+            total_loss = nm.add(seg, lfc)
+        else:
+            lfc = None
+            total_loss = seg
 
-            if not np.isfinite(total_loss.item()):
-                raise TrainingDivergedError(
-                    f"non-finite loss at step {len(log)} (seed {seed})")
+        nm.zero_grads(state.all_parameters())
+        nm.backward(total_loss)
 
-            nm.zero_grads(state.all_parameters())
-            nm.backward(total_loss)
+        # clip the feature path (encoder + head) so their weight norms
+        # cannot run away; cosine gradients scale as 1/norm, so runaway
+        # norms freeze the feature directions the addressing relies on
+        grads = [p.grad for p in mlp_params]
+        gnorm = math.sqrt(sum(float((p.grad ** 2).sum())
+                              for p in mlp_params if id(p) in feat_ids))
+        if gnorm > config.feature_grad_clip:
+            scale = config.feature_grad_clip / gnorm
+            grads = [g * scale if id(p) in feat_ids else g
+                     for p, g in zip(mlp_params, grads)]
+        new_vals = nm.sgd_step([p.value for p in mlp_params], grads,
+                               config.mlp_learning_rate)
+        for p, v in zip(mlp_params, new_vals):
+            p.value = v
 
-            # clip the feature path (encoder + head) so their weight norms
-            # cannot run away; cosine gradients scale as 1/norm, so runaway
-            # norms freeze the feature directions the addressing relies on
-            grads = [p.grad for p in mlp_params]
-            if config.feature_grad_clip is not None:
-                gnorm = math.sqrt(sum(float((p.grad ** 2).sum())
-                                      for p in mlp_params if id(p) in feat_ids))
-                if gnorm > config.feature_grad_clip:
-                    scale = config.feature_grad_clip / gnorm
-                    grads = [g * scale if id(p) in feat_ids else g
-                             for p, g in zip(mlp_params, grads)]
-            if config.optimizer == "adam":
-                new_vals = nm.adam_step([p.value for p in mlp_params], grads,
-                                        config.mlp_learning_rate, adam)
-            else:
-                new_vals = nm.sgd_step([p.value for p in mlp_params], grads,
-                                       config.mlp_learning_rate)
-            for p, v in zip(mlp_params, new_vals):
-                p.value = v
+        if cfg.use_memory:
+            mem_grad = prompting.memory_gradient(nodes.addressing.value,
+                                                 nodes.prompt_feature.grad)
+            state.memory.value = prompting.update_memory(
+                state.memory.value, mem_grad, cfg.learning_rate)
 
-            if cfg.use_memory:
-                if cfg.memory_grad_mode == "attention":
-                    mem_grad = prompting.memory_gradient(nodes.addressing.value,
-                                                         nodes.prompt_feature.grad)
-                else:
-                    mem_grad = state.memory.grad
-                state.memory.value = prompting.update_memory(
-                    state.memory.value, mem_grad, cfg.learning_rate)
+        return LossReport(seg=seg.item(), dice_part=dice_mean.item(), ce_part=ce_mean.item(),
+                          lfc=lfc.item() if lfc is not None else 0.0)
 
-            log.append(LossReport(seg=seg.item(), dice_part=dice_mean.item(),
-                                  ce_part=ce_mean.item(),
-                                  lfc=lfc.item() if lfc is not None else 0.0))
-            state.step += 1
+    # a diverging run shows as the first non-finite value a node or an update
+    # holds; NumPy's overflow warnings before it would only repeat that report
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _epoch in range(config.epochs):
+            for _step in range(steps_per_epoch):
+                try:
+                    log.append(one_step())
+                except NonFiniteError as exc:
+                    raise TrainingDivergedError(
+                        f"training diverged at step {len(log)} (seed {seed}): {exc}") from None
+                state.step += 1
 
     if backbone.digest() != digest_before:
         raise TrainingDivergedError("frozen backbone changed during training")
@@ -218,7 +210,7 @@ def _predict(state: ApexState | None, backbone: FrozenBackbone,
         if state is None:
             out = part
         else:
-            out = prompting.forward_batch(state, part, train=False).output.array
+            out = prompting.forward_batch(state, part).output.array
         preds.append(synthdata.backbone_forward(backbone, nm.as_node(out)).array)
     return np.concatenate(preds, axis=0)
 
@@ -344,7 +336,7 @@ def top_slot_sets(state: ApexState, samples, fraction: float = 0.10):
     k = max(1, int(np.floor(state.config.slot_count * fraction + 0.5)))
     for lo in range(0, len(images), 25):
         part = images[lo:lo + 25]
-        addr = prompting.forward_batch(state, part, train=False).addressing.array
+        addr = prompting.forward_batch(state, part).addressing.array
         for i, s in enumerate(samples[lo:lo + 25]):
             a = addr[i]
             top = np.argsort(-a, kind="stable")[:k]

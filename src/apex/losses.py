@@ -10,8 +10,7 @@ one sample, ``lfc_term``) define the losses and serve as test oracles.
 
 The contrastive denominator contains only other-domain embeddings; the
 positive term is excluded, so individual anchor terms (and the loss) can be
-negative. ``include_positive=True`` switches to the conventional form for
-comparison runs.
+negative.
 """
 
 from __future__ import annotations
@@ -149,15 +148,15 @@ def lfc_term(pos_sim, neg_sims, tau: float) -> Node:
     return nm.sub(lse, pos)
 
 
-def lfc_loss(embeddings, labels, tau: float, positives=None, rng=None,
-             include_positive: bool = False) -> Node:
+def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
     """Contrastive loss over a batch of auxiliary embeddings.
 
     ``embeddings`` is [B, D] (Node or array); ``labels`` gives each row's
-    domain. Every anchor uses one same-domain positive (``positives`` or a
-    uniform draw from ``rng``) against all other-domain embeddings; the mean
-    over anchors of :func:`lfc_term` is returned, computed for all anchors at
-    once as a row-wise log-sum-exp over each anchor's gathered cosines / tau.
+    domain. Every anchor ``i`` uses the same-domain positive row
+    ``positives[i]`` (see :func:`sample_positives`) against all other-domain
+    embeddings; the mean over anchors of :func:`lfc_term` is returned,
+    computed for all anchors at once as a row-wise log-sum-exp over each
+    anchor's gathered cosines / tau.
     """
     if tau <= 0.0:
         raise ConfigError("temperature must be positive")
@@ -174,10 +173,6 @@ def lfc_loss(embeddings, labels, tau: float, positives=None, rng=None,
     short = [lab for lab, c in counts.items() if c < 2]
     if short:
         raise ConfigError(f"domains with fewer than 2 samples in batch: {short}")
-    if positives is None:
-        if rng is None:
-            raise ConfigError("need explicit positives or an rng to draw them")
-        positives = sample_positives(labels, rng)
     positives = np.asarray(positives, dtype=np.int64)
     if positives.shape != (n,):
         raise ShapeError(f"positives shape {positives.shape} != ({n},)")
@@ -186,14 +181,11 @@ def lfc_loss(embeddings, labels, tau: float, positives=None, rng=None,
             raise ConfigError(f"positive {j} invalid for anchor {i}")
 
     # each anchor's denominator columns in the order lfc_term sums them:
-    # other-domain columns ascending, then the positive when it is included.
-    # Gathered into one [B, k] matrix, every row sums in the per-anchor
-    # order; with equal domain sizes, as in every training batch, each
-    # anchor's term and the gradient are bit-identical to the per-anchor form.
+    # other-domain columns ascending. Gathered into one [B, k] matrix, every
+    # row sums in the per-anchor order; with equal domain sizes, as in every
+    # training batch, each anchor's term and the gradient are bit-identical
+    # to the per-anchor form.
     cols = [[j for j in range(n) if labels[j] != labels[i]] for i in range(n)]
-    if include_positive:
-        for i, row in enumerate(cols):
-            row.append(int(positives[i]))
     width = max(len(row) for row in cols)
     # rows of anchors with fewer columns are padded at the end with a copy of
     # their own first column, so the row max is unchanged, and masked out

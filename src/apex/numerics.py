@@ -1,5 +1,6 @@
-"""Dense float64 tensors, a small reverse-mode autodiff engine, and the
-numerical verification helpers used throughout the test suite.
+"""Dense float64 tensors, a small reverse-mode autodiff engine, MLP stacks
+(ReLU after every layer but the last), plain SGD, and the numerical
+verification helpers used throughout the test suite.
 
 The engine is deliberately minimal: enough operations for 4-layer MLPs,
 cosine addressing over a slot matrix, the contrastive and segmentation
@@ -28,13 +29,14 @@ the updated parameter, which a non-finite gradient always makes non-finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     DegenerateInputError,
+    NonFiniteError,
     NumericDomainError,
     ShapeError,
     TrainingDivergedError,
@@ -59,7 +61,7 @@ class Tensor:
     def _install(self, arr: np.ndarray) -> None:
         arr = np.asarray(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
-            raise ValueError("tensor values must all be finite")
+            raise NonFiniteError("tensor values must all be finite")
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # 0-d arrays are already contiguous
         arr.flags.writeable = False
@@ -270,7 +272,7 @@ def _operand(x):
     if isinstance(x, (int, float)):
         x = float(x)
         if not math.isfinite(x):
-            raise ValueError("tensor values must all be finite")
+            raise NonFiniteError("tensor values must all be finite")
         return x
     return as_node(x)
 
@@ -571,26 +573,20 @@ def cosine_rows(a, b) -> Node:
 
 @dataclass
 class MlpParams:
-    """Weights, biases and activation tags of a fully connected stack.
+    """Weights and biases of a fully connected stack: ReLU after every layer
+    but the last, which is linear.
 
-    ``layers[i] = (W, b)`` with W shaped [out, in]; ``activations[i]`` is
-    ``"relu"`` or ``"linear"``.
+    ``layers[i] = (W, b)`` with W shaped [out, in].
     """
 
     layers: list[tuple[Node, Node]]
-    activations: list[str]
 
     def __post_init__(self) -> None:
-        if len(self.layers) != len(self.activations):
-            raise ShapeError("one activation tag per layer required")
         for i, (w, b) in enumerate(self.layers):
             if w.array.ndim != 2 or b.array.ndim != 1 or b.shape[0] != w.shape[0]:
                 raise ShapeError(f"layer {i}: weight {w.shape} and bias {b.shape} disagree")
             if i > 0 and w.shape[1] != self.layers[i - 1][0].shape[0]:
                 raise ShapeError(f"layer {i}: input dim {w.shape[1]} does not chain")
-        for tag in self.activations:
-            if tag not in ("relu", "linear"):
-                raise ValueError(f"unknown activation tag {tag!r}")
 
     @property
     def in_dim(self) -> int:
@@ -618,7 +614,6 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
     layers = []
-    acts = []
     n_layers = len(sizes) - 1
     for i in range(n_layers):
         fan_in, fan_out = sizes[i], sizes[i + 1]
@@ -629,8 +624,7 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
             w = rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in)
         b = np.zeros(fan_out)
         layers.append((parameter(w, op=f"{name}.w{i}"), parameter(b, op=f"{name}.b{i}")))
-        acts.append("linear" if last else "relu")
-    return MlpParams(layers=layers, activations=acts)
+    return MlpParams(layers=layers)
 
 
 def linear(x, w, b, relu: bool = False) -> Node:
@@ -667,13 +661,14 @@ def mlp_forward(params: MlpParams, x) -> Node:
     h = as_node(x)
     if h.array.ndim != 2 or h.shape[1] != params.in_dim:
         raise ShapeError(f"mlp input {h.shape} is not [batch, {params.in_dim}]")
-    for (w, b), act in zip(params.layers, params.activations):
-        h = linear(h, w, b, relu=act == "relu")
+    last = len(params.layers) - 1
+    for i, (w, b) in enumerate(params.layers):
+        h = linear(h, w, b, relu=i < last)
     return h
 
 
 # ---------------------------------------------------------------------------
-# initialization and optimizers
+# initialization and the optimizer
 # ---------------------------------------------------------------------------
 
 def orthogonal_rows(j: int, k: int, seed: int, *, allow_blocks: bool = False) -> Tensor:
@@ -718,43 +713,10 @@ def sgd_step(params, grads, eta: float):
                 raise ShapeError(f"param shape {p.shape} != grad shape {garr.shape}")
             try:
                 out.append(Tensor._wrap(p.array - eta * garr))
-            except ValueError:
+            except NonFiniteError:
                 raise TrainingDivergedError("non-finite gradient or update in sgd_step") \
                     from None
     return out[0] if single else out
-
-
-@dataclass
-class AdamState:
-    """Per-parameter first/second moment buffers for the optional adaptive path."""
-
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-    t: int = 0
-
-
-def adam_step(params: Sequence[Tensor], grads, eta: float, state: AdamState,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> list[Tensor]:
-    if not state.m:
-        state.m = [np.zeros(p.shape) for p in params]
-        state.v = [np.zeros(p.shape) for p in params]
-    state.t += 1
-    out = []
-    # a non-finite g makes m or v, and with them the update, non-finite (inf
-    # over inf is NaN), so the check of each new value covers the gradient
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i, (p, g) in enumerate(zip(params, grads)):
-            garr = g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-            state.m[i] = beta1 * state.m[i] + (1 - beta1) * garr
-            state.v[i] = beta2 * state.v[i] + (1 - beta2) * garr * garr
-            mhat = state.m[i] / (1 - beta1 ** state.t)
-            vhat = state.v[i] / (1 - beta2 ** state.t)
-            try:
-                out.append(Tensor._wrap(p.array - eta * mhat / (np.sqrt(vhat) + eps)))
-            except ValueError:
-                raise TrainingDivergedError("non-finite gradient or update in adam_step") \
-                    from None
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ single-image entry point.
 
 The memory is a [J, K] slot matrix queried by cosine similarity (the
 addressing vector) and combined by a plain weighted sum; no normalization
-or softmax is applied across slots unless the experimental flag is set.
+or softmax is applied across slots.
 
-Memory updates follow the explicit rule dL/dB = sum_batch a g^T with
-g = dL/dz' and the addressing path treated as constant; the full-graph
-alternative (gradient also through the cosine addressing) is available
-behind ``memory_grad_mode = "fullgraph"``.
+The memory stays out of the autodiff graph. It is updated by the explicit
+attention-weighted rule dL/dB = sum_batch a g^T with g = dL/dz' and the
+addressing path treated as constant.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ class ApexConfig:
     learning_rate: float = 0.05       # eta, the memory's SGD step
     seed: int = 0
     use_memory: bool = True
-    softmax_addressing: bool = False
-    memory_grad_mode: str = "attention"   # "attention" | "fullgraph"
     allow_block_init: bool = False
 
     def __post_init__(self) -> None:
@@ -64,8 +61,6 @@ class ApexConfig:
             raise ConfigError(
                 f"slot_count {self.slot_count} > feature_dim {self.feature_dim} "
                 "requires allow_block_init")
-        if self.memory_grad_mode not in ("attention", "fullgraph"):
-            raise ConfigError(f"unknown memory_grad_mode {self.memory_grad_mode!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
         if self.temperature <= 0.0:
@@ -157,13 +152,7 @@ def fit_input_center(state: ApexState, images: np.ndarray) -> None:
     state.input_center = feats.mean(axis=0)
 
 
-def _softmax_rows(a: Node) -> Node:
-    shifted = nm.sub(a, nm.reduce_max(a, axis=1, keepdims=True))
-    e = nm.exp(shifted)
-    return nm.div(e, nm.reduce_sum(e, axis=1, keepdims=True))
-
-
-def address(memory, z, *, softmax: bool = False) -> Node:
+def address(memory, z) -> Node:
     """Addressing vectors [B, J]: cosine similarities between each feature
     of ``z`` [B, K] and each slot.
 
@@ -173,8 +162,7 @@ def address(memory, z, *, softmax: bool = False) -> Node:
     zn = nm.as_node(z)
     if zn.array.ndim != 2:
         raise ShapeError(f"features must be [batch, K], got {zn.shape}")
-    sims = nm.cosine_rows(zn, nm.as_node(memory))
-    return _softmax_rows(sims) if softmax else sims
+    return nm.cosine_rows(zn, nm.as_node(memory))
 
 
 def retrieve(memory, a) -> Node:
@@ -221,23 +209,20 @@ class ForwardNodes:
     output: Node          # x'     [B, h, w, c]
 
 
-def forward_batch(state: ApexState, images: np.ndarray, *, train: bool = True) -> ForwardNodes:
+def forward_batch(state: ApexState, images: np.ndarray) -> ForwardNodes:
     """Full differentiable chain on a [B, h, w, c] image stack.
 
-    In ``attention`` mode the memory is barriered out of the graph entirely
-    (the trainer applies the explicit attention-weighted rule); in
-    ``fullgraph`` mode it is live in both addressing and retrieval.
+    The memory is barriered out of the graph entirely: the trainer updates
+    it by the explicit attention-weighted rule (:func:`memory_gradient`).
     """
-    cfg = state.config
     region = state.region
     imgs = np.asarray(images, dtype=np.float64)
     spectrum = np.fft.fft2(imgs, axes=(1, 2))  # shared by the encoder input and the prompt
     amps = region_amplitudes(region, spectrum)
     z = encode_batch(state.encoder, amps, center=state.input_center)
-    mem_for_graph = state.memory if (train and cfg.memory_grad_mode == "fullgraph") \
-        else nm.stop_gradient(state.memory)
-    a = address(mem_for_graph, z, softmax=cfg.softmax_addressing)
-    zprime = retrieve(mem_for_graph, a) if cfg.use_memory else z
+    memory = nm.stop_gradient(state.memory)
+    a = address(memory, z)
+    zprime = retrieve(memory, a) if state.config.use_memory else z
     p = decode_prompt(state.decoder, zprime, region)
     out = sp.prompted_image_node(imgs, p, region, spectrum)
     return ForwardNodes(features=z, addressing=a, prompt_feature=zprime,
@@ -247,7 +232,7 @@ def forward_batch(state: ApexState, images: np.ndarray, *, train: bool = True) -
 def apex_forward(state: ApexState, img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inference on one image: (prompted image, addressing vector, feature)."""
     arr = sp.validate_image(img)
-    nodes = forward_batch(state, arr[None], train=False)
+    nodes = forward_batch(state, arr[None])
     return nodes.output.array[0], nodes.addressing.array[0], nodes.features.array[0]
 
 
@@ -282,19 +267,19 @@ def update_memory(memory: Tensor, grad, eta: float) -> Tensor:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _mlp_tensors(name: str, mlp: MlpParams) -> dict:
-    out = {}
-    for i, (w, b) in enumerate(mlp.layers):
-        out[f"{name}.w{i}"] = w.array
-        out[f"{name}.b{i}"] = b.array
-    return out
+def _parameter_nodes(state: ApexState) -> dict:
+    """The trainable nodes of ``state`` by checkpoint tensor name."""
+    nodes = {"memory": state.memory}
+    for name, mlp in (("encoder", state.encoder), ("decoder", state.decoder),
+                      ("head", state.head)):
+        for i, (w, b) in enumerate(mlp.layers):
+            nodes[f"{name}.w{i}"], nodes[f"{name}.b{i}"] = w, b
+    return nodes
 
 
 def state_tensors(state: ApexState) -> dict:
-    tensors = {"memory": state.memory.array, "input_center": state.input_center}
-    tensors.update(_mlp_tensors("encoder", state.encoder))
-    tensors.update(_mlp_tensors("decoder", state.decoder))
-    tensors.update(_mlp_tensors("head", state.head))
+    tensors = {name: node.array for name, node in _parameter_nodes(state).items()}
+    tensors["input_center"] = state.input_center
     return tensors
 
 
@@ -315,9 +300,15 @@ def save_state(state: ApexState, directory) -> None:
 
 
 def load_state(directory) -> ApexState:
-    """Checkpoint written by :func:`save_state`. Manifest keys that name no
-    config field are ignored, so a checkpoint that records a field removed
-    since it was written still loads."""
+    """Checkpoint written by :func:`save_state`.
+
+    Manifest keys that name no config field are ignored, so a checkpoint
+    that records a field removed since it was written still loads, unless
+    it records ``softmax_addressing = true``: that removed switch changed
+    what the state computes. Every tensor the state holds must be listed
+    and present, with ``init_state``'s shape and finite values; any other
+    manifest or tensor fault raises :class:`CorruptInputError`.
+    """
     from . import config as cfgmod  # not at the top: config imports this module
     d = Path(directory)
     manifest = d / "manifest.txt"
@@ -331,24 +322,38 @@ def load_state(directory) -> ApexState:
             raise CorruptInputError(f"{manifest}: missing key {key!r}")
         return meta[key]
 
+    def ints(key: str, count: int, least: int) -> list[int]:
+        vals = need(key).split(",")
+        if len(vals) != count or not all(v.strip().isdigit() and int(v) >= least
+                                         for v in vals):
+            raise CorruptInputError(f"{manifest}: bad {key} {meta[key]!r}: expected "
+                                    f"{count} comma-separated int(s) >= {least}")
+        return [int(v) for v in vals]
+
+    if meta.get("softmax_addressing", "false").lower() != "false":
+        raise ConfigError(f"{manifest}: softmax_addressing = {meta['softmax_addressing']} "
+                          "is no longer supported; addressing is plain cosine similarity")
     config = ApexConfig(**{key: cfgmod.parse_value(key, need(key), parse)
                            for key, parse in cfgmod.schema(ApexConfig).items()})
-    h, w, c = (int(v) for v in need("region").split(","))
-    state = init_state(config, h, w, c)
-    for name in need("tensors").split(","):
-        arr = tensorio.read_tensor(d / f"{name}.apxt")
-        part, _, idx = name.partition(".")
-        if part == "memory":
-            state.memory.value = Tensor(arr)
-            state.memory.zero_grad()
-            continue
-        if part == "input_center":
+    state = init_state(config, *ints("region", 3, 1))
+    expected = state_tensors(state)
+    names = need("tensors").split(",")
+    missing, extra = sorted(set(expected) - set(names)), sorted(set(names) - set(expected))
+    if missing or extra:
+        raise CorruptInputError(f"{manifest}: tensors missing {missing}, unexpected {extra}")
+    params = _parameter_nodes(state)
+    for name in names:
+        path = d / f"{name}.apxt"
+        arr = tensorio.read_tensor(path)
+        if arr.shape != expected[name].shape:
+            raise CorruptInputError(f"{path}: shape {arr.shape}, expected "
+                                    f"{expected[name].shape}")
+        if not np.isfinite(arr).all():
+            raise CorruptInputError(f"{path}: non-finite values")
+        if name == "input_center":
             state.input_center = arr
-            continue
-        mlp = {"encoder": state.encoder, "decoder": state.decoder, "head": state.head}[part]
-        layer = int(idx[1:])
-        node = mlp.layers[layer][0 if idx[0] == "w" else 1]
-        node.value = Tensor(arr)
-        node.zero_grad()
-    state.step = int(need("step"))
+        else:
+            params[name].value = Tensor(arr)
+            params[name].zero_grad()
+    state.step = ints("step", 1, 0)[0]
     return state

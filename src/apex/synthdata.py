@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import tensorio
-from .errors import ConfigError, InputNotFoundError, ShapeError
+from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError
 from .numerics import Node
 
 SCENE_BACKGROUND = 0.3
@@ -242,23 +242,45 @@ def save_benchmark(bench: Benchmark, directory) -> None:
 
 def load_benchmark(directory, config: BenchmarkConfig, seed: int) -> Benchmark:
     """Load tensors saved by :func:`save_benchmark`; metadata comes from the
-    manifest, which must match the given config's splits."""
+    manifest. Every manifest row must name a split and one of that split's
+    domains in ``config``, and each split's image and mask tensors must hold
+    one row per manifest row; a fault raises :class:`CorruptInputError`."""
     d = Path(directory)
     manifest = d / "manifest.csv"
     if not manifest.is_file():
         raise InputNotFoundError(f"no benchmark in {d}: {manifest.name} does not exist")
+    seen = {s.domain_id for s in config.seen}
+    domains_of = {"source_cal": {config.source.domain_id},
+                  "source_test": {config.source.domain_id},
+                  "train_seen": seen, "test_seen": seen,
+                  "test_unseen": {s.domain_id for s in config.unseen}}
     rows = manifest.read_text(encoding="ascii").splitlines()[1:]
     meta: dict = {name: [] for name in Benchmark.SPLITS}
-    for row in rows:
-        sample_id, domain_id, split, scene_seed = row.split(",")[:4]
-        meta[split].append((sample_id, domain_id, int(scene_seed)))
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            sample_id, domain_id, split, scene_seed = row.split(",")[:4]
+            scene_seed = int(scene_seed)
+        except ValueError:
+            raise CorruptInputError(f"{manifest}: line {lineno}: malformed row {row!r}") from None
+        if split not in domains_of:
+            raise CorruptInputError(f"{manifest}: line {lineno}: unknown split {split!r}")
+        if domain_id not in domains_of[split]:
+            raise CorruptInputError(f"{manifest}: line {lineno}: {domain_id!r} is not a "
+                                    f"{split} domain of the config")
+        meta[split].append((sample_id, domain_id, scene_seed))
     splits: dict = {}
     for split, entries in meta.items():
         samples = []
         if entries:
-            images = tensorio.read_tensor(d / f"{split}_images.apxt")
-            masks = tensorio.read_tensor(d / f"{split}_masks.apxt")
-            for (sample_id, domain_id, scene_seed), img, mask in zip(entries, images, masks):
+            arrays = {}
+            for kind in ("images", "masks"):
+                path = d / f"{split}_{kind}.apxt"
+                arrays[kind] = tensorio.read_tensor(path)
+                if arrays[kind].shape[:1] != (len(entries),):
+                    raise CorruptInputError(f"{path}: shape {arrays[kind].shape}, but "
+                                            f"{manifest.name} lists {len(entries)} samples")
+            for (sample_id, domain_id, scene_seed), img, mask in zip(
+                    entries, arrays["images"], arrays["masks"]):
                 samples.append(DomainSample(sample_id=sample_id, domain_id=domain_id,
                                             image=img, mask=mask, scene_seed=scene_seed))
         splits[split] = samples

@@ -9,10 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import apex
-from apex import cli, config as cfgmod
+from apex import cli, config as cfgmod, tensorio
 from apex.errors import ConfigError
 from apex.harness import TrainConfig
 from apex.prompting import ApexConfig
@@ -91,14 +92,10 @@ class TestParse:
 # The dataclass fields that are not config keys, spelled out by name.
 NOT_KEYS = {ApexConfig: {"seed"}, TrainConfig: {"apex"},
             BenchmarkConfig: {"source", "seen", "unseen"}}
-# A valid non-default spelling per str field; a new str field must be added.
-STR_VALUES = {"memory_grad_mode": "fullgraph", "optimizer": "adam"}
 
 
 def _non_default(field: dataclasses.Field) -> str:
     default = field.default
-    if field.type == "str":
-        return STR_VALUES[field.name]
     if field.type == "bool":
         return "false" if default else "true"
     if field.type == "tuple":
@@ -150,6 +147,72 @@ class TestSchema:
 
 def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _assert_one_error_line(capsys, *needles: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err, err
+
+
+def _edit_text(path: Path, old: str, new: str) -> None:
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def _nan_into_encoder(ckpt: Path) -> None:
+    arr = tensorio.read_tensor(ckpt / "encoder.w0.apxt").copy()
+    arr[0, 0] = np.nan
+    tensorio.write_tensor(ckpt / "encoder.w0.apxt", arr)
+
+
+def _cut_one_row(bench: Path) -> None:
+    arr = tensorio.read_tensor(bench / "test_seen_images.apxt")
+    tensorio.write_tensor(bench / "test_seen_images.apxt", arr[:-1])
+
+
+def _short_manifest_row(bench: Path) -> None:
+    manifest = bench / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:2])
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+# (fault id, how to break a copy of a trained checkpoint, what the error names)
+CKPT_FAULTS = [
+    ("nan_tensor", _nan_into_encoder, ("encoder.w0.apxt", "non-finite")),
+    ("missing_tensor_name", lambda d: _edit_text(d / "manifest.txt", "head.b0,", ""),
+     ("manifest.txt", "head.b0")),
+    ("extra_tensor_name", lambda d: _edit_text(d / "manifest.txt", "tensors = ",
+                                               "tensors = extra.w0,"),
+     ("manifest.txt", "extra.w0")),
+    ("wrong_shape", lambda d: tensorio.write_tensor(d / "memory.apxt", np.eye(3)),
+     ("memory.apxt", "(3, 3)")),
+    ("region_two_ints", lambda d: _edit_text(d / "manifest.txt", "region = 32,32,1",
+                                             "region = 32,32"),
+     ("manifest.txt", "region")),
+    ("region_zero", lambda d: _edit_text(d / "manifest.txt", "region = 32,32,1",
+                                         "region = 32,0,1"),
+     ("manifest.txt", "region")),
+    ("softmax_addressing", lambda d: _edit_text(d / "manifest.txt", "tensors = ",
+                                                "softmax_addressing = true\ntensors = "),
+     ("manifest.txt", "softmax_addressing")),
+]
+# (fault id, how to break a copy of a benchmark directory, what the error names)
+BENCH_FAULTS = [
+    ("short_tensor", _cut_one_row, ("test_seen_images.apxt", "manifest.csv")),
+    ("unknown_split", lambda d: _edit_text(d / "manifest.csv", ",test_seen,", ",test_sean,"),
+     ("manifest.csv", "'test_sean'")),
+    ("short_row", _short_manifest_row, ("manifest.csv", "line 2")),
+    ("unknown_domain", lambda d: _edit_text(d / "manifest.csv", ",A,test_seen,",
+                                            ",Z,test_seen,"),
+     ("manifest.csv", "'Z'")),
+    ("domain_of_other_split", lambda d: _edit_text(d / "manifest.csv", ",A,test_seen,",
+                                                   ",C,test_seen,"),
+     ("manifest.csv", "'C'")),
+]
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +352,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'beta'" in err and "manifest.txt" in err
+
+    @pytest.mark.parametrize("fault, corrupt, needles",
+                             [pytest.param(*f, id=f[0]) for f in CKPT_FAULTS])
+    def test_eval_corrupt_checkpoint_is_one_line_error(self, workdir, bench_dir, run_dir,
+                                                       capsys, fault, corrupt, needles):
+        ckpt = workdir / f"ckpt_{fault}"
+        shutil.copytree(run_dir / "seed0", ckpt)
+        corrupt(ckpt)
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(ckpt), "--bench", str(bench_dir),
+                         "--split", "seen"]) == 1
+        _assert_one_error_line(capsys, *needles)
+
+    @pytest.mark.parametrize("fault, corrupt, needles",
+                             [pytest.param(*f, id=f[0]) for f in BENCH_FAULTS])
+    def test_eval_corrupt_bench_is_one_line_error(self, workdir, bench_dir, capsys,
+                                                  fault, corrupt, needles):
+        broken = workdir / f"bench_{fault}"
+        shutil.copytree(bench_dir, broken)
+        corrupt(broken)
+        capsys.readouterr()
+        assert cli.main(["eval", "--source-only", "--bench", str(broken),
+                         "--split", "seen"]) == 1
+        _assert_one_error_line(capsys, *needles)
+
+    def test_train_divergence_is_one_line_error(self, workdir, bench_dir, capsys):
+        config = workdir / "diverging.cfg"
+        config.write_text(TINY_CONFIG + "mlp_learning_rate = 1e300\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(config), "--bench", str(bench_dir),
+                         "--out", str(workdir / "run_diverged")]) == 1
+        _assert_one_error_line(capsys, "training diverged", "seed 0")
 
     def test_bench_config_ignores_training_keys(self, workdir, bench_dir, run_dir):
         """A benchmark's config.txt also echoes training keys, among them keys

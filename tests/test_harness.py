@@ -86,17 +86,6 @@ class TestTrain:
         _state, log = hn.train(cfg, bench, backbone, seed=0)
         assert all(rep.lfc == 0.0 for rep in log)
 
-    def test_fullgraph_mode_differs_from_attention_rule(self, bench, backbone):
-        s_attn, _ = hn.train(TINY_TRAIN, bench, backbone, seed=0)
-        cfg = replace(TINY_TRAIN, apex=replace(TINY_APEX, memory_grad_mode="fullgraph"))
-        s_full, _ = hn.train(cfg, bench, backbone, seed=0)
-        assert not np.array_equal(s_attn.memory.array, s_full.memory.array)
-
-    def test_adam_option_runs(self, bench, backbone):
-        cfg = replace(TINY_TRAIN, optimizer="adam", mlp_learning_rate=0.01)
-        _state, log = hn.train(cfg, bench, backbone, seed=0)
-        assert all(np.isfinite(rep.total) for rep in log)
-
 
 class TestGraphSize:
     def test_default_step_builds_at_most_72_nodes(self, bench, backbone, monkeypatch):

@@ -155,13 +155,6 @@ class TestLfcLoss:
         val = losses.lfc_loss(nm.as_node(emb), labels, 0.1, positives=positives).item()
         assert val < 0.0  # positive term excluded from the denominator
 
-    def test_include_positive_flag_increases_loss(self):
-        emb, labels, positives = _two_domain_embeddings()
-        base = losses.lfc_loss(nm.as_node(emb), labels, 0.5, positives=positives).item()
-        conv = losses.lfc_loss(nm.as_node(emb), labels, 0.5, positives=positives,
-                               include_positive=True).item()
-        assert conv > base
-
     def test_rescaling_invariance(self):
         emb, labels, positives = _two_domain_embeddings()
         base = losses.lfc_loss(nm.as_node(emb), labels, 0.5, positives=positives).item()
@@ -287,17 +280,12 @@ class TestBatchedForms:
             # and out of exp()
             tau = 1e-3 if trial % 10 == 0 else float(rng.uniform(0.05, 1.0))
             sims = nm.cosine_rows(emb, emb).array
-            for include_positive in (False, True):
-                val = losses.lfc_loss(emb, labels, tau, positives=positives,
-                                      include_positive=include_positive).item()
-                terms = []
-                for i, lab in enumerate(labels):
-                    cols = [j for j, other in enumerate(labels) if other != lab]
-                    if include_positive:
-                        cols.append(int(positives[i]))
-                    terms.append(losses.lfc_term(sims[i, positives[i]], sims[i, cols],
-                                                 tau).item())
-                assert _rel_close(val, float(np.mean(terms))), (trial, include_positive)
+            val = losses.lfc_loss(emb, labels, tau, positives=positives).item()
+            terms = []
+            for i, lab in enumerate(labels):
+                cols = [j for j, other in enumerate(labels) if other != lab]
+                terms.append(losses.lfc_term(sims[i, positives[i]], sims[i, cols], tau).item())
+            assert _rel_close(val, float(np.mean(terms))), trial
 
     def test_batched_lfc_gradient_matches_anchor_loop_exactly(self):
         """With equal domain sizes, as every training batch has, each row of
@@ -307,23 +295,19 @@ class TestBatchedForms:
         labels = ["a"] * 4 + ["b"] * 4
         emb = rng.standard_normal((8, 6))
         positives = losses.sample_positives(labels, rng)
-        for include_positive in (False, True):
-            batched = nm.parameter(emb)
-            nm.backward(losses.lfc_loss(batched, labels, 0.1, positives=positives,
-                                        include_positive=include_positive))
-            looped = nm.parameter(emb)
-            sims = nm.cosine_rows(looped, looped)
-            total = None
-            for i, lab in enumerate(labels):
-                cols = [j for j, other in enumerate(labels) if other != lab]
-                if include_positive:
-                    cols.append(int(positives[i]))
-                pos = nm.getitem(sims, (i, int(positives[i])))
-                negs = nm.getitem(sims, (np.full(len(cols), i), np.array(cols)))
-                term = losses.lfc_term(pos, negs, 0.1)
-                total = term if total is None else nm.add(total, term)
-            nm.backward(nm.div(total, 8.0))
-            assert np.array_equal(batched.grad, looped.grad), include_positive
+        batched = nm.parameter(emb)
+        nm.backward(losses.lfc_loss(batched, labels, 0.1, positives=positives))
+        looped = nm.parameter(emb)
+        sims = nm.cosine_rows(looped, looped)
+        total = None
+        for i, lab in enumerate(labels):
+            cols = [j for j, other in enumerate(labels) if other != lab]
+            pos = nm.getitem(sims, (i, int(positives[i])))
+            negs = nm.getitem(sims, (np.full(len(cols), i), np.array(cols)))
+            term = losses.lfc_term(pos, negs, 0.1)
+            total = term if total is None else nm.add(total, term)
+        nm.backward(nm.div(total, 8.0))
+        assert np.array_equal(batched.grad, looped.grad)
 
     def test_lfc_invalid_tau(self):
         emb, labels, positives = _two_domain_embeddings()

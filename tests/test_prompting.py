@@ -40,8 +40,7 @@ class TestEncodeDomain:
         bias = np.array([0.5, -1.0, 0.25])
         enc = nm.MlpParams(
             layers=[(nm.parameter(np.zeros((4, 9))), nm.parameter(np.zeros(4))),
-                    (nm.parameter(np.zeros((3, 4))), nm.parameter(bias))],
-            activations=["relu", "linear"])
+                    (nm.parameter(np.zeros((3, 4))), nm.parameter(bias))])
         img = np.random.default_rng(0).random((8, 8, 1))
         low = sp.extract_low_freq(sp.fft2(img), sp.LowFreqRegion.plan(8, 8, 1, 0.375))
         z = pr.encode_batch(enc, low[None])
@@ -72,7 +71,7 @@ class TestEncodeDomain:
 
         def build(leaves):
             layers = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)]
-            enc = nm.MlpParams(layers=layers, activations=proto.activations)
+            enc = nm.MlpParams(layers=layers)
             z = pr.encode_batch(enc, low)
             return nm.reduce_sum(nm.mul(z, z))
 
@@ -116,13 +115,6 @@ class TestAddress:
         mem = nm.orthogonal_rows(4, 8, seed=0)
         with pytest.raises(DegenerateInputError):
             pr.address(mem, Tensor(np.zeros((1, 8))))
-
-    def test_softmax_flag(self):
-        mem = nm.orthogonal_rows(4, 8, seed=0)
-        z = np.random.default_rng(4).standard_normal(8)
-        a = pr.address(mem, Tensor(z[None]), softmax=True).array[0]
-        assert abs(a.sum() - 1.0) < 1e-12
-        assert np.all(a > 0.0)
 
 
 class TestBatchOnly:
@@ -198,8 +190,7 @@ class TestDecodePrompt:
         state = small_state()
         dec = nm.MlpParams(
             layers=[(nm.parameter(np.zeros((9, 16))),
-                     nm.parameter(np.full(9, math.log(2.0))))],
-            activations=["linear"])
+                     nm.parameter(np.full(9, math.log(2.0))))])
         p = pr.decode_prompt(dec, Tensor(np.zeros((1, 16))), state.region)
         # odd-sided region: every entry pairs inside, so the 2 survives everywhere
         assert np.max(np.abs(p.array - 2.0)) < 1e-12
@@ -221,8 +212,7 @@ class TestDecodePrompt:
     def test_output_size_validated(self):
         state = small_state()
         bad = nm.MlpParams(layers=[(nm.parameter(np.zeros((5, 16))),
-                                    nm.parameter(np.zeros(5)))],
-                           activations=["linear"])
+                                    nm.parameter(np.zeros(5)))])
         with pytest.raises(ShapeError):
             pr.decode_prompt(bad, Tensor(np.zeros((1, 16))), state.region)
 
@@ -232,8 +222,7 @@ class TestProjectAux:
         bias = np.array([1.0, 2.0, 3.0, 4.0])
         head = nm.MlpParams(
             layers=[(nm.parameter(np.zeros((5, 16))), nm.parameter(np.zeros(5))),
-                    (nm.parameter(np.zeros((4, 5))), nm.parameter(bias))],
-            activations=["relu", "linear"])
+                    (nm.parameter(np.zeros((4, 5))), nm.parameter(bias))])
         out = pr.project_aux(head, Tensor(np.ones((1, 16))))
         assert np.allclose(out.array[0], bias)
 
@@ -254,7 +243,7 @@ class TestProjectAux:
 
         def build(leaves):
             layers = [(leaves[0], leaves[1]), (leaves[2], leaves[3])]
-            head = nm.MlpParams(layers=layers, activations=proto.activations)
+            head = nm.MlpParams(layers=layers)
             out = pr.project_aux(head, Tensor(z))
             return nm.reduce_sum(nm.mul(out, out))
 
@@ -286,10 +275,8 @@ class TestApexForward:
             + [p.array for p in dec_proto.parameters()] + [mem0]
 
         def build(leaves):
-            enc = nm.MlpParams(layers=[(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)],
-                               activations=enc_proto.activations)
-            dec = nm.MlpParams(layers=[(leaves[8 + 2 * i], leaves[9 + 2 * i]) for i in range(4)],
-                               activations=dec_proto.activations)
+            enc = nm.MlpParams(layers=[(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)])
+            dec = nm.MlpParams(layers=[(leaves[8 + 2 * i], leaves[9 + 2 * i]) for i in range(4)])
             mem = leaves[16]
             z = pr.encode_batch(enc, amps)
             a = pr.address(mem, z)
@@ -304,7 +291,7 @@ class TestApexForward:
     def test_memory_off_bypasses_retrieval(self):
         state = small_state(use_memory=False)
         img = np.random.default_rng(14).random((8, 8, 1))
-        nodes = pr.forward_batch(state, img[None], train=True)
+        nodes = pr.forward_batch(state, img[None])
         assert nodes.prompt_feature is nodes.features
 
 
@@ -397,7 +384,7 @@ class TestAttentionRuleInvariant:
         for w, _b in state.decoder.layers:
             w.value = Tensor(rng.standard_normal(w.shape) * 0.05)
         imgs = rng.random((2, 8, 8, 1))
-        nodes = pr.forward_batch(state, imgs, train=True)
+        nodes = pr.forward_batch(state, imgs)
         loss = nm.reduce_sum(nm.mul(nodes.output, nodes.output))
         nm.zero_grads(state.all_parameters())
         nm.backward(loss)
@@ -429,7 +416,7 @@ class TestForwardBatch:
             return fft2(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft2", counting_fft2)
-        nodes = pr.forward_batch(state, imgs, train=True)
+        nodes = pr.forward_batch(state, imgs)
         assert calls == [imgs.shape]
         monkeypatch.undo()
         ref = sp.prompted_image_node(imgs, nodes.multiplier, state.region,
@@ -467,17 +454,17 @@ class TestCheckpoint:
             assert key in text
 
     def test_manifest_spells_booleans_as_config_files_do(self, tmp_path):
-        state = small_state(softmax_addressing=True)
+        state = small_state(use_memory=False, allow_block_init=True)
         pr.save_state(state, tmp_path / "ckpt")
         lines = (tmp_path / "ckpt" / "manifest.txt").read_text().splitlines()
-        assert "use_memory = true" in lines and "softmax_addressing = true" in lines
-        assert "allow_block_init = false" in lines
+        assert "use_memory = false" in lines and "allow_block_init = true" in lines
         assert pr.load_state(tmp_path / "ckpt").config == state.config
 
     def test_manifest_of_earlier_format_loads(self, tmp_path):
         """Checkpoints written before the config schema was derived from the
         dataclass fields spell booleans True/False and carry the removed
-        ``encoder_final_scale``; they load to the equal config."""
+        ``encoder_final_scale``, ``softmax_addressing`` and
+        ``memory_grad_mode``; they load to the equal config."""
         state = pr.init_state(pr.ApexConfig(), 8, 8, 1)
         pr.save_state(state, tmp_path / "ckpt")
         manifest = tmp_path / "ckpt" / "manifest.txt"
@@ -493,6 +480,16 @@ class TestCheckpoint:
         loaded = pr.load_state(tmp_path / "ckpt")
         assert loaded.config == pr.ApexConfig()
         assert np.array_equal(loaded.memory.array, state.memory.array)
+
+    def test_manifest_with_fullgraph_memory_mode_loads(self, tmp_path):
+        """The removed ``memory_grad_mode`` steered training only, so a
+        checkpoint trained with either value loads; ``softmax_addressing =
+        true`` is refused (see the CLI tests)."""
+        state = small_state()
+        pr.save_state(state, tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "memory_grad_mode = fullgraph\n")
+        assert pr.load_state(tmp_path / "ckpt").config == state.config
 
     @pytest.mark.parametrize("key", ["beta", "use_memory", "region", "step", "tensors"])
     def test_missing_manifest_key_names_key_and_file(self, tmp_path, key):

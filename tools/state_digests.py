@@ -10,11 +10,9 @@ output line by line:
 
 The configs cover the default, the four memory x LFC ablation cells and
 the slot counts J=1 and J=300, built as ``harness.run_ablation`` and
-``harness.slot_sweep`` build them, plus one config per experiment switch:
-``include_positive``, ``memory_grad_mode = fullgraph``,
-``softmax_addressing`` and ``optimizer = adam``. The memory-off cells are
-the sensitive ones: their training turns a last-bit change of a gradient
-into Dice changes of several points.
+``harness.slot_sweep`` build them. The memory-off cells are the sensitive
+ones: their training turns a last-bit change of a gradient into Dice
+changes of several points.
 """
 
 from __future__ import annotations
@@ -40,12 +38,6 @@ def configs() -> list[tuple[str, harness.TrainConfig]]:
         out.append((f"slots_{j}",
                     replace(base, apex=replace(base.apex, slot_count=j,
                                                allow_block_init=j > base.apex.feature_dim))))
-    out += [
-        ("include_positive", replace(base, include_positive=True)),
-        ("fullgraph", replace(base, apex=replace(base.apex, memory_grad_mode="fullgraph"))),
-        ("softmax_addressing", replace(base, apex=replace(base.apex, softmax_addressing=True))),
-        ("adam", replace(base, optimizer="adam", mlp_learning_rate=0.01)),
-    ]
     return out
 
 
