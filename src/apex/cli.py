@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import harness, prompting, synthdata, tensorio
-from .errors import ApexError
+from .errors import ApexError, ConfigError
 
 
 def _load_configs(path: str | None):
@@ -142,13 +142,18 @@ def cmd_sweep_slots(args) -> int:
 
 
 def cmd_viz_mem(args) -> int:
+    splits = args.split.split(",")
+    names = [harness.SPLIT_NAMES.get(split, split) for split in splits]
+    for split, name in zip(splits, names):
+        if name not in synthdata.Benchmark.SPLITS:
+            raise ConfigError(f"unknown split {split!r}; use seen, unseen, source or one of "
+                              f"{', '.join(synthdata.Benchmark.SPLITS)}")
     if args.out is None:
         args.out = str(Path(args.ckpt) / "viz")
     bench = _load_bench(args.bench)
     state = prompting.load_state(args.ckpt)
     samples = []
-    for split in args.split.split(","):
-        name = harness.SPLIT_NAMES.get(split, split)
+    for name in names:
         samples.extend(bench.splits[name])
     within, cross = harness.export_activations(state, samples, args.out)
     print(f"within-domain mean Jaccard {within!r}, cross-domain {cross!r}")

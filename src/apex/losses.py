@@ -152,11 +152,12 @@ def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
     """Contrastive loss over a batch of auxiliary embeddings.
 
     ``embeddings`` is [B, D] (Node or array); ``labels`` gives each row's
-    domain. Every anchor ``i`` uses the same-domain positive row
-    ``positives[i]`` (see :func:`sample_positives`) against all other-domain
-    embeddings; the mean over anchors of :func:`lfc_term` is returned,
-    computed for all anchors at once as a row-wise log-sum-exp over each
-    anchor's gathered cosines / tau.
+    domain, and every domain must appear equally often (at least twice), as
+    in every P x S training batch. Every anchor ``i`` uses the same-domain
+    positive row ``positives[i]`` (see :func:`sample_positives`) against all
+    other-domain embeddings; the mean over anchors of :func:`lfc_term` is
+    returned, computed for all anchors at once as a row-wise log-sum-exp
+    over each anchor's gathered cosines / tau.
     """
     if tau <= 0.0:
         raise ConfigError("temperature must be positive")
@@ -173,6 +174,8 @@ def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
     short = [lab for lab, c in counts.items() if c < 2]
     if short:
         raise ConfigError(f"domains with fewer than 2 samples in batch: {short}")
+    if len(set(counts.values())) != 1:
+        raise ConfigError(f"contrastive batch needs equal domain sizes, got {counts}")
     positives = np.asarray(positives, dtype=np.int64)
     if positives.shape != (n,):
         raise ShapeError(f"positives shape {positives.shape} != ({n},)")
@@ -181,17 +184,11 @@ def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
             raise ConfigError(f"positive {j} invalid for anchor {i}")
 
     # each anchor's denominator columns in the order lfc_term sums them:
-    # other-domain columns ascending. Gathered into one [B, k] matrix, every
-    # row sums in the per-anchor order; with equal domain sizes, as in every
-    # training batch, each anchor's term and the gradient are bit-identical
-    # to the per-anchor form.
-    cols = [[j for j in range(n) if labels[j] != labels[i]] for i in range(n)]
-    width = max(len(row) for row in cols)
-    # rows of anchors with fewer columns are padded at the end with a copy of
-    # their own first column, so the row max is unchanged, and masked out
-    index = np.array([row + row[:1] * (width - len(row)) for row in cols])
-    keep = nm.as_node(np.array([[j < len(row) for j in range(width)] for row in cols],
-                               dtype=np.float64))
+    # other-domain columns ascending. Equal domain sizes give every anchor
+    # the same number, so they gather into one [B, k] matrix whose rows sum
+    # in the per-anchor order: each anchor's term and the gradient are
+    # bit-identical to the per-anchor form.
+    index = np.array([[j for j in range(n) if labels[j] != labels[i]] for i in range(n)])
 
     anchors = np.arange(n)
     sims = nm.cosine_rows(emb, emb)
@@ -199,7 +196,7 @@ def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
     negs = nm.div(nm.getitem(sims, (anchors[:, None], index)), tau)
     peak = negs.array.max(axis=1)  # held constant, as in lfc_term
     shifted = nm.sub(negs, peak[:, None])
-    sums = nm.reduce_sum(nm.mul(nm.exp(shifted), keep), axis=1)
+    sums = nm.reduce_sum(nm.exp(shifted), axis=1)
     lse = nm.add(peak, nm.log(sums))
     return nm.reduce_mean(nm.sub(lse, pos))
 

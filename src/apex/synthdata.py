@@ -339,33 +339,66 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
     return nm.sigmoid(nm.div(nm.sub(blurred, bb.threshold), bb.slope))
 
 
-def soft_dice(pred: np.ndarray, mask: np.ndarray) -> float:
-    inter = float((pred * mask).sum())
-    return (2.0 * inter + 1.0) / (float(pred.sum()) + float(mask.sum()) + 1.0)
+# Samples are scored in row blocks of about this many float64 values, so a
+# block's five arrays stay in a 2 MB L2 cache while every grid point re-reads
+# them; one unblocked batch of 128x128 images is slower than a per-sample loop.
+CALIBRATION_BLOCK_ELEMENTS = 32768
+CALIBRATION_THRESHOLDS = tuple(np.round(np.linspace(0.2, 0.8, 61), 10).tolist())
+CALIBRATION_SLOPES = (0.05, 0.08, 0.12)
 
 
-def backbone_calibrate(samples, blur_radius: int = 1,
-                       thresholds=None, slopes=(0.05, 0.08, 0.12)) -> FrozenBackbone:
-    """Grid-search (t, s) maximizing mean soft Dice on the source samples.
+def calibration_scores(samples, blur_radius: int = 1, thresholds=CALIBRATION_THRESHOLDS,
+                       slopes=CALIBRATION_SLOPES) -> np.ndarray:
+    """Mean soft Dice of sigmoid((blur(x) - t) / s) on ``samples`` for every
+    grid point, as a [len(thresholds), len(slopes)] array.
 
-    Deterministic: the grid is fixed and ties keep the first maximum in scan
-    order. The returned backbone is immutable; hash it with ``digest()``.
+    A sample's soft Dice is (2 sum(p m) + 1) / (sum p + sum m + 1) over its
+    channel-0 pixels; the mean adds the samples in order, then divides.
+    Samples are evaluated a block of rows at a time with in-place ufuncs in
+    the per-sample expression's order, and each row sums on its own, so
+    every score is bit-identical to evaluating one sample at a time.
     """
     if not samples:
         raise ConfigError("cannot calibrate on an empty source set")
-    if thresholds is None:
-        thresholds = np.round(np.linspace(0.2, 0.8, 61), 10)
-    blurred = [box_blur(s.image, blur_radius)[:, :, 0] for s in samples]
-    masks = [s.mask for s in samples]
-    best = (-1.0, None)
-    for t in thresholds:
-        for s in slopes:
-            score = 0.0
-            for bl, mk in zip(blurred, masks):
-                pred = 1.0 / (1.0 + np.exp(-(bl - t) / s))
-                score += soft_dice(pred, mk)
-            score /= len(samples)
-            if score > best[0]:
-                best = (score, FrozenBackbone(threshold=float(t), slope=float(s),
-                                              blur_radius=blur_radius))
-    return best[1]
+    n, pixels = len(samples), samples[0].mask.size
+    rows = max(1, CALIBRATION_BLOCK_ELEMENTS // pixels)
+    dice = np.empty((len(thresholds), len(slopes), n))
+    for lo in range(0, n, rows):
+        block = samples[lo:lo + rows]
+        images = box_blur(np.stack([smp.image for smp in block]), blur_radius)
+        blurred = images[..., 0].reshape(len(block), pixels)
+        masks = np.stack([smp.mask for smp in block]).reshape(len(block), pixels)
+        mask_sums = masks.sum(axis=1)
+        d, p, pm = (np.empty_like(blurred) for _ in range(3))
+        for i, t in enumerate(thresholds):
+            # t - x is exactly -(x - t): IEEE rounding is symmetric in sign
+            np.subtract(t, blurred, out=d)
+            for j, s in enumerate(slopes):
+                np.divide(d, s, out=p)
+                np.exp(p, out=p)
+                np.add(p, 1.0, out=p)
+                np.reciprocal(p, out=p)
+                inter = np.multiply(p, masks, out=pm).sum(axis=1)
+                dice[i, j, lo:lo + len(block)] = ((2.0 * inter + 1.0)
+                                                  / (p.sum(axis=1) + mask_sums + 1.0))
+    # the mean adds the samples in order; np.sum would reorder the adds
+    scores = np.zeros(dice.shape[:2])
+    for k in range(n):
+        scores += dice[:, :, k]
+    return scores / n
+
+
+def backbone_calibrate(samples, blur_radius: int = 1, thresholds=CALIBRATION_THRESHOLDS,
+                       slopes=CALIBRATION_SLOPES) -> FrozenBackbone:
+    """Grid-search (t, s) maximizing mean soft Dice on the source samples.
+
+    The search is batched and cache-blocked (:func:`calibration_scores`),
+    and bit-identical to scoring one sample at a time. Deterministic: the
+    grid is fixed and ties keep the first maximum in scan order (thresholds
+    outer, slopes inner). The returned backbone is immutable; hash it with
+    ``digest()``.
+    """
+    scores = calibration_scores(samples, blur_radius, thresholds, slopes)
+    ti, si = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    return FrozenBackbone(threshold=float(thresholds[ti]), slope=float(slopes[si]),
+                          blur_radius=blur_radius)

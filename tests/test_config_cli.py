@@ -437,6 +437,17 @@ class TestCli:
             assert (outs[0] / name).exists()
             assert _sha(outs[0] / name) == _sha(outs[1] / name), name
 
+    @pytest.mark.parametrize("split", ["foo", "seen,foo", "unseen,", "test_seen,Source"])
+    def test_viz_mem_bad_split_is_one_line_error(self, workdir, split, capsys):
+        # checked before anything loads: the benchmark and checkpoint do not exist
+        out = workdir / "viz_bad_split"
+        capsys.readouterr()
+        assert cli.main(["viz-mem", "--ckpt", str(workdir / "no_ckpt"),
+                         "--bench", str(workdir / "no_bench"), "--split", split,
+                         "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, "unknown split", repr(split.split(",")[-1]))
+        assert not out.exists()
+
     def test_config_echoed_into_outputs(self, bench_dir, run_dir):
         bench_echo = cfgmod.parse_kv((bench_dir / "config.txt").read_text())
         run_echo = cfgmod.parse_kv((run_dir / "config.txt").read_text())

@@ -196,6 +196,12 @@ class TestLfcLoss:
             losses.lfc_loss(nm.as_node(emb), ["x", "x", "y"], 0.5,
                             positives=np.array([1, 0, 0]))
 
+    def test_unequal_domain_sizes_rejected(self):
+        emb = np.eye(5)
+        with pytest.raises(ConfigError, match="equal domain sizes"):
+            losses.lfc_loss(nm.as_node(emb), ["x", "x", "x", "y", "y"], 0.5,
+                            positives=np.array([1, 0, 0, 4, 3]))
+
     def test_monotonicity_via_perturbation(self):
         emb, labels, positives = _two_domain_embeddings()
         base = losses.lfc_loss(nm.as_node(emb), labels, 0.5, positives=positives).item()
@@ -269,15 +275,14 @@ class TestBatchedForms:
     def test_batched_lfc_is_mean_of_anchor_terms(self):
         rng = np.random.default_rng(24)
         for trial in range(40):
-            # unequal domain sizes give anchors different numbers of negatives
-            sizes = rng.integers(2, 5, size=int(rng.integers(2, 5)))
-            labels = [f"d{k}" for k, size in enumerate(sizes) for _ in range(size)]
+            # P domains of S samples each, shuffled
+            size = int(rng.integers(2, 5))
+            labels = [f"d{k}" for k in range(int(rng.integers(2, 5))) for _ in range(size)]
             labels = [labels[i] for i in rng.permutation(len(labels))]
             emb = rng.standard_normal((len(labels), 5))
             positives = losses.sample_positives(labels, rng)
             # tiny temperatures put the positive and the diagonal hundreds of
-            # units above the negatives; the padding must stay out of the peak
-            # and out of exp()
+            # units above the negatives; neither may enter the peak or exp()
             tau = 1e-3 if trial % 10 == 0 else float(rng.uniform(0.05, 1.0))
             sims = nm.cosine_rows(emb, emb).array
             val = losses.lfc_loss(emb, labels, tau, positives=positives).item()

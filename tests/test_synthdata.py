@@ -151,21 +151,48 @@ class TestBackbone:
     def test_threshold_between_modes(self, backbone):
         assert 0.35 <= backbone.threshold <= 0.65
 
-    def test_matches_independent_grid_search(self, small_bench, backbone):
-        samples = small_bench.splits["source_cal"]
-        best = (-1.0, None, None)
-        for t in np.round(np.linspace(0.2, 0.8, 61), 10):
-            for s in (0.05, 0.08, 0.12):
+    @staticmethod
+    def per_sample_scores(samples, thresholds, slopes):
+        """The definition: mean soft Dice, one sample at a time, summed in
+        sample order."""
+        out = np.empty((len(thresholds), len(slopes)))
+        for i, t in enumerate(thresholds):
+            for j, s in enumerate(slopes):
                 score = 0.0
                 for smp in samples:
                     blurred = sd.box_blur(smp.image, 1)[:, :, 0]
                     pred = 1.0 / (1.0 + np.exp(-(blurred - t) / s))
-                    score += sd.soft_dice(pred, smp.mask)
-                score /= len(samples)
-                if score > best[0]:
-                    best = (score, float(t), float(s))
-        assert backbone.threshold == best[1]
-        assert backbone.slope == best[2]
+                    inter = float((pred * smp.mask).sum())
+                    score += ((2.0 * inter + 1.0)
+                              / (float(pred.sum()) + float(smp.mask.sum()) + 1.0))
+                out[i, j] = score / len(samples)
+        return out
+
+    def test_matches_independent_grid_search(self, small_bench, backbone):
+        samples = small_bench.splits["source_cal"]
+        thresholds = np.round(np.linspace(0.2, 0.8, 61), 10)
+        slopes = (0.05, 0.08, 0.12)
+        oracle = self.per_sample_scores(samples, thresholds, slopes)
+        scores = sd.calibration_scores(samples)
+        assert scores.tobytes() == oracle.tobytes()
+        t, s = np.unravel_index(np.argmax(oracle), oracle.shape)
+        assert (backbone.threshold, backbone.slope) == (float(thresholds[t]), slopes[s])
+
+    def test_non_default_grid_across_partial_blocks(self):
+        # 5 images at 128x128 fill two rows per block: the last block is short
+        rows = sd.CALIBRATION_BLOCK_ELEMENTS // (128 * 128)
+        assert 1 < rows < 5 and 5 % rows
+        samples = []
+        for k in range(5):
+            img, mask = sd.gen_base_scene(400 + k, 128, 128)
+            samples.append(sd.DomainSample(f"s{k}", "source", img, mask, 400 + k))
+        thresholds, slopes = np.array([0.31, 0.5, 0.62]), (0.03, 0.2)
+        oracle = self.per_sample_scores(samples, thresholds, slopes)
+        scores = sd.calibration_scores(samples, thresholds=thresholds, slopes=slopes)
+        assert scores.tobytes() == oracle.tobytes()
+        bb = sd.backbone_calibrate(samples, thresholds=thresholds, slopes=slopes)
+        t, s = np.unravel_index(np.argmax(oracle), oracle.shape)
+        assert (bb.threshold, bb.slope) == (float(thresholds[t]), slopes[s])
 
     def test_source_dice_at_least_90(self, small_bench, backbone):
         rep = harness.evaluate(None, backbone, small_bench, "source", source_only=True)

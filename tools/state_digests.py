@@ -1,10 +1,11 @@
-"""Train a fixed set of configs on one benchmark and print the digest of
-each trained state, one ``label digest`` line per config.
+"""Calibrate the backbone on one benchmark, train a fixed set of configs
+on it, and print the digests: first a ``backbone digest`` line, then one
+``label digest`` line per trained state.
 
 A change that only reorganises the arithmetic (fused ops, fewer graph
-nodes, fewer checks) must leave every trained state bit-identical; run
-this script in a checkout before and after the change and compare the
-output line by line:
+nodes, fewer checks, a batched calibration) must leave the backbone and
+every trained state bit-identical; run this script in a checkout before
+and after the change and compare the output line by line:
 
     python3 tools/state_digests.py [--bench-seed 10] [--size 32] [--seed 0]
 
@@ -56,6 +57,7 @@ def main() -> int:
     bench = synthdata.build_benchmark(synthdata.BenchmarkConfig(image_size=args.size),
                                       args.bench_seed)
     backbone = synthdata.backbone_calibrate(bench.splits["source_cal"])
+    print(f"backbone {backbone.digest()}", flush=True)
     for label, config in configs():
         state, _log = harness.train(config, bench, backbone, args.seed)
         print(f"{label} {state_digest(state)}", flush=True)
