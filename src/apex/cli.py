@@ -10,12 +10,20 @@
 
 Outputs are plain CSV, binary tensors, and PGM dumps; nothing carries
 timestamps, so reruns with equal seeds are byte-identical.
+
+``gen-bench`` and ``train`` never overwrite: an ``--out`` that already
+exists is refused with one ``error:`` line before any work starts. They
+write into a hidden sibling directory and rename it to ``--out`` only when
+the command succeeds, so a failed or interrupted run leaves no ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import config as cfgmod
@@ -33,6 +41,23 @@ def _write(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+@contextlib.contextmanager
+def _staged_output(out: Path):
+    """Yield a directory to write ``out``'s contents into; rename it to
+    ``out`` when the block succeeds, delete it when the block raises."""
+    if out.exists():
+        raise ConfigError(f"{out} already exists; pass a new --out or remove it")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        stage = staging / out.name
+        stage.mkdir()  # with the mode a plain mkdir of ``out`` would get
+        yield stage
+        stage.rename(out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def _load_bench(bench_dir: str) -> synthdata.Benchmark:
     kv = cfgmod.load_file(Path(bench_dir) / "config.txt")
     seed = int(kv.get("bench_seed", "0"))
@@ -44,60 +69,61 @@ def _backbone_for(bench: synthdata.Benchmark) -> synthdata.FrozenBackbone:
 
 
 def cmd_gen_bench(args) -> int:
-    train_cfg, bench_cfg = _load_configs(args.config)
-    bench = synthdata.build_benchmark(bench_cfg, args.seed)
     out = Path(args.out)
-    synthdata.save_benchmark(bench, out)
-    _write(out / "config.txt",
-           cfgmod.echo_lines(train_cfg, bench_cfg) + [f"bench_seed = {args.seed}"])
-    if args.dump_samples > 0:
-        preview = out / "previews"
-        preview.mkdir(parents=True, exist_ok=True)
-        for split in synthdata.Benchmark.SPLITS:
-            for dom, samples in sorted(bench.by_domain(split).items()):
-                for s in samples[:args.dump_samples]:
-                    tensorio.write_pgm(preview / f"{s.sample_id}.pgm", s.image)
+    with _staged_output(out) as stage:
+        train_cfg, bench_cfg = _load_configs(args.config)
+        bench = synthdata.build_benchmark(bench_cfg, args.seed)
+        synthdata.save_benchmark(bench, stage)
+        _write(stage / "config.txt",
+               cfgmod.echo_lines(train_cfg, bench_cfg) + [f"bench_seed = {args.seed}"])
+        if args.dump_samples > 0:
+            preview = stage / "previews"
+            preview.mkdir()
+            for split in synthdata.Benchmark.SPLITS:
+                for dom, samples in sorted(bench.by_domain(split).items()):
+                    for s in samples[:args.dump_samples]:
+                        tensorio.write_pgm(preview / f"{s.sample_id}.pgm", s.image)
     print(f"benchmark written to {out} "
           f"({sum(len(s) for s in bench.splits.values())} samples)")
     return 0
 
 
 def cmd_train(args) -> int:
-    train_cfg, _ = _load_configs(args.config)
-    bench = _load_bench(args.bench)
-    backbone = _backbone_for(bench)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "config.txt", cfgmod.echo_lines(train_cfg, bench.config)
-           + [f"bench_seed = {bench.seed}"])
-    _write(out / "backbone.txt", [
-        f"threshold = {backbone.threshold!r}",
-        f"slope = {backbone.slope!r}",
-        f"blur_radius = {backbone.blur_radius}",
-        f"digest = {backbone.digest()}"])
+    with _staged_output(out) as stage:
+        train_cfg, _ = _load_configs(args.config)
+        bench = _load_bench(args.bench)
+        backbone = _backbone_for(bench)
+        _write(stage / "config.txt", cfgmod.echo_lines(train_cfg, bench.config)
+               + [f"bench_seed = {bench.seed}"])
+        _write(stage / "backbone.txt", [
+            f"threshold = {backbone.threshold!r}",
+            f"slope = {backbone.slope!r}",
+            f"blur_radius = {backbone.blur_radius}",
+            f"digest = {backbone.digest()}"])
 
-    metric_lines = ["seed,scope,dice,iou"]
-    per_seed = []
-    for seed in train_cfg.seeds:
-        res = harness.train_and_eval(train_cfg, bench, backbone, seed)
-        seed_dir = out / f"seed{seed}"
-        prompting.save_state(res.state, seed_dir)
-        harness.write_step_log(res.log, seed_dir / "steps.csv")
-        for rep in (res.seen, res.unseen):
-            for dom in sorted(rep.per_domain):
-                row = rep.per_domain[dom]
-                metric_lines.append(f"{seed},{dom},{row['dice']!r},{row['iou']!r}")
-        triple = (res.seen.avg_seen, res.unseen.avg_unseen, res.avg_total)
-        per_seed.append(triple)
-        for name, val in zip(("avg_seen", "avg_unseen", "avg_total"), triple):
-            metric_lines.append(f"{seed},{name},{val!r},")
-        print(f"seed {seed}: seen {triple[0]:.2f} unseen {triple[1]:.2f} "
-              f"total {triple[2]:.2f}")
-    for i, name in enumerate(("avg_seen", "avg_unseen", "avg_total")):
-        m, s = harness.mean_std([t[i] for t in per_seed])
-        metric_lines.append(f"mean,{name},{m!r},")
-        metric_lines.append(f"std,{name},{s!r},")
-    _write(out / "metrics.csv", metric_lines)
+        metric_lines = ["seed,scope,dice,iou"]
+        per_seed = []
+        for seed in train_cfg.seeds:
+            res = harness.train_and_eval(train_cfg, bench, backbone, seed)
+            seed_dir = stage / f"seed{seed}"
+            prompting.save_state(res.state, seed_dir)
+            harness.write_step_log(res.log, seed_dir / "steps.csv")
+            for rep in (res.seen, res.unseen):
+                for dom in sorted(rep.per_domain):
+                    row = rep.per_domain[dom]
+                    metric_lines.append(f"{seed},{dom},{row['dice']!r},{row['iou']!r}")
+            triple = (res.seen.avg_seen, res.unseen.avg_unseen, res.avg_total)
+            per_seed.append(triple)
+            for name, val in zip(("avg_seen", "avg_unseen", "avg_total"), triple):
+                metric_lines.append(f"{seed},{name},{val!r},")
+            print(f"seed {seed}: seen {triple[0]:.2f} unseen {triple[1]:.2f} "
+                  f"total {triple[2]:.2f}")
+        for i, name in enumerate(("avg_seen", "avg_unseen", "avg_total")):
+            m, s = harness.mean_std([t[i] for t in per_seed])
+            metric_lines.append(f"mean,{name},{m!r},")
+            metric_lines.append(f"std,{name},{s!r},")
+        _write(stage / "metrics.csv", metric_lines)
     print(f"checkpoints and metrics written to {out}")
     return 0
 

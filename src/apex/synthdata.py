@@ -14,6 +14,7 @@ only, never to its parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,16 +70,42 @@ class DomainSample:
     scene_seed: int
 
 
+_GRIDS: dict = {}
+_SHADING_TABLES: dict = {}
+
+
+def _grid(h: int, w: int) -> np.ndarray:
+    """``np.mgrid[0:h, 0:w]``, built once per size and read-only."""
+    grid = _GRIDS.get((h, w))
+    if grid is None:
+        grid = np.mgrid[0:h, 0:w]
+        grid.flags.writeable = False
+        _GRIDS[(h, w)] = grid
+    return grid
+
+
+def _lesion_window(cy: float, cx: float, a: float, b: float, h: int,
+                   w: int) -> tuple[slice, slice]:
+    """Rows and columns around (cy, cx) that hold every pixel of an ellipse
+    with semi-axes a and b, with a two-pixel margin, clipped to the image."""
+    r = math.ceil(max(a, b)) + 2
+    y, x = int(cy), int(cx)
+    return slice(max(y - r, 0), min(y + r + 1, h)), slice(max(x - r, 0), min(x + r + 1, w))
+
+
 def gen_base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Textured background near 0.3 with 1-3 brighter elliptical lesions.
 
     Redraws until the lesion area fraction lands in [2%, 20%], so the
-    generator satisfies its own area contract by construction.
+    generator satisfies its own area contract by construction. Each lesion
+    still draws a full [h, w] noise field, so the random stream and the
+    image are those of a full-grid evaluation; only the lesion's window is
+    evaluated.
     """
     if h < 32 or w < 32 or h % 2 or w % 2:
         raise ShapeError(f"scene sides must be even and >= 32, got {h}x{w}")
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = _grid(h, w)
     for _ in range(64):
         img = SCENE_BACKGROUND + 0.03 * rng.standard_normal((h, w))
         mask = np.zeros((h, w), dtype=bool)
@@ -89,12 +116,15 @@ def gen_base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
             a = rng.uniform(2.8, 5.2) * scale
             b = rng.uniform(2.8, 5.2) * scale
             theta = rng.uniform(0.0, np.pi)
-            u = (xx - cx) * np.cos(theta) + (yy - cy) * np.sin(theta)
-            v = -(xx - cx) * np.sin(theta) + (yy - cy) * np.cos(theta)
+            win = _lesion_window(cy, cx, a, b, h, w)
+            dx, dy = xx[win] - cx, yy[win] - cy
+            u = dx * np.cos(theta) + dy * np.sin(theta)
+            v = -dx * np.sin(theta) + dy * np.cos(theta)
             inside = (u / a) ** 2 + (v / b) ** 2 <= 1.0
             level = SCENE_LESION + rng.uniform(-0.03, 0.03)
-            img = np.where(inside, level + 0.02 * rng.standard_normal((h, w)), img)
-            mask |= inside
+            noise = rng.standard_normal((h, w))
+            img[win][inside] = (level + 0.02 * noise[win])[inside]
+            mask[win] |= inside
         frac = mask.mean()
         if AREA_FRACTION_RANGE[0] <= frac <= AREA_FRACTION_RANGE[1]:
             break
@@ -103,15 +133,32 @@ def gen_base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(img, 0.0, 1.0)[:, :, None], mask.astype(np.float64)
 
 
+def _shading_table(fu: int, fv: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a mode's argument 2 pi (fu y / h + fv x / w)
+    and the [h, w] index of each pixel's value among them; read-only."""
+    key = (fu, fv, h, w)
+    table = _SHADING_TABLES.get(key)
+    if table is None:
+        yy, xx = _grid(h, w)
+        vals, inv = np.unique(2.0 * np.pi * (fu * yy / h + fv * xx / w), return_inverse=True)
+        table = (vals, inv.reshape(h, w))
+        for arr in table:
+            arr.flags.writeable = False
+        _SHADING_TABLES[key] = table
+    return table
+
+
 def shading_field(spec: DomainSpec, rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     """Smooth multiplicative field: 1 plus the domain's cosine modes with
-    per-image phase and mild amplitude jitter."""
-    yy, xx = np.mgrid[0:h, 0:w]
+    per-image phase and mild amplitude jitter. Each mode's cosine is taken
+    once per distinct argument value and spread over the grid, which gives
+    the full-grid expression's bits."""
     out = np.ones((h, w))
     for fu, fv, amp in spec.shading:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         amp_eff = amp * rng.uniform(0.75, 1.25)
-        out += amp_eff * np.cos(2.0 * np.pi * (fu * yy / h + fv * xx / w) + phase)
+        vals, inv = _shading_table(fu, fv, h, w)
+        out += (amp_eff * np.cos(vals + phase))[inv]
     return out
 
 

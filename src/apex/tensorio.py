@@ -28,12 +28,13 @@ MAGIC = b"APXT"
 
 
 def write_tensor(path, arr) -> None:
-    arr = np.asarray(arr, dtype=np.float64)  # tobytes() emits C order regardless
+    # a C-ordered little-endian array is written from its own buffer, uncopied
+    arr = np.asarray(arr, dtype="<f8", order="C")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f8").tobytes())
+        fh.write(arr)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -57,8 +58,10 @@ def read_tensor(path) -> np.ndarray:
         if file_size > size:
             raise CorruptInputError(f"{path}: {file_size - size} trailing bytes "
                                     "after tensor data")
-        data = fh.read()
-    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        out = np.empty(shape, dtype="<f8")
+        if fh.readinto(out) != out.nbytes:
+            raise CorruptInputError(f"{path}: tensor file ended while its data was read")
+    return out.astype(np.float64, copy=False)
 
 
 def tensor_digest(*arrays) -> str:

@@ -384,6 +384,48 @@ class TestCli:
         assert cli.main(["train", "--config", str(config), "--bench", str(bench_dir),
                          "--out", str(workdir / "run_diverged")]) == 1
         _assert_one_error_line(capsys, "training diverged", "seed 0")
+        assert not (workdir / "run_diverged").exists()
+        assert not list(workdir.glob(".run_diverged*"))  # nor its staging directory
+
+    @pytest.mark.parametrize("command", ["gen-bench", "train"])
+    def test_existing_out_is_refused_before_any_work(self, workdir, bench_dir, capsys,
+                                                     monkeypatch, command):
+        out = workdir / f"existing_{command}"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although --out exists")
+
+        monkeypatch.setattr(cli.synthdata, "build_benchmark", no_work)
+        monkeypatch.setattr(cli, "_load_bench", no_work)
+        capsys.readouterr()
+        args = (["gen-bench"] if command == "gen-bench" else ["train", "--bench", str(bench_dir)])
+        assert cli.main(args + ["--config", str(workdir / "tiny.cfg"), "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, str(out), "already exists")
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])
+    def test_interrupted_gen_bench_leaves_no_out(self, workdir, monkeypatch, interrupt):
+        """A write cut short after some files exist removes them all."""
+        real_write = cli.tensorio.write_tensor
+        written = []
+
+        def write_then_fail(path, arr):
+            if len(written) == 3:
+                raise interrupt("cut short")
+            real_write(path, arr)
+            written.append(path)
+
+        monkeypatch.setattr(cli.synthdata.tensorio, "write_tensor", write_then_fail)
+        out = workdir / f"bench_cut_{interrupt.__name__}"
+        with pytest.raises(interrupt):
+            cli.main(["gen-bench", "--config", str(workdir / "tiny.cfg"), "--seed", "4",
+                      "--out", str(out)])
+        assert len(written) == 3 and not any(p.exists() for p in written)
+        assert not out.exists()
+        assert not list(workdir.glob(f".{out.name}*"))
 
     def test_bench_config_ignores_training_keys(self, workdir, bench_dir, run_dir):
         """A benchmark's config.txt also echoes training keys, among them keys

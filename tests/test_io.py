@@ -72,6 +72,33 @@ class TestTensorFormat:
         with pytest.raises(CorruptInputError, match="truncated"):
             tensorio.read_tensor(path)
 
+    def test_file_shrunk_after_size_check_is_corrupt_input_error(self, tmp_path,
+                                                                 monkeypatch):
+        """The data is read straight into the result; a read that ends short
+        of the header's size is rejected, not returned half-filled."""
+        path = tmp_path / "t.apxt"
+        tensorio.write_tensor(path, np.ones((3, 5)))
+        full = tensorio.os.stat(path)
+        path.write_bytes(path.read_bytes()[:-16])
+        monkeypatch.setattr(tensorio.os, "fstat", lambda fd: full)
+        with pytest.raises(CorruptInputError, match="ended"):
+            tensorio.read_tensor(path)
+
+    @pytest.mark.parametrize("arr", [
+        pytest.param(np.arange(12.0).reshape(3, 4).T, id="transposed"),
+        pytest.param(np.arange(6.0, dtype=">f8"), id="big_endian"),
+        pytest.param(np.arange(5), id="integers"),
+        pytest.param(np.zeros((4, 0)), id="empty"),
+    ])
+    def test_any_layout_is_written_as_c_order_little_endian(self, tmp_path, arr):
+        path = tmp_path / "t.apxt"
+        tensorio.write_tensor(path, arr)
+        raw = path.read_bytes()
+        assert raw[8 + 4 * arr.ndim:] == np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        back = tensorio.read_tensor(path)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert np.array_equal(back, arr)
+
 
 class TestDigest:
     def test_stable_and_shape_sensitive(self):

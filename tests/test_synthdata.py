@@ -96,6 +96,152 @@ class TestApplyDomain:
             sd.DomainSpec("x", gain=-1.0, bias=0.0)
 
 
+def oracle_base_scene(seed, h, w):
+    """The definition of :func:`synthdata.gen_base_scene`: every ellipse
+    evaluated over the full grid and merged with a full-image ``np.where``."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:h, 0:w]
+    for _ in range(64):
+        img = sd.SCENE_BACKGROUND + 0.03 * rng.standard_normal((h, w))
+        mask = np.zeros((h, w), dtype=bool)
+        scale = min(h, w) / 32.0
+        for _ in range(int(rng.integers(1, 4))):
+            cy = rng.uniform(0.22, 0.78) * h
+            cx = rng.uniform(0.22, 0.78) * w
+            a = rng.uniform(2.8, 5.2) * scale
+            b = rng.uniform(2.8, 5.2) * scale
+            theta = rng.uniform(0.0, np.pi)
+            u = (xx - cx) * np.cos(theta) + (yy - cy) * np.sin(theta)
+            v = -(xx - cx) * np.sin(theta) + (yy - cy) * np.cos(theta)
+            inside = (u / a) ** 2 + (v / b) ** 2 <= 1.0
+            level = sd.SCENE_LESION + rng.uniform(-0.03, 0.03)
+            img = np.where(inside, level + 0.02 * rng.standard_normal((h, w)), img)
+            mask |= inside
+        frac = mask.mean()
+        if sd.AREA_FRACTION_RANGE[0] <= frac <= sd.AREA_FRACTION_RANGE[1]:
+            break
+    else:
+        raise RuntimeError(f"scene generator failed to hit area range for seed {seed}")
+    return np.clip(img, 0.0, 1.0)[:, :, None], mask.astype(np.float64)
+
+
+def oracle_shading_field(spec, rng, h, w):
+    """The definition of :func:`synthdata.shading_field`: every mode's cosine
+    over the full grid."""
+    yy, xx = np.mgrid[0:h, 0:w]
+    out = np.ones((h, w))
+    for fu, fv, amp in spec.shading:
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        amp_eff = amp * rng.uniform(0.75, 1.25)
+        out += amp_eff * np.cos(2.0 * np.pi * (fu * yy / h + fv * xx / w) + phase)
+    return out
+
+
+def oracle_apply_domain(img, spec, seed):
+    """The definition of :func:`synthdata.apply_domain`, one expression."""
+    arr = np.asarray(img, dtype=np.float64)
+    h, w = arr.shape[:2]
+    rng = np.random.default_rng(seed)
+    fld = oracle_shading_field(spec, rng, h, w)[:, :, None]
+    noise = spec.noise_sigma * rng.standard_normal(arr.shape) if spec.noise_sigma else 0.0
+    return np.clip(spec.gain * fld * arr + spec.bias + noise, 0.0, 1.0)
+
+
+ALL_DEFAULT_SPECS = (sd.DEFAULT_SOURCE,) + sd.DEFAULT_SEEN + sd.DEFAULT_UNSEEN
+
+
+class TestGeneratorMatchesOracle:
+    """Windowed lesions, cached grids and cached shading tables give the
+    full-grid definitions' bytes, so benchmark files do not change."""
+
+    # 66 is not a power of two, so the shading tables' value counts are uneven
+    @pytest.mark.parametrize("size", [32, 48, 66, 128])
+    def test_base_scene_bytes(self, size, monkeypatch):
+        clipped = []
+        window = sd._lesion_window
+
+        def extent(rows, cols):
+            return rows.stop - rows.start, cols.stop - cols.start
+
+        def recording_window(cy, cx, a, b, h, w):
+            rows, cols = window(cy, cx, a, b, h, w)
+            # the same window moved far from every border is never clipped
+            unclipped = window(cy + 10 * h, cx + 10 * w, a, b, 30 * h, 30 * w)
+            clipped.append(extent(rows, cols) != extent(*unclipped))
+            return rows, cols
+
+        monkeypatch.setattr(sd, "_lesion_window", recording_window)
+        for seed in range(50):
+            img, mask = sd.gen_base_scene(seed, size, size)
+            ref_img, ref_mask = oracle_base_scene(seed, size, size)
+            assert img.tobytes() == ref_img.tobytes(), seed
+            assert mask.tobytes() == ref_mask.tobytes(), seed
+        assert len(clipped) >= 50 and not all(clipped)
+        if size == 32:  # windows reach past the border at the smallest size
+            assert any(clipped)
+
+    def test_window_clipped_at_border(self):
+        """An ellipse whose window leaves the image on two sides."""
+        rows, cols = sd._lesion_window(1.5, 30.5, 4.0, 3.0, 32, 32)
+        assert (rows, cols) == (slice(0, 8), slice(24, 32))
+
+    def test_window_holds_whole_ellipse(self):
+        rng = np.random.default_rng(3)
+        yy, xx = np.mgrid[0:64, 0:64]
+        for _ in range(200):
+            cy, cx = rng.uniform(0, 64, size=2)
+            a, b = rng.uniform(0.5, 12.0, size=2)
+            theta = rng.uniform(0.0, np.pi)
+            u = (xx - cx) * np.cos(theta) + (yy - cy) * np.sin(theta)
+            v = -(xx - cx) * np.sin(theta) + (yy - cy) * np.cos(theta)
+            inside = (u / a) ** 2 + (v / b) ** 2 <= 1.0
+            rows, cols = sd._lesion_window(cy, cx, a, b, 64, 64)
+            assert inside[rows, cols].sum() == inside.sum()
+
+    @pytest.mark.parametrize("size", [32, 48, 66, 128])
+    @pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=lambda s: s.domain_id)
+    def test_apply_domain_bytes(self, size, spec):
+        for seed in range(6):
+            img, _ = sd.gen_base_scene(seed, size, size)
+            out = sd.apply_domain(img, spec, 1000 + seed)
+            assert out.tobytes() == oracle_apply_domain(img, spec, 1000 + seed).tobytes()
+            assert np.array_equal(sd.apply_domain(img[:, :, 0], spec, 1000 + seed),
+                                  out[:, :, 0])
+
+    @pytest.mark.parametrize("size", [32, 48, 66, 128])
+    @pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=lambda s: s.domain_id)
+    def test_shading_field_bytes(self, size, spec):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(10):
+            fld = sd.shading_field(spec, rng, size, size)
+            assert fld.tobytes() == oracle_shading_field(spec, ref_rng, size, size).tobytes()
+        assert rng.random() == ref_rng.random()  # the same draws were taken
+
+    def test_non_square_scene_and_field(self):
+        spec = sd.DEFAULT_SEEN[0]
+        for seed in range(10):
+            img, mask = sd.gen_base_scene(seed, 32, 66)
+            ref_img, ref_mask = oracle_base_scene(seed, 32, 66)
+            assert img.tobytes() == ref_img.tobytes()
+            assert mask.tobytes() == ref_mask.tobytes()
+            assert (sd.apply_domain(img, spec, seed).tobytes()
+                    == oracle_apply_domain(img, spec, seed).tobytes())
+
+    def test_cached_tables_are_read_only(self):
+        sd.gen_base_scene(0, 32, 32)
+        sd.apply_domain(np.full((32, 32, 1), 0.5), sd.DEFAULT_SEEN[0], 0)
+        assert sd._GRIDS and sd._SHADING_TABLES
+        tables = list(sd._GRIDS.values())
+        for vals, inv in sd._SHADING_TABLES.values():
+            tables += [vals, inv]
+        for arr in tables:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+        yy, xx = sd._grid(32, 32)
+        assert not yy.flags.writeable and not xx.flags.writeable
+
+
 class TestBuildBenchmark:
     def test_default_layout(self, small_bench):
         assert len(small_bench.splits["train_seen"]) == 2 * 24

@@ -1,11 +1,13 @@
-"""Calibrate the backbone on one benchmark, train a fixed set of configs
-on it, and print the digests: first a ``backbone digest`` line, then one
-``label digest`` line per trained state.
+"""Build and save one benchmark, calibrate the backbone on it, train a
+fixed set of configs on it, and print the digests: first a ``bench digest``
+line over the saved benchmark files, then a ``backbone digest`` line, then
+one ``label digest`` line per trained state.
 
 A change that only reorganises the arithmetic (fused ops, fewer graph
-nodes, fewer checks, a batched calibration) must leave the backbone and
-every trained state bit-identical; run this script in a checkout before
-and after the change and compare the output line by line:
+nodes, fewer checks, a batched calibration, a windowed scene generator)
+must leave the benchmark files, the backbone and every trained state
+bit-identical; run this script in a checkout before and after the change
+and compare the output line by line:
 
     python3 tools/state_digests.py [--bench-seed 10] [--size 32] [--seed 0]
 
@@ -19,7 +21,9 @@ changes of several points.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +51,18 @@ def state_digest(state: prompting.ApexState) -> str:
     return tensorio.tensor_digest(*(tensors[name] for name in sorted(tensors)))
 
 
+def files_digest(bench: synthdata.Benchmark) -> str:
+    """sha256 over the relative paths and bytes of ``save_benchmark``'s files."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        synthdata.save_benchmark(bench, tmp)
+        for path in sorted(Path(tmp).rglob("*")):
+            if path.is_file():
+                h.update(path.relative_to(tmp).as_posix().encode())
+                h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--bench-seed", type=int, default=10)
@@ -56,6 +72,7 @@ def main() -> int:
 
     bench = synthdata.build_benchmark(synthdata.BenchmarkConfig(image_size=args.size),
                                       args.bench_seed)
+    print(f"bench {files_digest(bench)}", flush=True)
     backbone = synthdata.backbone_calibrate(bench.splits["source_cal"])
     print(f"backbone {backbone.digest()}", flush=True)
     for label, config in configs():
