@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import harness, prompting, synthdata, tensorio
-from .errors import ApexError, ConfigError
+from .errors import ApexError, ConfigError, CorruptInputError
 
 
 def _load_configs(path: str | None):
@@ -59,8 +59,13 @@ def _staged_output(out: Path):
 
 
 def _load_bench(bench_dir: str) -> synthdata.Benchmark:
-    kv = cfgmod.load_file(Path(bench_dir) / "config.txt")
-    seed = int(kv.get("bench_seed", "0"))
+    path = Path(bench_dir) / "config.txt"
+    kv = cfgmod.load_file(path)
+    try:
+        seed = int(kv.get("bench_seed", "0"))
+    except ValueError:
+        raise CorruptInputError(f"{path}: bad bench_seed {kv['bench_seed']!r}: "
+                                "expected an integer") from None
     return synthdata.load_benchmark(bench_dir, cfgmod.bench_config(kv), seed)
 
 
@@ -155,10 +160,16 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_slots(args) -> int:
+    try:
+        j_list = tuple(int(v) for v in args.j_list.split(","))
+    except ValueError:
+        j_list = ()
+    if not j_list or min(j_list) < 1:
+        raise ConfigError(f"bad --j-list {args.j_list!r}: expected comma-separated "
+                          "slot counts, each >= 1")
     train_cfg, _ = _load_configs(args.config)
     bench = _load_bench(args.bench)
     backbone = _backbone_for(bench)
-    j_list = tuple(int(v) for v in args.j_list.split(","))
     lines = harness.slot_sweep(train_cfg, bench, backbone, j_list)
     out = Path(args.out)
     _write(out / "slot_sweep.csv", lines)

@@ -108,16 +108,11 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
             scale = config.feature_grad_clip / gnorm
             grads = [g * scale if id(p) in feat_ids else g
                      for p, g in zip(mlp_params, grads)]
-        new_vals = nm.sgd_step([p.value for p in mlp_params], grads,
-                               config.mlp_learning_rate)
-        for p, v in zip(mlp_params, new_vals):
-            p.value = v
-
+        nm.sgd_step(mlp_params, grads, config.mlp_learning_rate)
         if cfg.use_memory:
-            mem_grad = prompting.memory_gradient(nodes.addressing.value,
+            mem_grad = prompting.memory_gradient(nodes.addressing.array,
                                                  nodes.prompt_feature.grad)
-            state.memory.value = prompting.update_memory(
-                state.memory.value, mem_grad, cfg.learning_rate)
+            prompting.update_memory(state.memory, mem_grad, cfg.learning_rate)
 
         return LossReport(seg=seg.item(), dice_part=dice_mean.item(), ce_part=ce_mean.item(),
                           lfc=lfc.item() if lfc is not None else 0.0)
@@ -129,7 +124,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
             for _step in range(steps_per_epoch):
                 try:
                     log.append(one_step())
-                except NonFiniteError as exc:
+                except (NonFiniteError, TrainingDivergedError) as exc:
                     raise TrainingDivergedError(
                         f"training diverged at step {len(log)} (seed {seed}): {exc}") from None
                 state.step += 1

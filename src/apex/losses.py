@@ -45,7 +45,7 @@ def dice_loss(pred, gt, batched: bool = False) -> Node:
     axis = None
     if batched:
         rows = (p.shape[0], -1)
-        p, g, axis = nm.reshape(p, rows), nm.as_node(g.array.reshape(rows)), 1
+        p, g, axis = nm.reshape(p, rows), nm.reshape(g, rows), 1
     inter = nm.reduce_sum(nm.mul(p, g), axis=axis)
     total = nm.add(nm.reduce_sum(p, axis=axis), nm.reduce_sum(g, axis=axis))
     loss = nm.sub(1.0, nm.div(nm.add(nm.mul(2.0, inter), DICE_SMOOTH),

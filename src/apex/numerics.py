@@ -1,4 +1,4 @@
-"""Dense float64 tensors, a small reverse-mode autodiff engine, MLP stacks
+"""A small reverse-mode autodiff engine over frozen float64 arrays, MLP stacks
 (ReLU after every layer but the last), plain SGD, and the numerical
 verification helpers used throughout the test suite.
 
@@ -20,10 +20,12 @@ they are the gradient-checked reference and build the other composites.
 A Python number used as an operand of :func:`add`, :func:`sub`, :func:`mul`
 or :func:`div` enters the arithmetic as a float, not as a constant node.
 
-Finiteness is checked once where a value is made: every :class:`Tensor`
-(so every node's value) with ``numpy.isfinite`` at construction, a
-Python-number operand with ``math.isfinite``, and in :func:`sgd_step` only
-the updated parameter, which a non-finite gradient always makes non-finite.
+:class:`Node` is the one value type; :func:`sgd_step` updates parameters in
+place through :meth:`Node.set`. Finiteness is checked once where a value is
+made: every array a node takes, with ``numpy.isfinite`` (the two arrays that
+:class:`Node` exempts hold values checked before), a Python-number operand
+with ``math.isfinite``, and in :func:`sgd_step` only the updated parameter,
+which a non-finite gradient always makes non-finite.
 """
 
 from __future__ import annotations
@@ -45,67 +47,6 @@ from .errors import (
 NORM_EPS = 1e-12
 
 
-class Tensor:
-    """Immutable dense array of 64-bit floats, row-major.
-
-    All values are checked finite at construction; the backing array is
-    frozen so tensors can be shared read-only across threads.
-    """
-
-    __slots__ = ("_array",)
-
-    def __init__(self, values):
-        arr = np.array(values, dtype=np.float64)
-        self._install(arr)
-
-    def _install(self, arr: np.ndarray) -> None:
-        arr = np.asarray(arr, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("tensor values must all be finite")
-        if arr.ndim and not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)  # 0-d arrays are already contiguous
-        arr.flags.writeable = False
-        self._array = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Takes ownership of a freshly computed array (no defensive copy).
-        t = object.__new__(cls)
-        t._install(arr)
-        return t
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._array
-
-    @property
-    def shape(self) -> tuple:
-        return self._array.shape
-
-    @property
-    def size(self) -> int:
-        return self._array.size
-
-    @property
-    def data(self) -> np.ndarray:
-        """Row-major flat view of the values."""
-        return self._array.reshape(-1)
-
-    def item(self) -> float:
-        if self._array.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self._array.reshape(()))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-
-def as_tensor(values) -> Tensor:
-    if isinstance(values, Tensor):
-        return values
-    return Tensor(values)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -120,41 +61,65 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Node:
-    """A value in the computation graph.
+    """A value in the computation graph: a frozen, row-major float64
+    ``array``, and ``grad``, the gradient :func:`backward` accumulates.
 
-    ``value`` is a :class:`Tensor`; ``grad`` is a same-shaped float64 array,
-    accumulated additively by :func:`backward`. Its buffer is allocated when
-    the first gradient arrives (see :meth:`accumulate`), so nodes that no
-    gradient reaches, such as constants and everything built in evaluation,
-    never hold one; until then ``grad`` reads as zeros.
+    A node owns its array: ops and :meth:`set` take it without a copy, check
+    it finite, make it row-major and freeze it. :func:`as_node` and
+    :func:`parameter` copy an outside value first, so the caller's array
+    stays theirs. A view of a parent's array (:func:`reshape`) and the array
+    of a ``value`` given as a node (:func:`stop_gradient`) hold checked
+    values and are not checked again.
+
+    The gradient buffer is allocated when the first gradient arrives (see
+    :meth:`accumulate`), so nodes that no gradient reaches, such as
+    constants and everything built in evaluation, never hold one; until
+    then ``grad`` reads as zeros.
     """
 
-    __slots__ = ("value", "_grad", "requires_grad", "op", "_parents", "_backward", "_needs_grad")
+    __slots__ = ("_array", "_grad", "op", "_parents", "_backward", "_needs_grad")
 
     def __init__(self, value, requires_grad: bool = False, parents: Sequence["Node"] = (),
                  backward: Callable[[np.ndarray], None] | None = None, op: str = "leaf"):
-        self.value = as_tensor(value)
         self._grad = None
-        self.requires_grad = requires_grad
         self.op = op
         self._parents = tuple(parents)
         self._backward = backward
         self._needs_grad = requires_grad or any(p._needs_grad for p in self._parents)
+        if isinstance(value, Node):
+            self._array = value._array  # checked and frozen already
+            return
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.flags.c_contiguous and any(arr.base is p._array for p in self._parents):
+            self._array = arr  # a view of a frozen, checked array is read-only
+        else:
+            self.set(arr)
 
-    @property
-    def shape(self) -> tuple:
-        return self.value.shape
+    def set(self, value) -> None:
+        """Make ``value``, taken without a copy, the node's array: checked
+        finite, made row-major and frozen. Parameter updates use this."""
+        arr = np.asarray(value, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("tensor values must all be finite")
+        if arr.ndim and not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)  # 0-d arrays are already contiguous
+        arr.flags.writeable = False
+        self._array = arr
 
     @property
     def array(self) -> np.ndarray:
-        return self.value.array
+        return self._array
+
+    @property
+    def shape(self) -> tuple:
+        return self._array.shape
 
     @property
     def grad(self) -> np.ndarray:
         """Accumulated gradient. The array may be shared with other nodes of
         the graph: read it, never modify it in place."""
         if self._grad is None:
-            return np.zeros(self.value.shape, dtype=np.float64)
+            return np.zeros(self._array.shape, dtype=np.float64)
         return self._grad
 
     def accumulate(self, g: np.ndarray) -> None:
@@ -173,10 +138,12 @@ class Node:
         self._grad = None
 
     def item(self) -> float:
-        return self.value.item()
+        if self._array.size != 1:
+            raise ShapeError(f"item() on a node of shape {self.shape}")
+        return float(self._array.reshape(()))
 
     def __repr__(self) -> str:
-        return f"Node(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Node(op={self.op!r}, shape={self.shape})"
 
     # operator sugar
     def __add__(self, other):
@@ -211,12 +178,12 @@ class Node:
 def as_node(x) -> Node:
     if isinstance(x, Node):
         return x
-    return Node(as_tensor(x), requires_grad=False, op="const")
+    return Node(np.array(x, dtype=np.float64), op="const")
 
 
 def parameter(values, op: str = "param") -> Node:
     """Leaf node that accumulates gradients."""
-    return Node(as_tensor(values), requires_grad=True, op=op)
+    return Node(np.array(values, dtype=np.float64), requires_grad=True, op=op)
 
 
 def backward(loss: Node) -> None:
@@ -224,7 +191,7 @@ def backward(loss: Node) -> None:
 
     ``loss`` must be scalar. Honors stop-gradient barriers.
     """
-    if loss.value.size != 1:
+    if loss.array.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
 
     topo: list[Node] = []
@@ -243,7 +210,7 @@ def backward(loss: Node) -> None:
             if id(p) not in seen and p._needs_grad:
                 stack.append((p, False))
 
-    loss.accumulate(np.ones(loss.value.shape, dtype=np.float64))
+    loss.accumulate(np.ones(loss.array.shape, dtype=np.float64))
     for node in reversed(topo):
         # a node no gradient reached contributes nothing to its parents
         if node._backward is not None and node._needs_grad and node._grad is not None:
@@ -257,8 +224,7 @@ def zero_grads(nodes: Iterable[Node]) -> None:
 
 def stop_gradient(a: Node) -> Node:
     """Value of ``a`` with the gradient path severed."""
-    a = as_node(a)
-    return Node(a.value, op="stop_gradient")
+    return Node(as_node(a), op="stop_gradient")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +260,7 @@ def _binary(op_name: str, a, b, fwd, bwd_a, bwd_b) -> Node:
             b.accumulate(_unbroadcast(bwd_b(g, xa, xb), b.shape))
 
     parents = tuple(x for x in (a, b) if isinstance(x, Node))
-    return Node(Tensor._wrap(out), parents=parents, backward=back, op=op_name)
+    return Node(out, parents=parents, backward=back, op=op_name)
 
 
 def add(a, b) -> Node:
@@ -322,7 +288,7 @@ def _unary(op_name: str, a, fwd, bwd) -> Node:
         if a._needs_grad:
             a.accumulate(bwd(g, a.array, out))
 
-    return Node(Tensor._wrap(out), parents=(a,), backward=back, op=op_name)
+    return Node(out, parents=(a,), backward=back, op=op_name)
 
 
 def neg(a) -> Node:
@@ -395,7 +361,7 @@ def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Node:
             g = np.expand_dims(g, axis=axis)
         a.accumulate(np.broadcast_to(g, a.shape))
 
-    return Node(Tensor._wrap(out), parents=(a,), backward=back, op="sum")
+    return Node(out, parents=(a,), backward=back, op="sum")
 
 
 def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Node:
@@ -420,7 +386,7 @@ def reduce_max(a, axis: int | None = None, keepdims: bool = False) -> Node:
             ox = out if keepdims else np.expand_dims(out, axis=axis)
             a.accumulate(gx * (a.array == ox))
 
-    return Node(Tensor._wrap(out), parents=(a,), backward=back, op="max")
+    return Node(out, parents=(a,), backward=back, op="max")
 
 
 def reshape(a, shape) -> Node:
@@ -431,7 +397,7 @@ def reshape(a, shape) -> Node:
         if a._needs_grad:
             a.accumulate(g.reshape(a.shape))
 
-    return Node(Tensor._wrap(out), parents=(a,), backward=back, op="reshape")
+    return Node(out, parents=(a,), backward=back, op="reshape")
 
 
 def transpose(a) -> Node:
@@ -444,7 +410,7 @@ def transpose(a) -> Node:
         if a._needs_grad:
             a.accumulate(g.T)
 
-    return Node(Tensor._wrap(out), parents=(a,), backward=back, op="transpose")
+    return Node(out, parents=(a,), backward=back, op="transpose")
 
 
 def getitem(a, index) -> Node:
@@ -457,7 +423,7 @@ def getitem(a, index) -> Node:
             np.add.at(buf, index, g)
             a.accumulate(buf)
 
-    return Node(Tensor._wrap(out), parents=(a,), backward=back, op="getitem")
+    return Node(out, parents=(a,), backward=back, op="getitem")
 
 
 def matmul(a, b) -> Node:
@@ -474,14 +440,7 @@ def matmul(a, b) -> Node:
         if b._needs_grad:
             b.accumulate(a.array.T @ g)
 
-    return Node(Tensor._wrap(out), parents=(a, b), backward=back, op="matmul")
-
-
-def custom_op(name: str, value: np.ndarray, parents: Sequence[Node],
-              backward_fn: Callable[[np.ndarray], None]) -> Node:
-    """Register an externally computed op with a hand-written backward rule."""
-    return Node(Tensor._wrap(np.asarray(value, dtype=np.float64)), parents=tuple(parents),
-                backward=backward_fn, op=name)
+    return Node(out, parents=(a, b), backward=back, op="matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +522,7 @@ def cosine_rows(a, b) -> Node:
         if b._needs_grad:
             _normalized_rows_backward(b, b_root, b_norm, np.asarray((ahat.T @ g).T, order="C"))
 
-    return Node(Tensor._wrap(np.clip(sims, -1.0, 1.0)), parents=(a, b), backward=back,
-                op="cosine_rows")
+    return Node(np.clip(sims, -1.0, 1.0), parents=(a, b), backward=back, op="cosine_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +611,7 @@ def linear(x, w, b, relu: bool = False) -> Node:
             b.accumulate(_unbroadcast(g, b.shape))
 
     out = np.maximum(pre, 0.0) if relu else pre
-    return Node(Tensor._wrap(out), parents=(x, w, b), backward=back, op="linear")
+    return Node(out, parents=(x, w, b), backward=back, op="linear")
 
 
 def mlp_forward(params: MlpParams, x) -> Node:
@@ -671,7 +629,7 @@ def mlp_forward(params: MlpParams, x) -> Node:
 # initialization and the optimizer
 # ---------------------------------------------------------------------------
 
-def orthogonal_rows(j: int, k: int, seed: int, *, allow_blocks: bool = False) -> Tensor:
+def orthogonal_rows(j: int, k: int, seed: int, *, allow_blocks: bool = False) -> np.ndarray:
     """[j,k] matrix with pairwise orthonormal rows (j <= k).
 
     For j > k no such matrix exists; with ``allow_blocks`` the rows are
@@ -692,31 +650,27 @@ def orthogonal_rows(j: int, k: int, seed: int, *, allow_blocks: bool = False) ->
         q = q * np.sign(np.diag(r))  # fix signs so the result is seed-deterministic
         blocks.append(q.T)
         remaining -= size
-    return Tensor._wrap(np.vstack(blocks))
+    return np.vstack(blocks)
 
 
-def sgd_step(params, grads, eta: float):
-    """p <- p - eta * g. Accepts a Tensor or a sequence of Tensors."""
-    single = isinstance(params, Tensor)
-    plist = [params] if single else list(params)
-    glist = [grads] if single else list(grads)
-    if len(plist) != len(glist):
+def sgd_step(params: Sequence[Node], grads: Sequence[np.ndarray], eta: float) -> None:
+    """p <- p - eta * g for each node, in place; a non-finite update raises
+    :class:`TrainingDivergedError` after the nodes before it have moved."""
+    if len(params) != len(grads):
         raise ShapeError("params and grads differ in length")
-    out = []
     # p is finite, so for a finite eta a non-finite g always makes the update
     # non-finite (0 * inf is NaN): the check of each new value covers the
     # gradient, and NumPy's warnings about that arithmetic would only repeat it
     with np.errstate(invalid="ignore", over="ignore"):
-        for p, g in zip(plist, glist):
-            garr = g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
+        for p, g in zip(params, grads):
+            garr = np.asarray(g, dtype=np.float64)
             if p.shape != garr.shape:
                 raise ShapeError(f"param shape {p.shape} != grad shape {garr.shape}")
             try:
-                out.append(Tensor._wrap(p.array - eta * garr))
+                p.set(p.array - eta * garr)
             except NonFiniteError:
                 raise TrainingDivergedError("non-finite gradient or update in sgd_step") \
                     from None
-    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +681,8 @@ def finite_difference(f: Callable[[Sequence[np.ndarray]], float],
                       inputs: Sequence[np.ndarray], step: float = 1e-5) -> list[np.ndarray]:
     """Central finite-difference gradients of scalar ``f`` w.r.t. each input."""
     grads = []
-    work = [np.array(x, dtype=np.float64) for x in inputs]
+    # row-major copies, so that the flat views below write into them
+    work = [np.array(x, dtype=np.float64, order="C") for x in inputs]
     for i, x in enumerate(work):
         g = np.zeros_like(x)
         flat = x.reshape(-1)
@@ -765,7 +720,7 @@ def gradcheck(build: Callable[[Sequence[Node]], Node],
     analytic = [leaf.grad.copy() for leaf in leaves]
 
     def f(arrays: Sequence[np.ndarray]) -> float:
-        nodes = [Node(Tensor(a)) for a in arrays]
+        nodes = [as_node(a) for a in arrays]
         return build(nodes).item()
 
     numeric = finite_difference(f, inputs, step=step)

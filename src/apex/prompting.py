@@ -28,7 +28,7 @@ from . import numerics as nm
 from . import spectral as sp
 from . import tensorio
 from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError
-from .numerics import MlpParams, Node, Tensor
+from .numerics import MlpParams, Node
 
 RAW_PROMPT_LIMIT = 20.0  # |log multiplier| bound; exp stays finite and positive
 
@@ -240,27 +240,23 @@ def apex_forward(state: ApexState, img: np.ndarray) -> tuple[np.ndarray, np.ndar
 # memory update rule
 # ---------------------------------------------------------------------------
 
-def memory_gradient(a, g) -> Tensor:
+def memory_gradient(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """dL/dB = a g^T with the addressing path held constant.
 
     ``a`` is [B, J] and ``g`` = dL/dz' is [B, K]; batches are summed. Slot j
     receives exactly sum_i a_ij * g_i.
     """
-    aa = a.array if isinstance(a, (Node, Tensor)) else np.asarray(a, dtype=np.float64)
-    gg = g.array if isinstance(g, (Node, Tensor)) else np.asarray(g, dtype=np.float64)
+    aa, gg = np.asarray(a, dtype=np.float64), np.asarray(g, dtype=np.float64)
     if aa.ndim != 2 or gg.ndim != 2 or aa.shape[0] != gg.shape[0]:
         raise ShapeError(f"incompatible addressing {aa.shape} and upstream {gg.shape}")
-    return Tensor._wrap(aa.T @ gg)
+    return aa.T @ gg
 
 
-def update_memory(memory: Tensor, grad, eta: float) -> Tensor:
-    """One plain SGD step on the slot matrix. A non-finite gradient raises
-    :class:`TrainingDivergedError` from :func:`numerics.sgd_step`; the
+def update_memory(memory: Node, grad: np.ndarray, eta: float) -> None:
+    """One plain SGD step on the slot matrix, in place, by :func:`numerics.sgd_step`,
+    which raises :class:`TrainingDivergedError` on a non-finite gradient; the
     caller's gradient array is neither copied nor frozen."""
-    garr = grad.array if isinstance(grad, (Node, Tensor)) else np.asarray(grad, dtype=np.float64)
-    if garr.shape != memory.shape:
-        raise ShapeError(f"memory grad shape {garr.shape} != {memory.shape}")
-    return nm.sgd_step(memory, garr, eta)
+    nm.sgd_step([memory], [grad], eta)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +349,6 @@ def load_state(directory) -> ApexState:
         if name == "input_center":
             state.input_center = arr
         else:
-            params[name].value = Tensor(arr)
-            params[name].zero_grad()
+            params[name].set(arr)
     state.step = ints("step", 1, 0)[0]
     return state

@@ -257,7 +257,7 @@ def symmetrize_multiplier(raw: nm.Node, region: LowFreqRegion) -> nm.Node:
         gg[..., pinned] = 0.0
         raw.accumulate(0.5 * (gg + gg[..., perm]))
 
-    return nm.custom_op("symmetrize", out, (raw,), back)
+    return nm.Node(out, parents=(raw,), backward=back, op="symmetrize")
 
 
 def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion,
@@ -298,4 +298,4 @@ def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion
         grad_mult = np.fft.fftshift(grad_mult, axes=(1, 2))
         p_flat.accumulate(grad_mult[:, r0:r0 + l, c0:c0 + l, :].reshape(b, region.flat_size))
 
-    return nm.custom_op("prompted_image", out, (p_flat,), back)
+    return nm.Node(out, parents=(p_flat,), backward=back, op="prompted_image")

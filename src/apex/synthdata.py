@@ -376,12 +376,12 @@ def box_blur(x, radius: int):
         if x._needs_grad:
             x.accumulate(run(g))
 
-    return nm.custom_op("box_blur", result, (x,), back)
+    return Node(result, parents=(x,), backward=back, op="box_blur")
 
 
 def backbone_forward(bb: FrozenBackbone, img) -> Node:
     """Probability map; differentiable w.r.t. the image only."""
-    x = img if isinstance(img, Node) else nm.as_node(np.asarray(img, dtype=np.float64))
+    x = nm.as_node(img)
     blurred = box_blur(x, bb.blur_radius)
     return nm.sigmoid(nm.div(nm.sub(blurred, bb.threshold), bb.slope))
 

@@ -172,20 +172,20 @@ def test_criterion_2_spectral_correctness():
 
 def test_criterion_3_addressing_semantics():
     rng = np.random.default_rng(7)
-    mem = nm.orthogonal_rows(6, 12, seed=0)
+    mem = nm.as_node(nm.orthogonal_rows(6, 12, seed=0))
     for _ in range(100):
         z = rng.standard_normal(12) * 10.0 ** rng.integers(-3, 4)
-        a = pr.address(mem, nm.Tensor(z[None])).array[0]
+        a = pr.address(mem, nm.as_node(z[None])).array[0]
         assert np.all(a >= -1.0) and np.all(a <= 1.0)
-        assert np.array_equal(a, pr.address(mem, nm.Tensor(4.0 * z[None])).array[0])
+        assert np.array_equal(a, pr.address(mem, nm.as_node(4.0 * z[None])).array[0])
 
-    one_hot = pr.address(mem, nm.Tensor(mem.array[2:3].copy())).array[0]
+    one_hot = pr.address(mem, nm.as_node(mem.array[2:3].copy())).array[0]
     expected = np.zeros(6)
     expected[2] = 1.0
     assert np.max(np.abs(one_hot - expected)) < 1e-9
-    assert np.allclose(pr.retrieve(nm.as_node(mem), nm.as_node(expected[None])).array[0],
+    assert np.allclose(pr.retrieve(mem, nm.as_node(expected[None])).array[0],
                        mem.array[2])
-    assert np.array_equal(pr.retrieve(nm.as_node(mem), nm.as_node(np.zeros((1, 6)))).array[0],
+    assert np.array_equal(pr.retrieve(mem, nm.as_node(np.zeros((1, 6)))).array[0],
                           np.zeros(12))
 
     c = nm.cosine_similarity(nm.as_node([1.0, 0.0]),
@@ -209,8 +209,8 @@ def test_criterion_4_memory_gradient_semantics():
         a = pr.address(nm.stop_gradient(mem), nm.as_node(z))
         zprime = pr.retrieve(mem, a)
         nm.backward(nm.reduce_sum(nm.mul(zprime, nm.as_node(w))))
-        explicit = pr.memory_gradient(a.value, zprime.grad)
-        worst = max(worst, float(np.max(np.abs(explicit.array - mem.grad))))
+        explicit = pr.memory_gradient(a.array, zprime.grad)
+        worst = max(worst, float(np.max(np.abs(explicit - mem.grad))))
         assert worst < 1e-10
 
     mem_full = nm.parameter(rng.standard_normal((5, 7)))
@@ -219,7 +219,7 @@ def test_criterion_4_memory_gradient_semantics():
     zp = pr.retrieve(mem_full, a_full)
     nm.backward(nm.reduce_sum(nm.mul(zp, nm.as_node(rng.standard_normal((1, 7))))))
     gap = float(np.max(np.abs(
-        pr.memory_gradient(a_full.value, zp.grad).array - mem_full.grad)))
+        pr.memory_gradient(a_full.array, zp.grad) - mem_full.grad)))
     assert gap > 1e-6
     report(4, f"explicit rule vs barrier autodiff err {worst:.1e}; "
               f"full-graph gap {gap:.2e}")

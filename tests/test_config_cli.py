@@ -212,6 +212,8 @@ BENCH_FAULTS = [
     ("domain_of_other_split", lambda d: _edit_text(d / "manifest.csv", ",A,test_seen,",
                                                    ",C,test_seen,"),
      ("manifest.csv", "'C'")),
+    ("bad_bench_seed", lambda d: _edit_text(d / "config.txt", "bench_seed = 4", "bench_seed = x"),
+     ("config.txt", "bench_seed", "'x'")),
 ]
 
 
@@ -468,6 +470,17 @@ class TestCli:
         text = (outs[0] / "slot_sweep.csv").read_text()
         assert text.startswith("slots,seed,avg_total_dice")
         assert _sha(outs[0] / "slot_sweep.csv") == _sha(outs[1] / "slot_sweep.csv")
+
+    @pytest.mark.parametrize("j_list", ["1,x", "5,0", "", "3,,4", "-2"])
+    def test_sweep_slots_bad_j_list_is_one_line_error(self, workdir, j_list, capsys):
+        # checked before anything loads: the benchmark does not exist
+        out = workdir / "sweep_bad_j_list"
+        capsys.readouterr()
+        assert cli.main(["sweep-slots", "--config", str(workdir / "tiny.cfg"),
+                         "--bench", str(workdir / "no_bench"), "--j-list", j_list,
+                         "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, "--j-list", repr(j_list))
+        assert not out.exists()
 
     def test_viz_mem_and_rerun_identical(self, workdir, bench_dir, run_dir):
         outs = (workdir / "viz", workdir / "viz2")

@@ -88,25 +88,38 @@ class TestTrain:
 
 
 class TestGraphSize:
-    def test_default_step_builds_at_most_72_nodes(self, bench, backbone, monkeypatch):
-        """One default training step (32x32, batch 8) builds a batch-shaped
-        graph: the losses add a fixed number of nodes, not one set per sample
-        or per anchor, each MLP layer and each cosine matrix is one node, and
-        scalar operands add none."""
-        created = [0]
-        node_init = nm.Node.__init__
+    @pytest.fixture
+    def per_step(self, bench, backbone, monkeypatch):
+        """Nodes built and ``numpy.isfinite`` calls made per default training
+        step (32x32, batch 8), set-up excluded."""
+        counts = {"nodes": 0, "finite_checks": 0}
 
-        def counting_init(self, *args, **kwargs):
-            created[0] += 1
-            node_init(self, *args, **kwargs)
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(nm.Node, "__init__", counting_init)
+        monkeypatch.setattr(nm.Node, "__init__", counting("nodes", nm.Node.__init__))
+        monkeypatch.setattr(np, "isfinite", counting("finite_checks", np.isfinite))
         hn.train(hn.TrainConfig(epochs=0, seeds=(0,)), bench, backbone, seed=0)
-        setup = created[0]
-        created[0] = 0
+        setup = dict(counts)
+        counts.update(nodes=0, finite_checks=0)
         _state, log = hn.train(hn.TrainConfig(epochs=1, seeds=(0,)), bench, backbone, seed=0)
         assert log
-        assert (created[0] - setup) / len(log) <= 72
+        return {key: (counts[key] - setup[key]) / len(log) for key in counts}
+
+    def test_default_step_builds_at_most_66_nodes(self, per_step):
+        """A batch-shaped graph: the losses add a fixed number of nodes, not
+        one set per sample or per anchor, each MLP layer and each cosine
+        matrix is one node, and scalar operands add none."""
+        assert per_step["nodes"] <= 66
+
+    def test_default_step_makes_at_most_84_finiteness_checks(self, per_step):
+        """One check per new node array and per updated parameter; a view of
+        a parent's array and a stop-gradient's shared array are not checked
+        again."""
+        assert per_step["finite_checks"] <= 84
 
 
 class TestMetrics:

@@ -1,4 +1,4 @@
-"""Tensor/autodiff engine tests: worked examples, finite-difference oracles,
+"""Node/autodiff engine tests: worked examples, finite-difference oracles,
 and engine-wide gradient sweeps."""
 
 import math
@@ -7,26 +7,55 @@ import numpy as np
 import pytest
 
 from apex import numerics as nm
-from apex.errors import (DegenerateInputError, NumericDomainError, ShapeError,
+from apex.errors import (DegenerateInputError, NonFiniteError, NumericDomainError, ShapeError,
                          TrainingDivergedError)
-from apex.numerics import Tensor
 
 
-def test_tensor_contract():
-    t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert t.shape == (2, 2)
-    assert list(t.data) == [1.0, 2.0, 3.0, 4.0]
-    assert t.data.shape == (4,)
-    with pytest.raises(ValueError):
-        Tensor([1.0, float("nan")])
-    with pytest.raises(ValueError):
-        Tensor([float("inf")])
+class TestNodeContract:
+    def test_array_is_frozen_row_major_float64(self):
+        n = nm.as_node([[1.0, 2.0], [3.0, 4.0]])
+        assert n.shape == (2, 2) and n.array.dtype == np.float64
+        assert n.array.flags.c_contiguous
+        with pytest.raises(ValueError):
+            n.array[0, 0] = 5.0
 
+    def test_as_node_copies_the_callers_array(self):
+        a = np.array([1.0, 2.0])
+        n = nm.as_node(a)
+        assert a.flags.writeable
+        a[0] = 7.0
+        assert list(n.array) == [1.0, 2.0]
 
-def test_tensor_immutable():
-    t = Tensor([1.0, 2.0])
-    with pytest.raises(ValueError):
-        t.array[0] = 5.0
+    def test_nonfinite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteError):
+                nm.as_node([1.0, bad])
+            with pytest.raises(NonFiniteError):
+                nm.parameter([bad])
+            with pytest.raises(NonFiniteError):
+                nm.as_node([1.0]).set(np.array([bad]))
+
+    def test_nonfinite_read_only_outside_array_rejected(self):
+        arr = np.frombuffer(np.array([np.nan]).tobytes())
+        assert not arr.flags.writeable
+        with pytest.raises(NonFiniteError):
+            nm.Node(arr)
+
+    def test_reshape_and_stop_gradient_share_the_checked_array(self):
+        a = nm.parameter(np.arange(6.0))
+        assert nm.reshape(a, (2, 3)).array.base is a.array
+        assert nm.stop_gradient(a).array is a.array
+
+    def test_strided_view_of_a_parent_is_made_row_major(self):
+        a = nm.as_node(np.arange(6.0).reshape(2, 3))
+        t = nm.Node(a.array.T, parents=(a,))
+        assert t.array.flags.c_contiguous and np.array_equal(t.array, a.array.T)
+
+    def test_set_replaces_the_array(self):
+        p = nm.parameter([1.0, 2.0])
+        new = np.array([3.0, 4.0])
+        p.set(new)
+        assert list(p.array) == [3.0, 4.0] and not p.array.flags.writeable
 
 
 class TestMatmul:
@@ -395,66 +424,76 @@ class TestBackward:
 class TestOrthogonalRows:
     def test_one_by_one(self):
         b = nm.orthogonal_rows(1, 1, seed=0)
-        assert abs(abs(b.array[0, 0]) - 1.0) < 1e-12
+        assert abs(abs(b[0, 0]) - 1.0) < 1e-12
 
     def test_two_by_two_rotation(self):
-        b = nm.orthogonal_rows(2, 2, seed=1).array
+        b = nm.orthogonal_rows(2, 2, seed=1)
         assert abs(b[0] @ b[1]) < 1e-10
         assert abs(np.linalg.norm(b[0]) - 1.0) < 1e-10
         assert abs(np.linalg.norm(b[1]) - 1.0) < 1e-10
 
     def test_default_size_gram(self):
-        b = nm.orthogonal_rows(150, 256, seed=42).array
+        b = nm.orthogonal_rows(150, 256, seed=42)
         gram = b @ b.T
         assert np.max(np.abs(gram - np.eye(150))) < 1e-10
 
     def test_j_greater_than_k_needs_flag(self):
         with pytest.raises(ShapeError):
             nm.orthogonal_rows(5, 3, seed=0)
-        b = nm.orthogonal_rows(5, 3, seed=0, allow_blocks=True).array
+        b = nm.orthogonal_rows(5, 3, seed=0, allow_blocks=True)
         assert b.shape == (5, 3)
         assert np.max(np.abs(b[:3] @ b[:3].T - np.eye(3))) < 1e-10
         assert np.max(np.abs(b[3:] @ b[3:].T - np.eye(2))) < 1e-10
 
     def test_seed_determinism(self):
-        a = nm.orthogonal_rows(8, 16, seed=3).array
-        b = nm.orthogonal_rows(8, 16, seed=3).array
+        a = nm.orthogonal_rows(8, 16, seed=3)
+        b = nm.orthogonal_rows(8, 16, seed=3)
         assert np.array_equal(a, b)
 
 
 class TestSgd:
     def test_zero_rate_is_identity(self):
-        p = Tensor([1.0, 2.0])
-        out = nm.sgd_step(p, Tensor([5.0, -5.0]), 0.0)
-        assert np.array_equal(out.array, p.array)
+        p = nm.parameter([1.0, 2.0])
+        nm.sgd_step([p], [np.array([5.0, -5.0])], 0.0)
+        assert list(p.array) == [1.0, 2.0]
 
     def test_basic_arithmetic(self):
-        out = nm.sgd_step(Tensor([1.0]), Tensor([2.0]), 0.5)
-        assert out.array[0] == 0.0
+        p = nm.parameter([1.0])
+        nm.sgd_step([p], [np.array([2.0])], 0.5)
+        assert p.array[0] == 0.0
+
+    def test_updates_every_node_in_place(self):
+        p, q = nm.parameter([1.0]), nm.parameter([[2.0, 4.0]])
+        nodes = [p, q]
+        nm.sgd_step(nodes, [np.array([1.0]), np.array([[1.0, -1.0]])], 1.0)
+        assert nodes[0] is p and nodes[1] is q
+        assert list(p.array) == [0.0] and q.array.tolist() == [[1.0, 5.0]]
+        assert not q.array.flags.writeable
 
     def test_quadratic_decay(self):
-        p = Tensor([1.0])
+        p = nm.parameter([1.0])
         for _ in range(10):
-            p = nm.sgd_step(p, Tensor(p.array.copy()), 0.1)  # gradient of p^2/2 is p
+            nm.sgd_step([p], [p.array.copy()], 0.1)  # gradient of p^2/2 is p
         assert abs(p.array[0] - 0.9 ** 10) < 1e-12
 
     def test_nonfinite_gradient_rejected(self):
-        g = np.array([1.0])
         bad = np.array([np.inf])
         with pytest.raises(TrainingDivergedError):
-            nm.sgd_step([Tensor([1.0])], [bad], 0.1)
+            nm.sgd_step([nm.parameter([1.0])], [bad], 0.1)
 
     def test_nonfinite_gradient_rejected_at_zero_rate(self):
         """Only the updated value is checked; 0 * inf is NaN, so an infinite
         gradient still raises when the step does not move the parameter."""
         with pytest.raises(TrainingDivergedError):
-            nm.sgd_step(Tensor([1.0]), np.array([np.inf]), 0.0)
+            nm.sgd_step([nm.parameter([1.0])], [np.array([np.inf])], 0.0)
         with pytest.raises(TrainingDivergedError):
-            nm.sgd_step(Tensor([1.0]), np.array([np.nan]), 0.1)
+            nm.sgd_step([nm.parameter([1.0])], [np.array([np.nan])], 0.1)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            nm.sgd_step(Tensor([1.0, 2.0]), Tensor([1.0]), 0.1)
+            nm.sgd_step([nm.parameter([1.0, 2.0])], [np.array([1.0])], 0.1)
+        with pytest.raises(ShapeError):
+            nm.sgd_step([nm.parameter([1.0])], [], 0.1)
 
 
 def _random_shape(rng):

@@ -11,7 +11,6 @@ from apex import prompting as pr
 from apex import spectral as sp
 from apex.errors import (ConfigError, CorruptInputError, DegenerateInputError,
                          InputNotFoundError, ShapeError, TrainingDivergedError)
-from apex.numerics import Tensor
 
 SMALL = pr.ApexConfig(feature_dim=16, slot_count=8, encoder_hidden=(10, 10, 10),
                       decoder_hidden=(10, 10, 10), head_hidden=(10,), beta=0.375,
@@ -80,8 +79,8 @@ class TestEncodeDomain:
 
 class TestAddress:
     def test_self_slot_is_one_hot(self):
-        mem = nm.orthogonal_rows(4, 8, seed=0)
-        a = pr.address(mem, Tensor(mem.array[1:2].copy()))
+        mem = nm.as_node(nm.orthogonal_rows(4, 8, seed=0))
+        a = pr.address(mem, nm.as_node(mem.array[1:2].copy()))
         expected = np.zeros(4)
         expected[1] = 1.0
         assert np.max(np.abs(a.array[0] - expected)) < 1e-9
@@ -99,22 +98,22 @@ class TestAddress:
 
     def test_range_and_scale_invariance(self):
         rng = np.random.default_rng(3)
-        mem = nm.orthogonal_rows(6, 12, seed=1)
+        mem = nm.as_node(nm.orthogonal_rows(6, 12, seed=1))
         for _ in range(50):
             z = rng.standard_normal(12) * 10.0 ** rng.integers(-3, 4)
-            a = pr.address(mem, Tensor(z[None])).array[0]
+            a = pr.address(mem, nm.as_node(z[None])).array[0]
             assert np.all(a >= -1.0) and np.all(a <= 1.0)
-            a2 = pr.address(mem, Tensor(2.0 * z[None])).array[0]   # power of two: bit-exact
+            a2 = pr.address(mem, nm.as_node(2.0 * z[None])).array[0]   # power of two: bit-exact
             assert np.array_equal(a, a2)
             c = float(rng.random() + 0.5)
-            a3 = pr.address(mem, Tensor(c * z[None])).array[0]
+            a3 = pr.address(mem, nm.as_node(c * z[None])).array[0]
             assert np.argmax(a3) == np.argmax(a)
             assert np.max(np.abs(a3 - a)) < 1e-12
 
     def test_zero_feature_rejected(self):
-        mem = nm.orthogonal_rows(4, 8, seed=0)
+        mem = nm.as_node(nm.orthogonal_rows(4, 8, seed=0))
         with pytest.raises(DegenerateInputError):
-            pr.address(mem, Tensor(np.zeros((1, 8))))
+            pr.address(mem, nm.as_node(np.zeros((1, 8))))
 
 
 class TestBatchOnly:
@@ -122,14 +121,14 @@ class TestBatchOnly:
     the single-image entry point."""
 
     def test_unbatched_feature_rejected_by_address(self):
-        mem = nm.orthogonal_rows(4, 8, seed=0)
+        mem = nm.as_node(nm.orthogonal_rows(4, 8, seed=0))
         with pytest.raises(ShapeError):
-            pr.address(mem, Tensor(mem.array[1].copy()))
+            pr.address(mem, nm.as_node(mem.array[1].copy()))
 
     def test_unbatched_addressing_rejected_by_retrieve(self):
-        mem = nm.orthogonal_rows(4, 8, seed=0)
+        mem = nm.as_node(nm.orthogonal_rows(4, 8, seed=0))
         with pytest.raises(ShapeError):
-            pr.retrieve(nm.as_node(mem), nm.as_node(np.ones(4)))
+            pr.retrieve(mem, nm.as_node(np.ones(4)))
 
     @pytest.mark.parametrize("a_shape, g_shape", [((4,), (1, 8)), ((1, 4), (8,)),
                                                   ((4,), (8,))])
@@ -144,15 +143,15 @@ class TestBatchOnly:
 
 class TestRetrieve:
     def test_one_hot(self):
-        mem = nm.orthogonal_rows(4, 8, seed=2)
+        mem = nm.as_node(nm.orthogonal_rows(4, 8, seed=2))
         a = np.zeros(4)
         a[2] = 1.0
-        out = pr.retrieve(nm.as_node(mem), nm.as_node(a[None]))
+        out = pr.retrieve(mem, nm.as_node(a[None]))
         assert np.allclose(out.array[0], mem.array[2])
 
     def test_zero_addressing(self):
-        mem = nm.orthogonal_rows(4, 8, seed=2)
-        out = pr.retrieve(nm.as_node(mem), nm.as_node(np.zeros((1, 4))))
+        mem = nm.as_node(nm.orthogonal_rows(4, 8, seed=2))
+        out = pr.retrieve(mem, nm.as_node(np.zeros((1, 4))))
         assert np.array_equal(out.array[0], np.zeros(8))
 
     def test_linear_combination(self):
@@ -174,7 +173,7 @@ class TestRetrieve:
         for _ in range(25):
             mem = rng.standard_normal((5, 7))
             a = rng.uniform(-1.0, 1.0, size=5)
-            z = pr.retrieve(nm.as_node(mem), nm.as_node(a[None])).array[0]
+            z = pr.retrieve(mem, nm.as_node(a[None])).array[0]
             bound = np.sum(np.abs(a) * np.linalg.norm(mem, axis=1))
             assert np.linalg.norm(z) <= bound + 1e-9
 
@@ -183,7 +182,7 @@ class TestDecodePrompt:
     def test_identity_at_zero_init(self):
         state = small_state()
         zprime = np.random.default_rng(7).standard_normal(16)
-        p = pr.decode_prompt(state.decoder, Tensor(zprime[None]), state.region)
+        p = pr.decode_prompt(state.decoder, nm.as_node(zprime[None]), state.region)
         assert np.array_equal(p.array[0], np.ones(state.region.flat_size))
 
     def test_constant_log_two(self):
@@ -191,7 +190,7 @@ class TestDecodePrompt:
         dec = nm.MlpParams(
             layers=[(nm.parameter(np.zeros((9, 16))),
                      nm.parameter(np.full(9, math.log(2.0))))])
-        p = pr.decode_prompt(dec, Tensor(np.zeros((1, 16))), state.region)
+        p = pr.decode_prompt(dec, nm.as_node(np.zeros((1, 16))), state.region)
         # odd-sided region: every entry pairs inside, so the 2 survives everywhere
         assert np.max(np.abs(p.array - 2.0)) < 1e-12
 
@@ -206,7 +205,7 @@ class TestDecodePrompt:
 
         # zero-init decoder has zero gradient; nudge the weights first
         for w, b in state.decoder.layers:
-            w.value = Tensor(np.random.default_rng(9).standard_normal(w.shape) * 0.1)
+            w.set(np.random.default_rng(9).standard_normal(w.shape) * 0.1)
         assert nm.gradcheck(build, [zprime]) < 1e-4
 
     def test_output_size_validated(self):
@@ -214,7 +213,7 @@ class TestDecodePrompt:
         bad = nm.MlpParams(layers=[(nm.parameter(np.zeros((5, 16))),
                                     nm.parameter(np.zeros(5)))])
         with pytest.raises(ShapeError):
-            pr.decode_prompt(bad, Tensor(np.zeros((1, 16))), state.region)
+            pr.decode_prompt(bad, nm.as_node(np.zeros((1, 16))), state.region)
 
 
 class TestProjectAux:
@@ -223,7 +222,7 @@ class TestProjectAux:
         head = nm.MlpParams(
             layers=[(nm.parameter(np.zeros((5, 16))), nm.parameter(np.zeros(5))),
                     (nm.parameter(np.zeros((4, 5))), nm.parameter(bias))])
-        out = pr.project_aux(head, Tensor(np.ones((1, 16))))
+        out = pr.project_aux(head, nm.as_node(np.ones((1, 16))))
         assert np.allclose(out.array[0], bias)
 
     def test_not_on_inference_path(self):
@@ -231,7 +230,7 @@ class TestProjectAux:
         img = np.random.default_rng(10).random((8, 8, 1))
         out1, _, _ = pr.apex_forward(state, img)
         for w, b in state.head.layers:  # wreck the head; inference must not care
-            w.value = Tensor(np.full(w.shape, 99.0))
+            w.set(np.full(w.shape, 99.0))
         out2, _, _ = pr.apex_forward(state, img)
         assert np.array_equal(out1, out2)
 
@@ -244,7 +243,7 @@ class TestProjectAux:
         def build(leaves):
             layers = [(leaves[0], leaves[1]), (leaves[2], leaves[3])]
             head = nm.MlpParams(layers=layers)
-            out = pr.project_aux(head, Tensor(z))
+            out = pr.project_aux(head, nm.as_node(z))
             return nm.reduce_sum(nm.mul(out, out))
 
         assert nm.gradcheck(build, inputs) < 1e-4
@@ -267,8 +266,8 @@ class TestApexForward:
         enc_proto = nm.init_mlp([9, 6, 6, 6, 8], rng)
         dec_proto = nm.init_mlp([8, 6, 6, 6, 9], rng)
         for w, _ in dec_proto.layers:
-            w.value = Tensor(rng.standard_normal(w.shape) * 0.1)
-        mem0 = nm.orthogonal_rows(4, 8, seed=3).array
+            w.set(rng.standard_normal(w.shape) * 0.1)
+        mem0 = nm.orthogonal_rows(4, 8, seed=3)
         spectrum = np.fft.fft2(img[None], axes=(1, 2))
         amps = pr.region_amplitudes(region, spectrum)
         inputs = [p.array for p in enc_proto.parameters()] \
@@ -299,11 +298,11 @@ class TestMemoryGradient:
     def test_one_hot_routes_to_single_slot(self):
         g = np.array([1.0, 2.0, 3.0])
         out = pr.memory_gradient(np.array([[1.0, 0.0]]), g[None])
-        assert np.array_equal(out.array, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(out, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
 
     def test_zero_upstream_is_zero(self):
         out = pr.memory_gradient(np.array([[0.3, 0.7]]), np.zeros((1, 4)))
-        assert np.array_equal(out.array, np.zeros((2, 4)))
+        assert np.array_equal(out, np.zeros((2, 4)))
 
     def test_matches_autodiff_with_barrier(self):
         """Oracle: autodiff where the addressing path is stop-gradiented."""
@@ -316,8 +315,8 @@ class TestMemoryGradient:
             zprime = pr.retrieve(mem, a)  # retrieval stays live
             loss = nm.reduce_sum(nm.mul(zprime, nm.as_node(np.broadcast_to(w, (3, 7)).copy())))
             nm.backward(loss)
-            explicit = pr.memory_gradient(a.value, zprime.grad)
-            assert np.max(np.abs(explicit.array - mem.grad)) < 1e-10
+            explicit = pr.memory_gradient(a.array, zprime.grad)
+            assert np.max(np.abs(explicit - mem.grad)) < 1e-10
 
     def test_differs_from_full_graph_gradient(self):
         rng = np.random.default_rng(16)
@@ -330,8 +329,8 @@ class TestMemoryGradient:
         zp_full = pr.retrieve(mem_full, a_full)
         nm.backward(nm.reduce_sum(nm.mul(zp_full, nm.as_node(w[None].copy()))))
 
-        explicit = pr.memory_gradient(a_full.value, zp_full.grad)
-        assert np.max(np.abs(explicit.array - mem_full.grad)) > 1e-6
+        explicit = pr.memory_gradient(a_full.array, zp_full.grad)
+        assert np.max(np.abs(explicit - mem_full.grad)) > 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -340,26 +339,28 @@ class TestMemoryGradient:
 
 class TestUpdateMemory:
     def test_zero_rate(self):
-        mem = nm.orthogonal_rows(3, 5, seed=4)
-        out = pr.update_memory(mem, np.ones((3, 5)), 0.0)
-        assert np.array_equal(out.array, mem.array)
+        mem = nm.parameter(nm.orthogonal_rows(3, 5, seed=4))
+        before = mem.array
+        pr.update_memory(mem, np.ones((3, 5)), 0.0)
+        assert np.array_equal(mem.array, before)
 
     def test_one_hot_arithmetic(self):
-        mem = nm.orthogonal_rows(3, 5, seed=5)
-        g = pr.memory_gradient(np.array([[1.0, 0.0, 0.0]]), mem.array[0:1].copy())
-        out = pr.update_memory(mem, g, 1.0)
-        assert np.max(np.abs(out.array[0])) < 1e-12
-        assert np.array_equal(out.array[1:], mem.array[1:])
+        mem = nm.parameter(nm.orthogonal_rows(3, 5, seed=5))
+        before = mem.array
+        g = pr.memory_gradient(np.array([[1.0, 0.0, 0.0]]), before[0:1].copy())
+        pr.update_memory(mem, g, 1.0)
+        assert np.max(np.abs(mem.array[0])) < 1e-12
+        assert np.array_equal(mem.array[1:], before[1:])
 
     def test_nonfinite_gradient_raises(self):
-        mem = nm.orthogonal_rows(3, 5, seed=4)
+        mem = nm.parameter(nm.orthogonal_rows(3, 5, seed=4))
         g = np.zeros((3, 5))
         g[1, 2] = np.nan
         with pytest.raises(TrainingDivergedError):
             pr.update_memory(mem, g, 0.05)
 
     def test_gradient_array_left_writeable(self):
-        mem = nm.orthogonal_rows(3, 5, seed=4)
+        mem = nm.parameter(nm.orthogonal_rows(3, 5, seed=4))
         g = np.ones((3, 5))
         pr.update_memory(mem, g, 0.05)
         assert g.flags.writeable
@@ -367,11 +368,11 @@ class TestUpdateMemory:
 
     def test_hundred_random_steps_stay_finite(self):
         rng = np.random.default_rng(17)
-        mem = nm.orthogonal_rows(6, 10, seed=6)
+        mem = nm.parameter(nm.orthogonal_rows(6, 10, seed=6))
         for _ in range(100):
             a = rng.uniform(-1.0, 1.0, size=(4, 6))
             g = rng.standard_normal((4, 10))
-            mem = pr.update_memory(mem, pr.memory_gradient(a, g), 0.05)
+            pr.update_memory(mem, pr.memory_gradient(a, g), 0.05)
         assert np.all(np.isfinite(mem.array))
 
 
@@ -382,13 +383,13 @@ class TestAttentionRuleInvariant:
         state = small_state()
         rng = np.random.default_rng(18)
         for w, _b in state.decoder.layers:
-            w.value = Tensor(rng.standard_normal(w.shape) * 0.05)
+            w.set(rng.standard_normal(w.shape) * 0.05)
         imgs = rng.random((2, 8, 8, 1))
         nodes = pr.forward_batch(state, imgs)
         loss = nm.reduce_sum(nm.mul(nodes.output, nodes.output))
         nm.zero_grads(state.all_parameters())
         nm.backward(loss)
-        explicit = pr.memory_gradient(nodes.addressing.value, nodes.prompt_feature.grad)
+        explicit = pr.memory_gradient(nodes.addressing.array, nodes.prompt_feature.grad)
 
         # oracle: same forward with the memory live in retrieval only
         spectrum = np.fft.fft2(imgs, axes=(1, 2))
@@ -400,7 +401,7 @@ class TestAttentionRuleInvariant:
         out = sp.prompted_image_node(imgs, p, state.region, spectrum)
         nm.zero_grads(state.all_parameters())
         nm.backward(nm.reduce_sum(nm.mul(out, out)))
-        assert np.max(np.abs(explicit.array - state.memory.grad)) < 1e-10
+        assert np.max(np.abs(explicit - state.memory.grad)) < 1e-10
 
 
 class TestForwardBatch:
