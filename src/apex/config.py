@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import ConfigError, InputNotFoundError
+from .errors import ConfigError, InputNotFoundError, read_text
 from .harness import TrainConfig
 from .prompting import ApexConfig
 from .synthdata import BenchmarkConfig, DomainSpec
@@ -41,7 +41,7 @@ def load_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise InputNotFoundError(f"config file {path} does not exist")
-    return parse_kv(path.read_text(encoding="utf-8"))
+    return parse_kv(read_text(path, "utf-8", ConfigError))
 
 
 def _to_bool(val: str) -> bool:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a text reader raising them."""
 
 
 class ApexError(Exception):
@@ -40,3 +40,12 @@ class InputNotFoundError(ApexError, FileNotFoundError):
 class CorruptInputError(ApexError, ValueError):
     """An input file exists but is malformed: a bad or cut-short tensor file,
     or a checkpoint manifest that lacks a key."""
+
+
+def read_text(path, encoding: str, error: type) -> str:
+    """The text of ``path``; bytes that do not decode raise ``error`` naming the file."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not {encoding} text ({exc.reason} at byte {exc.start})") from None

@@ -27,7 +27,7 @@ import numpy as np
 from . import numerics as nm
 from . import spectral as sp
 from . import tensorio
-from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError
+from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError, read_text
 from .numerics import MlpParams, Node
 
 RAW_PROMPT_LIMIT = 20.0  # |log multiplier| bound; exp stays finite and positive
@@ -311,7 +311,7 @@ def load_state(directory) -> ApexState:
     if not manifest.is_file():
         raise InputNotFoundError(f"no checkpoint in {d}: {manifest.name} does not exist")
     # below its "[apex-checkpoint]" header line, the manifest is a config file
-    meta = cfgmod.parse_kv(manifest.read_text(encoding="ascii").partition("\n")[2])
+    meta = cfgmod.parse_kv(read_text(manifest, "ascii", CorruptInputError).partition("\n")[2])
 
     def need(key: str) -> str:
         if key not in meta:

@@ -15,6 +15,8 @@ only, never to its parameters.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import tensorio
-from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError
+from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError, read_text
 from .numerics import Node
 
 SCENE_BACKGROUND = 0.3
@@ -281,10 +283,8 @@ def save_benchmark(bench: Benchmark, directory) -> None:
     for split, samples in bench.splits.items():
         if not samples:
             continue
-        tensorio.write_tensor(d / f"{split}_images.apxt",
-                              np.stack([s.image for s in samples]))
-        tensorio.write_tensor(d / f"{split}_masks.apxt",
-                              np.stack([s.mask for s in samples]))
+        tensorio.write_tensor(d / f"{split}_images.apxt", [s.image for s in samples])
+        tensorio.write_tensor(d / f"{split}_masks.apxt", [s.mask for s in samples])
 
 
 def load_benchmark(directory, config: BenchmarkConfig, seed: int) -> Benchmark:
@@ -301,7 +301,7 @@ def load_benchmark(directory, config: BenchmarkConfig, seed: int) -> Benchmark:
                   "source_test": {config.source.domain_id},
                   "train_seen": seen, "test_seen": seen,
                   "test_unseen": {s.domain_id for s in config.unseen}}
-    rows = manifest.read_text(encoding="ascii").splitlines()[1:]
+    rows = read_text(manifest, "ascii", CorruptInputError).splitlines()[1:]
     meta: dict = {name: [] for name in Benchmark.SPLITS}
     for lineno, row in enumerate(rows, start=2):
         try:
@@ -351,6 +351,16 @@ class FrozenBackbone:
             np.array([self.threshold, self.slope, float(self.blur_radius)]))
 
 
+def _blur(data: np.ndarray, radius: int, axes: tuple) -> np.ndarray:
+    out = data
+    for axis in axes:
+        acc = np.zeros_like(out)
+        for shift in range(-radius, radius + 1):
+            acc += np.roll(out, shift, axis=axis)
+        out = acc / (2 * radius + 1)
+    return out
+
+
 def box_blur(x, radius: int):
     """Circular box blur over the two spatial axes; self-adjoint, so the
     backward rule is the blur itself. Accepts arrays or Nodes shaped
@@ -358,23 +368,13 @@ def box_blur(x, radius: int):
     node = isinstance(x, Node)
     arr = x.array if node else np.asarray(x, dtype=np.float64)
     axes = (0, 1) if arr.ndim == 3 else (1, 2)
-
-    def run(data: np.ndarray) -> np.ndarray:
-        out = data
-        for axis in axes:
-            acc = np.zeros_like(out)
-            for shift in range(-radius, radius + 1):
-                acc += np.roll(out, shift, axis=axis)
-            out = acc / (2 * radius + 1)
-        return out
-
-    result = run(arr)
+    result = _blur(arr, radius, axes)
     if not node:
         return result
 
     def back(g: np.ndarray) -> None:
         if x._needs_grad:
-            x.accumulate(run(g))
+            x.accumulate(_blur(g, radius, axes))
 
     return Node(result, parents=(x,), backward=back, op="box_blur")
 
@@ -387,8 +387,9 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
 
 
 # Samples are scored in row blocks of about this many float64 values, so a
-# block's five arrays stay in a 2 MB L2 cache while every grid point re-reads
-# them; one unblocked batch of 128x128 images is slower than a per-sample loop.
+# block's five arrays stay in L2 while every grid point re-reads them; blocks
+# run on one thread per usable CPU, so this working set is per thread. One
+# unblocked batch of 128x128 images is slower than a per-sample loop.
 CALIBRATION_BLOCK_ELEMENTS = 32768
 CALIBRATION_THRESHOLDS = tuple(np.round(np.linspace(0.2, 0.8, 61), 10).tolist())
 CALIBRATION_SLOPES = (0.05, 0.08, 0.12)
@@ -403,31 +404,46 @@ def calibration_scores(samples, blur_radius: int = 1, thresholds=CALIBRATION_THR
     channel-0 pixels; the mean adds the samples in order, then divides.
     Samples are evaluated a block of rows at a time with in-place ufuncs in
     the per-sample expression's order, and each row sums on its own, so
-    every score is bit-identical to evaluating one sample at a time.
+    every score is bit-identical to evaluating one sample at a time. One
+    thread per usable CPU scores blocks (NumPy's loops release the GIL), each
+    writing only its own samples' Dice; all are joined before the mean.
     """
     if not samples:
         raise ConfigError("cannot calibrate on an empty source set")
     n, pixels = len(samples), samples[0].mask.size
     rows = max(1, CALIBRATION_BLOCK_ELEMENTS // pixels)
+    starts = range(0, n, rows)
+    workers = min(len(starts), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+    # all arrays are allocated here: a worker thread's malloc arena keeps what it frees
+    blurred = np.empty((n, pixels))
+    for lo in starts:
+        images = _blur(np.stack([s.image for s in samples[lo:lo + rows]]), blur_radius, (1, 2))
+        blurred[lo:lo + rows] = images[..., 0].reshape(len(images), pixels)
+    masks = np.stack([smp.mask for smp in samples]).reshape(n, pixels)
+    mask_sums = masks.sum(axis=1)
+    scratch = np.empty((workers, 3, min(rows, n), pixels))
     dice = np.empty((len(thresholds), len(slopes), n))
-    for lo in range(0, n, rows):
-        block = samples[lo:lo + rows]
-        images = box_blur(np.stack([smp.image for smp in block]), blur_radius)
-        blurred = images[..., 0].reshape(len(block), pixels)
-        masks = np.stack([smp.mask for smp in block]).reshape(len(block), pixels)
-        mask_sums = masks.sum(axis=1)
-        d, p, pm = (np.empty_like(blurred) for _ in range(3))
-        for i, t in enumerate(thresholds):
-            # t - x is exactly -(x - t): IEEE rounding is symmetric in sign
-            np.subtract(t, blurred, out=d)
-            for j, s in enumerate(slopes):
-                np.divide(d, s, out=p)
-                np.exp(p, out=p)
-                np.add(p, 1.0, out=p)
-                np.reciprocal(p, out=p)
-                inter = np.multiply(p, masks, out=pm).sum(axis=1)
-                dice[i, j, lo:lo + len(block)] = ((2.0 * inter + 1.0)
-                                                  / (p.sum(axis=1) + mask_sums + 1.0))
+
+    def score_blocks(k: int) -> None:
+        # worker k: blocks k, k + workers, ...; no public (tracer-wrapped) calls
+        for lo in starts[k::workers]:
+            x, m, m_sums = blurred[lo:lo + rows], masks[lo:lo + rows], mask_sums[lo:lo + rows]
+            d, p, pm = scratch[k, :, :len(x)]
+            for i, t in enumerate(thresholds):
+                # t - x is exactly -(x - t): IEEE rounding is symmetric in sign
+                np.subtract(t, x, out=d)
+                for j, s in enumerate(slopes):
+                    np.divide(d, s, out=p)
+                    np.exp(p, out=p)
+                    np.add(p, 1.0, out=p)
+                    np.reciprocal(p, out=p)
+                    inter = np.multiply(p, m, out=pm).sum(axis=1)
+                    dice[i, j, lo:lo + rows] = ((2.0 * inter + 1.0)
+                                                / (p.sum(axis=1) + m_sums + 1.0))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(score_blocks, range(workers)))  # re-raises a worker's exception
     # the mean adds the samples in order; np.sum would reorder the adds
     scores = np.zeros(dice.shape[:2])
     for k in range(n):
@@ -439,11 +455,11 @@ def backbone_calibrate(samples, blur_radius: int = 1, thresholds=CALIBRATION_THR
                        slopes=CALIBRATION_SLOPES) -> FrozenBackbone:
     """Grid-search (t, s) maximizing mean soft Dice on the source samples.
 
-    The search is batched and cache-blocked (:func:`calibration_scores`),
-    and bit-identical to scoring one sample at a time. Deterministic: the
-    grid is fixed and ties keep the first maximum in scan order (thresholds
-    outer, slopes inner). The returned backbone is immutable; hash it with
-    ``digest()``.
+    The search is batched, cache-blocked and spread over every usable CPU
+    (:func:`calibration_scores`), and bit-identical to scoring one sample at
+    a time. Deterministic: the grid is fixed and ties keep the first maximum
+    in scan order (thresholds outer, slopes inner). The returned backbone is
+    immutable; hash it with ``digest()``.
     """
     scores = calibration_scores(samples, blur_radius, thresholds, slopes)
     ti, si = np.unravel_index(int(np.argmax(scores)), scores.shape)

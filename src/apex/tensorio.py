@@ -28,13 +28,18 @@ MAGIC = b"APXT"
 
 
 def write_tensor(path, arr) -> None:
-    # a C-ordered little-endian array is written from its own buffer, uncopied
-    arr = np.asarray(arr, dtype="<f8", order="C")
-    with open(path, "wb") as fh:
+    """Write ``arr``; a list or tuple of equal-shape arrays as their stack, one by one."""
+    # parts under the 64 KiB file buffer are gathered in it, larger ones go out uncopied
+    seq = isinstance(arr, (list, tuple))
+    parts = [np.asarray(a, dtype="<f8", order="C") for a in (arr if seq else [arr])]
+    if seq and (not parts or any(p.shape != parts[0].shape for p in parts)):
+        raise ValueError("write_tensor needs one or more arrays of one shape")
+    shape = (len(parts), *parts[0].shape) if seq else parts[0].shape
+    with open(path, "wb", buffering=1 << 16) as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr)
+        fh.write(struct.pack(f"<I{len(shape)}I", len(shape), *shape))
+        for part in parts:
+            fh.write(part)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -162,6 +162,12 @@ def _edit_text(path: Path, old: str, new: str) -> None:
     path.write_text(text.replace(old, new, 1))
 
 
+def _edit_bytes(path: Path, old: bytes, new: bytes) -> None:
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(raw.replace(old, new, 1))
+
+
 def _nan_into_encoder(ckpt: Path) -> None:
     arr = tensorio.read_tensor(ckpt / "encoder.w0.apxt").copy()
     arr[0, 0] = np.nan
@@ -199,6 +205,9 @@ CKPT_FAULTS = [
     ("softmax_addressing", lambda d: _edit_text(d / "manifest.txt", "tensors = ",
                                                 "softmax_addressing = true\ntensors = "),
      ("manifest.txt", "softmax_addressing")),
+    ("manifest_not_ascii", lambda d: _edit_bytes(d / "manifest.txt", b"region = 32,32,1",
+                                                 b"region = 32,\xb2,1"),
+     ("manifest.txt", "not ascii text")),
 ]
 # (fault id, how to break a copy of a benchmark directory, what the error names)
 BENCH_FAULTS = [
@@ -214,6 +223,12 @@ BENCH_FAULTS = [
      ("manifest.csv", "'C'")),
     ("bad_bench_seed", lambda d: _edit_text(d / "config.txt", "bench_seed = 4", "bench_seed = x"),
      ("config.txt", "bench_seed", "'x'")),
+    ("manifest_not_ascii", lambda d: _edit_bytes(d / "manifest.csv", b",A,test_seen,",
+                                                 b",\xc3\x84,test_seen,"),
+     ("manifest.csv", "not ascii text")),
+    ("config_not_utf8", lambda d: _edit_bytes(d / "config.txt", b"bench_seed = 4",
+                                              b"bench_seed = 4\xff"),
+     ("config.txt", "not utf-8 text")),
 ]
 
 
@@ -378,6 +393,15 @@ class TestCli:
         assert cli.main(["eval", "--source-only", "--bench", str(broken),
                          "--split", "seen"]) == 1
         _assert_one_error_line(capsys, *needles)
+
+    def test_config_not_utf8_is_one_line_error(self, workdir, capsys):
+        config = workdir / "not_utf8.cfg"
+        config.write_bytes(b"image_size = 8\xff\n")
+        capsys.readouterr()
+        assert cli.main(["gen-bench", "--config", str(config), "--seed", "1",
+                         "--out", str(workdir / "bench_not_utf8")]) == 1
+        _assert_one_error_line(capsys, "not_utf8.cfg", "not utf-8 text", "byte 14")
+        assert not (workdir / "bench_not_utf8").exists()
 
     def test_train_divergence_is_one_line_error(self, workdir, bench_dir, capsys):
         config = workdir / "diverging.cfg"

@@ -99,6 +99,30 @@ class TestTensorFormat:
         assert back.dtype == np.float64 and back.flags.c_contiguous
         assert np.array_equal(back, arr)
 
+    @pytest.mark.parametrize("parts", [
+        pytest.param([np.arange(6.0).reshape(2, 3, 1) + k for k in range(4)], id="images"),
+        pytest.param((np.eye(3), np.arange(9.0).reshape(3, 3).T, np.ones((3, 3), ">f8")),
+                     id="mixed_layouts"),
+        pytest.param([np.arange(5) * k for k in range(3)], id="integers"),
+        pytest.param([np.zeros((2, 0))], id="one_empty"),
+    ])
+    def test_sequence_is_written_as_its_stack(self, tmp_path, parts):
+        tensorio.write_tensor(tmp_path / "seq.apxt", parts)
+        tensorio.write_tensor(tmp_path / "stacked.apxt", np.stack(parts))
+        raw = (tmp_path / "seq.apxt").read_bytes()
+        assert raw == (tmp_path / "stacked.apxt").read_bytes()
+        assert np.array_equal(tensorio.read_tensor(tmp_path / "seq.apxt"), np.stack(parts))
+
+    @pytest.mark.parametrize("parts", [
+        pytest.param([], id="empty"),
+        pytest.param([np.ones((2, 2)), np.ones((2, 3))], id="unequal_shapes"),
+        pytest.param([np.ones(4), np.ones((2, 2))], id="unequal_ranks"),
+    ])
+    def test_sequence_of_unequal_or_no_arrays_is_refused(self, tmp_path, parts):
+        with pytest.raises(ValueError):
+            tensorio.write_tensor(tmp_path / "seq.apxt", parts)
+        assert not (tmp_path / "seq.apxt").exists()
+
 
 class TestDigest:
     def test_stable_and_shape_sensitive(self):

@@ -1,9 +1,15 @@
 """Benchmark generator and frozen backbone tests, including the domain-shift
 potency and low-frequency energy audits for the shipped domain table."""
 
+import inspect
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import apex
 from apex import harness, numerics as nm, spectral as sp, synthdata as sd
 from apex.errors import ConfigError, InputNotFoundError, ShapeError
 
@@ -388,3 +394,95 @@ class TestBackbone:
     def test_empty_calibration_rejected(self):
         with pytest.raises(ConfigError):
             sd.backbone_calibrate([])
+
+
+class TestThreadedCalibration:
+    """``calibration_scores`` spreads its row blocks over a thread pool; the
+    scores must not depend on how the blocks interleave."""
+
+    THRESHOLDS, SLOPES = np.array([0.3, 0.47, 0.6]), (0.04, 0.1)
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        # 9 images at 128x128 are 5 blocks of 2 rows, the last one short: more
+        # blocks than workers on any machine with fewer than 5 CPUs
+        rows = sd.CALIBRATION_BLOCK_ELEMENTS // (128 * 128)
+        assert rows == 2
+        out = []
+        for k in range(9):
+            img, mask = sd.gen_base_scene(700 + k, 128, 128)
+            out.append(sd.DomainSample(f"s{k}", "source", img, mask, 700 + k))
+        return out
+
+    def scores(self, samples):
+        return sd.calibration_scores(samples, thresholds=self.THRESHOLDS, slopes=self.SLOPES)
+
+    def test_matches_per_sample_oracle(self, samples):
+        oracle = TestBackbone.per_sample_scores(samples, self.THRESHOLDS, self.SLOPES)
+        assert self.scores(samples).tobytes() == oracle.tobytes()
+
+    def test_repeated_calls_identical(self, samples):
+        first = self.scores(samples).tobytes()
+        for _ in range(3):
+            assert self.scores(samples).tobytes() == first
+
+    def test_identical_under_forced_interleaving(self, samples, monkeypatch):
+        # one worker per block, more than this machine's cores, switching threads
+        # as often as the interpreter allows: a lost or misplaced block write
+        # would change the bytes
+        first = self.scores(samples).tobytes()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [self.scores(samples).tobytes() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [first] * 3
+
+    def test_workers_call_no_public_function(self, samples, monkeypatch):
+        caller, callers, workers = threading.get_ident(), set(), set()
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every public function of every apex module (box_blur among them), as a
+        # tracer would wrap them
+        for mod in (sd, nm, sp, harness, apex.tensorio, apex.prompting, apex.losses):
+            for name, fn in vars(mod).items():
+                if (not name.startswith("_") and inspect.isfunction(fn)
+                        and fn.__module__ == mod.__name__):
+                    monkeypatch.setattr(mod, name, recording(fn))
+
+        def profile(frame, event, arg):  # set in new threads only, not the caller's
+            if event == "call" and frame.f_code.co_filename == sd.__file__:
+                workers.add(threading.get_ident())
+
+        threading.setprofile(profile)
+        try:
+            self.scores(samples)
+        finally:
+            threading.setprofile(None)
+        assert callers <= {caller}
+        assert workers and caller not in workers  # the blocks ran in other threads
+
+    def test_no_thread_outlives_the_call(self, samples):
+        before = threading.active_count()
+        self.scores(samples)
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_caller(self, samples):
+        # a slope that is no number fails in np.divide, inside a worker
+        before = threading.active_count()
+        with pytest.raises(TypeError):
+            sd.calibration_scores(samples, thresholds=self.THRESHOLDS, slopes=(0.04, "steep"))
+        assert threading.active_count() == before
+
+    def test_mismatched_sample_shapes_rejected(self, samples):
+        img, mask = sd.gen_base_scene(799, 64, 64)
+        odd = samples[:5] + [sd.DomainSample("odd", "source", img, mask, 799)] + samples[6:]
+        with pytest.raises(ValueError):
+            self.scores(odd)
