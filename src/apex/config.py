@@ -41,7 +41,8 @@ def load_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise InputNotFoundError(f"config file {path} does not exist")
-    return parse_kv(read_text(path, "utf-8", ConfigError))
+    # a byte-order mark (some editors write one) is no part of the first key
+    return parse_kv(read_text(path, "utf-8", ConfigError).removeprefix("\ufeff"))
 
 
 def _to_bool(val: str) -> bool:

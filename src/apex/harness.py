@@ -62,8 +62,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
     h, w, c = sample0.image.shape
     state = prompting.init_state(replace(config.apex, seed=seed), h, w, c)
     cfg = state.config
-    prompting.fit_input_center(
-        state, np.stack([s.image for s in bench.splits["train_seen"]]))
+    prompting.fit_input_center(state, bench.splits["train_seen"])
 
     by_domain = bench.by_domain("train_seen")
     counts = {dom: len(samples) for dom, samples in by_domain.items()}
@@ -197,17 +196,13 @@ class MetricReport:
         return lines
 
 
-def _predict(state: ApexState | None, backbone: FrozenBackbone,
-             images: np.ndarray, chunk: int = 25) -> np.ndarray:
-    preds = []
-    for lo in range(0, len(images), chunk):
-        part = images[lo:lo + chunk]
-        if state is None:
-            out = part
-        else:
-            out = prompting.forward_batch(state, part).output.array
-        preds.append(synthdata.backbone_forward(backbone, nm.as_node(out)).array)
-    return np.concatenate(preds, axis=0)
+def _predict(state: ApexState | None, backbone: FrozenBackbone, samples) -> np.ndarray:
+    """Backbone probability maps of a few samples, prompted by ``state``
+    unless it is None."""
+    images = np.stack([s.image for s in samples])
+    if state is not None:
+        images = prompting.forward_batch(state, images).output.array
+    return synthdata.backbone_forward(backbone, images).array
 
 
 SPLIT_NAMES = {"seen": "test_seen", "unseen": "test_unseen", "source": "source_test"}
@@ -231,12 +226,12 @@ def evaluate(state: ApexState | None, backbone: FrozenBackbone, bench: Benchmark
     group_of.update({d.domain_id: "unseen" for d in bench.config.unseen})
     group_of[bench.config.source.domain_id] = "source"
 
-    images = np.stack([s.image for s in samples])
-    preds = _predict(state, backbone, images)
     scores: dict = {}
-    for s, pred in zip(samples, preds):
-        dice, iou = dice_iou(pred[:, :, 0] > 0.5, s.mask)
-        scores.setdefault(s.domain_id, []).append((dice, iou))
+    for lo in range(0, len(samples), prompting.CHUNK):
+        chunk = samples[lo:lo + prompting.CHUNK]
+        for s, pred in zip(chunk, _predict(state, backbone, chunk)):
+            dice, iou = dice_iou(pred[:, :, 0] > 0.5, s.mask)
+            scores.setdefault(s.domain_id, []).append((dice, iou))
     per_domain = {}
     for dom, pairs in scores.items():
         arr = np.asarray(pairs)
@@ -326,14 +321,12 @@ def slot_sweep(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
 
 def top_slot_sets(state: ApexState, samples, fraction: float = 0.10):
     """Per sample: addressing vector and the top-fraction activated slots."""
-    images = np.stack([s.image for s in samples])
     rows = []
     k = max(1, int(np.floor(state.config.slot_count * fraction + 0.5)))
-    for lo in range(0, len(images), 25):
-        part = images[lo:lo + 25]
-        addr = prompting.forward_batch(state, part).addressing.array
-        for i, s in enumerate(samples[lo:lo + 25]):
-            a = addr[i]
+    for lo in range(0, len(samples), prompting.CHUNK):
+        chunk = samples[lo:lo + prompting.CHUNK]
+        addr = prompting.forward_batch(state, np.stack([s.image for s in chunk])).addressing.array
+        for s, a in zip(chunk, addr):
             top = np.argsort(-a, kind="stable")[:k]
             rows.append((s, a, frozenset(int(t) for t in top)))
     return rows

@@ -31,6 +31,7 @@ from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeErr
 from .numerics import MlpParams, Node
 
 RAW_PROMPT_LIMIT = 20.0  # |log multiplier| bound; exp stays finite and positive
+CHUNK = 25  # images per spectral transform when fitting the centre or evaluating
 
 
 @dataclass(frozen=True)
@@ -138,17 +139,21 @@ def encode_batch(encoder: MlpParams, region_values: np.ndarray, center=None) -> 
 
 
 def region_amplitudes(region: sp.LowFreqRegion, spectrum: np.ndarray) -> np.ndarray:
-    """Masked amplitude stack [batch, l, l, c] from the unshifted spectra
-    ``np.fft.fft2(images, axes=(1, 2))`` of a [batch, h, w, c] stack."""
-    spec = np.fft.fftshift(spectrum, axes=(1, 2))
-    return np.abs(spec)[:, region.row0:region.row0 + region.side,
-                        region.col0:region.col0 + region.side, :]
+    """Row-major amplitude stack [batch, l, l, c] of the low-frequency square,
+    gathered from the unshifted spectra ``np.fft.fft2(images, axes=(1, 2))``
+    of a [batch, h, w, c] stack."""
+    return np.abs(region._gather(spectrum))
 
 
-def fit_input_center(state: ApexState, images: np.ndarray) -> None:
-    """Set the encoder's centering constant to the mean training profile."""
-    spectrum = np.fft.fft2(images, axes=(1, 2))
-    feats = lowfreq_features(region_amplitudes(state.region, spectrum))
+def fit_input_center(state: ApexState, samples) -> None:
+    """Set the encoder's centering constant to the mean training profile of
+    ``samples`` (each with an ``image``), transforming ``CHUNK`` images at a
+    time so no spectrum of the whole set is ever held."""
+    feats = np.empty((len(samples), state.region.flat_size))
+    for lo in range(0, len(samples), CHUNK):
+        images = np.stack([s.image for s in samples[lo:lo + CHUNK]])
+        spectrum = np.fft.fft2(images, axes=(1, 2))
+        feats[lo:lo + len(images)] = lowfreq_features(region_amplitudes(state.region, spectrum))
     state.input_center = feats.mean(axis=0)
 
 

@@ -16,6 +16,11 @@ their negation partners outside the square. Multiplier entries there are
 pinned to 1 so the spectrum outside the region is never touched and the
 product spectrum stays Hermitian; all other entries pair up inside the
 square and are free.
+
+The differentiable path (:func:`prompted_image_node`) takes the unshifted
+spectra of ``np.fft.fft2`` and touches only the square, gathered at the
+region's unshifted rows and columns; the NumPy reference path above builds
+the full multiplier field and is the test oracle.
 """
 
 from __future__ import annotations
@@ -140,6 +145,21 @@ class LowFreqRegion:
         m = np.zeros((self.height, self.width), dtype=bool)
         m[self.row0:self.row0 + self.side, self.col0:self.col0 + self.side] = True
         return m
+
+    @cached_property
+    def _unshifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the square in the unshifted layout of ``np.fft.fft2``:
+        centered index r on an axis of length n is unshifted index (r - n//2) % n."""
+        rows = (self.row0 + np.arange(self.side) - self.height // 2) % self.height
+        cols = (self.col0 + np.arange(self.side) - self.width // 2) % self.width
+        return rows, cols
+
+    def _gather(self, spectra: np.ndarray) -> np.ndarray:
+        """The square of an unshifted [batch, h, w, c] stack as a row-major
+        [batch, l, l, c] array. ``take`` keeps row-major order, where a fancy
+        index would not, so sums over the result keep their order."""
+        rows, cols = self._unshifted
+        return spectra.take(rows, axis=1).take(cols, axis=2)
 
     @cached_property
     def _pairing(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +289,9 @@ def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion
     already computed for the encoder input. ``p_flat`` [batch, flat_size]
     holds symmetric multipliers, flat per image. Gradients flow to the
     multipliers only. Linear in the multiplier, so the backward rule is the
-    exact adjoint: d L / d M = Re(FFT(x) * IFFT(G)) gathered on the region.
+    exact adjoint: d L / d M = Re(FFT(x) * IFFT(G)) on the region. Both
+    directions work on the region's square alone, gathered from the unshifted
+    layout; values are the same as scaling by the full multiplier field.
     """
     arr = np.asarray(imgs, dtype=np.float64)
     if arr.ndim != 4:
@@ -285,17 +307,17 @@ def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion
     if np.any(p <= 0.0):
         raise ValueError("prompt multiplier must be strictly positive")
 
-    l, r0, c0 = region.side, region.row0, region.col0
-    mult = np.ones((b, h, w, c))
-    mult[:, r0:r0 + l, c0:c0 + l, :] = p.reshape(b, l, l, c)
-    mult_unshifted = np.fft.ifftshift(mult, axes=(1, 2))
-    out = np.real(np.fft.ifft2(mult_unshifted * spectrum, axes=(1, 2)))
+    # only the square is scaled: the rest of the spectrum passes through as it is
+    square = region._gather(spectrum)
+    rows, cols = region._unshifted
+    prompted = spectrum.copy()
+    prompted[:, rows[:, None], cols, :] = p.reshape(square.shape) * square
+    out = np.real(np.fft.ifft2(prompted, axes=(1, 2)))
 
     def back(g: np.ndarray) -> None:
         if not p_flat._needs_grad:
             return
-        grad_mult = np.real(spectrum * np.fft.ifft2(g, axes=(1, 2)))
-        grad_mult = np.fft.fftshift(grad_mult, axes=(1, 2))
-        p_flat.accumulate(grad_mult[:, r0:r0 + l, c0:c0 + l, :].reshape(b, region.flat_size))
+        grad = np.real(square * region._gather(np.fft.ifft2(g, axes=(1, 2))))
+        p_flat.accumulate(grad.reshape(b, region.flat_size))
 
     return nm.Node(out, parents=(p_flat,), backward=back, op="prompted_image")

@@ -9,7 +9,8 @@ prompting can repair.
 
 The backbone is an analytic intensity segmenter, sigmoid((blur(x) - t) / s),
 calibrated once on source data and then frozen; gradients flow to its input
-only, never to its parameters.
+only, never to its parameters. In training it is one fused graph node
+(:func:`backbone_forward`).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numerics as nm
 from . import tensorio
-from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError, read_text
+from .errors import (ConfigError, CorruptInputError, InputNotFoundError, NonFiniteError,
+                     ShapeError, read_text)
 from .numerics import Node
 
 SCENE_BACKGROUND = 0.3
@@ -380,10 +381,38 @@ def box_blur(x, radius: int):
 
 
 def backbone_forward(bb: FrozenBackbone, img) -> Node:
-    """Probability map; differentiable w.r.t. the image only."""
-    x = nm.as_node(img)
-    blurred = box_blur(x, bb.blur_radius)
-    return nm.sigmoid(nm.div(nm.sub(blurred, bb.threshold), bb.slope))
+    """Probability map sigmoid((blur(x) - t) / s) of an [h, w, c] or
+    [batch, h, w, c] image, array or node; differentiable w.r.t. the image
+    only.
+
+    One fused node with the values and input gradient of the chain
+    ``box_blur -> sub -> div -> sigmoid``: z = (blur(x) - t) / s, then the
+    stable sigmoid 1 / (1 + e) for z >= 0 and e / (1 + e) below, with
+    e = exp(-|z|); the backward is blur(g * y * (1 - y) / s), as blur is
+    self-adjoint. A non-finite z raises :class:`NonFiniteError`, as the
+    chain's ``div`` node did.
+    """
+    node = isinstance(img, Node)
+    x = img.array if node else np.asarray(img, dtype=np.float64)
+    axes = (0, 1) if x.ndim == 3 else (1, 2)
+    z = _blur(x, bb.blur_radius, axes)
+    z -= bb.threshold
+    z /= bb.slope
+    if not np.isfinite(z).all():
+        raise NonFiniteError("tensor values must all be finite")
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    # where(z >= 0, 1.0 / d, e / d) in one division: the same correctly rounded quotients
+    y = np.where(z >= 0, 1.0, e)
+    y /= d
+
+    def back(g: np.ndarray) -> None:
+        img.accumulate(_blur(g * y * (1.0 - y) / bb.slope, bb.blur_radius, axes))
+
+    # an array input has no parent: the backward never runs
+    return Node(y, parents=(img,) if node else (), backward=back, op="backbone")
 
 
 # Samples are scored in row blocks of about this many float64 values, so a

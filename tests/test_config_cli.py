@@ -72,6 +72,16 @@ class TestParse:
         with pytest.raises(ConfigError):
             cfgmod.build_configs({"use_memory": "yes"})
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # what some editors write at the start of a UTF-8 file
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(TINY_CONFIG.lstrip().encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + TINY_CONFIG.lstrip().encode())
+        kv = cfgmod.load_file(marked)
+        assert kv == cfgmod.load_file(plain)
+        assert "image_size" in kv
+        assert cfgmod.build_configs(kv) == cfgmod.build_configs(cfgmod.load_file(plain))
+
     def test_echo_round_trips(self):
         kv = cfgmod.parse_kv(TINY_CONFIG)
         train, bench = cfgmod.build_configs(kv)

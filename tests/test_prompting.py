@@ -2,6 +2,7 @@
 explicit memory-gradient rule against autodiff oracles, and checkpoints."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,6 +293,36 @@ class TestApexForward:
         img = np.random.default_rng(14).random((8, 8, 1))
         nodes = pr.forward_batch(state, img[None])
         assert nodes.prompt_feature is nodes.features
+
+
+def shifted_region_amplitudes(region, spectrum):
+    """The full-spectrum formulation ``region_amplitudes`` replaced: shift
+    and take the modulus of the whole spectrum, then slice the square."""
+    spec = np.fft.fftshift(spectrum, axes=(1, 2))
+    return np.abs(spec)[:, region.row0:region.row0 + region.side,
+                        region.col0:region.col0 + region.side, :]
+
+
+class TestRegionAmplitudes:
+    @pytest.mark.parametrize("shape,beta", [((8, 32, 32, 1), 0.25), ((3, 128, 128, 1), 0.25),
+                                            ((2, 12, 20, 3), 0.3), ((4, 8, 8, 1), 0.375)])
+    def test_matches_shifted_slice(self, shape, beta):
+        imgs = np.random.default_rng(shape[1]).random(shape)
+        region = sp.LowFreqRegion.plan(*shape[1:], beta)
+        spectrum = np.fft.fft2(imgs, axes=(1, 2))
+        amps = pr.region_amplitudes(region, spectrum)
+        ref = shifted_region_amplitudes(region, spectrum)
+        assert amps.flags.c_contiguous
+        assert amps.shape == ref.shape and amps.tobytes() == ref.tobytes()
+
+    def test_chunked_input_center_matches_whole_set(self):
+        # 60 images are chunks of 25, 25 and 10
+        imgs = np.random.default_rng(8).random((60, 16, 16, 1))
+        state = pr.init_state(SMALL, 16, 16, 1)
+        pr.fit_input_center(state, [SimpleNamespace(image=img) for img in imgs])
+        spectrum = np.fft.fft2(imgs, axes=(1, 2))
+        feats = pr.lowfreq_features(shifted_region_amplitudes(state.region, spectrum))
+        assert state.input_center.tobytes() == feats.mean(axis=0).tobytes()
 
 
 class TestMemoryGradient:

@@ -236,6 +236,59 @@ class TestPromptedImage:
             sp.prompted_image_node(imgs[0], p, reg, spectrum[0])
 
 
+def full_field_prompted(imgs, p, region, spectrum, upstream):
+    """The full-spectrum formulation the region-only node replaced: a field
+    of ones with the multipliers in the square, ifftshifted, times the whole
+    spectrum; the gradient is fftshifted over the whole spectrum and then
+    sliced. Returns (output, multiplier gradient)."""
+    b, h, w, c = imgs.shape
+    l, r0, c0 = region.side, region.row0, region.col0
+    mult = np.ones((b, h, w, c))
+    mult[:, r0:r0 + l, c0:c0 + l, :] = p.reshape(b, l, l, c)
+    mult_unshifted = np.fft.ifftshift(mult, axes=(1, 2))
+    out = np.real(np.fft.ifft2(mult_unshifted * spectrum, axes=(1, 2)))
+    grad_mult = np.real(spectrum * np.fft.ifft2(upstream, axes=(1, 2)))
+    grad_mult = np.fft.fftshift(grad_mult, axes=(1, 2))
+    return out, grad_mult[:, r0:r0 + l, c0:c0 + l, :].reshape(b, region.flat_size)
+
+
+class TestRegionOnlyNode:
+    """``prompted_image_node`` touches only the square; output and gradient
+    are bytes-equal to the full-field formulation."""
+
+    @pytest.mark.parametrize("shape,beta", [((8, 32, 32, 1), 0.25), ((3, 128, 128, 1), 0.25),
+                                            ((2, 12, 20, 3), 0.3), ((4, 8, 8, 1), 0.375),
+                                            ((2, 6, 6, 1), 1.0)])
+    def test_matches_full_field(self, shape, beta):
+        rng = np.random.default_rng(shape[1] + shape[2])
+        imgs = rng.random(shape)
+        b, h, w, c = shape
+        region = sp.LowFreqRegion.plan(h, w, c, beta)
+        spectrum = np.fft.fft2(imgs, axes=(1, 2))
+        p0 = np.exp(0.3 * rng.standard_normal((b, region.flat_size)))
+        upstream = rng.standard_normal(shape)
+        p = nm.parameter(p0)
+        out = sp.prompted_image_node(imgs, p, region, spectrum)
+        nm.backward(nm.reduce_sum(nm.mul(out, upstream)))
+        ref_out, ref_grad = full_field_prompted(imgs, p0, region, spectrum, upstream)
+        assert out.array.tobytes() == ref_out.tobytes()
+        assert p.grad.tobytes() == ref_grad.tobytes()
+
+    def test_spectrum_left_untouched(self):
+        imgs = np.random.default_rng(5).random((2, 8, 8, 1))
+        region = sp.LowFreqRegion.plan(8, 8, 1, 0.25)
+        spectrum = np.fft.fft2(imgs, axes=(1, 2))
+        before = spectrum.tobytes()
+        sp.prompted_image_node(imgs, nm.as_node(np.full((2, region.flat_size), 2.0)),
+                               region, spectrum)
+        assert spectrum.tobytes() == before
+
+    def test_unshifted_indices(self):
+        region = sp.LowFreqRegion.plan(8, 10, 1, 0.5)  # side 4, rows 3..6, cols 4..7
+        rows, cols = region._unshifted
+        assert rows.tolist() == [7, 0, 1, 2] and cols.tolist() == [9, 0, 1, 2]
+
+
 class TestInvariants:
     def test_parseval(self):
         rng = np.random.default_rng(13)

@@ -11,7 +11,7 @@ import pytest
 
 import apex
 from apex import harness, numerics as nm, spectral as sp, synthdata as sd
-from apex.errors import ConfigError, InputNotFoundError, ShapeError
+from apex.errors import ConfigError, InputNotFoundError, NonFiniteError, ShapeError
 
 SMALL_BENCH = sd.BenchmarkConfig(train_per_domain=24, test_per_domain=12,
                                  source_train=24, source_test=12)
@@ -394,6 +394,66 @@ class TestBackbone:
     def test_empty_calibration_rejected(self):
         with pytest.raises(ConfigError):
             sd.backbone_calibrate([])
+
+
+def chain_backbone(bb, img):
+    """The backbone as four graph nodes, ``box_blur -> sub -> div ->
+    sigmoid``, as it was built before the fusion: the reference the fused
+    node must match byte for byte."""
+    blurred = sd.box_blur(nm.as_node(img), bb.blur_radius)
+    return nm.sigmoid(nm.div(nm.sub(blurred, bb.threshold), bb.slope))
+
+
+class TestFusedBackbone:
+    """``backbone_forward`` is one node; values and the input gradient are
+    bytes-equal to the chain it replaced."""
+
+    BB = sd.FrozenBackbone(threshold=0.5, slope=0.08, blur_radius=1)
+
+    @staticmethod
+    def images(shape, seed):
+        # uniform pixels put z on both sides of 0; a constant 0.5 patch blurs
+        # to exactly 0.5 inside, so z is exactly 0 there
+        x = np.random.default_rng(seed).random(shape)
+        x[:, 2:7, 3:9, :] = 0.5
+        return x
+
+    @pytest.mark.parametrize("shape", [(8, 32, 32, 1), (3, 128, 128, 1)])
+    def test_values_and_gradient_match_chain(self, shape):
+        img = self.images(shape, seed=shape[1])
+        z = (sd.box_blur(img, 1) - self.BB.threshold) / self.BB.slope
+        assert (z > 0).any() and (z < 0).any() and (z == 0).sum() >= shape[0] * 12
+        upstream = np.random.default_rng(7).standard_normal(shape)
+        results = []
+        for build in (sd.backbone_forward, chain_backbone):
+            x = nm.parameter(img)
+            pred = build(self.BB, x)
+            nm.backward(nm.reduce_sum(nm.mul(pred, upstream)))
+            results.append((pred.array.tobytes(), x.grad.tobytes()))
+        assert results[0][0] == results[1][0]
+        assert results[0][1] == results[1][1]
+
+    def test_single_image_and_array_input(self):
+        img = self.images((1, 32, 32, 1), seed=3)[0]
+        ref = chain_backbone(self.BB, img).array
+        assert sd.backbone_forward(self.BB, img).array.tobytes() == ref.tobytes()
+        assert sd.backbone_forward(self.BB, nm.as_node(img)).array.tobytes() == ref.tobytes()
+
+    def test_one_node(self):
+        x = nm.parameter(self.images((2, 32, 32, 1), seed=4))
+        pred = sd.backbone_forward(self.BB, x)
+        assert pred._parents == (x,)
+
+    @pytest.mark.parametrize("value", [1.5e307, np.inf, np.nan])
+    def test_non_finite_z_raises_like_chain(self, value):
+        # a 3x3 patch of 1.5e307 blurs to 1.5e307 at its centre, finite, but
+        # (blur - t) / s overflows there
+        img = np.full((1, 8, 8, 1), 0.5)
+        img[0, 2:5, 2:5, 0] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            for build in (chain_backbone, sd.backbone_forward):
+                with pytest.raises(NonFiniteError):
+                    build(self.BB, nm.parameter(img) if np.isfinite(value) else img)
 
 
 class TestThreadedCalibration:
