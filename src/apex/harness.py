@@ -2,9 +2,10 @@
 ablation grid, slot sweep, and activation export.
 
 The backbone is frozen throughout: its parameter digest is checked before
-and after every run. The MLPs train by plain SGD with the feature path's
-gradient norm clipped, and the memory by the explicit attention-weighted
-rule.
+and after every run. Every parameter trains by plain SGD on its autodiff
+gradient: the MLPs with the feature path's gradient norm clipped, and the
+memory unclipped at its own rate, by the attention-weighted rule that
+``prompting.forward_batch``'s graph gives it.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
     total = sum(counts.values())
     steps_per_epoch = max(1, total // plan.batch_size)
     rng = np.random.default_rng([seed, 0x5EED])
-    mlp_params = state.mlp_parameters()
-    feat_ids = {id(p) for p in state.encoder.parameters() + state.head.parameters()}
+    params = state.parameters()
+    memory = params.pop("memory")
+    mlp_params = list(params.values())
+    clipped = [not name.startswith("decoder.") for name in params]  # encoder and head
     log: list[LossReport] = []
 
     def one_step() -> LossReport:
@@ -94,24 +97,20 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
             lfc = None
             total_loss = seg
 
-        nm.zero_grads(state.all_parameters())
+        nm.zero_grads([memory, *mlp_params])
         nm.backward(total_loss)
 
         # clip the feature path (encoder + head) so their weight norms
         # cannot run away; cosine gradients scale as 1/norm, so runaway
         # norms freeze the feature directions the addressing relies on
         grads = [p.grad for p in mlp_params]
-        gnorm = math.sqrt(sum(float((p.grad ** 2).sum())
-                              for p in mlp_params if id(p) in feat_ids))
+        gnorm = math.sqrt(sum(float((g ** 2).sum()) for g, c in zip(grads, clipped) if c))
         if gnorm > config.feature_grad_clip:
             scale = config.feature_grad_clip / gnorm
-            grads = [g * scale if id(p) in feat_ids else g
-                     for p, g in zip(mlp_params, grads)]
+            grads = [g * scale if c else g for g, c in zip(grads, clipped)]
         nm.sgd_step(mlp_params, grads, config.mlp_learning_rate)
         if cfg.use_memory:
-            mem_grad = prompting.memory_gradient(nodes.addressing.array,
-                                                 nodes.prompt_feature.grad)
-            prompting.update_memory(state.memory, mem_grad, cfg.learning_rate)
+            nm.sgd_step([memory], [memory.grad], cfg.learning_rate)
 
         return LossReport(seg=seg.item(), dice_part=dice_mean.item(), ce_part=ce_mean.item(),
                           lfc=lfc.item() if lfc is not None else 0.0)
@@ -196,15 +195,6 @@ class MetricReport:
         return lines
 
 
-def _predict(state: ApexState | None, backbone: FrozenBackbone, samples) -> np.ndarray:
-    """Backbone probability maps of a few samples, prompted by ``state``
-    unless it is None."""
-    images = np.stack([s.image for s in samples])
-    if state is not None:
-        images = prompting.forward_batch(state, images).output.array
-    return synthdata.backbone_forward(backbone, images).array
-
-
 SPLIT_NAMES = {"seen": "test_seen", "unseen": "test_unseen", "source": "source_test"}
 
 
@@ -227,9 +217,10 @@ def evaluate(state: ApexState | None, backbone: FrozenBackbone, bench: Benchmark
     group_of[bench.config.source.domain_id] = "source"
 
     scores: dict = {}
-    for lo in range(0, len(samples), prompting.CHUNK):
-        chunk = samples[lo:lo + prompting.CHUNK]
-        for s, pred in zip(chunk, _predict(state, backbone, chunk)):
+    for chunk, images in prompting.image_chunks(samples):
+        if state is not None:
+            images = prompting.forward_batch(state, images).output.array
+        for s, pred in zip(chunk, synthdata.backbone_forward(backbone, images).array):
             dice, iou = dice_iou(pred[:, :, 0] > 0.5, s.mask)
             scores.setdefault(s.domain_id, []).append((dice, iou))
     per_domain = {}
@@ -323,10 +314,8 @@ def top_slot_sets(state: ApexState, samples, fraction: float = 0.10):
     """Per sample: addressing vector and the top-fraction activated slots."""
     rows = []
     k = max(1, int(np.floor(state.config.slot_count * fraction + 0.5)))
-    for lo in range(0, len(samples), prompting.CHUNK):
-        chunk = samples[lo:lo + prompting.CHUNK]
-        addr = prompting.forward_batch(state, np.stack([s.image for s in chunk])).addressing.array
-        for s, a in zip(chunk, addr):
+    for chunk, images in prompting.image_chunks(samples):
+        for s, a in zip(chunk, prompting.forward_batch(state, images).addressing.array):
             top = np.argsort(-a, kind="stable")[:k]
             rows.append((s, a, frozenset(int(t) for t in top)))
     return rows

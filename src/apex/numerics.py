@@ -331,11 +331,6 @@ def relu(a) -> Node:
     return _unary("relu", a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0))
 
 
-def softplus(a) -> Node:
-    return _unary("softplus", a, lambda x: np.logaddexp(0.0, x),
-                  lambda g, x, y: g / (1.0 + np.exp(-x)))
-
-
 def clip(a, lo: float, hi: float) -> Node:
     """Clamp values to [lo, hi]; gradient passes only where unclipped."""
     return _unary("clip", a, lambda x: np.clip(x, lo, hi),
@@ -555,13 +550,6 @@ class MlpParams:
     @property
     def out_dim(self) -> int:
         return self.layers[-1][0].shape[0]
-
-    def parameters(self) -> list[Node]:
-        out = []
-        for w, b in self.layers:
-            out.append(w)
-            out.append(b)
-        return out
 
 
 def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,

@@ -5,16 +5,16 @@ The pipeline runs on a batch of images [B, h, w, c]:
     fft2 -> region_amplitudes -> encode_batch -> address -> retrieve
          -> decode_prompt -> apply to amplitudes -> ifft2
 
-Every stage takes [B, ...] arrays; ``apex_forward`` is the one
-single-image entry point.
+Every stage takes [B, ...] arrays; a single image is a batch of one.
 
 The memory is a [J, K] slot matrix queried by cosine similarity (the
 addressing vector) and combined by a plain weighted sum; no normalization
 or softmax is applied across slots.
 
-The memory stays out of the autodiff graph. It is updated by the explicit
-attention-weighted rule dL/dB = sum_batch a g^T with g = dL/dz' and the
-addressing path treated as constant.
+The memory is a parameter like the MLP weights, trained by autodiff with
+the addressing path held constant: addressing reads it through
+``stop_gradient`` and retrieval reads it live, so backpropagation gives
+it the attention-weighted rule dL/dB = sum_batch a g^T with g = dL/dz'.
 """
 
 from __future__ import annotations
@@ -91,11 +91,15 @@ class ApexState:
         if self.input_center is None:
             self.input_center = np.zeros(self.region.flat_size)
 
-    def mlp_parameters(self) -> list[Node]:
-        return self.encoder.parameters() + self.decoder.parameters() + self.head.parameters()
-
-    def all_parameters(self) -> list[Node]:
-        return self.mlp_parameters() + [self.memory]
+    def parameters(self) -> dict[str, Node]:
+        """The trainable nodes by checkpoint tensor name: the memory, then
+        the encoder, decoder and head, weight then bias per layer."""
+        nodes = {"memory": self.memory}
+        for name, mlp in (("encoder", self.encoder), ("decoder", self.decoder),
+                          ("head", self.head)):
+            for i, (w, b) in enumerate(mlp.layers):
+                nodes[f"{name}.w{i}"], nodes[f"{name}.b{i}"] = w, b
+        return nodes
 
 
 def init_state(config: ApexConfig, height: int, width: int, channels: int = 1) -> ApexState:
@@ -145,16 +149,21 @@ def region_amplitudes(region: sp.LowFreqRegion, spectrum: np.ndarray) -> np.ndar
     return np.abs(region._gather(spectrum))
 
 
+def image_chunks(samples):
+    """Consecutive runs of ``CHUNK`` samples (each with an ``image``), each
+    yielded with its images stacked [B, h, w, c], so no array of the whole
+    set is ever held."""
+    for lo in range(0, len(samples), CHUNK):
+        chunk = samples[lo:lo + CHUNK]
+        yield chunk, np.stack([s.image for s in chunk])
+
+
 def fit_input_center(state: ApexState, samples) -> None:
     """Set the encoder's centering constant to the mean training profile of
-    ``samples`` (each with an ``image``), transforming ``CHUNK`` images at a
-    time so no spectrum of the whole set is ever held."""
-    feats = np.empty((len(samples), state.region.flat_size))
-    for lo in range(0, len(samples), CHUNK):
-        images = np.stack([s.image for s in samples[lo:lo + CHUNK]])
-        spectrum = np.fft.fft2(images, axes=(1, 2))
-        feats[lo:lo + len(images)] = lowfreq_features(region_amplitudes(state.region, spectrum))
-    state.input_center = feats.mean(axis=0)
+    ``samples`` (each with an ``image``), transformed a chunk at a time."""
+    feats = [lowfreq_features(region_amplitudes(state.region, np.fft.fft2(images, axes=(1, 2))))
+             for _chunk, images in image_chunks(samples)]
+    state.input_center = np.concatenate(feats).mean(axis=0)
 
 
 def address(memory, z) -> Node:
@@ -217,69 +226,32 @@ class ForwardNodes:
 def forward_batch(state: ApexState, images: np.ndarray) -> ForwardNodes:
     """Full differentiable chain on a [B, h, w, c] image stack.
 
-    The memory is barriered out of the graph entirely: the trainer updates
-    it by the explicit attention-weighted rule (:func:`memory_gradient`).
+    Addressing reads the memory through ``stop_gradient`` and retrieval
+    reads it live, so :func:`numerics.backward` leaves the
+    attention-weighted rule a^T g in ``state.memory.grad``.
     """
     region = state.region
     imgs = np.asarray(images, dtype=np.float64)
+    if imgs.shape[1:] != (region.height, region.width, region.channels):
+        raise ShapeError(f"image stack {list(imgs.shape)} is not [batch, {region.height}, "
+                         f"{region.width}, {region.channels}], the size the state is for")
     spectrum = np.fft.fft2(imgs, axes=(1, 2))  # shared by the encoder input and the prompt
     amps = region_amplitudes(region, spectrum)
     z = encode_batch(state.encoder, amps, center=state.input_center)
-    memory = nm.stop_gradient(state.memory)
-    a = address(memory, z)
-    zprime = retrieve(memory, a) if state.config.use_memory else z
+    a = address(nm.stop_gradient(state.memory), z)
+    zprime = retrieve(state.memory, a) if state.config.use_memory else z
     p = decode_prompt(state.decoder, zprime, region)
     out = sp.prompted_image_node(imgs, p, region, spectrum)
     return ForwardNodes(features=z, addressing=a, prompt_feature=zprime,
                         multiplier=p, output=out)
 
 
-def apex_forward(state: ApexState, img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inference on one image: (prompted image, addressing vector, feature)."""
-    arr = sp.validate_image(img)
-    nodes = forward_batch(state, arr[None])
-    return nodes.output.array[0], nodes.addressing.array[0], nodes.features.array[0]
-
-
-# ---------------------------------------------------------------------------
-# memory update rule
-# ---------------------------------------------------------------------------
-
-def memory_gradient(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """dL/dB = a g^T with the addressing path held constant.
-
-    ``a`` is [B, J] and ``g`` = dL/dz' is [B, K]; batches are summed. Slot j
-    receives exactly sum_i a_ij * g_i.
-    """
-    aa, gg = np.asarray(a, dtype=np.float64), np.asarray(g, dtype=np.float64)
-    if aa.ndim != 2 or gg.ndim != 2 or aa.shape[0] != gg.shape[0]:
-        raise ShapeError(f"incompatible addressing {aa.shape} and upstream {gg.shape}")
-    return aa.T @ gg
-
-
-def update_memory(memory: Node, grad: np.ndarray, eta: float) -> None:
-    """One plain SGD step on the slot matrix, in place, by :func:`numerics.sgd_step`,
-    which raises :class:`TrainingDivergedError` on a non-finite gradient; the
-    caller's gradient array is neither copied nor frozen."""
-    nm.sgd_step([memory], [grad], eta)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _parameter_nodes(state: ApexState) -> dict:
-    """The trainable nodes of ``state`` by checkpoint tensor name."""
-    nodes = {"memory": state.memory}
-    for name, mlp in (("encoder", state.encoder), ("decoder", state.decoder),
-                      ("head", state.head)):
-        for i, (w, b) in enumerate(mlp.layers):
-            nodes[f"{name}.w{i}"], nodes[f"{name}.b{i}"] = w, b
-    return nodes
-
-
 def state_tensors(state: ApexState) -> dict:
-    tensors = {name: node.array for name, node in _parameter_nodes(state).items()}
+    tensors = {name: node.array for name, node in state.parameters().items()}
     tensors["input_center"] = state.input_center
     return tensors
 
@@ -342,7 +314,7 @@ def load_state(directory) -> ApexState:
     missing, extra = sorted(set(expected) - set(names)), sorted(set(names) - set(expected))
     if missing or extra:
         raise CorruptInputError(f"{manifest}: tensors missing {missing}, unexpected {extra}")
-    params = _parameter_nodes(state)
+    params = state.parameters()
     for name in names:
         path = d / f"{name}.apxt"
         arr = tensorio.read_tensor(path)

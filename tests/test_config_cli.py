@@ -212,6 +212,17 @@ CKPT_FAULTS = [
     ("region_zero", lambda d: _edit_text(d / "manifest.txt", "region = 32,32,1",
                                          "region = 32,0,1"),
      ("manifest.txt", "region")),
+    # another image size with the same square loads; its state must refuse
+    # 32x32 images before the square's indices are applied to them
+    ("region_taller", lambda d: _edit_text(d / "manifest.txt", "region = 32,32,1",
+                                           "region = 320,32,1"),
+     ("[batch, 320, 32, 1]", ", 32, 32, 1]")),
+    ("region_wider", lambda d: _edit_text(d / "manifest.txt", "region = 32,32,1",
+                                          "region = 32,320,1"),
+     ("[batch, 32, 320, 1]", ", 32, 32, 1]")),
+    ("region_off_by_two", lambda d: _edit_text(d / "manifest.txt", "region = 32,32,1",
+                                               "region = 34,32,1"),
+     ("[batch, 34, 32, 1]", ", 32, 32, 1]")),
     ("softmax_addressing", lambda d: _edit_text(d / "manifest.txt", "tensors = ",
                                                 "softmax_addressing = true\ntensors = "),
      ("manifest.txt", "softmax_addressing")),

@@ -176,7 +176,7 @@ class TestMlp:
         sizes = [5, 6, 6, 6, 3]
         proto = nm.init_mlp(sizes, rng)
         x = rng.standard_normal((2, 5))
-        inputs = [p.array for p in proto.parameters()]
+        inputs = [p.array for layer in proto.layers for p in layer]
 
         def build(leaves):
             layers = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(len(sizes) - 1)]
@@ -401,7 +401,7 @@ class TestBackward:
         def build(leaves):
             x, y = leaves
             h = nm.sigmoid(nm.matmul(x, y))
-            g = nm.softplus(nm.sub(h, 0.3))
+            g = nm.exp(nm.sub(h, 0.3))
             return nm.reduce_mean(nm.mul(g, g))
 
         assert nm.gradcheck(build, [a, b]) < 1e-4
@@ -510,7 +510,6 @@ OP_CASES = {
     "sqrt": lambda ls: nm.sqrt(ls[0]),
     "sigmoid": lambda ls: nm.sigmoid(ls[0]),
     "relu": lambda ls: nm.relu(ls[0]),
-    "softplus": lambda ls: nm.softplus(ls[0]),
     "sum": lambda ls: nm.reduce_sum(ls[0]),
     "mean": lambda ls: nm.reduce_mean(ls[0]),
     "max": lambda ls: nm.reduce_max(ls[0]),

@@ -1,5 +1,6 @@
 """Encoder/memory/decoder pipeline tests: worked addressing examples, the
-explicit memory-gradient rule against autodiff oracles, and checkpoints."""
+memory's autodiff gradient against the attention-weighted rule and a
+barrier oracle, and checkpoints."""
 
 import math
 from types import SimpleNamespace
@@ -57,17 +58,17 @@ class TestEncodeDomain:
         amp[outside] *= 1.3
         img2 = sp.ifft2(sp.Spectrum(amplitude=amp, phase=spec.phase))
         state = small_state()
-        _, a1, z1 = pr.apex_forward(state, img)
-        _, a2, z2 = pr.apex_forward(state, img2)
-        assert np.allclose(z1, z2, atol=1e-9)
-        assert np.allclose(a1, a2, atol=1e-9)
+        n1 = pr.forward_batch(state, img[None])
+        n2 = pr.forward_batch(state, img2[None])
+        assert np.allclose(n1.features.array, n2.features.array, atol=1e-9)
+        assert np.allclose(n1.addressing.array, n2.addressing.array, atol=1e-9)
 
     def test_gradient_wrt_encoder_weights(self):
         rng = np.random.default_rng(2)
         img = rng.random((8, 8, 1))
         low = sp.extract_low_freq(sp.fft2(img), sp.LowFreqRegion.plan(8, 8, 1, 0.375))[None]
         proto = nm.init_mlp([9, 6, 6, 6, 5], rng)
-        inputs = [p.array for p in proto.parameters()]
+        inputs = [p.array for layer in proto.layers for p in layer]
 
         def build(leaves):
             layers = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)]
@@ -118,8 +119,8 @@ class TestAddress:
 
 
 class TestBatchOnly:
-    """The pipeline stages take [batch, ...] inputs only; ``apex_forward`` is
-    the single-image entry point."""
+    """The pipeline stages take [batch, ...] inputs only; a single image is
+    a batch of one."""
 
     def test_unbatched_feature_rejected_by_address(self):
         mem = nm.as_node(nm.orthogonal_rows(4, 8, seed=0))
@@ -131,11 +132,13 @@ class TestBatchOnly:
         with pytest.raises(ShapeError):
             pr.retrieve(mem, nm.as_node(np.ones(4)))
 
-    @pytest.mark.parametrize("a_shape, g_shape", [((4,), (1, 8)), ((1, 4), (8,)),
-                                                  ((4,), (8,))])
-    def test_unbatched_inputs_rejected_by_memory_gradient(self, a_shape, g_shape):
-        with pytest.raises(ShapeError):
-            pr.memory_gradient(np.ones(a_shape), np.ones(g_shape))
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (1, 10, 8, 1), (1, 8, 8, 3)],
+                             ids=["unbatched", "height", "channels"])
+    def test_image_stack_size_checked_by_forward_batch(self, shape):
+        """The stack must be [batch, h, w, c] at the state's planned size,
+        checked before the region's indices are applied to it."""
+        with pytest.raises(ShapeError, match=r"\[batch, 8, 8, 1\]"):
+            pr.forward_batch(small_state(), np.ones(shape))
 
     def test_unbatched_amplitudes_rejected(self):
         with pytest.raises(ShapeError):
@@ -228,18 +231,18 @@ class TestProjectAux:
 
     def test_not_on_inference_path(self):
         state = small_state()
-        img = np.random.default_rng(10).random((8, 8, 1))
-        out1, _, _ = pr.apex_forward(state, img)
+        imgs = np.random.default_rng(10).random((1, 8, 8, 1))
+        out1 = pr.forward_batch(state, imgs).output.array
         for w, b in state.head.layers:  # wreck the head; inference must not care
             w.set(np.full(w.shape, 99.0))
-        out2, _, _ = pr.apex_forward(state, img)
+        out2 = pr.forward_batch(state, imgs).output.array
         assert np.array_equal(out1, out2)
 
     def test_gradient(self):
         rng = np.random.default_rng(11)
         proto = nm.init_mlp([6, 5, 4], rng)
         z = rng.standard_normal((1, 6))
-        inputs = [p.array for p in proto.parameters()]
+        inputs = [p.array for layer in proto.layers for p in layer]
 
         def build(leaves):
             layers = [(leaves[0], leaves[1]), (leaves[2], leaves[3])]
@@ -254,9 +257,9 @@ class TestApexForward:
     def test_identity_at_init(self):
         state = small_state()
         img = np.random.default_rng(12).random((8, 8, 1))
-        out, a, z = pr.apex_forward(state, img)
-        assert np.max(np.abs(out - img)) < 1e-9
-        assert a.shape == (8,) and z.shape == (16,)
+        nodes = pr.forward_batch(state, img[None])
+        assert np.max(np.abs(nodes.output.array[0] - img)) < 1e-9
+        assert nodes.addressing.shape == (1, 8) and nodes.features.shape == (1, 16)
 
     def test_end_to_end_gradient_full_graph(self):
         """FD check through encoder, memory, and decoder on an 8x8 input."""
@@ -271,8 +274,8 @@ class TestApexForward:
         mem0 = nm.orthogonal_rows(4, 8, seed=3)
         spectrum = np.fft.fft2(img[None], axes=(1, 2))
         amps = pr.region_amplitudes(region, spectrum)
-        inputs = [p.array for p in enc_proto.parameters()] \
-            + [p.array for p in dec_proto.parameters()] + [mem0]
+        inputs = [p.array for layer in enc_proto.layers for p in layer] \
+            + [p.array for layer in dec_proto.layers for p in layer] + [mem0]
 
         def build(leaves):
             enc = nm.MlpParams(layers=[(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)])
@@ -325,18 +328,31 @@ class TestRegionAmplitudes:
         assert state.input_center.tobytes() == feats.mean(axis=0).tobytes()
 
 
+def memory_grad_of(a, upstream, mem):
+    """``mem.grad`` after backpropagating ``sum(retrieve(mem, a) * upstream)``,
+    so the upstream gradient dL/dz' is ``upstream`` itself."""
+    zprime = pr.retrieve(mem, nm.as_node(a))
+    nm.backward(nm.reduce_sum(nm.mul(zprime, nm.as_node(upstream))))
+    return mem.grad
+
+
 class TestMemoryGradient:
+    """Retrieval's matmul gives the memory the attention-weighted rule
+    dL/dB = a^T g: slot j receives sum_i a_ij g_i."""
+
     def test_one_hot_routes_to_single_slot(self):
-        g = np.array([1.0, 2.0, 3.0])
-        out = pr.memory_gradient(np.array([[1.0, 0.0]]), g[None])
-        assert np.array_equal(out, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        mem = nm.parameter(np.ones((2, 3)))
+        grad = memory_grad_of(np.array([[1.0, 0.0]]), np.array([[1.0, 2.0, 3.0]]), mem)
+        assert np.array_equal(grad, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
 
     def test_zero_upstream_is_zero(self):
-        out = pr.memory_gradient(np.array([[0.3, 0.7]]), np.zeros((1, 4)))
-        assert np.array_equal(out, np.zeros((2, 4)))
+        mem = nm.parameter(np.ones((2, 4)))
+        grad = memory_grad_of(np.array([[0.3, 0.7]]), np.zeros((1, 4)), mem)
+        assert np.array_equal(grad, np.zeros((2, 4)))
 
     def test_matches_autodiff_with_barrier(self):
-        """Oracle: autodiff where the addressing path is stop-gradiented."""
+        """The rule a^T g, written out, against autodiff where the addressing
+        path is stop-gradiented."""
         rng = np.random.default_rng(15)
         for _ in range(10):
             mem = nm.parameter(rng.standard_normal((5, 7)))
@@ -346,7 +362,7 @@ class TestMemoryGradient:
             zprime = pr.retrieve(mem, a)  # retrieval stays live
             loss = nm.reduce_sum(nm.mul(zprime, nm.as_node(np.broadcast_to(w, (3, 7)).copy())))
             nm.backward(loss)
-            explicit = pr.memory_gradient(a.array, zprime.grad)
+            explicit = a.array.T @ zprime.grad
             assert np.max(np.abs(explicit - mem.grad)) < 1e-10
 
     def test_differs_from_full_graph_gradient(self):
@@ -360,26 +376,29 @@ class TestMemoryGradient:
         zp_full = pr.retrieve(mem_full, a_full)
         nm.backward(nm.reduce_sum(nm.mul(zp_full, nm.as_node(w[None].copy()))))
 
-        explicit = pr.memory_gradient(a_full.array, zp_full.grad)
+        explicit = a_full.array.T @ zp_full.grad
         assert np.max(np.abs(explicit - mem_full.grad)) > 1e-6
 
     def test_shape_mismatch(self):
+        """Addressing over a different number of slots than the memory holds."""
         with pytest.raises(ShapeError):
-            pr.memory_gradient(np.zeros((2, 3)), np.zeros((3, 4)))
+            pr.retrieve(nm.parameter(np.zeros((2, 4))), nm.as_node(np.zeros((3, 3))))
 
 
 class TestUpdateMemory:
+    """The trainer moves the memory by ``sgd_step`` on its own gradient."""
+
     def test_zero_rate(self):
         mem = nm.parameter(nm.orthogonal_rows(3, 5, seed=4))
         before = mem.array
-        pr.update_memory(mem, np.ones((3, 5)), 0.0)
+        nm.sgd_step([mem], [memory_grad_of(np.ones((1, 3)), np.ones((1, 5)), mem)], 0.0)
         assert np.array_equal(mem.array, before)
 
     def test_one_hot_arithmetic(self):
         mem = nm.parameter(nm.orthogonal_rows(3, 5, seed=5))
         before = mem.array
-        g = pr.memory_gradient(np.array([[1.0, 0.0, 0.0]]), before[0:1].copy())
-        pr.update_memory(mem, g, 1.0)
+        grad = memory_grad_of(np.array([[1.0, 0.0, 0.0]]), before[0:1].copy(), mem)
+        nm.sgd_step([mem], [grad], 1.0)
         assert np.max(np.abs(mem.array[0])) < 1e-12
         assert np.array_equal(mem.array[1:], before[1:])
 
@@ -388,12 +407,12 @@ class TestUpdateMemory:
         g = np.zeros((3, 5))
         g[1, 2] = np.nan
         with pytest.raises(TrainingDivergedError):
-            pr.update_memory(mem, g, 0.05)
+            nm.sgd_step([mem], [g], 0.05)
 
     def test_gradient_array_left_writeable(self):
         mem = nm.parameter(nm.orthogonal_rows(3, 5, seed=4))
         g = np.ones((3, 5))
-        pr.update_memory(mem, g, 0.05)
+        nm.sgd_step([mem], [g], 0.05)
         assert g.flags.writeable
         g[0, 0] = 2.0
 
@@ -403,24 +422,30 @@ class TestUpdateMemory:
         for _ in range(100):
             a = rng.uniform(-1.0, 1.0, size=(4, 6))
             g = rng.standard_normal((4, 10))
-            pr.update_memory(mem, pr.memory_gradient(a, g), 0.05)
+            mem.zero_grad()
+            nm.sgd_step([mem], [memory_grad_of(a, g, mem)], 0.05)
         assert np.all(np.isfinite(mem.array))
 
 
 class TestAttentionRuleInvariant:
+    @staticmethod
+    def trained_graph(state, imgs):
+        """``forward_batch`` and ``backward`` of a loss on its output."""
+        nodes = pr.forward_batch(state, imgs)
+        nm.zero_grads(state.parameters().values())
+        nm.backward(nm.reduce_sum(nm.mul(nodes.output, nodes.output)))
+        return nodes
+
     def test_trainer_graph_matches_explicit_rule(self):
-        """The attention-mode forward pass plus explicit rule equals the barrier
-        oracle built independently."""
+        """The memory gradient of the trainer's forward pass equals the
+        barrier oracle built independently from the stages."""
         state = small_state()
         rng = np.random.default_rng(18)
         for w, _b in state.decoder.layers:
             w.set(rng.standard_normal(w.shape) * 0.05)
         imgs = rng.random((2, 8, 8, 1))
-        nodes = pr.forward_batch(state, imgs)
-        loss = nm.reduce_sum(nm.mul(nodes.output, nodes.output))
-        nm.zero_grads(state.all_parameters())
-        nm.backward(loss)
-        explicit = pr.memory_gradient(nodes.addressing.array, nodes.prompt_feature.grad)
+        trainer = self.trained_graph(state, imgs)
+        trainer_grad = state.memory.grad
 
         # oracle: same forward with the memory live in retrieval only
         spectrum = np.fft.fft2(imgs, axes=(1, 2))
@@ -430,9 +455,25 @@ class TestAttentionRuleInvariant:
         zprime = pr.retrieve(state.memory, a)
         p = pr.decode_prompt(state.decoder, zprime, state.region)
         out = sp.prompted_image_node(imgs, p, state.region, spectrum)
-        nm.zero_grads(state.all_parameters())
+        nm.zero_grads(state.parameters().values())
         nm.backward(nm.reduce_sum(nm.mul(out, out)))
-        assert np.max(np.abs(explicit - state.memory.grad)) < 1e-10
+        assert np.max(np.abs(trainer_grad - state.memory.grad)) < 1e-10
+        assert np.array_equal(trainer.addressing.array, a.array)
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_memory_grad_is_the_rule_byte_for_byte(self, use_memory):
+        """With the memory on, ``backward`` leaves exactly a^T g in
+        ``memory.grad``; with it off, no gradient reaches the memory."""
+        state = small_state(use_memory=use_memory)
+        rng = np.random.default_rng(22)
+        for w, _b in state.decoder.layers:
+            w.set(rng.standard_normal(w.shape) * 0.05)
+        nodes = self.trained_graph(state, rng.random((3, 8, 8, 1)))
+        if use_memory:
+            rule = nodes.addressing.array.T @ nodes.prompt_feature.grad
+            assert state.memory.grad.tobytes() == rule.tobytes()
+        else:
+            assert state.memory._grad is None  # no buffer was ever allocated
 
 
 class TestForwardBatch:
@@ -467,11 +508,22 @@ class TestCheckpoint:
         assert loaded.config == state.config
         assert np.array_equal(loaded.memory.array, state.memory.array)
         assert np.array_equal(loaded.input_center, state.input_center)
-        img = np.random.default_rng(20).random((8, 8, 1))
-        out1, a1, z1 = pr.apex_forward(state, img)
-        out2, a2, z2 = pr.apex_forward(loaded, img)
-        assert np.array_equal(out1, out2)
-        assert np.array_equal(a1, a2)
+        imgs = np.random.default_rng(20).random((1, 8, 8, 1))
+        n1, n2 = pr.forward_batch(state, imgs), pr.forward_batch(loaded, imgs)
+        assert np.array_equal(n1.output.array, n2.output.array)
+        assert np.array_equal(n1.addressing.array, n2.addressing.array)
+
+    def test_parameters_are_the_checkpoint_tensors_in_order(self):
+        """One name list: the memory, then encoder, decoder and head, weight
+        then bias per layer; the checkpoint holds these plus the centre."""
+        state = small_state()
+        names = list(state.parameters())
+        assert names == ["memory"] + [f"{mlp}.{kind}{i}" for mlp in ("encoder", "decoder", "head")
+                                      for i in range(len(getattr(state, mlp).layers))
+                                      for kind in ("w", "b")]
+        assert set(pr.state_tensors(state)) == {*names, "input_center"}
+        nodes = list(state.parameters().values())
+        assert nodes[0] is state.memory and nodes[1] is state.encoder.layers[0][0]
 
     def test_missing_checkpoint_rejected(self, tmp_path):
         with pytest.raises(InputNotFoundError):
