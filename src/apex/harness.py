@@ -85,9 +85,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
 
         nodes = prompting.forward_batch(state, images)
         preds = synthdata.backbone_forward(backbone, nodes.output)
-        dice_mean = losses.dice_loss(preds, masks, batched=True)
-        ce_mean = losses.ce_loss(preds, masks)
-        seg = nm.add(dice_mean, ce_mean)
+        seg, dice_part, ce_part = losses.seg_loss(preds, masks)
 
         if config.lfc_enabled:
             aux = prompting.project_aux(state.head, nodes.features)
@@ -112,7 +110,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
         if cfg.use_memory:
             nm.sgd_step([memory], [memory.grad], cfg.learning_rate)
 
-        return LossReport(seg=seg.item(), dice_part=dice_mean.item(), ce_part=ce_mean.item(),
+        return LossReport(seg=seg.item(), dice_part=dice_part, ce_part=ce_part,
                           lfc=lfc.item() if lfc is not None else 0.0)
 
     # a diverging run shows as the first non-finite value a node or an update

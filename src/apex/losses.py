@@ -1,12 +1,14 @@
 """Segmentation loss (Dice + binary cross-entropy) and the low-frequency
 feature contrastive loss with its batch pair-sampling scheme.
 
-Training evaluates each loss once per batch: Dice per sample, then the
-batch mean (``dice_loss(..., batched=True)``); cross-entropy as one mean
-over the batch; the contrastive loss as one row-wise log-sum-exp over a
-[B, k] matrix that gathers each anchor's k denominator cosines from the
-[B, B] cosine matrix. The per-sample and per-anchor forms (``dice_loss`` on
-one sample, ``lfc_term``) define the losses and serve as test oracles.
+Training evaluates each loss once per batch. The segmentation loss is one
+fused node, ``seg_loss``: the batch mean of the per-sample Dice plus one
+cross-entropy mean over the batch, bit-identical to the primitive chain
+``dice_loss(..., batched=True) + ce_loss``, which stays as its test oracle.
+The contrastive loss is one row-wise log-sum-exp over a [B, k] matrix that
+gathers each anchor's k denominator cosines from the [B, B] cosine matrix.
+The per-sample and per-anchor forms (``dice_loss`` on one sample,
+``lfc_term``) define the losses and serve as test oracles.
 
 The contrastive denominator contains only other-domain embeddings; the
 positive term is excluded, so individual anchor terms (and the loss) can be
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .numerics import Node
 
 DICE_SMOOTH = 1.0
@@ -66,9 +68,67 @@ def ce_loss(pred, gt) -> Node:
     return nm.neg(nm.reduce_mean(nm.add(pos, negt)))
 
 
-def seg_loss(pred, gt) -> Node:
-    """Unweighted Dice + cross-entropy."""
-    return nm.add(dice_loss(pred, gt), ce_loss(pred, gt))
+def seg_loss(pred, masks) -> tuple[Node, float, float]:
+    """Dice + cross-entropy of a [batch, h, w, c] prediction stack against
+    its masks as one node; returns ``(loss, dice_part, ce_part)``.
+
+    The node has the value and prediction gradient of the chain
+    ``add(dice_loss(pred, masks, batched=True), ce_loss(pred, masks))``,
+    bit for bit: the forward runs the chain's NumPy expressions in its
+    order, and the backward each per-element operation of the chain's
+    backward. ``masks`` is not copied; the backward reads it again.
+    """
+    p = nm.as_node(pred)
+    m = np.asarray(masks, dtype=np.float64)
+    if p.shape != m.shape or m.ndim != 4:
+        raise ShapeError(f"prediction shape {p.shape} and mask shape {m.shape} "
+                         "must be the same [batch, h, w, c]")
+    if not np.isfinite(m).all():
+        raise NonFiniteError("tensor values must all be finite")
+    x = p.array
+    batch = x.shape[0]
+    x_rows, m_rows = x.reshape(batch, -1), m.reshape(batch, -1)
+
+    # Dice per sample, then the batch mean
+    num = 2.0 * np.sum(x_rows * m_rows, axis=1) + DICE_SMOOTH
+    den = np.sum(x_rows, axis=1) + np.sum(m_rows, axis=1) + DICE_SMOOTH
+    # an overflowing sum makes den infinite and the quotient a finite 0; any
+    # other non-finite value reaches the loss, which the node checks
+    if not np.isfinite(den).all():
+        raise NonFiniteError("tensor values must all be finite")
+    dice = np.sum(1.0 - num / den) / float(batch)
+
+    # cross-entropy: one mean over every entry
+    pc = np.clip(x, CE_CLAMP, 1.0 - CE_CLAMP)
+    rest = 1.0 - pc
+    unmasked = 1.0 - m
+    terms = np.log(pc)
+    terms *= m
+    neg_terms = np.log(rest)
+    neg_terms *= unmasked
+    terms += neg_terms
+    ce = -(np.sum(terms) / float(x.size))
+
+    def back(g: np.ndarray) -> None:
+        # Dice: the quotient's two branches reach the prediction through the
+        # intersection (times the mask) and through the prediction's sum
+        g_quot = -np.broadcast_to(g / float(batch), (batch,))
+        g_den = -g_quot * num / (den * den)
+        grad = ((g_quot / den) * 2.0)[:, None] * m_rows
+        grad += g_den[:, None]
+        # cross-entropy: both logs' branches meet at the clamp, which passes
+        # the gradient only where the prediction lies inside it
+        g_terms = -g / float(x.size)
+        ce_grad = g_terms * m
+        ce_grad /= pc
+        g_rest = g_terms * unmasked
+        g_rest /= rest
+        ce_grad -= g_rest  # the same sum as adding the subtraction's -g_rest
+        ce_grad *= (x >= CE_CLAMP) & (x <= 1.0 - CE_CLAMP)
+        ce_grad += grad.reshape(x.shape)
+        p.accumulate(ce_grad)
+
+    return Node(dice + ce, parents=(p,), backward=back, op="seg_loss"), float(dice), float(ce)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ steps.
 The hot composites are fused: :func:`linear` (one MLP layer),
 :func:`cosine_rows` (a matrix of row cosines) and, outside this module,
 the frozen backbone (``synthdata.backbone_forward``: blur, shift, scale and
-sigmoid) are one node each, with a hand-written backward that runs the
-NumPy expressions of the primitive chain it replaces and accumulates into
-each input in the chain's order, so values and gradients are bit-identical
-to that chain. The primitives stay: they are the gradient-checked
-reference and build the other composites.
+sigmoid) and the segmentation loss (``losses.seg_loss``: batch Dice plus
+cross-entropy) are one node each, with a hand-written backward that runs
+the NumPy expressions of the primitive chain it replaces and accumulates
+into each input in the chain's order, so values and gradients are
+bit-identical to that chain. The primitives stay: they are the
+gradient-checked reference and build the other composites.
 A Python number used as an operand of :func:`add`, :func:`sub`, :func:`mul`
 or :func:`div` enters the arithmetic as a float, not as a constant node.
 

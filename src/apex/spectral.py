@@ -317,7 +317,11 @@ def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion
     def back(g: np.ndarray) -> None:
         if not p_flat._needs_grad:
             return
-        grad = np.real(square * region._gather(np.fft.ifft2(g, axes=(1, 2))))
+        # ifft2 in its own order, axis 2 then axis 1, transforming along
+        # axis 1 only the square's columns: the same values as gathering
+        # the square from the full inverse transform
+        g_cols = np.fft.ifft(np.fft.ifft(g, axis=2).take(cols, axis=2), axis=1)
+        grad = np.real(square * g_cols.take(rows, axis=1))
         p_flat.accumulate(grad.reshape(b, region.flat_size))
 
     return nm.Node(out, parents=(p_flat,), backward=back, op="prompted_image")

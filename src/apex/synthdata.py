@@ -352,14 +352,30 @@ class FrozenBackbone:
             np.array([self.threshold, self.slope, float(self.blur_radius)]))
 
 
-def _blur(data: np.ndarray, radius: int, axes: tuple) -> np.ndarray:
-    out = data
-    for axis in axes:
-        acc = np.zeros_like(out)
-        for shift in range(-radius, radius + 1):
-            acc += np.roll(out, shift, axis=axis)
-        out = acc / (2 * radius + 1)
-    return out
+def _circular_mean(x: np.ndarray, radius: int) -> np.ndarray:
+    """Mean of the circular shifts -radius..radius of [N, n, m] data along
+    axis 1: the shifts summed in that order into zeros, then divided by
+    2 * radius + 1, the values of summing ``np.roll`` copies. Every shift is
+    one add of a contiguous slice of a circularly padded copy: the entries
+    that wrap across the copy's rows land in its padding, which is dropped.
+    """
+    n, step = x.shape[1], x.shape[2]
+    padded = np.concatenate((x[:, n - radius:], x, x[:, :radius]), axis=1).reshape(-1)
+    end = padded.size - radius * step
+    acc = np.zeros_like(padded)
+    for shift in range(-radius, radius + 1):
+        acc[radius * step:end] += padded[(radius - shift) * step:end - shift * step]
+    return acc.reshape(len(x), n + 2 * radius, step)[:, radius:radius + n] / (2 * radius + 1)
+
+
+def _blur(data: np.ndarray, radius: int) -> np.ndarray:
+    """Circular box blur of [..., h, w, c] data: the circular mean along the
+    rows, then along the columns. ``radius`` is at most the shorter side."""
+    h, w, c = data.shape[-3:]
+    if radius > min(h, w):
+        raise ShapeError(f"blur radius {radius} exceeds the image side {min(h, w)}")
+    rows = _circular_mean(data.reshape(-1, h, w * c), radius)
+    return _circular_mean(rows.reshape(-1, w, c), radius).reshape(data.shape)
 
 
 def box_blur(x, radius: int):
@@ -368,14 +384,13 @@ def box_blur(x, radius: int):
     [h, w, c] or [batch, h, w, c]."""
     node = isinstance(x, Node)
     arr = x.array if node else np.asarray(x, dtype=np.float64)
-    axes = (0, 1) if arr.ndim == 3 else (1, 2)
-    result = _blur(arr, radius, axes)
+    result = _blur(arr, radius)
     if not node:
         return result
 
     def back(g: np.ndarray) -> None:
         if x._needs_grad:
-            x.accumulate(_blur(g, radius, axes))
+            x.accumulate(_blur(g, radius))
 
     return Node(result, parents=(x,), backward=back, op="box_blur")
 
@@ -394,8 +409,7 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
     """
     node = isinstance(img, Node)
     x = img.array if node else np.asarray(img, dtype=np.float64)
-    axes = (0, 1) if x.ndim == 3 else (1, 2)
-    z = _blur(x, bb.blur_radius, axes)
+    z = _blur(x, bb.blur_radius)
     z -= bb.threshold
     z /= bb.slope
     if not np.isfinite(z).all():
@@ -409,7 +423,7 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
     y /= d
 
     def back(g: np.ndarray) -> None:
-        img.accumulate(_blur(g * y * (1.0 - y) / bb.slope, bb.blur_radius, axes))
+        img.accumulate(_blur(g * y * (1.0 - y) / bb.slope, bb.blur_radius))
 
     # an array input has no parent: the backward never runs
     return Node(y, parents=(img,) if node else (), backward=back, op="backbone")
@@ -447,7 +461,7 @@ def calibration_scores(samples, blur_radius: int = 1, thresholds=CALIBRATION_THR
     # all arrays are allocated here: a worker thread's malloc arena keeps what it frees
     blurred = np.empty((n, pixels))
     for lo in starts:
-        images = _blur(np.stack([s.image for s in samples[lo:lo + rows]]), blur_radius, (1, 2))
+        images = _blur(np.stack([s.image for s in samples[lo:lo + rows]]), blur_radius)
         blurred[lo:lo + rows] = images[..., 0].reshape(len(images), pixels)
     masks = np.stack([smp.mask for smp in samples]).reshape(n, pixels)
     mask_sums = masks.sum(axis=1)

@@ -109,17 +109,19 @@ class TestGraphSize:
         assert log
         return {key: (counts[key] - setup[key]) / len(log) for key in counts}
 
-    def test_default_step_builds_at_most_63_nodes(self, per_step):
-        """A batch-shaped graph: the losses add a fixed number of nodes, not
-        one set per sample or per anchor, each MLP layer, each cosine matrix
-        and the backbone is one node, and scalar operands add none."""
-        assert per_step["nodes"] <= 63
+    def test_default_step_builds_at_most_36_nodes(self, per_step):
+        """A batch-shaped graph: the contrastive loss adds a fixed number of
+        nodes, not one set per anchor; each MLP layer, each cosine matrix,
+        the backbone and the segmentation loss is one node, and scalar
+        operands add none."""
+        assert per_step["nodes"] <= 36
 
-    def test_default_step_makes_at_most_82_finiteness_checks(self, per_step):
+    def test_default_step_makes_at_most_59_finiteness_checks(self, per_step):
         """One check per new node array and per updated parameter, plus the
-        backbone's check of its pre-activation; a view of a parent's array
-        and a stop-gradient's shared array are not checked again."""
-        assert per_step["finite_checks"] <= 82
+        backbone's check of its pre-activation and the segmentation loss's
+        checks of the masks and the Dice denominators; a view of a parent's
+        array and a stop-gradient's shared array are not checked again."""
+        assert per_step["finite_checks"] <= 59
 
 
 class TestMetrics:

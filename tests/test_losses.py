@@ -1,5 +1,6 @@
 """Dice/CE and contrastive-loss tests: worked scalar examples against
-brute-force evaluation, monotonicity, invariances, and batch sampling."""
+brute-force evaluation, monotonicity, invariances, batch sampling, and the
+fused segmentation loss against the chain it replaced."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from apex import losses, numerics as nm
-from apex.errors import ConfigError, ShapeError
+from apex.errors import ConfigError, NonFiniteError, ShapeError
 from apex.losses import BatchPlan, LossReport
 
 
@@ -69,32 +70,124 @@ class TestCrossEntropy:
         assert np.isfinite(val)
 
 
+def _one(arr):
+    """A 2-D array as a batch of one [1, h, w, 1] stack."""
+    return np.asarray(arr, dtype=float)[None, :, :, None]
+
+
 class TestSegLoss:
     def test_perfect_prediction_near_zero(self):
         gt = np.zeros((12, 12))
         gt[3:9, 3:9] = 1.0
-        val = losses.seg_loss(nm.as_node(gt), nm.as_node(gt)).item()
+        val = losses.seg_loss(_one(gt), _one(gt))[0].item()
         assert val < 0.02
 
     def test_decomposition_exact(self):
         rng = np.random.default_rng(2)
         pred, gt = rng.random((6, 6)), (rng.random((6, 6)) > 0.6).astype(float)
-        seg = losses.seg_loss(nm.as_node(pred), nm.as_node(gt)).item()
-        d = losses.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
-        c = losses.ce_loss(nm.as_node(pred), nm.as_node(gt)).item()
-        assert seg == d + c
+        seg, dice_part, ce_part = losses.seg_loss(_one(pred), _one(gt))
+        assert seg.item() == dice_part + ce_part
+        assert dice_part == losses.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
+        assert ce_part == losses.ce_loss(nm.as_node(pred), nm.as_node(gt)).item()
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             pred = rng.random((5, 7))
             gt = (rng.random((5, 7)) > 0.5).astype(float)
-            val = losses.seg_loss(nm.as_node(pred), nm.as_node(gt)).item()
+            val = losses.seg_loss(_one(pred), _one(gt))[0].item()
             inter = float((pred * gt).sum())
             dice = 1.0 - (2.0 * inter + 1.0) / (pred.sum() + gt.sum() + 1.0)
             pc = np.clip(pred, 1e-7, 1.0 - 1e-7)
             ce = float(np.mean(-(gt * np.log(pc) + (1.0 - gt) * np.log(1.0 - pc))))
             assert abs(val - (dice + ce)) < 1e-12
+
+
+def chain_seg_loss(pred, masks, upstream=1.0):
+    """The segmentation loss as training built it before the fusion, the
+    primitive chain ``dice_loss(batched=True) + ce_loss``: its value, Dice
+    part, CE part and the prediction gradient for an upstream gradient."""
+    p = nm.parameter(pred)
+    dice = losses.dice_loss(p, masks, batched=True)
+    ce = losses.ce_loss(p, masks)
+    seg = nm.add(dice, ce)
+    nm.backward(nm.mul(seg, upstream))
+    return seg.item(), dice.item(), ce.item(), p.grad
+
+
+def fused_seg_loss(pred, masks, upstream=1.0):
+    p = nm.parameter(pred)
+    seg, dice, ce = losses.seg_loss(p, masks)
+    nm.backward(nm.mul(seg, upstream))
+    return seg.item(), dice, ce, p.grad
+
+
+# exactly at and next to both clamp bounds, and outside them
+EDGE_PREDICTIONS = np.array([0.0, 1e-7, np.nextafter(1e-7, 0.0), np.nextafter(1e-7, 1.0),
+                             1.0 - 1e-7, np.nextafter(1.0 - 1e-7, 0.0),
+                             np.nextafter(1.0 - 1e-7, 1.0), 1.0, 0.5, 1e-12])
+
+
+class TestFusedSegLoss:
+    """``seg_loss`` is one node whose value, parts and prediction gradient
+    are bytes-equal to the chain training built before."""
+
+    SHAPES = [(8, 32, 32, 1), (2, 128, 128, 1), (3, 12, 20, 3), (1, 9, 7, 1)]
+
+    @staticmethod
+    def case(shape, kind, seed):
+        rng = np.random.default_rng(seed)
+        pred = rng.random(shape)
+        masks = (rng.random(shape) > 0.5).astype(float)
+        if kind == "edges":
+            pred = rng.choice(EDGE_PREDICTIONS, size=shape)
+        elif kind == "masks_zero":
+            masks[:] = 0.0
+        elif kind == "masks_one":
+            masks[:] = 1.0
+        return pred, masks
+
+    @pytest.mark.parametrize("kind", ["random", "edges", "masks_zero", "masks_one"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_bytes_equal_to_chain(self, shape, kind):
+        pred, masks = self.case(shape, kind, seed=sum(shape))
+        chain, fused = chain_seg_loss(pred, masks), fused_seg_loss(pred, masks)
+        assert [np.float64(v).tobytes() for v in fused[:3]] == \
+            [np.float64(v).tobytes() for v in chain[:3]]
+        assert fused[3].tobytes() == chain[3].tobytes()
+
+    @pytest.mark.parametrize("upstream", [0.37, -2.5])
+    def test_bytes_equal_for_any_upstream_gradient(self, upstream):
+        pred, masks = self.case((4, 10, 6, 2), "random", seed=41)
+        chain = chain_seg_loss(pred, masks, upstream)
+        fused = fused_seg_loss(pred, masks, upstream)
+        assert fused[:3] == chain[:3] and fused[3].tobytes() == chain[3].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mask_raises(self, bad):
+        masks = np.zeros((2, 4, 4, 1))
+        masks[1, 2, 3, 0] = bad
+        with pytest.raises(NonFiniteError):
+            losses.seg_loss(np.full((2, 4, 4, 1), 0.5), masks)
+        with pytest.raises(NonFiniteError):  # as the chain's as_node did
+            losses.ce_loss(np.full((2, 4, 4, 1), 0.5), masks)
+
+    def test_overflowing_sum_raises_as_the_chain_did(self):
+        pred = np.full((1, 2, 2, 1), 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError):
+                losses.dice_loss(pred, np.zeros_like(pred), batched=True)
+            with pytest.raises(NonFiniteError):
+                losses.seg_loss(pred, np.zeros_like(pred))
+
+    @pytest.mark.parametrize("pred_shape, mask_shape", [
+        ((2, 4, 4, 1), (3, 4, 4, 1)),
+        ((2, 4, 4, 1), (2, 4, 4, 2)),
+        ((2, 4, 4), (2, 4, 4)),
+    ])
+    def test_shape_mismatch(self, pred_shape, mask_shape):
+        with pytest.raises(ShapeError):
+            losses.seg_loss(np.full(pred_shape, 0.5), np.zeros(mask_shape))
 
 
 class TestLfcTerm:

@@ -396,6 +396,36 @@ class TestBackbone:
             sd.backbone_calibrate([])
 
 
+def roll_blur(data, radius):
+    """The blur as it was written before, summing ``np.roll`` shifts: the
+    reference ``_blur`` must match byte for byte."""
+    out = data
+    for axis in (data.ndim - 3, data.ndim - 2):
+        acc = np.zeros_like(out)
+        for shift in range(-radius, radius + 1):
+            acc += np.roll(out, shift, axis=axis)
+        out = acc / (2 * radius + 1)
+    return out
+
+
+class TestBlur:
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("shape", [(4, 4, 1), (4, 4, 3), (3, 4, 4, 1), (2, 4, 4, 2),
+                                       (5, 6, 7, 1), (8, 32, 32, 1)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_bytes_equal_to_roll_sums(self, shape, radius):
+        # a side of 4 makes the shifts wrap; a patch of -0.0 blurs to +0.0
+        # only if the sums start from +0.0, as the roll sums do
+        x = np.random.default_rng(sum(shape) + radius).standard_normal(shape)
+        x[x > 1.0] = 0.0
+        x[..., :3, :3, :] = -0.0
+        assert sd._blur(x, radius).tobytes() == roll_blur(x, radius).tobytes()
+
+    def test_radius_wider_than_image_refused(self):
+        with pytest.raises(ShapeError):
+            sd._blur(np.zeros((2, 5, 2, 1)), 3)
+
+
 def chain_backbone(bb, img):
     """The backbone as four graph nodes, ``box_blur -> sub -> div ->
     sigmoid``, as it was built before the fusion: the reference the fused
