@@ -74,6 +74,8 @@ def _backbone_for(bench: synthdata.Benchmark) -> synthdata.FrozenBackbone:
 
 
 def cmd_gen_bench(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"bad --seed {args.seed}: expected an integer >= 0")
     out = Path(args.out)
     with _staged_output(out) as stage:
         train_cfg, bench_cfg = _load_configs(args.config)

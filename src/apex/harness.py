@@ -39,8 +39,9 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.feature_grad_clip <= 0:
             raise ConfigError("feature_grad_clip must be positive")
-        if not self.seeds:
-            raise ConfigError("seeds list must be nonempty")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be a nonempty list of distinct integers >= 0, "
+                              f"got {self.seeds}")
         BatchPlan(self.domains_per_batch, self.samples_per_domain)  # validates P, S
 
 

@@ -1,12 +1,13 @@
 """A small reverse-mode autodiff engine over frozen float64 arrays, MLP stacks
-(ReLU after every layer but the last), plain SGD, and the numerical
-verification helpers used throughout the test suite.
+(ReLU after every layer but the last) and plain SGD.
 
 The engine is deliberately minimal: enough operations for 4-layer MLPs,
 cosine addressing over a slot matrix, the contrastive and segmentation
 losses, and the custom linear operators registered by the spectral and
 backbone code. Graphs are built eagerly, are acyclic by construction, and
-are single-use: call :func:`backward` once per graph.
+are single-use: call :func:`backward` once per graph. It runs the backward
+rule of a node only if the node needs a gradient, and a one-input node needs
+one exactly when its input does, so only rules with several inputs check them.
 
 Gradient accumulation is additive; call ``zero_grad`` on parameters between
 steps.
@@ -148,35 +149,6 @@ class Node:
     def __repr__(self) -> str:
         return f"Node(op={self.op!r}, shape={self.shape})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_node(x) -> Node:
     if isinstance(x, Node):
@@ -288,8 +260,7 @@ def _unary(op_name: str, a, fwd, bwd) -> Node:
     out = fwd(a.array)
 
     def back(g: np.ndarray) -> None:
-        if a._needs_grad:
-            a.accumulate(bwd(g, a.array, out))
+        a.accumulate(bwd(g, a.array, out))
 
     return Node(out, parents=(a,), backward=back, op=op_name)
 
@@ -353,8 +324,6 @@ def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Node:
     out = np.sum(a.array, axis=axis, keepdims=keepdims)
 
     def back(g: np.ndarray) -> None:
-        if not a._needs_grad:
-            return
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
         a.accumulate(np.broadcast_to(g, a.shape))
@@ -369,20 +338,12 @@ def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Node:
     return div(reduce_sum(a, axis=axis, keepdims=keepdims), float(count))
 
 
-def reduce_max(a, axis: int | None = None, keepdims: bool = False) -> Node:
+def reduce_max(a) -> Node:
     a = as_node(a)
-    _check_axis(axis, a.array.ndim)
-    out = np.max(a.array, axis=axis, keepdims=keepdims)
+    out = np.max(a.array)
 
     def back(g: np.ndarray) -> None:
-        if not a._needs_grad:
-            return
-        if axis is None:
-            a.accumulate(g * (a.array == out))
-        else:
-            gx = g if keepdims else np.expand_dims(g, axis=axis)
-            ox = out if keepdims else np.expand_dims(out, axis=axis)
-            a.accumulate(gx * (a.array == ox))
+        a.accumulate(g * (a.array == out))
 
     return Node(out, parents=(a,), backward=back, op="max")
 
@@ -392,8 +353,7 @@ def reshape(a, shape) -> Node:
     out = a.array.reshape(shape)
 
     def back(g: np.ndarray) -> None:
-        if a._needs_grad:
-            a.accumulate(g.reshape(a.shape))
+        a.accumulate(g.reshape(a.shape))
 
     return Node(out, parents=(a,), backward=back, op="reshape")
 
@@ -405,8 +365,7 @@ def transpose(a) -> Node:
     out = a.array.T.copy()
 
     def back(g: np.ndarray) -> None:
-        if a._needs_grad:
-            a.accumulate(g.T)
+        a.accumulate(g.T)
 
     return Node(out, parents=(a,), backward=back, op="transpose")
 
@@ -416,10 +375,9 @@ def getitem(a, index) -> Node:
     out = np.array(a.array[index])
 
     def back(g: np.ndarray) -> None:
-        if a._needs_grad:
-            buf = np.zeros(a.shape, dtype=np.float64)
-            np.add.at(buf, index, g)
-            a.accumulate(buf)
+        buf = np.zeros(a.shape, dtype=np.float64)
+        np.add.at(buf, index, g)
+        a.accumulate(buf)
 
     return Node(out, parents=(a,), backward=back, op="getitem")
 
@@ -662,57 +620,3 @@ def sgd_step(params: Sequence[Node], grads: Sequence[np.ndarray], eta: float) ->
             except NonFiniteError:
                 raise TrainingDivergedError("non-finite gradient or update in sgd_step") \
                     from None
-
-
-# ---------------------------------------------------------------------------
-# verification helpers
-# ---------------------------------------------------------------------------
-
-def finite_difference(f: Callable[[Sequence[np.ndarray]], float],
-                      inputs: Sequence[np.ndarray], step: float = 1e-5) -> list[np.ndarray]:
-    """Central finite-difference gradients of scalar ``f`` w.r.t. each input."""
-    grads = []
-    # row-major copies, so that the flat views below write into them
-    work = [np.array(x, dtype=np.float64, order="C") for x in inputs]
-    for i, x in enumerate(work):
-        g = np.zeros_like(x)
-        flat = x.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            hi = f(work)
-            flat[idx] = orig - step
-            lo = f(work)
-            flat[idx] = orig
-            gflat[idx] = (hi - lo) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """max |a-n| scaled by the larger magnitude present (floored at 1e-8)."""
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
-    denom = max(1e-8, float(np.max(np.abs(a))) if a.size else 0.0,
-                float(np.max(np.abs(n))) if n.size else 0.0)
-    return float(np.max(np.abs(a - n))) / denom if a.size else 0.0
-
-
-def gradcheck(build: Callable[[Sequence[Node]], Node],
-              inputs: Sequence[np.ndarray], step: float = 1e-5) -> float:
-    """Max relative error between autodiff and finite-difference gradients.
-
-    ``build`` maps leaf nodes to a scalar loss node.
-    """
-    leaves = [parameter(x) for x in inputs]
-    loss = build(leaves)
-    backward(loss)
-    analytic = [leaf.grad.copy() for leaf in leaves]
-
-    def f(arrays: Sequence[np.ndarray]) -> float:
-        nodes = [as_node(a) for a in arrays]
-        return build(nodes).item()
-
-    numeric = finite_difference(f, inputs, step=step)
-    return max(relative_error(a, n) for a, n in zip(analytic, numeric))

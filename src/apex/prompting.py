@@ -56,8 +56,11 @@ class ApexConfig:
     allow_block_init: bool = False
 
     def __post_init__(self) -> None:
-        if self.slot_count < 1 or self.feature_dim < 1:
-            raise ConfigError("slot_count and feature_dim must be >= 1")
+        widths = self.encoder_hidden + self.decoder_hidden + self.head_hidden
+        if min(self.slot_count, self.feature_dim, self.aux_dim, *widths) < 1:
+            raise ConfigError("slot_count, feature_dim, aux_dim and hidden widths must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.slot_count > self.feature_dim and not self.allow_block_init:
             raise ConfigError(
                 f"slot_count {self.slot_count} > feature_dim {self.feature_dim} "
@@ -306,8 +309,11 @@ def load_state(directory) -> ApexState:
     if meta.get("softmax_addressing", "false").lower() != "false":
         raise ConfigError(f"{manifest}: softmax_addressing = {meta['softmax_addressing']} "
                           "is no longer supported; addressing is plain cosine similarity")
-    config = ApexConfig(**{key: cfgmod.parse_value(key, need(key), parse)
-                           for key, parse in cfgmod.schema(ApexConfig).items()})
+    try:
+        config = ApexConfig(**{key: cfgmod.parse_value(key, need(key), parse)
+                               for key, parse in cfgmod.schema(ApexConfig).items()})
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest}: {exc}") from None
     state = init_state(config, *ints("region", 3, 1))
     expected = state_tensors(state)
     names = need("tensors").split(",")

@@ -140,12 +140,6 @@ class LowFreqRegion:
     def flat_size(self) -> int:
         return self.side * self.side * self.channels
 
-    @property
-    def mask(self) -> np.ndarray:
-        m = np.zeros((self.height, self.width), dtype=bool)
-        m[self.row0:self.row0 + self.side, self.col0:self.col0 + self.side] = True
-        return m
-
     @cached_property
     def _unshifted(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of the square in the unshifted layout of ``np.fft.fft2``:
@@ -187,14 +181,6 @@ class LowFreqRegion:
         return perm, pinned
 
 
-def extract_low_freq(spec: Spectrum, region: LowFreqRegion) -> np.ndarray:
-    """[side, side, c] amplitudes of ``spec`` under the region's mask."""
-    if spec.shape != (region.height, region.width, region.channels):
-        raise ShapeError(f"spectrum shape {spec.shape} does not match region")
-    return spec.amplitude[region.row0:region.row0 + region.side,
-                          region.col0:region.col0 + region.side, :].copy()
-
-
 @dataclass(frozen=True)
 class PromptMultiplier:
     """Strictly positive, negation-symmetric multipliers over a region.
@@ -229,11 +215,6 @@ class PromptMultiplier:
         return field_arr
 
 
-def identity_prompt(region: LowFreqRegion) -> PromptMultiplier:
-    return PromptMultiplier(region=region,
-                            values=np.ones((region.side, region.side, region.channels)))
-
-
 def apply_prompt(spec: Spectrum, p: PromptMultiplier) -> Spectrum:
     """Scale the low-frequency amplitudes by ``p``; phase untouched."""
     h, w, c = spec.amplitude.shape
@@ -245,10 +226,8 @@ def apply_prompt(spec: Spectrum, p: PromptMultiplier) -> Spectrum:
     return Spectrum(amplitude=amplitude, phase=spec.phase.copy())
 
 
-def prompted_image(img, p: PromptMultiplier, beta: float | None = None) -> np.ndarray:
+def prompted_image(img, p: PromptMultiplier) -> np.ndarray:
     """ifft2(apply_prompt(fft2(img), p)); pure-numpy reference path."""
-    if beta is not None and abs(beta - p.region.beta) > 1e-12:
-        raise ValueError(f"beta {beta} disagrees with the multiplier's region ({p.region.beta})")
     return ifft2(apply_prompt(fft2(img), p))
 
 
@@ -271,8 +250,6 @@ def symmetrize_multiplier(raw: nm.Node, region: LowFreqRegion) -> nm.Node:
     out[..., pinned] = 1.0
 
     def back(g: np.ndarray) -> None:
-        if not raw._needs_grad:
-            return
         gg = g.copy()
         gg[..., pinned] = 0.0
         raw.accumulate(0.5 * (gg + gg[..., perm]))
@@ -315,8 +292,6 @@ def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion
     out = np.real(np.fft.ifft2(prompted, axes=(1, 2)))
 
     def back(g: np.ndarray) -> None:
-        if not p_flat._needs_grad:
-            return
         # ifft2 in its own order, axis 2 then axis 1, transforming along
         # axis 1 only the square's columns: the same values as gathering
         # the square from the full inverse transform

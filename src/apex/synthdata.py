@@ -378,30 +378,13 @@ def _blur(data: np.ndarray, radius: int) -> np.ndarray:
     return _circular_mean(rows.reshape(-1, w, c), radius).reshape(data.shape)
 
 
-def box_blur(x, radius: int):
-    """Circular box blur over the two spatial axes; self-adjoint, so the
-    backward rule is the blur itself. Accepts arrays or Nodes shaped
-    [h, w, c] or [batch, h, w, c]."""
-    node = isinstance(x, Node)
-    arr = x.array if node else np.asarray(x, dtype=np.float64)
-    result = _blur(arr, radius)
-    if not node:
-        return result
-
-    def back(g: np.ndarray) -> None:
-        if x._needs_grad:
-            x.accumulate(_blur(g, radius))
-
-    return Node(result, parents=(x,), backward=back, op="box_blur")
-
-
 def backbone_forward(bb: FrozenBackbone, img) -> Node:
     """Probability map sigmoid((blur(x) - t) / s) of an [h, w, c] or
     [batch, h, w, c] image, array or node; differentiable w.r.t. the image
     only.
 
     One fused node with the values and input gradient of the chain
-    ``box_blur -> sub -> div -> sigmoid``: z = (blur(x) - t) / s, then the
+    ``blur -> sub -> div -> sigmoid``: z = (blur(x) - t) / s, then the
     stable sigmoid 1 / (1 + e) for z >= 0 and e / (1 + e) below, with
     e = exp(-|z|); the backward is blur(g * y * (1 - y) / s), as blur is
     self-adjoint. A non-finite z raises :class:`NonFiniteError`, as the

@@ -18,7 +18,6 @@ import hashlib
 import math
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -92,12 +91,3 @@ def write_pgm(path, img) -> None:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
-
-def read_pnm(path) -> np.ndarray:
-    """Read back a :func:`write_pgm` dump as [h, w, 1] floats in [0, 1] (for tests)."""
-    kind, size, maxval, pixels = Path(path).read_bytes().split(b"\n", 3)
-    if kind != b"P5" or maxval != b"255":
-        raise ValueError(f"{path}: unsupported PNM header")
-    w, h = (int(v) for v in size.split())
-    raw = np.frombuffer(pixels[:w * h], dtype=np.uint8)
-    return raw.reshape(h, w, 1).astype(np.float64) / 255.0

@@ -20,6 +20,7 @@ import pytest
 from apex import cli, harness as hn, losses, numerics as nm, prompting as pr
 from apex import spectral as sp, synthdata as sd
 
+import oracles
 from test_numerics import OP_CASES, _random_shape
 from test_spectral import naive_dft2
 
@@ -122,7 +123,7 @@ def test_criterion_1_numeric_core():
                 out = build_op(leaves)
                 return nm.reduce_sum(nm.mul(out, out)) if out.array.ndim else out
 
-            err = nm.gradcheck(build, inputs)
+            err = oracles.gradcheck(build, inputs)
             worst = max(worst, err)
             assert err < 1e-4, f"{name}: {err}"
     elapsed = time.time() - t0
@@ -154,7 +155,7 @@ def test_criterion_2_spectral_correctness():
     pm = sp.PromptMultiplier(region=reg,
                              values=sym.array.reshape(reg.side, reg.side, 1))
     after = sp.apply_prompt(spec, pm)
-    outside = ~reg.mask
+    outside = ~oracles.mask(reg)
     assert np.array_equal(after.amplitude[outside], spec.amplitude[outside])
     c = np.fft.ifft2(np.fft.ifftshift(after.to_complex(), axes=(0, 1)), axes=(0, 1))
     assert np.max(np.abs(c.imag)) < 1e-9  # realness
@@ -249,7 +250,7 @@ def test_criterion_5_lfc_semantics():
     def build(leaves):
         return losses.lfc_loss(leaves[0], labels, 0.5, positives=positives)
 
-    err = nm.gradcheck(build, [emb])
+    err = oracles.gradcheck(build, [emb])
     assert err < 1e-4
     report(5, f"worked values within 1e-10; monotone; gradient err {err:.2e}")
 

@@ -109,7 +109,7 @@ def _non_default(field: dataclasses.Field) -> str:
     if field.type == "bool":
         return "false" if default else "true"
     if field.type == "tuple":
-        return ",".join(str(v) for v in default + default[-1:])
+        return ",".join(str(v) for v in default + (default[-1] + 1,))  # seeds stay distinct
     if field.type == "int":
         return str(default + 2)
     return str(default / 2)
@@ -229,6 +229,17 @@ CKPT_FAULTS = [
     ("manifest_not_ascii", lambda d: _edit_bytes(d / "manifest.txt", b"region = 32,32,1",
                                                  b"region = 32,\xb2,1"),
      ("manifest.txt", "not ascii text")),
+    ("negative_seed", lambda d: _edit_text(d / "manifest.txt", "\nseed = 0\n", "\nseed = -1\n"),
+     ("manifest.txt", "seed must be >= 0")),
+    ("zero_encoder_width", lambda d: _edit_text(d / "manifest.txt", "encoder_hidden = 8,8,8",
+                                                "encoder_hidden = 8,0,8"),
+     ("manifest.txt", "hidden widths must be >= 1")),
+    ("zero_head_width", lambda d: _edit_text(d / "manifest.txt", "head_hidden = 8",
+                                             "head_hidden = 0"),
+     ("manifest.txt", "hidden widths must be >= 1")),
+    ("zero_decoder_width", lambda d: _edit_text(d / "manifest.txt", "decoder_hidden = 8,8,8",
+                                                "decoder_hidden = 0"),
+     ("manifest.txt", "hidden widths must be >= 1")),
 ]
 # (fault id, how to break a copy of a benchmark directory, what the error names)
 BENCH_FAULTS = [
@@ -251,6 +262,39 @@ BENCH_FAULTS = [
                                               b"bench_seed = 4\xff"),
      ("config.txt", "not utf-8 text")),
 ]
+# (fault id, a line that replaces TINY_CONFIG's line of the same key or is
+# added to it, what the error names)
+CONFIG_FAULTS = [
+    ("negative_seed", "seeds = -1", ("seeds", ">= 0", "(-1,)")),
+    ("repeated_seed", "seeds = 0,0", ("seeds", "distinct", "(0, 0)")),
+    ("no_seeds", "seeds = ", ("seeds", "nonempty")),
+    ("zero_encoder_width", "encoder_hidden = 8,0,8", ("hidden widths must be >= 1",)),
+    ("zero_decoder_width", "decoder_hidden = 0", ("hidden widths must be >= 1",)),
+    ("zero_head_width", "head_hidden = 0", ("hidden widths must be >= 1",)),
+    ("zero_aux_dim", "aux_dim = 0", ("aux_dim",)),
+    ("negative_epochs", "epochs = -1", ("epochs must be >= 0",)),
+    ("zero_grad_clip", "feature_grad_clip = 0", ("feature_grad_clip must be positive",)),
+    ("zero_slots", "slot_count = 0", ("slot_count",)),
+    ("zero_beta", "beta = 0", ("beta must be in (0, 1]",)),
+    ("beta_above_one", "beta = 1.5", ("beta must be in (0, 1]",)),
+    ("zero_temperature", "temperature = 0", ("temperature must be positive",)),
+    ("four_shading_modes", "domain_A_shading = 0:1:0.1;1:0:0.1;1:1:0.1;0:2:0.1",
+     ("'A'", "at most 3 shading modes")),
+    ("negative_shading_amp", "domain_A_shading = 0:1:-0.1",
+     ("shading amplitude must be nonnegative",)),
+    ("empty_key", " = 3", ("line 17", "empty key")),
+    ("malformed_shading", "domain_A_shading = 1:2", ("domain_A_shading", "fu:fv:amp")),
+    ("unknown_domain_field", "domain_A_foo = 1", ("unknown config keys", "domain_A_foo")),
+]
+
+
+def _config_with(line: str) -> str:
+    """TINY_CONFIG with ``line`` in place of its line of the same key, or
+    added at the end."""
+    key = line.partition("=")[0].strip()
+    kept = [old for old in TINY_CONFIG.splitlines()
+            if "=" not in old or old.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +458,27 @@ class TestCli:
         assert cli.main(["eval", "--source-only", "--bench", str(broken),
                          "--split", "seen"]) == 1
         _assert_one_error_line(capsys, *needles)
+
+    @pytest.mark.parametrize("fault, line, needles",
+                             [pytest.param(*f, id=f[0]) for f in CONFIG_FAULTS])
+    def test_train_bad_config_is_one_line_error(self, workdir, bench_dir, capsys,
+                                                fault, line, needles):
+        config = workdir / f"config_{fault}.cfg"
+        config.write_text(_config_with(line))
+        out = workdir / f"run_{fault}"
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(config), "--bench", str(bench_dir),
+                         "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, *needles)
+        assert not out.exists()
+
+    def test_gen_bench_negative_seed_is_one_line_error(self, workdir, capsys):
+        out = workdir / "bench_negative_seed"
+        capsys.readouterr()
+        assert cli.main(["gen-bench", "--config", str(workdir / "tiny.cfg"), "--seed", "-1",
+                         "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, "--seed", ">= 0")
+        assert not out.exists()
 
     def test_config_not_utf8_is_one_line_error(self, workdir, capsys):
         config = workdir / "not_utf8.cfg"
