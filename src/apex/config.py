@@ -4,12 +4,13 @@ The keys are the fields of ``ApexConfig``, ``TrainConfig`` and
 ``BenchmarkConfig`` (see :func:`schema`) plus ``domain_<id>_<field>``
 overrides of the domain specs. Unknown keys are rejected so typos fail
 loudly; every effective key (given or defaulted) is echoed back into output
-manifests. Booleans are ``true`` / ``false``; tuples are comma-separated;
-shading modes use ``freq_u:freq_v:amp`` joined by ``;``.
+manifests. Booleans are ``true`` / ``false``; floats must be finite; tuples
+are comma-separated; shading modes use ``freq_u:freq_v:amp`` joined by ``;``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -52,6 +53,13 @@ def _to_bool(val: str) -> bool:
     raise ValueError("expected true or false")
 
 
+def _to_float(val: str) -> float:
+    out = float(val)
+    if not math.isfinite(out):
+        raise ValueError("not a finite number")
+    return out
+
+
 def _to_int_tuple(val: str) -> tuple:
     return tuple(int(v) for v in val.split(",") if v.strip())
 
@@ -64,12 +72,12 @@ def _to_shading(val: str) -> tuple:
         terms = part.split(":")
         if len(terms) != 3:
             raise ValueError(f"shading mode must be fu:fv:amp, got {part!r}")
-        modes.append((int(terms[0]), int(terms[1]), float(terms[2])))
+        modes.append((int(terms[0]), int(terms[1]), _to_float(terms[2])))
     return tuple(modes)
 
 
 # parser per field annotation; the modules annotate lazily, so these are strings
-_PARSERS = {"int": int, "float": float, "bool": _to_bool, "tuple": _to_int_tuple}
+_PARSERS = {"int": int, "float": _to_float, "bool": _to_bool, "tuple": _to_int_tuple}
 _DOMAIN_FIELDS = ("gain", "bias", "noise_sigma", "shading")
 
 
@@ -120,7 +128,7 @@ def build_configs(kv: dict) -> tuple[TrainConfig, BenchmarkConfig]:
             if field_name not in _DOMAIN_FIELDS:
                 unknown.append(key)
                 continue
-            conv = _to_shading if field_name == "shading" else float
+            conv = _to_shading if field_name == "shading" else _to_float
             domain_over.setdefault(dom, {})[field_name] = parse_value(key, val, conv)
         elif key == "bench_seed":
             continue  # carried by benchmark directories, not a tunable

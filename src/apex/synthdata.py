@@ -105,8 +105,19 @@ def gen_base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     image are those of a full-grid evaluation; only the lesion's window is
     evaluated.
     """
+    _check_scene_size(h, w)
+    img, mask = _base_scene(seed, h, w)
+    return img[:, :, None], mask.astype(np.float64)
+
+
+def _check_scene_size(h: int, w: int) -> None:
     if h < 32 or w < 32 or h % 2 or w % 2:
         raise ShapeError(f"scene sides must be even and >= 32, got {h}x{w}")
+
+
+def _base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gen_base_scene` as an [h, w] image and a boolean mask, for
+    sides the caller has checked."""
     rng = np.random.default_rng(seed)
     yy, xx = _grid(h, w)
     for _ in range(64):
@@ -133,7 +144,7 @@ def gen_base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
             break
     else:
         raise RuntimeError(f"scene generator failed to hit area range for seed {seed}")
-    return np.clip(img, 0.0, 1.0)[:, :, None], mask.astype(np.float64)
+    return np.clip(img, 0.0, 1.0, out=img), mask
 
 
 def _shading_table(fu: int, fv: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +167,10 @@ def shading_field(spec: DomainSpec, rng: np.random.Generator, h: int, w: int) ->
     per-image phase and mild amplitude jitter. Each mode's cosine is taken
     once per distinct argument value and spread over the grid, which gives
     the full-grid expression's bits."""
+    return _shading_field(spec, rng, h, w)
+
+
+def _shading_field(spec: DomainSpec, rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     out = np.ones((h, w))
     for fu, fv, amp in spec.shading:
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -169,14 +184,21 @@ def apply_domain(img: np.ndarray, spec: DomainSpec, seed: int) -> np.ndarray:
     """clamp(gain * shading * img + bias + noise, 0, 1)."""
     arr = np.asarray(img, dtype=np.float64)
     squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[:, :, None]
+    out = _apply_domain(arr[:, :, None] if squeeze else arr, spec, seed)
+    return out[:, :, 0] if squeeze else out
+
+
+def _apply_domain(arr: np.ndarray, spec: DomainSpec, seed: int, out=None) -> np.ndarray:
+    """:func:`apply_domain` of an [h, w, c] image, written to ``out`` if given;
+    the adds run in place, in the expression's order."""
     h, w = arr.shape[:2]
     rng = np.random.default_rng(seed)
-    fld = shading_field(spec, rng, h, w)[:, :, None]
+    fld = _shading_field(spec, rng, h, w)[:, :, None]
     noise = spec.noise_sigma * rng.standard_normal(arr.shape) if spec.noise_sigma else 0.0
-    out = np.clip(spec.gain * fld * arr + spec.bias + noise, 0.0, 1.0)
-    return out[:, :, 0] if squeeze else out
+    shifted = spec.gain * fld * arr
+    shifted += spec.bias
+    shifted += noise
+    return np.clip(shifted, 0.0, 1.0, out=out)
 
 
 # Seen domains shade along different axes, so confusing them costs Dice;
@@ -208,6 +230,9 @@ class BenchmarkConfig:
     unseen: tuple = DEFAULT_UNSEEN
 
     def __post_init__(self) -> None:
+        for name in ("train_per_domain", "test_per_domain", "source_train", "source_test"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.seen) < 2 or len(self.unseen) < 2:
             raise ConfigError("need at least 2 seen and 2 unseen domains")
         seen_params = {(d.gain, d.bias) for d in self.seen}
@@ -248,32 +273,74 @@ class Benchmark:
         return "\n".join(lines) + "\n"
 
 
+# Samples are built on one thread per usable CPU from images of this many
+# pixels up. Below it a sample is mostly Python-level work that holds the
+# GIL, so threads only add hand-offs, and the same loop runs inline. On
+# 2 CPUs threads lost at 64x64 (0.58-0.64 s inline, 0.75-0.92 s threaded),
+# broke even at 80x80 and won at 96x96 and 128x128.
+PARALLEL_MIN_PIXELS = 96 * 96
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
     """Generate every split; scene seeds are disjoint between train and test
-    (and unique per sample), so no base scene is ever shared."""
+    (and unique per sample), so no base scene is ever shared.
+
+    A sample draws only from its own two seeded generators, so samples can
+    be built in any order, with the same bytes. Every sample's arrays are
+    allocated here. From ``PARALLEL_MIN_PIXELS`` pixels up, one thread per
+    usable CPU fills every so-many-th sample's arrays (NumPy's generators
+    and large ufuncs release the GIL); the caller is one of them and joins
+    the others before it returns.
+    """
     size = config.image_size
-    counter = 0
-
-    def make(spec: DomainSpec, split: str, count: int, out: list) -> None:
-        nonlocal counter
-        for i in range(count):
-            scene_seed = (seed << 24) + counter
-            transform_seed = (seed << 24) + 0x800000 + counter
-            counter += 1
-            img, mask = gen_base_scene(scene_seed, size, size)
-            shifted = apply_domain(img, spec, transform_seed)
-            out.append(DomainSample(sample_id=f"{spec.domain_id}-{split}-{i:04d}",
-                                    domain_id=spec.domain_id, image=shifted,
-                                    mask=mask, scene_seed=scene_seed))
-
-    splits: dict = {name: [] for name in Benchmark.SPLITS}
-    make(config.source, "source_cal", config.source_train, splits["source_cal"])
-    make(config.source, "source_test", config.source_test, splits["source_test"])
+    _check_scene_size(size, size)
+    plan = [(config.source, "source_cal", config.source_train),
+            (config.source, "source_test", config.source_test)]
     for spec in config.seen:
-        make(spec, "train_seen", config.train_per_domain, splits["train_seen"])
-        make(spec, "test_seen", config.test_per_domain, splits["test_seen"])
-    for spec in config.unseen:
-        make(spec, "test_unseen", config.test_per_domain, splits["test_unseen"])
+        plan += [(spec, "train_seen", config.train_per_domain),
+                 (spec, "test_seen", config.test_per_domain)]
+    plan += [(spec, "test_unseen", config.test_per_domain) for spec in config.unseen]
+    jobs = []  # (spec, split, index, scene_seed, transform_seed), in seed order
+    for spec, split, count in plan:
+        for i in range(count):
+            jobs.append((spec, split, i, (seed << 24) + len(jobs),
+                         (seed << 24) + 0x800000 + len(jobs)))
+    # one array per sample reuses freed heap memory; split-sized stacks are
+    # fresh pages and raised the peak RSS
+    targets = [(np.empty((size, size, 1)), np.empty((size, size))) for _ in jobs]
+    workers = min(len(jobs), _usable_cpus()) if size * size >= PARALLEL_MIN_PIXELS else 1
+    # the caches are filled here, so the workers only read them
+    _grid(size, size)
+    for spec in (config.source,) + config.seen + config.unseen:
+        for fu, fv, _ in spec.shading:
+            _shading_table(fu, fv, size, size)
+
+    def build(k: int) -> None:
+        # worker k: jobs k, k + workers, ...; no public (tracer-wrapped) calls
+        for (spec, _, _, scene_seed, transform_seed), (image, mask) in zip(
+                jobs[k::workers], targets[k::workers]):
+            img, inside = _base_scene(scene_seed, size, size)
+            mask[...] = inside
+            _apply_domain(img[:, :, None], spec, transform_seed, out=image)
+
+    # the caller builds share 0 itself, so one fewer thread and malloc arena
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        shares = [pool.submit(build, k) for k in range(1, workers)]
+        build(0)
+        for share in shares:
+            share.result()  # re-raises a worker's exception
+    splits: dict = {name: [] for name in Benchmark.SPLITS}
+    for (spec, split, i, scene_seed, _), (image, mask) in zip(jobs, targets):
+        splits[split].append(DomainSample(sample_id=f"{spec.domain_id}-{split}-{i:04d}",
+                                          domain_id=spec.domain_id, image=image, mask=mask,
+                                          scene_seed=scene_seed))
     return Benchmark(config=config, seed=seed, splits=splits)
 
 
@@ -439,8 +506,7 @@ def calibration_scores(samples, blur_radius: int = 1, thresholds=CALIBRATION_THR
     n, pixels = len(samples), samples[0].mask.size
     rows = max(1, CALIBRATION_BLOCK_ELEMENTS // pixels)
     starts = range(0, n, rows)
-    workers = min(len(starts), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
+    workers = min(len(starts), _usable_cpus())
     # all arrays are allocated here: a worker thread's malloc arena keeps what it frees
     blurred = np.empty((n, pixels))
     for lo in starts:

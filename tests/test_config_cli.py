@@ -285,6 +285,12 @@ CONFIG_FAULTS = [
     ("empty_key", " = 3", ("line 17", "empty key")),
     ("malformed_shading", "domain_A_shading = 1:2", ("domain_A_shading", "fu:fv:amp")),
     ("unknown_domain_field", "domain_A_foo = 1", ("unknown config keys", "domain_A_foo")),
+    ("nan_domain_gain", "domain_A_gain = nan", ("domain_A_gain", "not a finite number")),
+    ("inf_temperature", "temperature = inf", ("temperature", "not a finite number")),
+    ("nan_grad_clip", "feature_grad_clip = nan", ("feature_grad_clip", "not a finite number")),
+    ("inf_shading_amp", "domain_A_shading = 0:1:inf", ("domain_A_shading", "not a finite")),
+    ("zero_train_per_domain", "train_per_domain = 0", ("train_per_domain must be >= 1",)),
+    ("negative_source_test", "source_test = -2", ("source_test must be >= 1", "-2")),
 ]
 
 
@@ -478,6 +484,26 @@ class TestCli:
         assert cli.main(["gen-bench", "--config", str(workdir / "tiny.cfg"), "--seed", "-1",
                          "--out", str(out)]) == 1
         _assert_one_error_line(capsys, "--seed", ">= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault, line, needle", [
+        ("zero_train", "train_per_domain = 0", "train_per_domain must be >= 1"),
+        ("zero_test", "test_per_domain = 0", "test_per_domain must be >= 1"),
+        ("zero_source", "source_train = 0", "source_train must be >= 1"),
+        ("negative_source_test", "source_test = -1", "source_test must be >= 1"),
+        ("nan_gain", "domain_A_gain = nan", "domain_A_gain"),
+        ("inf_bias", "domain_C_bias = -inf", "domain_C_bias"),
+    ])
+    def test_gen_bench_bad_config_is_one_line_error(self, workdir, capsys, fault, line,
+                                                    needle):
+        # an empty split or a NaN domain used to be written without complaint
+        config = workdir / f"gen_{fault}.cfg"
+        config.write_text(_config_with(line))
+        out = workdir / f"bench_{fault}"
+        capsys.readouterr()
+        assert cli.main(["gen-bench", "--config", str(config), "--seed", "1",
+                         "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, needle)
         assert not out.exists()
 
     def test_config_not_utf8_is_one_line_error(self, workdir, capsys):

@@ -1,6 +1,7 @@
 """Benchmark generator and frozen backbone tests, including the domain-shift
 potency and low-frequency energy audits for the shipped domain table."""
 
+import dataclasses
 import inspect
 import os
 import sys
@@ -294,6 +295,13 @@ class TestBuildBenchmark:
                 assert np.array_equal(a.image, b.image)
                 assert np.array_equal(a.mask, b.mask)
 
+    @pytest.mark.parametrize("count", ["train_per_domain", "test_per_domain",
+                                       "source_train", "source_test"])
+    def test_empty_or_negative_split_rejected(self, count):
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=f"{count} must be >= 1"):
+                sd.BenchmarkConfig(**{count: value})
+
     def test_load_without_manifest_is_input_not_found(self, tmp_path):
         with pytest.raises(InputNotFoundError):
             sd.load_benchmark(tmp_path, SMALL_BENCH, seed=5)
@@ -488,6 +496,25 @@ class TestFusedBackbone:
                     build(self.BB, nm.parameter(img) if np.isfinite(value) else img)
 
 
+def _recording_public_calls(monkeypatch) -> set:
+    """Wrap every public function of every apex module, as a tracer would,
+    and return the set that collects the idents of the threads calling them."""
+    callers = set()
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (sd, nm, sp, harness, apex.tensorio, apex.prompting, apex.losses):
+        for name, fn in vars(mod).items():
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == mod.__name__):
+                monkeypatch.setattr(mod, name, recording(fn))
+    return callers
+
+
 class TestThreadedCalibration:
     """``calibration_scores`` spreads its row blocks over a thread pool; the
     scores must not depend on how the blocks interleave."""
@@ -533,21 +560,8 @@ class TestThreadedCalibration:
         assert runs == [first] * 3
 
     def test_workers_call_no_public_function(self, samples, monkeypatch):
-        caller, callers, workers = threading.get_ident(), set(), set()
-
-        def recording(fn):
-            def wrapper(*args, **kwargs):
-                callers.add(threading.get_ident())
-                return fn(*args, **kwargs)
-            return wrapper
-
-        # every public function of every apex module (backbone_forward among them), as a
-        # tracer would wrap them
-        for mod in (sd, nm, sp, harness, apex.tensorio, apex.prompting, apex.losses):
-            for name, fn in vars(mod).items():
-                if (not name.startswith("_") and inspect.isfunction(fn)
-                        and fn.__module__ == mod.__name__):
-                    monkeypatch.setattr(mod, name, recording(fn))
+        caller, workers = threading.get_ident(), set()
+        callers = _recording_public_calls(monkeypatch)  # backbone_forward among them
 
         def profile(frame, event, arg):  # set in new threads only, not the caller's
             if event == "call" and frame.f_code.co_filename == sd.__file__:
@@ -578,3 +592,123 @@ class TestThreadedCalibration:
         odd = samples[:5] + [sd.DomainSample("odd", "source", img, mask, 799)] + samples[6:]
         with pytest.raises(ValueError):
             self.scores(odd)
+
+
+class TestThreadedGeneration:
+    """From ``PARALLEL_MIN_PIXELS`` up, ``build_benchmark`` builds its samples
+    on a thread pool; the bytes must not depend on how they interleave."""
+
+    CONFIG = sd.BenchmarkConfig(image_size=128, train_per_domain=3, test_per_domain=2,
+                                source_train=3, source_test=2)
+    SEED = 3
+
+    @staticmethod
+    def digest(bench):
+        parts = [bench.manifest_csv().encode()]
+        for split in sd.Benchmark.SPLITS:
+            for smp in bench.splits[split]:
+                assert smp.image.shape == (128, 128, 1) and smp.mask.shape == (128, 128)
+                parts += [smp.sample_id.encode(), smp.image.tobytes(), smp.mask.tobytes()]
+        return b"".join(parts)
+
+    @pytest.fixture(scope="class")
+    def inline(self):
+        assert 128 * 128 >= sd.PARALLEL_MIN_PIXELS
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sd, "PARALLEL_MIN_PIXELS", 128 * 128 + 1)
+            return self.digest(sd.build_benchmark(self.CONFIG, self.SEED))
+
+    @staticmethod
+    def fake_cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    def test_inline_path_is_the_public_one_by_one_path(self, inline):
+        # every sample is gen_base_scene then apply_domain with its two seeds,
+        # counted in plan order: each seen domain's train samples, then its test
+        cfg, base = self.CONFIG, self.SEED << 24
+        order = [("source_cal", cfg.source, cfg.source_train),
+                 ("source_test", cfg.source, cfg.source_test)]
+        for spec in cfg.seen:
+            order += [("train_seen", spec, cfg.train_per_domain),
+                      ("test_seen", spec, cfg.test_per_domain)]
+        order += [("test_unseen", spec, cfg.test_per_domain) for spec in cfg.unseen]
+        built: dict = {name: [] for name in sd.Benchmark.SPLITS}
+        counter = 0
+        for split, spec, count in order:
+            for i in range(count):
+                img, mask = sd.gen_base_scene(base + counter, 128, 128)
+                image = sd.apply_domain(img, spec, base + 0x800000 + counter)
+                built[split].append((f"{spec.domain_id}-{split}-{i:04d}", image, mask))
+                counter += 1
+        expected = [sd.build_benchmark(cfg, self.SEED).manifest_csv().encode()]
+        for split in sd.Benchmark.SPLITS:
+            for sample_id, image, mask in built[split]:
+                expected += [sample_id.encode(), image.tobytes(), mask.tobytes()]
+        assert b"".join(expected) == inline
+
+    def test_threads_match_inline(self, inline, monkeypatch):
+        self.fake_cpus(monkeypatch, 2)
+        assert self.digest(sd.build_benchmark(self.CONFIG, self.SEED)) == inline
+
+    def test_identical_under_forced_interleaving(self, inline, monkeypatch):
+        # more workers than this machine's cores, switching threads as often as
+        # the interpreter allows: a lost or misplaced write would change the bytes
+        self.fake_cpus(monkeypatch, 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [self.digest(sd.build_benchmark(self.CONFIG, self.SEED)) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [inline] * 3
+
+    def test_workers_call_no_public_function(self, monkeypatch):
+        self.fake_cpus(monkeypatch, 4)
+        caller, workers = threading.get_ident(), set()
+        callers = _recording_public_calls(monkeypatch)
+
+        def profile(frame, event, arg):  # set in new threads only, not the caller's
+            if event == "call" and frame.f_code.co_filename == sd.__file__:
+                workers.add(threading.get_ident())
+
+        threading.setprofile(profile)
+        try:
+            sd.build_benchmark(self.CONFIG, self.SEED)
+        finally:
+            threading.setprofile(None)
+        assert callers <= {caller}
+        assert workers and caller not in workers  # shares ran in other threads too
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        self.fake_cpus(monkeypatch, 4)
+        before = threading.active_count()
+        sd.build_benchmark(self.CONFIG, self.SEED)
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        self.fake_cpus(monkeypatch, 4)
+        apply, raised_in = sd._apply_domain, []
+
+        def failing(arr, spec, seed, out=None):
+            if seed == (self.SEED << 24) + 0x800000 + 1:  # job 1: worker 1's first
+                raised_in.append(threading.get_ident())
+                raise ValueError("sample 1 failed")
+            return apply(arr, spec, seed, out)
+
+        monkeypatch.setattr(sd, "_apply_domain", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="sample 1 failed"):
+            sd.build_benchmark(self.CONFIG, self.SEED)
+        assert raised_in and raised_in[0] != threading.get_ident()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("size", [32, 128])
+    def test_threads_only_from_the_cut_off(self, monkeypatch, size):
+        self.fake_cpus(monkeypatch, 4)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        sd.build_benchmark(dataclasses.replace(self.CONFIG, image_size=size), self.SEED)
+        # at most one thread besides the caller per CPU; an idle one may take two shares
+        assert (1 <= len(started) <= 3) if size * size >= sd.PARALLEL_MIN_PIXELS else not started

@@ -4,7 +4,9 @@ processes: ``import apex`` (with NumPy), ``load_benchmark``,
 
 The script saves one benchmark (or uses ``--bench DIR``), then starts one
 fresh Python process per repeat and prints one JSON line per repeat with
-the seconds of each phase and the backbone digest:
+the seconds of each phase and the backbone digest. A benchmark it builds
+itself adds one first line with the seconds of ``build_benchmark`` and
+``save_benchmark``, the two halves of ``apex gen-bench``:
 
     python3 tools/setup_phases.py [--size 32] [--bench-seed 5] [--repeats 5]
 
@@ -64,8 +66,15 @@ def main() -> int:
             sys.path.insert(0, str(SRC))
             from apex import synthdata
             bench_dir = tmp
-            synthdata.save_benchmark(synthdata.build_benchmark(
-                synthdata.BenchmarkConfig(image_size=args.size), args.bench_seed), bench_dir)
+            t0 = time.perf_counter()
+            bench = synthdata.build_benchmark(synthdata.BenchmarkConfig(image_size=args.size),
+                                              args.bench_seed)
+            t1 = time.perf_counter()
+            synthdata.save_benchmark(bench, bench_dir)
+            t2 = time.perf_counter()
+            del bench
+            print(json.dumps({"size": args.size, "build_benchmark_s": round(t1 - t0, 4),
+                              "save_benchmark_s": round(t2 - t1, 4)}), flush=True)
         for repeat in range(args.repeats):
             child = subprocess.run(
                 [sys.executable, __file__, "--child", "--bench", bench_dir,
