@@ -80,7 +80,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
 
     def one_step() -> LossReport:
         drawn = losses.sample_batch(counts, plan, rng)
-        batch = [by_domain[dom][i] for dom, idx in drawn.assignments for i in idx]
+        batch = [by_domain[dom][i] for dom, idx in drawn for i in idx]
         images, masks, labels = _batch_arrays(batch)
         positives = losses.sample_positives(labels, rng)
 
@@ -155,40 +155,31 @@ def dice_iou(pred_binary: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class MetricReport:
-    """Per-domain Dice/IoU (%) plus group averages."""
+    """Per-domain Dice/IoU (%) of one split, whose domains all belong to the
+    group the split is named after, plus that group's average."""
 
     split: str
     source_only: bool
     per_domain: dict          # domain_id -> {"dice", "iou", "count", "group"}
 
-    def _group_avg(self, group: str, key: str):
-        vals = [row[key] for row in self.per_domain.values() if row["group"] == group]
+    def _group_avg(self, group: str):
+        vals = [row["dice"] for row in self.per_domain.values() if row["group"] == group]
         return float(np.mean(vals)) if vals else None
 
     @property
     def avg_seen(self):
-        return self._group_avg("seen", "dice")
+        return self._group_avg("seen")
 
     @property
     def avg_unseen(self):
-        return self._group_avg("unseen", "dice")
-
-    @property
-    def avg_total(self):
-        vals = [row["dice"] for row in self.per_domain.values()
-                if row["group"] in ("seen", "unseen")]
-        return float(np.mean(vals)) if vals else None
+        return self._group_avg("unseen")
 
     def csv_lines(self) -> list[str]:
         lines = ["domain,group,dice,iou,count"]
-        groups = {row["group"] for row in self.per_domain.values()}
         for dom in sorted(self.per_domain):
             row = self.per_domain[dom]
             lines.append(f"{dom},{row['group']},{row['dice']!r},{row['iou']!r},{row['count']}")
-        pairs = [("avg_seen", self.avg_seen), ("avg_unseen", self.avg_unseen)]
-        if {"seen", "unseen"} <= groups:
-            pairs.append(("avg_total", self.avg_total))
-        for name, val in pairs:
+        for name, val in (("avg_seen", self.avg_seen), ("avg_unseen", self.avg_unseen)):
             if val is not None:
                 lines.append(f"{name},,{val!r},,")
         return lines
@@ -211,9 +202,6 @@ def evaluate(state: ApexState | None, backbone: FrozenBackbone, bench: Benchmark
         raise ConfigError(f"split {split!r} is empty")
     if source_only:
         state = None
-    group_of = {d.domain_id: "seen" for d in bench.config.seen}
-    group_of.update({d.domain_id: "unseen" for d in bench.config.unseen})
-    group_of[bench.config.source.domain_id] = "source"
 
     scores: dict = {}
     for chunk, images in prompting.image_chunks(samples):
@@ -226,7 +214,7 @@ def evaluate(state: ApexState | None, backbone: FrozenBackbone, bench: Benchmark
     for dom, pairs in scores.items():
         arr = np.asarray(pairs)
         per_domain[dom] = {"dice": float(arr[:, 0].mean()), "iou": float(arr[:, 1].mean()),
-                           "count": len(pairs), "group": group_of[dom]}
+                           "count": len(pairs), "group": split}
     return MetricReport(split=split, source_only=state is None, per_domain=per_domain)
 
 

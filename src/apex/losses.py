@@ -17,7 +17,7 @@ negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,12 +137,10 @@ def seg_loss(pred, masks) -> tuple[Node, float, float]:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """P domains x S samples; ``assignments`` maps each chosen domain to the
-    sample indices drawn for it (filled by :func:`sample_batch`)."""
+    """P domains x S samples per batch."""
 
     domains_per_batch: int
     samples_per_domain: int
-    assignments: tuple = ()  # ((domain_id, (idx, ...)), ...)
 
     def __post_init__(self) -> None:
         if self.samples_per_domain < 2:
@@ -155,27 +153,24 @@ class BatchPlan:
         return self.domains_per_batch * self.samples_per_domain
 
 
-def sample_batch(dataset: dict, plan: BatchPlan, seed) -> BatchPlan:
-    """Draw P domains, then S distinct sample indices each, from ``dataset``
-    (domain id -> sample count or sequence). Deterministic given the seed,
-    which may be an int or a numpy Generator for streamed use.
+def sample_batch(counts: dict, plan: BatchPlan, rng: np.random.Generator) -> tuple:
+    """Draw P domains, then S distinct sample indices each, from ``counts``
+    (domain id -> sample count); returns ``((domain_id, (idx, ...)), ...)``.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    domains = sorted(dataset)
+    domains = sorted(counts)
     if len(domains) < plan.domains_per_batch:
         raise ConfigError(f"need {plan.domains_per_batch} domains, dataset has {len(domains)}")
     chosen = [domains[i] for i in rng.choice(len(domains), size=plan.domains_per_batch,
                                              replace=False)]
     assignments = []
     for dom in chosen:
-        pool = dataset[dom]
-        count = pool if isinstance(pool, int) else len(pool)
+        count = counts[dom]
         if count < plan.samples_per_domain:
             raise ConfigError(f"domain {dom!r} has {count} samples, need "
                               f"{plan.samples_per_domain}")
         idx = rng.choice(count, size=plan.samples_per_domain, replace=False)
         assignments.append((dom, tuple(int(i) for i in idx)))
-    return replace(plan, assignments=tuple(assignments))
+    return tuple(assignments)
 
 
 def sample_positives(labels, rng: np.random.Generator) -> np.ndarray:

@@ -96,8 +96,9 @@ def _lesion_window(cy: float, cx: float, a: float, b: float, h: int,
     return slice(max(y - r, 0), min(y + r + 1, h)), slice(max(x - r, 0), min(x + r + 1, w))
 
 
-def gen_base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Textured background near 0.3 with 1-3 brighter elliptical lesions.
+def _base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Textured background near 0.3 with 1-3 brighter elliptical lesions, as
+    a clipped [h, w] image and a boolean mask.
 
     Redraws until the lesion area fraction lands in [2%, 20%], so the
     generator satisfies its own area contract by construction. Each lesion
@@ -105,19 +106,6 @@ def gen_base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     image are those of a full-grid evaluation; only the lesion's window is
     evaluated.
     """
-    _check_scene_size(h, w)
-    img, mask = _base_scene(seed, h, w)
-    return img[:, :, None], mask.astype(np.float64)
-
-
-def _check_scene_size(h: int, w: int) -> None:
-    if h < 32 or w < 32 or h % 2 or w % 2:
-        raise ShapeError(f"scene sides must be even and >= 32, got {h}x{w}")
-
-
-def _base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gen_base_scene` as an [h, w] image and a boolean mask, for
-    sides the caller has checked."""
     rng = np.random.default_rng(seed)
     yy, xx = _grid(h, w)
     for _ in range(64):
@@ -162,15 +150,11 @@ def _shading_table(fu: int, fv: int, h: int, w: int) -> tuple[np.ndarray, np.nda
     return table
 
 
-def shading_field(spec: DomainSpec, rng: np.random.Generator, h: int, w: int) -> np.ndarray:
+def _shading_field(spec: DomainSpec, rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     """Smooth multiplicative field: 1 plus the domain's cosine modes with
     per-image phase and mild amplitude jitter. Each mode's cosine is taken
     once per distinct argument value and spread over the grid, which gives
     the full-grid expression's bits."""
-    return _shading_field(spec, rng, h, w)
-
-
-def _shading_field(spec: DomainSpec, rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     out = np.ones((h, w))
     for fu, fv, amp in spec.shading:
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -180,17 +164,9 @@ def _shading_field(spec: DomainSpec, rng: np.random.Generator, h: int, w: int) -
     return out
 
 
-def apply_domain(img: np.ndarray, spec: DomainSpec, seed: int) -> np.ndarray:
-    """clamp(gain * shading * img + bias + noise, 0, 1)."""
-    arr = np.asarray(img, dtype=np.float64)
-    squeeze = arr.ndim == 2
-    out = _apply_domain(arr[:, :, None] if squeeze else arr, spec, seed)
-    return out[:, :, 0] if squeeze else out
-
-
 def _apply_domain(arr: np.ndarray, spec: DomainSpec, seed: int, out=None) -> np.ndarray:
-    """:func:`apply_domain` of an [h, w, c] image, written to ``out`` if given;
-    the adds run in place, in the expression's order."""
+    """clamp(gain * shading * img + bias + noise, 0, 1) of an [h, w, c] image,
+    into ``out`` if given; the adds run in place, in the expression's order."""
     h, w = arr.shape[:2]
     rng = np.random.default_rng(seed)
     fld = _shading_field(spec, rng, h, w)[:, :, None]
@@ -230,6 +206,8 @@ class BenchmarkConfig:
     unseen: tuple = DEFAULT_UNSEEN
 
     def __post_init__(self) -> None:
+        if self.image_size < 32 or self.image_size % 2:
+            raise ConfigError(f"image_size must be even and >= 32, got {self.image_size}")
         for name in ("train_per_domain", "test_per_domain", "source_train", "source_test"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -252,10 +230,6 @@ class Benchmark:
 
     SPLITS = ("source_cal", "source_test", "train_seen", "test_seen", "test_unseen")
 
-    def domains(self) -> dict:
-        cfg = self.config
-        return {d.domain_id: d for d in (cfg.source,) + cfg.seen + cfg.unseen}
-
     def by_domain(self, split: str) -> dict:
         out: dict = {}
         for s in self.splits[split]:
@@ -264,7 +238,7 @@ class Benchmark:
 
     def manifest_csv(self) -> str:
         lines = ["sample_id,domain_id,split,scene_seed,gain,bias,shading,noise_sigma"]
-        domains = self.domains()
+        domains = {spec.domain_id: spec for spec, _, _ in _plan(self.config)}
         for split in self.SPLITS:
             for s in self.splits[split]:
                 spec = domains[s.domain_id]
@@ -288,59 +262,64 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _run_shares(work, workers: int) -> None:
+    """Run ``work(0)`` here and ``work(1)``, ..., ``work(workers - 1)`` on a
+    thread pool; join them all and re-raise a worker's exception. Shares
+    write only into arrays the caller allocated: a worker thread's malloc
+    arena keeps what it frees."""
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        shares = [pool.submit(work, k) for k in range(1, workers)]
+        work(0)
+        for share in shares:
+            share.result()
+
+
+def _plan(config: BenchmarkConfig) -> list:
+    """``(spec, split, count)`` for each domain of each split, in the order
+    the samples take their seeds."""
+    plan = [(config.source, "source_cal", config.source_train),
+            (config.source, "source_test", config.source_test)]
+    for spec in config.seen:
+        plan += [(spec, "train_seen", config.train_per_domain),
+                 (spec, "test_seen", config.test_per_domain)]
+    return plan + [(spec, "test_unseen", config.test_per_domain) for spec in config.unseen]
+
+
 def build_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
     """Generate every split; scene seeds are disjoint between train and test
     (and unique per sample), so no base scene is ever shared.
 
     A sample draws only from its own two seeded generators, so samples can
     be built in any order, with the same bytes. Every sample's arrays are
-    allocated here. From ``PARALLEL_MIN_PIXELS`` pixels up, one thread per
+    allocated here. From ``PARALLEL_MIN_PIXELS`` pixels up, one share per
     usable CPU fills every so-many-th sample's arrays (NumPy's generators
-    and large ufuncs release the GIL); the caller is one of them and joins
-    the others before it returns.
+    and large ufuncs release the GIL).
     """
     size = config.image_size
-    _check_scene_size(size, size)
-    plan = [(config.source, "source_cal", config.source_train),
-            (config.source, "source_test", config.source_test)]
-    for spec in config.seen:
-        plan += [(spec, "train_seen", config.train_per_domain),
-                 (spec, "test_seen", config.test_per_domain)]
-    plan += [(spec, "test_unseen", config.test_per_domain) for spec in config.unseen]
-    jobs = []  # (spec, split, index, scene_seed, transform_seed), in seed order
-    for spec, split, count in plan:
-        for i in range(count):
-            jobs.append((spec, split, i, (seed << 24) + len(jobs),
-                         (seed << 24) + 0x800000 + len(jobs)))
-    # one array per sample reuses freed heap memory; split-sized stacks are
-    # fresh pages and raised the peak RSS
-    targets = [(np.empty((size, size, 1)), np.empty((size, size))) for _ in jobs]
-    workers = min(len(jobs), _usable_cpus()) if size * size >= PARALLEL_MIN_PIXELS else 1
-    # the caches are filled here, so the workers only read them
-    _grid(size, size)
-    for spec in (config.source,) + config.seen + config.unseen:
+    _grid(size, size)  # the caches are filled here, so the workers only read them
+    splits: dict = {name: [] for name in Benchmark.SPLITS}
+    jobs = []  # (spec, sample), in seed order; the sample's arrays are filled later
+    for spec, split, count in _plan(config):
         for fu, fv, _ in spec.shading:
             _shading_table(fu, fv, size, size)
+        for i in range(count):
+            # one array per sample reuses freed heap memory; split-sized stacks
+            # are fresh pages and raised the peak RSS
+            sample = DomainSample(f"{spec.domain_id}-{split}-{i:04d}", spec.domain_id,
+                                  np.empty((size, size, 1)), np.empty((size, size)),
+                                  scene_seed=(seed << 24) + len(jobs))
+            jobs.append((spec, sample))
+            splits[split].append(sample)
+    workers = min(len(jobs), _usable_cpus()) if size * size >= PARALLEL_MIN_PIXELS else 1
 
     def build(k: int) -> None:
-        # worker k: jobs k, k + workers, ...; no public (tracer-wrapped) calls
-        for (spec, _, _, scene_seed, transform_seed), (image, mask) in zip(
-                jobs[k::workers], targets[k::workers]):
-            img, inside = _base_scene(scene_seed, size, size)
-            mask[...] = inside
-            _apply_domain(img[:, :, None], spec, transform_seed, out=image)
+        # share k: jobs k, k + workers, ...; no public (tracer-wrapped) calls
+        for spec, sample in jobs[k::workers]:
+            img, inside = _base_scene(sample.scene_seed, size, size)
+            sample.mask[...] = inside
+            _apply_domain(img[:, :, None], spec, sample.scene_seed + 0x800000, out=sample.image)
 
-    # the caller builds share 0 itself, so one fewer thread and malloc arena
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        shares = [pool.submit(build, k) for k in range(1, workers)]
-        build(0)
-        for share in shares:
-            share.result()  # re-raises a worker's exception
-    splits: dict = {name: [] for name in Benchmark.SPLITS}
-    for (spec, split, i, scene_seed, _), (image, mask) in zip(jobs, targets):
-        splits[split].append(DomainSample(sample_id=f"{spec.domain_id}-{split}-{i:04d}",
-                                          domain_id=spec.domain_id, image=image, mask=mask,
-                                          scene_seed=scene_seed))
+    _run_shares(build, workers)
     return Benchmark(config=config, seed=seed, splits=splits)
 
 
@@ -349,26 +328,35 @@ def save_benchmark(bench: Benchmark, directory) -> None:
     d.mkdir(parents=True, exist_ok=True)
     (d / "manifest.csv").write_text(bench.manifest_csv(), encoding="ascii")
     for split, samples in bench.splits.items():
-        if not samples:
-            continue
         tensorio.write_tensor(d / f"{split}_images.apxt", [s.image for s in samples])
         tensorio.write_tensor(d / f"{split}_masks.apxt", [s.mask for s in samples])
 
 
+def _read_split(path: Path, entries: list, shape: tuple, binary: bool) -> np.ndarray:
+    """A split's tensor: one sample of ``shape`` per manifest entry, and values
+    in [0, 1], or 0 and 1 only if ``binary``; a NaN fails every comparison.
+    Samples are checked one at a time, so no temporary is larger than one."""
+    arr = tensorio.read_tensor(path)
+    if arr.shape != (len(entries), *shape):
+        raise CorruptInputError(f"{path}: shape {arr.shape}, but manifest.csv lists "
+                                f"{len(entries)} samples of shape {shape}")
+    for (sample_id, _, _), x in zip(entries, arr):
+        if not (((x == 0.0) | (x == 1.0)) if binary else ((x >= 0.0) & (x <= 1.0))).all():
+            raise CorruptInputError(f"{path}: sample {sample_id} has values "
+                                    + ("other than 0 and 1" if binary else "outside [0, 1]"))
+    return arr
+
+
 def load_benchmark(directory, config: BenchmarkConfig, seed: int) -> Benchmark:
     """Load tensors saved by :func:`save_benchmark`; metadata comes from the
-    manifest. Every manifest row must name a split and one of that split's
-    domains in ``config``, and each split's image and mask tensors must hold
-    one row per manifest row; a fault raises :class:`CorruptInputError`."""
-    d = Path(directory)
+    manifest, each of whose rows must name a split and one of that split's
+    domains in ``config``. :func:`_read_split` checks each split's image and
+    mask tensors; a fault raises :class:`CorruptInputError`."""
+    d, side = Path(directory), config.image_size
     manifest = d / "manifest.csv"
     if not manifest.is_file():
         raise InputNotFoundError(f"no benchmark in {d}: {manifest.name} does not exist")
-    seen = {s.domain_id for s in config.seen}
-    domains_of = {"source_cal": {config.source.domain_id},
-                  "source_test": {config.source.domain_id},
-                  "train_seen": seen, "test_seen": seen,
-                  "test_unseen": {s.domain_id for s in config.unseen}}
+    planned = {(split, spec.domain_id) for spec, split, _ in _plan(config)}
     rows = read_text(manifest, "ascii", CorruptInputError).splitlines()[1:]
     meta: dict = {name: [] for name in Benchmark.SPLITS}
     for lineno, row in enumerate(rows, start=2):
@@ -377,28 +365,17 @@ def load_benchmark(directory, config: BenchmarkConfig, seed: int) -> Benchmark:
             scene_seed = int(scene_seed)
         except ValueError:
             raise CorruptInputError(f"{manifest}: line {lineno}: malformed row {row!r}") from None
-        if split not in domains_of:
-            raise CorruptInputError(f"{manifest}: line {lineno}: unknown split {split!r}")
-        if domain_id not in domains_of[split]:
-            raise CorruptInputError(f"{manifest}: line {lineno}: {domain_id!r} is not a "
-                                    f"{split} domain of the config")
+        if (split, domain_id) not in planned:
+            raise CorruptInputError(f"{manifest}: line {lineno}: the config has no domain "
+                                    f"{domain_id!r} in split {split!r}")
         meta[split].append((sample_id, domain_id, scene_seed))
     splits: dict = {}
     for split, entries in meta.items():
-        samples = []
-        if entries:
-            arrays = {}
-            for kind in ("images", "masks"):
-                path = d / f"{split}_{kind}.apxt"
-                arrays[kind] = tensorio.read_tensor(path)
-                if arrays[kind].shape[:1] != (len(entries),):
-                    raise CorruptInputError(f"{path}: shape {arrays[kind].shape}, but "
-                                            f"{manifest.name} lists {len(entries)} samples")
-            for (sample_id, domain_id, scene_seed), img, mask in zip(
-                    entries, arrays["images"], arrays["masks"]):
-                samples.append(DomainSample(sample_id=sample_id, domain_id=domain_id,
-                                            image=img, mask=mask, scene_seed=scene_seed))
-        splits[split] = samples
+        images = _read_split(d / f"{split}_images.apxt", entries, (side, side, 1), binary=False)
+        masks = _read_split(d / f"{split}_masks.apxt", entries, (side, side), binary=True)
+        splits[split] = [DomainSample(sample_id, domain_id, img, mask, scene_seed)
+                         for (sample_id, domain_id, scene_seed), img, mask
+                         in zip(entries, images, masks)]
     return Benchmark(config=config, seed=seed, splits=splits)
 
 
@@ -484,41 +461,41 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
 # run on one thread per usable CPU, so this working set is per thread. One
 # unblocked batch of 128x128 images is slower than a per-sample loop.
 CALIBRATION_BLOCK_ELEMENTS = 32768
+CALIBRATION_BLUR_RADIUS = 1
 CALIBRATION_THRESHOLDS = tuple(np.round(np.linspace(0.2, 0.8, 61), 10).tolist())
 CALIBRATION_SLOPES = (0.05, 0.08, 0.12)
 
 
-def calibration_scores(samples, blur_radius: int = 1, thresholds=CALIBRATION_THRESHOLDS,
-                       slopes=CALIBRATION_SLOPES) -> np.ndarray:
-    """Mean soft Dice of sigmoid((blur(x) - t) / s) on ``samples`` for every
-    grid point, as a [len(thresholds), len(slopes)] array.
+def calibration_scores(samples) -> np.ndarray:
+    """Mean soft Dice of sigmoid((blur(x) - t) / s) on ``samples`` at every
+    point of the ``CALIBRATION_*`` grid, as a [thresholds, slopes] array.
 
     A sample's soft Dice is (2 sum(p m) + 1) / (sum p + sum m + 1) over its
     channel-0 pixels; the mean adds the samples in order, then divides.
     Samples are evaluated a block of rows at a time with in-place ufuncs in
     the per-sample expression's order, and each row sums on its own, so
     every score is bit-identical to evaluating one sample at a time. One
-    thread per usable CPU scores blocks (NumPy's loops release the GIL), each
-    writing only its own samples' Dice; all are joined before the mean.
+    share of blocks per usable CPU is scored (NumPy's loops release the
+    GIL), each writing only its own samples' Dice.
     """
     if not samples:
         raise ConfigError("cannot calibrate on an empty source set")
+    thresholds, slopes = CALIBRATION_THRESHOLDS, CALIBRATION_SLOPES
     n, pixels = len(samples), samples[0].mask.size
     rows = max(1, CALIBRATION_BLOCK_ELEMENTS // pixels)
     starts = range(0, n, rows)
     workers = min(len(starts), _usable_cpus())
-    # all arrays are allocated here: a worker thread's malloc arena keeps what it frees
     blurred = np.empty((n, pixels))
     for lo in starts:
-        images = _blur(np.stack([s.image for s in samples[lo:lo + rows]]), blur_radius)
-        blurred[lo:lo + rows] = images[..., 0].reshape(len(images), pixels)
+        images = np.stack([s.image for s in samples[lo:lo + rows]])
+        blurred[lo:lo + rows] = _blur(images, CALIBRATION_BLUR_RADIUS)[..., 0].reshape(-1, pixels)
     masks = np.stack([smp.mask for smp in samples]).reshape(n, pixels)
     mask_sums = masks.sum(axis=1)
     scratch = np.empty((workers, 3, min(rows, n), pixels))
     dice = np.empty((len(thresholds), len(slopes), n))
 
     def score_blocks(k: int) -> None:
-        # worker k: blocks k, k + workers, ...; no public (tracer-wrapped) calls
+        # share k: blocks k, k + workers, ...; no public (tracer-wrapped) calls
         for lo in starts[k::workers]:
             x, m, m_sums = blurred[lo:lo + rows], masks[lo:lo + rows], mask_sums[lo:lo + rows]
             d, p, pm = scratch[k, :, :len(x)]
@@ -534,8 +511,7 @@ def calibration_scores(samples, blur_radius: int = 1, thresholds=CALIBRATION_THR
                     dice[i, j, lo:lo + rows] = ((2.0 * inter + 1.0)
                                                 / (p.sum(axis=1) + m_sums + 1.0))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(score_blocks, range(workers)))  # re-raises a worker's exception
+    _run_shares(score_blocks, workers)
     # the mean adds the samples in order; np.sum would reorder the adds
     scores = np.zeros(dice.shape[:2])
     for k in range(n):
@@ -543,8 +519,7 @@ def calibration_scores(samples, blur_radius: int = 1, thresholds=CALIBRATION_THR
     return scores / n
 
 
-def backbone_calibrate(samples, blur_radius: int = 1, thresholds=CALIBRATION_THRESHOLDS,
-                       slopes=CALIBRATION_SLOPES) -> FrozenBackbone:
+def backbone_calibrate(samples) -> FrozenBackbone:
     """Grid-search (t, s) maximizing mean soft Dice on the source samples.
 
     The search is batched, cache-blocked and spread over every usable CPU
@@ -553,7 +528,7 @@ def backbone_calibrate(samples, blur_radius: int = 1, thresholds=CALIBRATION_THR
     in scan order (thresholds outer, slopes inner). The returned backbone is
     immutable; hash it with ``digest()``.
     """
-    scores = calibration_scores(samples, blur_radius, thresholds, slopes)
+    scores = calibration_scores(samples)
     ti, si = np.unravel_index(int(np.argmax(scores)), scores.shape)
-    return FrozenBackbone(threshold=float(thresholds[ti]), slope=float(slopes[si]),
-                          blur_radius=blur_radius)
+    return FrozenBackbone(float(CALIBRATION_THRESHOLDS[ti]), float(CALIBRATION_SLOPES[si]),
+                          CALIBRATION_BLUR_RADIUS)

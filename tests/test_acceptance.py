@@ -258,7 +258,7 @@ def test_criterion_5_lfc_semantics():
 def test_criterion_6_identity_at_init_and_frozen_backbone(
         default_bench, default_backbone, request):
     state = pr.init_state(pr.ApexConfig(), 32, 32, 1)
-    img, _ = sd.gen_base_scene(17, 32, 32)
+    img = sd._base_scene(17, 32, 32)[0][:, :, None]
     out = pr.forward_batch(state, img[None]).output.array[0]
     drift = float(np.max(np.abs(out - img)))
     assert drift < 1e-9

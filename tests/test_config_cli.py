@@ -189,6 +189,15 @@ def _cut_one_row(bench: Path) -> None:
     tensorio.write_tensor(bench / "test_seen_images.apxt", arr[:-1])
 
 
+def _value_into(name: str, value: float):
+    """A fault that writes ``value`` into one pixel of sample 1 of ``name``."""
+    def corrupt(bench: Path) -> None:
+        arr = tensorio.read_tensor(bench / name)
+        arr[1, 5, 7] = value
+        tensorio.write_tensor(bench / name, arr)
+    return corrupt
+
+
 def _short_manifest_row(bench: Path) -> None:
     manifest = bench / "manifest.csv"
     lines = manifest.read_text().splitlines()
@@ -261,6 +270,26 @@ BENCH_FAULTS = [
     ("config_not_utf8", lambda d: _edit_bytes(d / "config.txt", b"bench_seed = 4",
                                               b"bench_seed = 4\xff"),
      ("config.txt", "not utf-8 text")),
+    ("odd_image_size", lambda d: _edit_text(d / "config.txt", "image_size = 32",
+                                            "image_size = 30"),
+     ("image_size must be even and >= 32, got 30",)),
+    # masks of another size than the images used to end in a raw broadcast error
+    ("small_masks", lambda d: tensorio.write_tensor(
+        d / "test_seen_masks.apxt", tensorio.read_tensor(d / "test_seen_masks.apxt")[:, :30, :30]),
+     ("test_seen_masks.apxt", "(8, 30, 30)", "of shape (32, 32)")),
+    ("images_of_another_size", lambda d: _edit_text(d / "config.txt", "image_size = 32",
+                                                    "image_size = 64"),
+     ("source_cal_images.apxt", "(12, 32, 32, 1)", "of shape (64, 64, 1)")),
+    # each value used to load: a NaN failed later as a divergence or a
+    # non-finite backbone input, and a mask value counted as foreground
+    ("nan_train_image", _value_into("train_seen_images.apxt", np.nan),
+     ("train_seen_images.apxt", "A-train_seen-0001", "outside [0, 1]")),
+    ("nan_test_image", _value_into("test_seen_images.apxt", np.nan),
+     ("test_seen_images.apxt", "A-test_seen-0001", "outside [0, 1]")),
+    ("negative_image", _value_into("test_seen_images.apxt", -3.0),
+     ("test_seen_images.apxt", "A-test_seen-0001", "outside [0, 1]")),
+    ("half_mask", _value_into("test_seen_masks.apxt", 0.5),
+     ("test_seen_masks.apxt", "A-test_seen-0001", "other than 0 and 1")),
 ]
 # (fault id, a line that replaces TINY_CONFIG's line of the same key or is
 # added to it, what the error names)
@@ -493,6 +522,7 @@ class TestCli:
         ("negative_source_test", "source_test = -1", "source_test must be >= 1"),
         ("nan_gain", "domain_A_gain = nan", "domain_A_gain"),
         ("inf_bias", "domain_C_bias = -inf", "domain_C_bias"),
+        ("odd_size", "image_size = 30", "image_size must be even and >= 32, got 30"),
     ])
     def test_gen_bench_bad_config_is_one_line_error(self, workdir, capsys, fault, line,
                                                     needle):
@@ -514,6 +544,17 @@ class TestCli:
                          "--out", str(workdir / "bench_not_utf8")]) == 1
         _assert_one_error_line(capsys, "not_utf8.cfg", "not utf-8 text", "byte 14")
         assert not (workdir / "bench_not_utf8").exists()
+
+    def test_train_nan_image_is_one_line_error(self, workdir, bench_dir, capsys):
+        broken = workdir / "bench_train_nan"
+        shutil.copytree(bench_dir, broken)
+        _value_into("train_seen_images.apxt", np.nan)(broken)
+        out = workdir / "run_train_nan"
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(workdir / "tiny.cfg"), "--bench", str(broken),
+                         "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, "train_seen_images.apxt", "A-train_seen-0001")
+        assert not out.exists()
 
     def test_train_divergence_is_one_line_error(self, workdir, bench_dir, capsys):
         config = workdir / "diverging.cfg"

@@ -155,6 +155,23 @@ class TestMetrics:
             scores.append(hn.dice_iou(pred > 0.5, s.mask)[0])
         assert rep.per_domain["source"]["dice"] == pytest.approx(np.mean(scores), abs=1e-12)
 
+    @pytest.mark.parametrize("split", ["seen", "unseen", "source"])
+    def test_csv_lines_bytes(self, bench, backbone, split):
+        """One row per domain of the split, in the split's group, then the
+        group's mean Dice; the source group has no mean."""
+        scores: dict = {}
+        for s in bench.splits[hn.SPLIT_NAMES[split]]:
+            pred = sd.backbone_forward(backbone, s.image).array[:, :, 0]
+            scores.setdefault(s.domain_id, []).append(hn.dice_iou(pred > 0.5, s.mask))
+        expected, dice = ["domain,group,dice,iou,count"], []
+        for dom in sorted(scores):
+            arr = np.asarray(scores[dom])
+            dice.append(float(arr[:, 0].mean()))
+            expected.append(f"{dom},{split},{dice[-1]!r},{float(arr[:, 1].mean())!r},{len(arr)}")
+        if split != "source":
+            expected.append(f"avg_{split},,{float(np.mean(dice))!r},,")
+        assert hn.evaluate(None, backbone, bench, split, source_only=True).csv_lines() == expected
+
     def test_unknown_split_rejected(self, bench, backbone):
         with pytest.raises(ConfigError):
             hn.evaluate(None, backbone, bench, "nope")
@@ -194,7 +211,8 @@ class TestExperiments:
 class TestActivations:
     def test_top_slot_count_and_determinism(self, tmp_path):
         state = pr.init_state(ApexConfig(seed=0), 32, 32, 1)  # J = 150
-        img, mask = sd.gen_base_scene(0, 32, 32)
+        img, mask = sd._base_scene(0, 32, 32)
+        img = img[:, :, None]
         samples = [sd.DomainSample("s0", "A", img, mask, 0),
                    sd.DomainSample("s1", "A", img, mask, 0),
                    sd.DomainSample("s2", "B", img * 0.8, mask, 0)]

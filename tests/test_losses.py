@@ -424,20 +424,21 @@ class TestBatchPlan:
         assert BatchPlan(2, 2).batch_size == 4
 
     def test_sample_batch_shape(self):
-        plan = losses.sample_batch({"a": 10, "b": 10}, BatchPlan(2, 2), seed=0)
-        assert len(plan.assignments) == 2
-        assert sum(len(idx) for _dom, idx in plan.assignments) == 4
-        for _dom, idx in plan.assignments:
+        drawn = losses.sample_batch({"a": 10, "b": 10}, BatchPlan(2, 2),
+                                    np.random.default_rng(0))
+        assert len(drawn) == 2
+        assert sum(len(idx) for _dom, idx in drawn) == 4
+        for _dom, idx in drawn:
             assert len(set(idx)) == 2
 
     def test_determinism(self):
-        a = losses.sample_batch({"a": 10, "b": 10, "c": 10}, BatchPlan(2, 3), seed=7)
-        b = losses.sample_batch({"a": 10, "b": 10, "c": 10}, BatchPlan(2, 3), seed=7)
+        a, b = (losses.sample_batch({"a": 10, "b": 10, "c": 10}, BatchPlan(2, 3),
+                                    np.random.default_rng(7)) for _ in range(2))
         assert a == b
 
     def test_insufficient_samples(self):
         with pytest.raises(ConfigError):
-            losses.sample_batch({"a": 1, "b": 5}, BatchPlan(2, 2), seed=0)
+            losses.sample_batch({"a": 1, "b": 5}, BatchPlan(2, 2), np.random.default_rng(0))
 
     def test_selection_frequency_near_uniform(self):
         """1000 draws; every sample within 3 sigma of the uniform count."""
@@ -447,7 +448,7 @@ class TestBatchPlan:
         counts = {(d, i): 0 for d in dataset for i in range(10)}
         for _ in range(1000):
             drawn = losses.sample_batch(dataset, plan, rng)
-            for dom, idx in drawn.assignments:
+            for dom, idx in drawn:
                 for i in idx:
                     counts[(dom, i)] += 1
         expected = 1000 * 0.2

@@ -30,24 +30,28 @@ def backbone(small_bench):
     return sd.backbone_calibrate(small_bench.splits["source_cal"])
 
 
+def scene_sample(seed, size):
+    """A source sample of the base scene of ``seed``, shaped as a benchmark's."""
+    img, mask = sd._base_scene(seed, size, size)
+    return sd.DomainSample(f"s{seed}", "source", img[:, :, None], mask.astype(np.float64), seed)
+
+
 class TestBaseScene:
     def test_determinism(self):
-        a_img, a_mask = sd.gen_base_scene(99, 32, 32)
-        b_img, b_mask = sd.gen_base_scene(99, 32, 32)
+        a_img, a_mask = sd._base_scene(99, 32, 32)
+        b_img, b_mask = sd._base_scene(99, 32, 32)
         assert np.array_equal(a_img, b_img)
         assert np.array_equal(a_mask, b_mask)
 
     def test_lesions_brighter_than_background(self):
         for seed in range(10):
-            img, mask = sd.gen_base_scene(seed, 32, 32)
-            lesion = img[:, :, 0][mask > 0].mean()
-            background = img[:, :, 0][mask == 0].mean()
-            assert lesion > background + 0.2
+            img, mask = sd._base_scene(seed, 32, 32)
+            assert img[mask].mean() > img[~mask].mean() + 0.2
 
     def test_area_fraction_monte_carlo(self):
         fracs = []
         for seed in range(1000):
-            _, mask = sd.gen_base_scene(seed, 32, 32)
+            _, mask = sd._base_scene(seed, 32, 32)
             fracs.append(mask.mean())
         fracs = np.asarray(fracs)
         assert fracs.min() >= 0.02
@@ -55,32 +59,32 @@ class TestBaseScene:
 
     def test_mask_nonempty(self):
         for seed in range(25):
-            _, mask = sd.gen_base_scene(seed, 32, 32)
+            _, mask = sd._base_scene(seed, 32, 32)
             assert mask.sum() > 0
 
     def test_size_contract(self):
-        with pytest.raises(ShapeError):
-            sd.gen_base_scene(0, 30, 32)
-        with pytest.raises(ShapeError):
-            sd.gen_base_scene(0, 32, 33)
+        for size in (30, 33, 0, -32):
+            with pytest.raises(ConfigError, match=f"image_size must be even and >= 32, "
+                                                  f"got {size}"):
+                sd.BenchmarkConfig(image_size=size)
 
 
 class TestApplyDomain:
     def test_identity_spec(self):
-        img, _ = sd.gen_base_scene(3, 32, 32)
+        img = sd._base_scene(3, 32, 32)[0][:, :, None]
         spec = sd.DomainSpec("id", gain=1.0, bias=0.0)
-        assert np.array_equal(sd.apply_domain(img, spec, seed=0), img)
+        assert np.array_equal(sd._apply_domain(img, spec, seed=0), img)
 
     def test_pure_bias(self):
         img = np.full((32, 32, 1), 0.4)
         spec = sd.DomainSpec("b", gain=1.0, bias=0.2)
-        out = sd.apply_domain(img, spec, seed=0)
+        out = sd._apply_domain(img, spec, seed=0)
         assert np.max(np.abs(out - 0.6)) < 1e-12
 
     def test_determinism(self):
-        img, _ = sd.gen_base_scene(4, 32, 32)
+        img = sd._base_scene(4, 32, 32)[0][:, :, None]
         spec = sd.DEFAULT_SEEN[0]
-        assert np.array_equal(sd.apply_domain(img, spec, 11), sd.apply_domain(img, spec, 11))
+        assert np.array_equal(sd._apply_domain(img, spec, 11), sd._apply_domain(img, spec, 11))
 
     @pytest.mark.parametrize("spec", sd.DEFAULT_SEEN + sd.DEFAULT_UNSEEN,
                              ids=lambda s: s.domain_id)
@@ -89,7 +93,7 @@ class TestApplyDomain:
         from dataclasses import replace
         img = np.full((32, 32, 1), 0.5)  # flat, so img'/img isolates the field
         clean = replace(spec, bias=0.0, noise_sigma=0.0)
-        out = sd.apply_domain(img, clean, seed=21)
+        out = sd._apply_domain(img, clean, seed=21)
         ratio = out[:, :, 0] / img[:, :, 0]
         centered = ratio - ratio.mean()
         amp = np.abs(np.fft.fftshift(np.fft.fft2(centered)))
@@ -106,7 +110,7 @@ class TestApplyDomain:
 
 
 def oracle_base_scene(seed, h, w):
-    """The definition of :func:`synthdata.gen_base_scene`: every ellipse
+    """The definition of :func:`synthdata._base_scene`: every ellipse
     evaluated over the full grid and merged with a full-image ``np.where``."""
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:h, 0:w]
@@ -131,11 +135,11 @@ def oracle_base_scene(seed, h, w):
             break
     else:
         raise RuntimeError(f"scene generator failed to hit area range for seed {seed}")
-    return np.clip(img, 0.0, 1.0)[:, :, None], mask.astype(np.float64)
+    return np.clip(img, 0.0, 1.0), mask
 
 
 def oracle_shading_field(spec, rng, h, w):
-    """The definition of :func:`synthdata.shading_field`: every mode's cosine
+    """The definition of :func:`synthdata._shading_field`: every mode's cosine
     over the full grid."""
     yy, xx = np.mgrid[0:h, 0:w]
     out = np.ones((h, w))
@@ -147,7 +151,7 @@ def oracle_shading_field(spec, rng, h, w):
 
 
 def oracle_apply_domain(img, spec, seed):
-    """The definition of :func:`synthdata.apply_domain`, one expression."""
+    """The definition of :func:`synthdata._apply_domain`, one expression."""
     arr = np.asarray(img, dtype=np.float64)
     h, w = arr.shape[:2]
     rng = np.random.default_rng(seed)
@@ -181,7 +185,7 @@ class TestGeneratorMatchesOracle:
 
         monkeypatch.setattr(sd, "_lesion_window", recording_window)
         for seed in range(50):
-            img, mask = sd.gen_base_scene(seed, size, size)
+            img, mask = sd._base_scene(seed, size, size)
             ref_img, ref_mask = oracle_base_scene(seed, size, size)
             assert img.tobytes() == ref_img.tobytes(), seed
             assert mask.tobytes() == ref_mask.tobytes(), seed
@@ -211,34 +215,36 @@ class TestGeneratorMatchesOracle:
     @pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=lambda s: s.domain_id)
     def test_apply_domain_bytes(self, size, spec):
         for seed in range(6):
-            img, _ = sd.gen_base_scene(seed, size, size)
-            out = sd.apply_domain(img, spec, 1000 + seed)
+            img = sd._base_scene(seed, size, size)[0][:, :, None]
+            out = sd._apply_domain(img, spec, 1000 + seed)
             assert out.tobytes() == oracle_apply_domain(img, spec, 1000 + seed).tobytes()
-            assert np.array_equal(sd.apply_domain(img[:, :, 0], spec, 1000 + seed),
-                                  out[:, :, 0])
+            into = np.empty_like(img)
+            assert sd._apply_domain(img, spec, 1000 + seed, out=into) is into
+            assert into.tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("size", [32, 48, 66, 128])
     @pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=lambda s: s.domain_id)
     def test_shading_field_bytes(self, size, spec):
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(10):
-            fld = sd.shading_field(spec, rng, size, size)
+            fld = sd._shading_field(spec, rng, size, size)
             assert fld.tobytes() == oracle_shading_field(spec, ref_rng, size, size).tobytes()
         assert rng.random() == ref_rng.random()  # the same draws were taken
 
     def test_non_square_scene_and_field(self):
         spec = sd.DEFAULT_SEEN[0]
         for seed in range(10):
-            img, mask = sd.gen_base_scene(seed, 32, 66)
+            img, mask = sd._base_scene(seed, 32, 66)
             ref_img, ref_mask = oracle_base_scene(seed, 32, 66)
             assert img.tobytes() == ref_img.tobytes()
             assert mask.tobytes() == ref_mask.tobytes()
-            assert (sd.apply_domain(img, spec, seed).tobytes()
+            img = img[:, :, None]
+            assert (sd._apply_domain(img, spec, seed).tobytes()
                     == oracle_apply_domain(img, spec, seed).tobytes())
 
     def test_cached_tables_are_read_only(self):
-        sd.gen_base_scene(0, 32, 32)
-        sd.apply_domain(np.full((32, 32, 1), 0.5), sd.DEFAULT_SEEN[0], 0)
+        sd._base_scene(0, 32, 32)
+        sd._apply_domain(np.full((32, 32, 1), 0.5), sd.DEFAULT_SEEN[0], 0)
         assert sd._GRIDS and sd._SHADING_TABLES
         tables = list(sd._GRIDS.values())
         for vals, inv in sd._SHADING_TABLES.values():
@@ -340,19 +346,17 @@ class TestBackbone:
         t, s = np.unravel_index(np.argmax(oracle), oracle.shape)
         assert (backbone.threshold, backbone.slope) == (float(thresholds[t]), slopes[s])
 
-    def test_non_default_grid_across_partial_blocks(self):
+    def test_non_default_grid_across_partial_blocks(self, monkeypatch):
         # 5 images at 128x128 fill two rows per block: the last block is short
         rows = sd.CALIBRATION_BLOCK_ELEMENTS // (128 * 128)
         assert 1 < rows < 5 and 5 % rows
-        samples = []
-        for k in range(5):
-            img, mask = sd.gen_base_scene(400 + k, 128, 128)
-            samples.append(sd.DomainSample(f"s{k}", "source", img, mask, 400 + k))
+        samples = [scene_sample(400 + k, 128) for k in range(5)]
         thresholds, slopes = np.array([0.31, 0.5, 0.62]), (0.03, 0.2)
+        monkeypatch.setattr(sd, "CALIBRATION_THRESHOLDS", thresholds)
+        monkeypatch.setattr(sd, "CALIBRATION_SLOPES", slopes)
         oracle = self.per_sample_scores(samples, thresholds, slopes)
-        scores = sd.calibration_scores(samples, thresholds=thresholds, slopes=slopes)
-        assert scores.tobytes() == oracle.tobytes()
-        bb = sd.backbone_calibrate(samples, thresholds=thresholds, slopes=slopes)
+        assert sd.calibration_scores(samples).tobytes() == oracle.tobytes()
+        bb = sd.backbone_calibrate(samples)
         t, s = np.unravel_index(np.argmax(oracle), oracle.shape)
         assert (bb.threshold, bb.slope) == (float(thresholds[t]), slopes[s])
 
@@ -515,11 +519,45 @@ def _recording_public_calls(monkeypatch) -> set:
     return callers
 
 
+def fake_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestRunShares:
+    """``_run_shares`` runs share 0 on the caller and the others on a pool."""
+
+    def test_share_zero_runs_on_the_caller(self):
+        ran = {}
+        sd._run_shares(lambda k: ran.setdefault(k, threading.get_ident()), 4)
+        assert sorted(ran) == [0, 1, 2, 3]
+        assert ran[0] == threading.get_ident()
+        assert threading.get_ident() not in {ran[1], ran[2], ran[3]}
+
+    def test_worker_exception_reaches_caller_after_every_share(self):
+        finished = []
+
+        def work(k):
+            if k == 2:
+                raise ValueError("share 2 failed")
+            finished.append(k)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="share 2 failed"):
+            sd._run_shares(work, 4)
+        assert sorted(finished) == [0, 1, 3]
+        assert threading.active_count() == before
+
+
 class TestThreadedCalibration:
-    """``calibration_scores`` spreads its row blocks over a thread pool; the
+    """``calibration_scores`` shares its row blocks out over threads; the
     scores must not depend on how the blocks interleave."""
 
     THRESHOLDS, SLOPES = np.array([0.3, 0.47, 0.6]), (0.04, 0.1)
+
+    @pytest.fixture(autouse=True)
+    def small_grid(self, monkeypatch):
+        monkeypatch.setattr(sd, "CALIBRATION_THRESHOLDS", self.THRESHOLDS)
+        monkeypatch.setattr(sd, "CALIBRATION_SLOPES", self.SLOPES)
 
     @pytest.fixture(scope="class")
     def samples(self):
@@ -527,14 +565,10 @@ class TestThreadedCalibration:
         # blocks than workers on any machine with fewer than 5 CPUs
         rows = sd.CALIBRATION_BLOCK_ELEMENTS // (128 * 128)
         assert rows == 2
-        out = []
-        for k in range(9):
-            img, mask = sd.gen_base_scene(700 + k, 128, 128)
-            out.append(sd.DomainSample(f"s{k}", "source", img, mask, 700 + k))
-        return out
+        return [scene_sample(700 + k, 128) for k in range(9)]
 
     def scores(self, samples):
-        return sd.calibration_scores(samples, thresholds=self.THRESHOLDS, slopes=self.SLOPES)
+        return sd.calibration_scores(samples)
 
     def test_matches_per_sample_oracle(self, samples):
         oracle = TestBackbone.per_sample_scores(samples, self.THRESHOLDS, self.SLOPES)
@@ -550,7 +584,7 @@ class TestThreadedCalibration:
         # as often as the interpreter allows: a lost or misplaced block write
         # would change the bytes
         first = self.scores(samples).tobytes()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        fake_cpus(monkeypatch, 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -560,6 +594,7 @@ class TestThreadedCalibration:
         assert runs == [first] * 3
 
     def test_workers_call_no_public_function(self, samples, monkeypatch):
+        fake_cpus(monkeypatch, 4)
         caller, workers = threading.get_ident(), set()
         callers = _recording_public_calls(monkeypatch)  # backbone_forward among them
 
@@ -580,23 +615,24 @@ class TestThreadedCalibration:
         self.scores(samples)
         assert threading.active_count() == before
 
-    def test_worker_exception_reaches_caller(self, samples):
-        # a slope that is no number fails in np.divide, inside a worker
+    def test_worker_exception_reaches_caller(self, samples, monkeypatch):
+        # a slope that is no number fails in np.divide, in every share
+        fake_cpus(monkeypatch, 4)
+        monkeypatch.setattr(sd, "CALIBRATION_SLOPES", (0.04, "steep"))
         before = threading.active_count()
         with pytest.raises(TypeError):
-            sd.calibration_scores(samples, thresholds=self.THRESHOLDS, slopes=(0.04, "steep"))
+            self.scores(samples)
         assert threading.active_count() == before
 
     def test_mismatched_sample_shapes_rejected(self, samples):
-        img, mask = sd.gen_base_scene(799, 64, 64)
-        odd = samples[:5] + [sd.DomainSample("odd", "source", img, mask, 799)] + samples[6:]
+        odd = samples[:5] + [scene_sample(799, 64)] + samples[6:]
         with pytest.raises(ValueError):
             self.scores(odd)
 
 
 class TestThreadedGeneration:
-    """From ``PARALLEL_MIN_PIXELS`` up, ``build_benchmark`` builds its samples
-    on a thread pool; the bytes must not depend on how they interleave."""
+    """From ``PARALLEL_MIN_PIXELS`` up, ``build_benchmark`` shares its samples
+    out over threads; the bytes must not depend on how they interleave."""
 
     CONFIG = sd.BenchmarkConfig(image_size=128, train_per_domain=3, test_per_domain=2,
                                 source_train=3, source_test=2)
@@ -618,13 +654,10 @@ class TestThreadedGeneration:
             mp.setattr(sd, "PARALLEL_MIN_PIXELS", 128 * 128 + 1)
             return self.digest(sd.build_benchmark(self.CONFIG, self.SEED))
 
-    @staticmethod
-    def fake_cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-    def test_inline_path_is_the_public_one_by_one_path(self, inline):
-        # every sample is gen_base_scene then apply_domain with its two seeds,
-        # counted in plan order: each seen domain's train samples, then its test
+    def test_inline_path_is_the_oracle_one_by_one_path(self, inline):
+        # every sample is the oracle scene, then the oracle transform with its
+        # two seeds, counted in plan order: each seen domain's train samples,
+        # then its test
         cfg, base = self.CONFIG, self.SEED << 24
         order = [("source_cal", cfg.source, cfg.source_train),
                  ("source_test", cfg.source, cfg.source_test)]
@@ -636,9 +669,10 @@ class TestThreadedGeneration:
         counter = 0
         for split, spec, count in order:
             for i in range(count):
-                img, mask = sd.gen_base_scene(base + counter, 128, 128)
-                image = sd.apply_domain(img, spec, base + 0x800000 + counter)
-                built[split].append((f"{spec.domain_id}-{split}-{i:04d}", image, mask))
+                img, mask = oracle_base_scene(base + counter, 128, 128)
+                image = oracle_apply_domain(img[:, :, None], spec, base + 0x800000 + counter)
+                built[split].append((f"{spec.domain_id}-{split}-{i:04d}", image,
+                                     mask.astype(np.float64)))
                 counter += 1
         expected = [sd.build_benchmark(cfg, self.SEED).manifest_csv().encode()]
         for split in sd.Benchmark.SPLITS:
@@ -647,13 +681,13 @@ class TestThreadedGeneration:
         assert b"".join(expected) == inline
 
     def test_threads_match_inline(self, inline, monkeypatch):
-        self.fake_cpus(monkeypatch, 2)
+        fake_cpus(monkeypatch, 2)
         assert self.digest(sd.build_benchmark(self.CONFIG, self.SEED)) == inline
 
     def test_identical_under_forced_interleaving(self, inline, monkeypatch):
         # more workers than this machine's cores, switching threads as often as
         # the interpreter allows: a lost or misplaced write would change the bytes
-        self.fake_cpus(monkeypatch, 16)
+        fake_cpus(monkeypatch, 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -663,7 +697,7 @@ class TestThreadedGeneration:
         assert runs == [inline] * 3
 
     def test_workers_call_no_public_function(self, monkeypatch):
-        self.fake_cpus(monkeypatch, 4)
+        fake_cpus(monkeypatch, 4)
         caller, workers = threading.get_ident(), set()
         callers = _recording_public_calls(monkeypatch)
 
@@ -680,13 +714,13 @@ class TestThreadedGeneration:
         assert workers and caller not in workers  # shares ran in other threads too
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
-        self.fake_cpus(monkeypatch, 4)
+        fake_cpus(monkeypatch, 4)
         before = threading.active_count()
         sd.build_benchmark(self.CONFIG, self.SEED)
         assert threading.active_count() == before
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
-        self.fake_cpus(monkeypatch, 4)
+        fake_cpus(monkeypatch, 4)
         apply, raised_in = sd._apply_domain, []
 
         def failing(arr, spec, seed, out=None):
@@ -704,7 +738,7 @@ class TestThreadedGeneration:
 
     @pytest.mark.parametrize("size", [32, 128])
     def test_threads_only_from_the_cut_off(self, monkeypatch, size):
-        self.fake_cpus(monkeypatch, 4)
+        fake_cpus(monkeypatch, 4)
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",

@@ -8,6 +8,11 @@ sides' runs, medians and quartiles (inclusive method), the number of pairs
 the change won and the median change in percent. It is rewritten after
 every pair, so an interrupted comparison keeps the pairs it finished.
 
+Before each run a fresh process times a fixed NumPy loop (an ``fft2`` of
+[8, 128, 128] and a 256x256 matmul) that no change to the code can move;
+its medians per side go under ``drift_probe``, so a reader can tell drift of
+the machine's speed from an effect of the change.
+
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
         --workload train32:110 --workload hires128:120 --workload ablate32:130 \\
         --pairs 10 --out BENCH_9.json
@@ -27,6 +32,22 @@ import sys
 from pathlib import Path
 
 RUN = ["perfbench/run.py", "--trace", "0"]
+PROBE = """
+import json, time
+import numpy as np
+x = np.random.default_rng(0).standard_normal((8, 128, 128))
+m = np.random.default_rng(1).standard_normal((256, 256))
+out = {}
+for name, fn in (("fft2_ms", lambda: np.fft.fft2(x)), ("matmul_ms", lambda: m @ m)):
+    fn()
+    times = []
+    for _ in range(50):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    out[name] = 1e3 * sorted(times)[len(times) // 2]
+print(json.dumps(out))
+"""
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -36,6 +57,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     env = next(line for line in lines if line.startswith("# environment "))
     return dict(json.loads(lines[-1]), environment=json.loads(env[len("# environment "):]))
+
+
+def drift_probe(checkout: Path) -> dict:
+    """Median ms of each loop of ``PROBE``, timed in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", PROBE], cwd=checkout, capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def probe_record(probes: list[dict]) -> dict:
+    """Each side's probe runs and their median, per loop."""
+    return {side: {name: {"median": statistics.median(p[side][name] for p in probes),
+                          "runs": [p[side][name] for p in probes]}
+                   for name in probes[0][side]}
+            for side in ("parent", "change")}
 
 
 def summary(runs: list[float]) -> dict:
@@ -109,17 +145,24 @@ def main() -> int:
                         for side in ("parent", "change")},
         "tier1": dict(zip(("parent", "change"), args.tier1)) if args.tier1 else None,
         "workloads": {},
+        "drift_probe": {},
     }
     for item in args.workload:
         name, _, first = item.partition(":")
         seeds = [int(first) + k for k in range(args.pairs)]
         pairs: list[tuple[dict, dict]] = []
+        probes: list[dict] = []
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            runs = {side: run_once(getattr(args, side), name, seed, seconds) for side in order}
+            runs, probe = {}, {}
+            for side in order:
+                probe[side] = drift_probe(getattr(args, side))
+                runs[side] = run_once(getattr(args, side), name, seed, seconds)
             pairs.append((runs["parent"], runs["change"]))
+            probes.append(probe)
             record["environment"] = runs["change"]["environment"]
             record["workloads"][name] = workload_record(seeds, pairs, metrics)
+            record["drift_probe"][name] = probe_record(probes)
             args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
             print(f"{name} seed {seed}: " + ", ".join(
                 f"{m} {runs['parent']['metrics'][m]['value']:.4g} -> "
