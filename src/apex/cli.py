@@ -66,7 +66,11 @@ def _load_bench(bench_dir: str) -> synthdata.Benchmark:
     except ValueError:
         raise CorruptInputError(f"{path}: bad bench_seed {kv['bench_seed']!r}: "
                                 "expected an integer") from None
-    return synthdata.load_benchmark(bench_dir, cfgmod.bench_config(kv), seed)
+    try:
+        config = cfgmod.bench_config(kv)
+    except ConfigError as exc:
+        raise CorruptInputError(f"{path}: {exc}") from None
+    return synthdata.load_benchmark(bench_dir, config, seed)
 
 
 def _backbone_for(bench: synthdata.Benchmark) -> synthdata.FrozenBackbone:

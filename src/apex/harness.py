@@ -47,7 +47,7 @@ class TrainConfig:
 
 def _batch_arrays(samples) -> tuple[np.ndarray, np.ndarray, list]:
     images = np.stack([s.image for s in samples])
-    masks = np.stack([s.mask for s in samples])[:, :, :, None]
+    masks = np.stack([s.mask for s in samples], dtype=np.float64)[:, :, :, None]
     labels = [s.domain_id for s in samples]
     return images, masks, labels
 
@@ -143,8 +143,8 @@ def write_step_log(log: list[LossReport], path) -> None:
 
 def dice_iou(pred_binary: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
     """Overlap metrics in percent; an empty-vs-empty pair counts as perfect."""
-    p = pred_binary.astype(bool)
-    g = mask.astype(bool)
+    p = np.asarray(pred_binary, dtype=bool)
+    g = np.asarray(mask, dtype=bool)
     inter = float(np.logical_and(p, g).sum())
     union = float(np.logical_or(p, g).sum())
     total = float(p.sum() + g.sum())

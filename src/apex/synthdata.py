@@ -69,7 +69,7 @@ class DomainSample:
     sample_id: str
     domain_id: str
     image: np.ndarray   # [h, w, 1]
-    mask: np.ndarray    # [h, w] of {0.0, 1.0}
+    mask: np.ndarray    # [h, w] bool; saved as float64 0.0 and 1.0
     scene_seed: int
 
 
@@ -306,7 +306,7 @@ def build_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
             # one array per sample reuses freed heap memory; split-sized stacks
             # are fresh pages and raised the peak RSS
             sample = DomainSample(f"{spec.domain_id}-{split}-{i:04d}", spec.domain_id,
-                                  np.empty((size, size, 1)), np.empty((size, size)),
+                                  np.empty((size, size, 1)), np.empty((size, size), dtype=bool),
                                   scene_seed=(seed << 24) + len(jobs))
             jobs.append((spec, sample))
             splits[split].append(sample)
@@ -334,17 +334,24 @@ def save_benchmark(bench: Benchmark, directory) -> None:
 
 def _read_split(path: Path, entries: list, shape: tuple, binary: bool) -> np.ndarray:
     """A split's tensor: one sample of ``shape`` per manifest entry, and values
-    in [0, 1], or 0 and 1 only if ``binary``; a NaN fails every comparison.
-    Samples are checked one at a time, so no temporary is larger than one."""
+    in [0, 1], or 0 and 1 only if ``binary``, which returns it as ``bool``; a
+    NaN fails every comparison. Samples are checked (and a binary one
+    converted) one at a time, so no temporary is larger than one."""
     arr = tensorio.read_tensor(path)
     if arr.shape != (len(entries), *shape):
         raise CorruptInputError(f"{path}: shape {arr.shape}, but manifest.csv lists "
                                 f"{len(entries)} samples of shape {shape}")
-    for (sample_id, _, _), x in zip(entries, arr):
-        if not (((x == 0.0) | (x == 1.0)) if binary else ((x >= 0.0) & (x <= 1.0))).all():
+    out = np.empty(arr.shape, dtype=bool) if binary else arr
+    for (sample_id, _, _), x, o in zip(entries, arr, out):
+        if binary:
+            np.equal(x, 1.0, out=o)
+            ok = (o | (x == 0.0)).all()
+        else:
+            ok = ((x >= 0.0) & (x <= 1.0)).all()
+        if not ok:
             raise CorruptInputError(f"{path}: sample {sample_id} has values "
                                     + ("other than 0 and 1" if binary else "outside [0, 1]"))
-    return arr
+    return out
 
 
 def load_benchmark(directory, config: BenchmarkConfig, seed: int) -> Benchmark:
@@ -489,7 +496,8 @@ def calibration_scores(samples) -> np.ndarray:
     for lo in starts:
         images = np.stack([s.image for s in samples[lo:lo + rows]])
         blurred[lo:lo + rows] = _blur(images, CALIBRATION_BLUR_RADIUS)[..., 0].reshape(-1, pixels)
-    masks = np.stack([smp.mask for smp in samples]).reshape(n, pixels)
+    # float64, as a bool mask would be cast again in every np.multiply below
+    masks = np.stack([smp.mask for smp in samples], dtype=np.float64).reshape(n, pixels)
     mask_sums = masks.sum(axis=1)
     scratch = np.empty((workers, 3, min(rows, n), pixels))
     dice = np.empty((len(thresholds), len(slopes), n))

@@ -28,17 +28,20 @@ MAGIC = b"APXT"
 
 def write_tensor(path, arr) -> None:
     """Write ``arr``; a list or tuple of equal-shape arrays as their stack, one by one."""
-    # parts under the 64 KiB file buffer are gathered in it, larger ones go out uncopied
     seq = isinstance(arr, (list, tuple))
-    parts = [np.asarray(a, dtype="<f8", order="C") for a in (arr if seq else [arr])]
-    if seq and (not parts or any(p.shape != parts[0].shape for p in parts)):
+    parts = arr if seq else [arr]
+    shapes = {np.shape(a) for a in parts}
+    if len(shapes) != 1:
         raise ValueError("write_tensor needs one or more arrays of one shape")
-    shape = (len(parts), *parts[0].shape) if seq else parts[0].shape
+    shape = (len(parts), *shapes.pop()) if seq else shapes.pop()
     with open(path, "wb", buffering=1 << 16) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack(f"<I{len(shape)}I", len(shape), *shape))
+        # each part is converted as it is written, so a list of bool masks
+        # never has a float64 copy of the whole list; parts under the 64 KiB
+        # file buffer are gathered in it, larger ones go out uncopied
         for part in parts:
-            fh.write(part)
+            fh.write(np.asarray(part, dtype="<f8", order="C"))
 
 
 def read_tensor(path) -> np.ndarray:

@@ -270,9 +270,13 @@ BENCH_FAULTS = [
     ("config_not_utf8", lambda d: _edit_bytes(d / "config.txt", b"bench_seed = 4",
                                               b"bench_seed = 4\xff"),
      ("config.txt", "not utf-8 text")),
+    # a config the benchmark's config.txt holds is named as that file's fault
     ("odd_image_size", lambda d: _edit_text(d / "config.txt", "image_size = 32",
                                             "image_size = 30"),
-     ("image_size must be even and >= 32, got 30",)),
+     ("config.txt", "image_size must be even and >= 32, got 30")),
+    ("negative_domain_gain", lambda d: _edit_text(d / "config.txt", "domain_A_gain = 0.55",
+                                                  "domain_A_gain = -0.55"),
+     ("config.txt", "'A'", "gain must be positive")),
     # masks of another size than the images used to end in a raw broadcast error
     ("small_masks", lambda d: tensorio.write_tensor(
         d / "test_seen_masks.apxt", tensorio.read_tensor(d / "test_seen_masks.apxt")[:, :30, :30]),

@@ -124,6 +124,17 @@ class TestGraphSize:
         assert per_step["finite_checks"] <= 59
 
 
+def test_batch_arrays_give_float64_masks(bench):
+    # seg_loss reads the masks as float64 without a copy; the samples hold bool
+    samples = bench.splits["train_seen"][:5]
+    images, masks, labels = hn._batch_arrays(samples)
+    assert images.shape == (5, 32, 32, 1) and masks.shape == (5, 32, 32, 1)
+    assert masks.dtype == np.float64 and masks.flags.c_contiguous
+    assert np.array_equal(masks[..., 0], [s.mask for s in samples])
+    assert np.asarray(masks, dtype=np.float64) is masks
+    assert labels == [s.domain_id for s in samples]
+
+
 class TestMetrics:
     def test_dice_iou_trivial_cases(self):
         mask = np.zeros((8, 8))
@@ -132,6 +143,12 @@ class TestMetrics:
         empty = np.zeros((8, 8))
         dice, iou = hn.dice_iou(empty > 0, mask)
         assert dice == 0.0 and iou == 0.0
+
+    def test_dice_iou_of_bool_and_float_masks_agree(self, bench, backbone):
+        for s in bench.splits["test_seen"]:
+            assert s.mask.dtype == np.bool_
+            pred = sd.backbone_forward(backbone, s.image).array[:, :, 0] > 0.5
+            assert hn.dice_iou(pred, s.mask) == hn.dice_iou(pred, s.mask.astype(np.float64))
 
     def test_dice_geq_iou_identity(self):
         rng = np.random.default_rng(0)

@@ -115,6 +115,12 @@ class TestTensorFormat:
         assert raw == (tmp_path / "stacked.apxt").read_bytes()
         assert np.array_equal(tensorio.read_tensor(tmp_path / "seq.apxt"), np.stack(parts))
 
+    def test_bool_parts_are_written_as_float64_zeros_and_ones(self, tmp_path):
+        parts = [np.arange(12).reshape(3, 4) % (k + 2) == 0 for k in range(3)]
+        tensorio.write_tensor(tmp_path / "bool.apxt", parts)
+        tensorio.write_tensor(tmp_path / "f8.apxt", [p.astype(np.float64) for p in parts])
+        assert (tmp_path / "bool.apxt").read_bytes() == (tmp_path / "f8.apxt").read_bytes()
+
     @pytest.mark.parametrize("parts", [
         pytest.param([], id="empty"),
         pytest.param([np.ones((2, 2)), np.ones((2, 3))], id="unequal_shapes"),

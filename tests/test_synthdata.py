@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import apex
-from apex import harness, numerics as nm, spectral as sp, synthdata as sd
-from apex.errors import ConfigError, InputNotFoundError, NonFiniteError, ShapeError
+from apex import harness, numerics as nm, spectral as sp, synthdata as sd, tensorio
+from apex.errors import (ConfigError, CorruptInputError, InputNotFoundError, NonFiniteError,
+                         ShapeError)
 
 import oracles
 
@@ -33,7 +34,7 @@ def backbone(small_bench):
 def scene_sample(seed, size):
     """A source sample of the base scene of ``seed``, shaped as a benchmark's."""
     img, mask = sd._base_scene(seed, size, size)
-    return sd.DomainSample(f"s{seed}", "source", img[:, :, None], mask.astype(np.float64), seed)
+    return sd.DomainSample(f"s{seed}", "source", img[:, :, None], mask, seed)
 
 
 class TestBaseScene:
@@ -300,6 +301,38 @@ class TestBuildBenchmark:
                 assert a.sample_id == b.sample_id
                 assert np.array_equal(a.image, b.image)
                 assert np.array_equal(a.mask, b.mask)
+
+    def test_masks_are_bool_in_memory(self, small_bench, tmp_path):
+        # one byte per pixel, built or loaded; the files keep float64 0.0 and 1.0
+        sd.save_benchmark(small_bench, tmp_path)
+        loaded = sd.load_benchmark(tmp_path, SMALL_BENCH, seed=5)
+        for bench in (small_bench, loaded):
+            for samples in bench.splits.values():
+                for smp in samples:
+                    assert smp.mask.dtype == np.bool_ and smp.mask.nbytes == 32 * 32
+        masks = tensorio.read_tensor(tmp_path / "test_seen_masks.apxt")
+        assert masks.dtype == np.float64
+        assert np.array_equal(masks, [s.mask for s in small_bench.splits["test_seen"]])
+
+    def test_save_load_save_bytes_identical(self, small_bench, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        sd.save_benchmark(small_bench, first)
+        sd.save_benchmark(sd.load_benchmark(first, SMALL_BENCH, seed=5), second)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @pytest.mark.parametrize("value", [0.5, 7.0, -1.0, np.nan, np.inf])
+    def test_load_refuses_mask_values_other_than_0_and_1(self, small_bench, tmp_path, value):
+        sd.save_benchmark(small_bench, tmp_path)
+        path = tmp_path / "train_seen_masks.apxt"
+        masks = tensorio.read_tensor(path)
+        masks[3, 10, 12] = value
+        tensorio.write_tensor(path, masks)
+        with pytest.raises(CorruptInputError, match="sample A-train_seen-0003 has values "
+                                                    "other than 0 and 1"):
+            sd.load_benchmark(tmp_path, SMALL_BENCH, seed=5)
 
     @pytest.mark.parametrize("count", ["train_per_domain", "test_per_domain",
                                        "source_train", "source_test"])
@@ -574,6 +607,11 @@ class TestThreadedCalibration:
         oracle = TestBackbone.per_sample_scores(samples, self.THRESHOLDS, self.SLOPES)
         assert self.scores(samples).tobytes() == oracle.tobytes()
 
+    def test_bool_masks_score_as_float_masks(self, samples):
+        assert all(smp.mask.dtype == np.bool_ for smp in samples)
+        floats = [dataclasses.replace(smp, mask=smp.mask.astype(np.float64)) for smp in samples]
+        assert self.scores(samples).tobytes() == self.scores(floats).tobytes()
+
     def test_repeated_calls_identical(self, samples):
         first = self.scores(samples).tobytes()
         for _ in range(3):
@@ -671,8 +709,7 @@ class TestThreadedGeneration:
             for i in range(count):
                 img, mask = oracle_base_scene(base + counter, 128, 128)
                 image = oracle_apply_domain(img[:, :, None], spec, base + 0x800000 + counter)
-                built[split].append((f"{spec.domain_id}-{split}-{i:04d}", image,
-                                     mask.astype(np.float64)))
+                built[split].append((f"{spec.domain_id}-{split}-{i:04d}", image, mask))
                 counter += 1
         expected = [sd.build_benchmark(cfg, self.SEED).manifest_csv().encode()]
         for split in sd.Benchmark.SPLITS:
