@@ -203,13 +203,17 @@ def evaluate(state: ApexState | None, backbone: FrozenBackbone, bench: Benchmark
     if source_only:
         state = None
 
-    scores: dict = {}
-    for chunk, images in prompting.image_chunks(samples):
+    def score(chunk, images) -> list:
         if state is not None:
             images = prompting.forward_batch(state, images).output.array
-        for s, pred in zip(chunk, synthdata.backbone_forward(backbone, images).array):
-            dice, iou = dice_iou(pred[:, :, 0] > 0.5, s.mask)
-            scores.setdefault(s.domain_id, []).append((dice, iou))
+        preds = synthdata.backbone_forward(backbone, images).array
+        return [(s.domain_id, dice_iou(pred[:, :, 0] > 0.5, s.mask))
+                for s, pred in zip(chunk, preds)]
+
+    scores: dict = {}
+    for rows in prompting.map_chunks(score, samples):
+        for domain_id, pair in rows:
+            scores.setdefault(domain_id, []).append(pair)
     per_domain = {}
     for dom, pairs in scores.items():
         arr = np.asarray(pairs)
@@ -299,13 +303,13 @@ def slot_sweep(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
 
 def top_slot_sets(state: ApexState, samples, fraction: float = 0.10):
     """Per sample: addressing vector and the top-fraction activated slots."""
-    rows = []
     k = max(1, int(np.floor(state.config.slot_count * fraction + 0.5)))
-    for chunk, images in prompting.image_chunks(samples):
-        for s, a in zip(chunk, prompting.forward_batch(state, images).addressing.array):
-            top = np.argsort(-a, kind="stable")[:k]
-            rows.append((s, a, frozenset(int(t) for t in top)))
-    return rows
+
+    def top(chunk, images) -> list:
+        return [(s, a, frozenset(int(t) for t in np.argsort(-a, kind="stable")[:k]))
+                for s, a in zip(chunk, prompting.forward_batch(state, images).addressing.array)]
+
+    return [row for rows in prompting.map_chunks(top, samples) for row in rows]
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:

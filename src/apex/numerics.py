@@ -34,8 +34,12 @@ which a non-finite gradient always makes non-finite.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -49,6 +53,45 @@ from .errors import (
 )
 
 NORM_EPS = 1e-12
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with NumPy,
+    or None when that library is not found."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                       .glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy NumPy has loaded already
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run OpenBLAS on one thread inside the block; its previous thread count
+    comes back on the way out, also on error. Does nothing when NumPy's
+    bundled OpenBLAS is not found.
+
+    Worker threads that each call BLAS would otherwise compete with
+    OpenBLAS's own threads for the same cores, and a first threaded QR in
+    a fresh process can stall. The count is process-wide: enter the block
+    from one thread at a time.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -595,7 +638,8 @@ def orthogonal_rows(j: int, k: int, seed: int, *, allow_blocks: bool = False) ->
     while remaining > 0:
         size = min(remaining, k)
         g = rng.standard_normal((k, size))
-        q, r = np.linalg.qr(g)
+        with one_blas_thread():  # the same bits as on more threads, without the stall
+            q, r = np.linalg.qr(g)
         q = q * np.sign(np.diag(r))  # fix signs so the result is seed-deterministic
         blocks.append(q.T)
         remaining -= size

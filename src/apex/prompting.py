@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import spectral as sp
-from . import tensorio
+from . import synthdata, tensorio
 from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError, read_text
 from .numerics import MlpParams, Node
 
@@ -152,20 +152,39 @@ def region_amplitudes(region: sp.LowFreqRegion, spectrum: np.ndarray) -> np.ndar
     return np.abs(region._gather(spectrum))
 
 
-def image_chunks(samples):
-    """Consecutive runs of ``CHUNK`` samples (each with an ``image``), each
-    yielded with its images stacked [B, h, w, c], so no array of the whole
-    set is ever held."""
-    for lo in range(0, len(samples), CHUNK):
-        chunk = samples[lo:lo + CHUNK]
-        yield chunk, np.stack([s.image for s in chunk])
+def map_chunks(fn, samples) -> list:
+    """``fn(chunk, images)`` for each run of ``CHUNK`` consecutive samples
+    (each with an ``image``), with the run's images stacked [B, h, w, c];
+    the results come back in chunk order. No array of the whole set is
+    ever held.
+
+    From ``synthdata.PARALLEL_MIN_PIXELS`` pixels up, the chunks are shared
+    out over one thread per usable CPU (pocketfft, the blur and ``exp``
+    release the GIL), with OpenBLAS on one thread; below it they run
+    inline, one after another. Each chunk is computed as it is inline, so
+    the results do not depend on the threads.
+    """
+    starts = range(0, len(samples), CHUNK)
+    results = [None] * len(starts)
+    pixels = samples[0].image.shape[0] * samples[0].image.shape[1] if samples else 0
+    workers = (min(len(starts), synthdata._usable_cpus())
+               if pixels >= synthdata.PARALLEL_MIN_PIXELS else 1)
+
+    def run(k: int) -> None:
+        # share k: chunks k, k + workers, ...
+        for i in range(k, len(starts), workers):
+            chunk = samples[starts[i]:starts[i] + CHUNK]
+            results[i] = fn(chunk, np.stack([s.image for s in chunk]))
+
+    synthdata._run_shares(run, workers)
+    return results
 
 
 def fit_input_center(state: ApexState, samples) -> None:
     """Set the encoder's centering constant to the mean training profile of
     ``samples`` (each with an ``image``), transformed a chunk at a time."""
-    feats = [lowfreq_features(region_amplitudes(state.region, np.fft.fft2(images, axes=(1, 2))))
-             for _chunk, images in image_chunks(samples)]
+    feats = map_chunks(lambda _chunk, images: lowfreq_features(
+        region_amplitudes(state.region, np.fft.fft2(images, axes=(1, 2)))), samples)
     state.input_center = np.concatenate(feats).mean(axis=0)
 
 

@@ -15,6 +15,7 @@ only, never to its parameters. In training it is one fused graph node
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,7 @@ import numpy as np
 from . import tensorio
 from .errors import (ConfigError, CorruptInputError, InputNotFoundError, NonFiniteError,
                      ShapeError, read_text)
-from .numerics import Node
+from .numerics import Node, one_blas_thread
 
 SCENE_BACKGROUND = 0.3
 SCENE_LESION = 0.7
@@ -264,11 +265,16 @@ def _usable_cpus() -> int:
 
 def _run_shares(work, workers: int) -> None:
     """Run ``work(0)`` here and ``work(1)``, ..., ``work(workers - 1)`` on a
-    thread pool; join them all and re-raise a worker's exception. Shares
-    write only into arrays the caller allocated: a worker thread's malloc
-    arena keeps what it frees."""
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        shares = [pool.submit(work, k) for k in range(1, workers)]
+    thread pool; join them all and re-raise a worker's exception. One
+    worker runs ``work(0)`` inline. Otherwise OpenBLAS runs on one thread
+    until every share is done, and each pool share runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds in it."""
+    if workers == 1:
+        work(0)
+        return
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        shares = [pool.submit(contextvars.copy_context().run, work, k)
+                  for k in range(1, workers)]
         work(0)
         for share in shares:
             share.result()

@@ -1,5 +1,8 @@
 """Training loop, evaluation, ablation code paths, and activation export."""
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +13,7 @@ from apex import numerics as nm
 from apex import prompting as pr
 from apex import synthdata as sd
 from apex import tensorio
-from apex.errors import ConfigError
+from apex.errors import ConfigError, NonFiniteError
 from apex.prompting import ApexConfig
 
 TINY_APEX = ApexConfig(feature_dim=16, slot_count=8, encoder_hidden=(10, 10, 10),
@@ -258,3 +261,160 @@ class TestRunResult:
         res = hn.train_and_eval(TINY_TRAIN, bench, backbone, seed=0)
         assert res.avg_total == pytest.approx(
             (res.seen.avg_seen + res.unseen.avg_unseen) / 2.0)
+
+
+def force_pool(monkeypatch, cpus: int = 4) -> None:
+    """Share 32x32 chunks out over threads, as if the machine had ``cpus``."""
+    monkeypatch.setattr(sd, "PARALLEL_MIN_PIXELS", 32 * 32)
+    monkeypatch.setattr(sd, "_usable_cpus", lambda: cpus)
+
+
+class TestChunkMap:
+    """``prompting.map_chunks`` at 32x32 with the pool forced on: chunks of 5
+    run on up to 4 threads, and every result must equal the inline one."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(pr, "CHUNK", 5)
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        force_pool(monkeypatch)
+
+    @pytest.fixture(scope="class")
+    def state(self, bench, backbone):
+        return hn.train(TINY_TRAIN, bench, backbone, seed=0)[0]
+
+    @staticmethod
+    def reports(state, backbone, bench) -> list:
+        return [hn.evaluate(state, backbone, bench, "seen").csv_lines(),
+                hn.evaluate(state, backbone, bench, "unseen").csv_lines(),
+                hn.evaluate(None, backbone, bench, "source", source_only=True).csv_lines()]
+
+    @staticmethod
+    def top_slots(state, samples) -> list:
+        return [(s.sample_id, a.tobytes(), top) for s, a, top in hn.top_slot_sets(state, samples)]
+
+    @staticmethod
+    def threads_used(samples) -> set:
+        idents = set()
+        pr.map_chunks(lambda chunk, images: idents.add(threading.get_ident()), samples)
+        return idents
+
+    def test_pool_really_runs_threads_and_none_outlive_it(self, bench, pool):
+        before = threading.active_count()
+        assert len(self.threads_used(bench.splits["test_seen"])) > 1
+        assert threading.active_count() == before
+
+    def test_inline_below_the_cut_off(self, bench, monkeypatch):
+        monkeypatch.setattr(sd, "_usable_cpus", lambda: 4)
+        assert 32 * 32 < sd.PARALLEL_MIN_PIXELS
+        assert self.threads_used(bench.splits["test_seen"]) == {threading.get_ident()}
+
+    def test_evaluate_matches_inline(self, state, backbone, bench, monkeypatch):
+        inline = self.reports(state, backbone, bench)
+        force_pool(monkeypatch)
+        assert self.reports(state, backbone, bench) == inline
+
+    def test_evaluate_identical_under_forced_interleaving(self, state, backbone, bench,
+                                                          monkeypatch):
+        # more workers than this machine's cores, switching threads as often as
+        # the interpreter allows: a lost or misplaced chunk would change a report
+        inline = self.reports(state, backbone, bench)
+        force_pool(monkeypatch, cpus=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [self.reports(state, backbone, bench) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [inline] * 3
+
+    def test_fit_input_center_matches_inline(self, state, bench, monkeypatch):
+        samples = bench.splits["train_seen"]
+        pr.fit_input_center(state, samples)
+        inline = state.input_center.tobytes()
+        force_pool(monkeypatch)
+        pr.fit_input_center(state, samples)
+        assert state.input_center.tobytes() == inline
+
+    def test_top_slot_sets_match_inline(self, state, bench, monkeypatch):
+        samples = bench.splits["test_unseen"]
+        inline = self.top_slots(state, samples)
+        force_pool(monkeypatch)
+        assert self.top_slots(state, samples) == inline
+
+    def test_results_in_chunk_order_when_a_later_chunk_finishes_first(self, bench, pool):
+        finished = []
+
+        def fn(chunk, images):
+            if chunk[0] is samples[0]:
+                time.sleep(0.2)  # chunk 0, on the caller, ends last
+            finished.append(chunk[0].sample_id)
+            return [s.sample_id for s in chunk]
+
+        samples = bench.splits["test_seen"]
+        results = pr.map_chunks(fn, samples)
+        assert finished[-1] == samples[0].sample_id
+        assert [sid for ids in results for sid in ids] == [s.sample_id for s in samples]
+
+    def test_nan_image_raises_the_inline_error_from_a_worker(self, state, bench, monkeypatch):
+        samples = list(bench.splits["test_seen"])
+        bad = samples[5].image.copy()  # chunk 1: the first chunk of worker share 1
+        bad[3, 4, 0] = np.nan
+        samples[5] = replace(samples[5], image=bad)
+        with pytest.raises(NonFiniteError) as inline:
+            hn.top_slot_sets(state, samples)
+        force_pool(monkeypatch)
+        raised_in = []
+        forward = pr.forward_batch
+
+        def recording(state, images):
+            try:
+                return forward(state, images)
+            except NonFiniteError:
+                raised_in.append(threading.get_ident())
+                raise
+
+        monkeypatch.setattr(pr, "forward_batch", recording)
+        with pytest.raises(NonFiniteError) as pooled:
+            hn.top_slot_sets(state, samples)
+        assert str(pooled.value) == str(inline.value)
+        assert raised_in and threading.get_ident() not in raised_in
+
+    @pytest.mark.skipif(nm._openblas() is None, reason="NumPy's bundled OpenBLAS not found")
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_blas_threads_one_inside_and_restored_after(self, bench, pool, fails):
+        get, put = nm._openblas()
+        seen = []
+
+        def fn(chunk, images):
+            seen.append(get())
+            if fails and chunk[0] is not samples[0]:
+                raise ValueError("chunk failed")
+
+        samples = bench.splits["test_seen"]
+        original = get()
+        put(2)
+        expected = get()  # 2 wherever OpenBLAS allows it
+        try:
+            if fails:
+                with pytest.raises(ValueError, match="chunk failed"):
+                    pr.map_chunks(fn, samples)
+            else:
+                pr.map_chunks(fn, samples)
+            assert get() == expected
+        finally:
+            put(original)
+        assert seen and set(seen) == {1}
+
+    def test_caller_errstate_reaches_the_workers(self, bench, pool):
+        seen = {}
+
+        def fn(chunk, images):
+            seen[threading.get_ident()] = np.geterr()
+
+        with np.errstate(over="raise", divide="ignore", invalid="warn", under="raise"):
+            expected = np.geterr()
+            pr.map_chunks(fn, bench.splits["test_seen"])
+        assert len(seen) > 1 and all(err == expected for err in seen.values())

@@ -491,6 +491,26 @@ class TestOrthogonalRows:
         b = nm.orthogonal_rows(8, 16, seed=3)
         assert np.array_equal(a, b)
 
+    @pytest.mark.skipif(nm._openblas() is None, reason="NumPy's bundled OpenBLAS not found")
+    def test_qr_runs_on_one_blas_thread(self, monkeypatch):
+        get, put = nm._openblas()
+        qr, seen = np.linalg.qr, []
+
+        def recording(g):
+            seen.append(get())
+            return qr(g)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        original = get()
+        put(2)
+        expected = get()  # 2 wherever OpenBLAS allows it
+        try:
+            nm.orthogonal_rows(5, 3, seed=0, allow_blocks=True)
+            assert get() == expected
+        finally:
+            put(original)
+        assert seen == [1, 1]
+
 
 class TestSgd:
     def test_zero_rate_is_identity(self):

@@ -566,6 +566,15 @@ class TestRunShares:
         assert ran[0] == threading.get_ident()
         assert threading.get_ident() not in {ran[1], ran[2], ran[3]}
 
+    def test_one_worker_runs_inline_without_a_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        ran = []
+        sd._run_shares(lambda k: ran.append((k, threading.get_ident())), 1)
+        assert ran == [(0, threading.get_ident())] and not started
+
     def test_worker_exception_reaches_caller_after_every_share(self):
         finished = []
 

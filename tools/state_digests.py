@@ -1,13 +1,15 @@
 """Build and save one benchmark, calibrate the backbone on it, train a
 fixed set of configs on it, and print the digests: first a ``bench digest``
 line over the saved benchmark files, then a ``backbone digest`` line, then
-one ``label digest`` line per trained state.
+for each trained state a ``label digest`` line over its tensors and a
+``label eval digest`` line over the CSV lines of its seen, unseen and
+source-only evaluation reports.
 
 A change that only reorganises the arithmetic (fused ops, fewer graph
 nodes, fewer checks, a batched calibration, a windowed scene generator)
-must leave the benchmark files, the backbone and every trained state
-bit-identical; run this script in a checkout before and after the change
-and compare the output line by line:
+must leave the benchmark files, the backbone, every trained state and its
+evaluation bit-identical; run this script in a checkout before and after
+the change and compare the output line by line:
 
     python3 tools/state_digests.py [--bench-seed 10] [--size 32] [--seed 0]
 
@@ -51,6 +53,16 @@ def state_digest(state: prompting.ApexState) -> str:
     return tensorio.tensor_digest(*(tensors[name] for name in sorted(tensors)))
 
 
+def eval_digest(state: prompting.ApexState, backbone: synthdata.FrozenBackbone,
+                bench: synthdata.Benchmark) -> str:
+    """sha256 over the CSV lines of the seen, unseen and source-only reports."""
+    reports = [harness.evaluate(state, backbone, bench, "seen"),
+               harness.evaluate(state, backbone, bench, "unseen"),
+               harness.evaluate(None, backbone, bench, "source", source_only=True)]
+    return hashlib.sha256("\n".join(line for report in reports
+                                     for line in report.csv_lines()).encode()).hexdigest()
+
+
 def files_digest(bench: synthdata.Benchmark) -> str:
     """sha256 over the relative paths and bytes of ``save_benchmark``'s files."""
     h = hashlib.sha256()
@@ -78,6 +90,7 @@ def main() -> int:
     for label, config in configs():
         state, _log = harness.train(config, bench, backbone, args.seed)
         print(f"{label} {state_digest(state)}", flush=True)
+        print(f"{label} eval {eval_digest(state, backbone, bench)}", flush=True)
     return 0
 
 
