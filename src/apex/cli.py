@@ -11,10 +11,12 @@
 Outputs are plain CSV, binary tensors, and PGM dumps; nothing carries
 timestamps, so reruns with equal seeds are byte-identical.
 
-``gen-bench`` and ``train`` never overwrite: an ``--out`` that already
-exists is refused with one ``error:`` line before any work starts. They
-write into a hidden sibling directory and rename it to ``--out`` only when
-the command succeeds, so a failed or interrupted run leaves no ``--out``.
+``gen-bench``, ``train``, ``ablate`` and ``sweep-slots`` never overwrite:
+an ``--out`` that already exists is refused with one ``error:`` line before
+any work starts. They write into a hidden sibling directory and rename it
+to ``--out`` only when the command succeeds, so a failed or interrupted run
+leaves no ``--out``. ``viz-mem`` still writes into its ``--out`` in place:
+its default, ``<ckpt>/viz``, would refuse every rerun.
 """
 
 from __future__ import annotations
@@ -154,12 +156,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    train_cfg, _ = _load_configs(args.config)
-    bench = _load_bench(args.bench)
-    backbone = _backbone_for(bench)
-    lines = harness.run_ablation(train_cfg, bench, backbone)
-    out = Path(args.out)
-    _write(out / "ablation.csv", lines)
+    with _staged_output(Path(args.out)) as stage:
+        train_cfg, _ = _load_configs(args.config)
+        bench = _load_bench(args.bench)
+        backbone = _backbone_for(bench)
+        lines = harness.run_ablation(train_cfg, bench, backbone)
+        _write(stage / "ablation.csv", lines)
     for line in lines:
         print(line)
     return 0
@@ -173,12 +175,12 @@ def cmd_sweep_slots(args) -> int:
     if not j_list or min(j_list) < 1:
         raise ConfigError(f"bad --j-list {args.j_list!r}: expected comma-separated "
                           "slot counts, each >= 1")
-    train_cfg, _ = _load_configs(args.config)
-    bench = _load_bench(args.bench)
-    backbone = _backbone_for(bench)
-    lines = harness.slot_sweep(train_cfg, bench, backbone, j_list)
-    out = Path(args.out)
-    _write(out / "slot_sweep.csv", lines)
+    with _staged_output(Path(args.out)) as stage:
+        train_cfg, _ = _load_configs(args.config)
+        bench = _load_bench(args.bench)
+        backbone = _backbone_for(bench)
+        lines = harness.slot_sweep(train_cfg, bench, backbone, j_list)
+        _write(stage / "slot_sweep.csv", lines)
     for line in lines:
         print(line)
     return 0
@@ -187,10 +189,12 @@ def cmd_sweep_slots(args) -> int:
 def cmd_viz_mem(args) -> int:
     splits = args.split.split(",")
     names = [harness.SPLIT_NAMES.get(split, split) for split in splits]
-    for split, name in zip(splits, names):
+    for i, (split, name) in enumerate(zip(splits, names)):
         if name not in synthdata.Benchmark.SPLITS:
             raise ConfigError(f"unknown split {split!r}; use seen, unseen, source or one of "
                               f"{', '.join(synthdata.Benchmark.SPLITS)}")
+        if name in names[:i]:  # its samples would be counted twice
+            raise ConfigError(f"split {split!r} repeats {name}; name each split once")
     if args.out is None:
         args.out = str(Path(args.ckpt) / "viz")
     bench = _load_bench(args.bench)

@@ -141,15 +141,17 @@ def write_step_log(log: list[LossReport], path) -> None:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def dice_iou(pred_binary: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """Overlap metrics in percent; an empty-vs-empty pair counts as perfect."""
-    p = np.asarray(pred_binary, dtype=bool)
-    g = np.asarray(mask, dtype=bool)
-    inter = float(np.logical_and(p, g).sum())
-    union = float(np.logical_or(p, g).sum())
-    total = float(p.sum() + g.sum())
-    dice = 100.0 * (2.0 * inter / total) if total else 100.0
-    iou = 100.0 * (inter / union) if union else 100.0
+def dice_iou(preds: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dice and IoU in percent, as two [B] arrays, of each pair of [B, h, w]
+    binary predictions and masks; an empty-vs-empty pair counts as perfect."""
+    p = np.asarray(preds, dtype=bool).reshape(len(preds), -1)
+    g = np.asarray(masks, dtype=bool).reshape(len(masks), -1)
+    inter = np.count_nonzero(p & g, axis=1)
+    union = np.count_nonzero(p | g, axis=1)
+    total = np.count_nonzero(p, axis=1) + np.count_nonzero(g, axis=1)
+    # 100 * (2 * inter / total) and 100 * (inter / union), and 100 * 1.0 for 0 / 0
+    dice = 100.0 * np.divide(2.0 * inter, total, out=np.ones(len(p)), where=total > 0)
+    iou = 100.0 * np.divide(inter, union, out=np.ones(len(p)), where=union > 0)
     return dice, iou
 
 
@@ -203,22 +205,19 @@ def evaluate(state: ApexState | None, backbone: FrozenBackbone, bench: Benchmark
     if source_only:
         state = None
 
-    def score(chunk, images) -> list:
+    def score(chunk, images) -> tuple:
         if state is not None:
             images = prompting.forward_batch(state, images).output.array
-        preds = synthdata.backbone_forward(backbone, images).array
-        return [(s.domain_id, dice_iou(pred[:, :, 0] > 0.5, s.mask))
-                for s, pred in zip(chunk, preds)]
+        preds = synthdata.backbone_forward(backbone, images).array[..., 0] > 0.5
+        return dice_iou(preds, np.stack([s.mask for s in chunk]))
 
-    scores: dict = {}
-    for rows in prompting.map_chunks(score, samples):
-        for domain_id, pair in rows:
-            scores.setdefault(domain_id, []).append(pair)
+    dice, iou = (np.concatenate(parts) for parts in zip(*prompting.map_chunks(score, samples)))
+    domains = np.array([s.domain_id for s in samples])
     per_domain = {}
-    for dom, pairs in scores.items():
-        arr = np.asarray(pairs)
-        per_domain[dom] = {"dice": float(arr[:, 0].mean()), "iou": float(arr[:, 1].mean()),
-                           "count": len(pairs), "group": split}
+    for dom in dict.fromkeys(domains.tolist()):  # first-seen order, which _group_avg sums in
+        of = domains == dom
+        per_domain[dom] = {"dice": float(dice[of].mean()), "iou": float(iou[of].mean()),
+                           "count": int(of.sum()), "group": split}
     return MetricReport(split=split, source_only=state is None, per_domain=per_domain)
 
 

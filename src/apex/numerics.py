@@ -30,10 +30,17 @@ made: every array a node takes, with ``numpy.isfinite`` (the two arrays that
 :class:`Node` exempts hold values checked before), a Python-number operand
 with ``math.isfinite``, and in :func:`sgd_step` only the updated parameter,
 which a non-finite gradient always makes non-finite.
+
+Inference runs in :func:`no_grad` mode, as ``torch.no_grad`` does: the same
+NumPy expressions, so the same values, but no graph and no check per node.
+The caller checks the input and the output of a whole pass instead; a NaN
+arising inside reaches the output through every op. Only an overflow to
+inf that a clamp (``clip``, a ReLU) maps back into range goes unreported.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import math
@@ -53,6 +60,32 @@ from .errors import (
 )
 
 NORM_EPS = 1e-12
+
+_GRAD_ENABLED = contextvars.ContextVar("apex_grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Inside the block, and in copies of its context (worker threads), each
+    op returns a node with no parents, no backward rule and no gradient, and
+    no node checks its values; :func:`as_node` neither copies nor freezes.
+    The ops' other checks (zero-norm rows, shapes, domains) still run."""
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
+def grad_enabled() -> bool:
+    """False inside a :func:`no_grad` block."""
+    return _GRAD_ENABLED.get()
+
+
+def check_finite(arr: np.ndarray) -> None:
+    """Raise :class:`NonFiniteError` unless every value of ``arr`` is finite."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("tensor values must all be finite")
 
 
 @functools.cache
@@ -116,7 +149,8 @@ class Node:
     :func:`parameter` copy an outside value first, so the caller's array
     stays theirs. A view of a parent's array (:func:`reshape`) and the array
     of a ``value`` given as a node (:func:`stop_gradient`) hold checked
-    values and are not checked again.
+    values and are not checked again. Inside :func:`no_grad` a node takes its
+    array unchecked and unfrozen.
 
     The gradient buffer is allocated when the first gradient arrives (see
     :meth:`accumulate`), so nodes that no gradient reaches, such as
@@ -130,6 +164,11 @@ class Node:
                  backward: Callable[[np.ndarray], None] | None = None, op: str = "leaf"):
         self._grad = None
         self.op = op
+        if not _GRAD_ENABLED.get():  # a value only: see no_grad
+            self._parents, self._backward, self._needs_grad = (), None, requires_grad
+            arr = value._array if isinstance(value, Node) else np.asarray(value, dtype=np.float64)
+            self._array = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+            return
         self._parents = tuple(parents)
         self._backward = backward
         self._needs_grad = requires_grad or any(p._needs_grad for p in self._parents)
@@ -146,8 +185,7 @@ class Node:
         """Make ``value``, taken without a copy, the node's array: checked
         finite, made row-major and frozen. Parameter updates use this."""
         arr = np.asarray(value, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("tensor values must all be finite")
+        check_finite(arr)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # 0-d arrays are already contiguous
         arr.flags.writeable = False
@@ -196,7 +234,7 @@ class Node:
 def as_node(x) -> Node:
     if isinstance(x, Node):
         return x
-    return Node(np.array(x, dtype=np.float64), op="const")
+    return Node(np.array(x, dtype=np.float64) if _GRAD_ENABLED.get() else x, op="const")
 
 
 def parameter(values, op: str = "param") -> Node:

@@ -154,9 +154,9 @@ def region_amplitudes(region: sp.LowFreqRegion, spectrum: np.ndarray) -> np.ndar
 
 def map_chunks(fn, samples) -> list:
     """``fn(chunk, images)`` for each run of ``CHUNK`` consecutive samples
-    (each with an ``image``), with the run's images stacked [B, h, w, c];
-    the results come back in chunk order. No array of the whole set is
-    ever held.
+    (each with an ``image``), with the run's images stacked [B, h, w, c],
+    inside :func:`numerics.no_grad`; the results come back in chunk order.
+    No array of the whole set is ever held.
 
     From ``synthdata.PARALLEL_MIN_PIXELS`` pixels up, the chunks are shared
     out over one thread per usable CPU (pocketfft, the blur and ``exp``
@@ -176,16 +176,19 @@ def map_chunks(fn, samples) -> list:
             chunk = samples[starts[i]:starts[i] + CHUNK]
             results[i] = fn(chunk, np.stack([s.image for s in chunk]))
 
-    synthdata._run_shares(run, workers)
+    with nm.no_grad():
+        synthdata._run_shares(run, workers)
     return results
 
 
 def fit_input_center(state: ApexState, samples) -> None:
     """Set the encoder's centering constant to the mean training profile of
     ``samples`` (each with an ``image``), transformed a chunk at a time."""
-    feats = map_chunks(lambda _chunk, images: lowfreq_features(
-        region_amplitudes(state.region, np.fft.fft2(images, axes=(1, 2)))), samples)
-    state.input_center = np.concatenate(feats).mean(axis=0)
+    def features(_chunk, images):
+        spectrum = np.fft.fft2(images, axes=(1, 2), out=np.empty(images.shape, complex))
+        return lowfreq_features(region_amplitudes(state.region, spectrum))
+
+    state.input_center = np.concatenate(map_chunks(features, samples)).mean(axis=0)
 
 
 def address(memory, z) -> Node:
@@ -250,20 +253,28 @@ def forward_batch(state: ApexState, images: np.ndarray) -> ForwardNodes:
 
     Addressing reads the memory through ``stop_gradient`` and retrieval
     reads it live, so :func:`numerics.backward` leaves the
-    attention-weighted rule a^T g in ``state.memory.grad``.
+    attention-weighted rule a^T g in ``state.memory.grad``. Inside
+    :func:`numerics.no_grad`, which builds no graph, the images and the
+    output are checked finite instead.
     """
     region = state.region
     imgs = np.asarray(images, dtype=np.float64)
     if imgs.shape[1:] != (region.height, region.width, region.channels):
         raise ShapeError(f"image stack {list(imgs.shape)} is not [batch, {region.height}, "
                          f"{region.width}, {region.channels}], the size the state is for")
-    spectrum = np.fft.fft2(imgs, axes=(1, 2))  # shared by the encoder input and the prompt
+    checked = not nm.grad_enabled()
+    if checked:
+        nm.check_finite(imgs)
+    # read by the encoder input, then owned by the prompt; both passes write into one array
+    spectrum = np.fft.fft2(imgs, axes=(1, 2), out=np.empty(imgs.shape, complex))
     amps = region_amplitudes(region, spectrum)
     z = encode_batch(state.encoder, amps, center=state.input_center)
     a = address(nm.stop_gradient(state.memory), z)
     zprime = retrieve(state.memory, a) if state.config.use_memory else z
     p = decode_prompt(state.decoder, zprime, region)
     out = sp.prompted_image_node(imgs, p, region, spectrum)
+    if checked:
+        nm.check_finite(out.array)
     return ForwardNodes(features=z, addressing=a, prompt_feature=zprime,
                         multiplier=p, output=out)
 

@@ -258,12 +258,14 @@ def symmetrize_multiplier(raw: nm.Node, region: LowFreqRegion) -> nm.Node:
 
 
 def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion,
-                        spectrum: np.ndarray) -> nm.Node:
+                        spectrum_owned: np.ndarray) -> nm.Node:
     """Differentiable reconstruction of a batch of prompted images.
 
-    ``imgs`` is a constant [batch, h, w, c] array and ``spectrum`` its
-    unshifted ``np.fft.fft2(imgs, axes=(1, 2))``, which the caller has
-    already computed for the encoder input. ``p_flat`` [batch, flat_size]
+    ``imgs`` is a constant [batch, h, w, c] array and ``spectrum_owned``
+    its unshifted ``np.fft.fft2(imgs, axes=(1, 2))``, which the caller has
+    already computed for the encoder input. The node owns that spectrum
+    from then on: it scales the square and inverts the transform in place,
+    so the caller must not read it afterwards. ``p_flat`` [batch, flat_size]
     holds symmetric multipliers, flat per image. Gradients flow to the
     multipliers only. Linear in the multiplier, so the backward rule is the
     exact adjoint: d L / d M = Re(FFT(x) * IFFT(G)) on the region. Both
@@ -276,20 +278,21 @@ def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion
     b, h, w, c = arr.shape
     if (h, w, c) != (region.height, region.width, region.channels):
         raise ShapeError(f"image shape {(h, w, c)} does not match region")
-    if spectrum.shape != arr.shape:
-        raise ShapeError(f"spectrum shape {spectrum.shape} != image batch shape {arr.shape}")
+    if spectrum_owned.shape != arr.shape:
+        raise ShapeError(f"spectrum shape {spectrum_owned.shape} != image batch shape "
+                         f"{arr.shape}")
     p = p_flat.array
     if p.shape != (b, region.flat_size):
         raise ShapeError(f"multiplier batch shape {p.shape} != {(b, region.flat_size)}")
     if np.any(p <= 0.0):
         raise ValueError("prompt multiplier must be strictly positive")
 
-    # only the square is scaled: the rest of the spectrum passes through as it is
-    square = region._gather(spectrum)
+    # only the square is scaled, and the whole spectrum inverted in place:
+    # ifftn runs ifft2's passes, but ifft2 drops its out argument (NumPy 2.4)
+    square = region._gather(spectrum_owned)
     rows, cols = region._unshifted
-    prompted = spectrum.copy()
-    prompted[:, rows[:, None], cols, :] = p.reshape(square.shape) * square
-    out = np.real(np.fft.ifft2(prompted, axes=(1, 2)))
+    spectrum_owned[:, rows[:, None], cols, :] = p.reshape(square.shape) * square
+    out = np.real(np.fft.ifftn(spectrum_owned, axes=(1, 2), out=spectrum_owned))
 
     def back(g: np.ndarray) -> None:
         # ifft2 in its own order, axis 2 then axis 1, transforming along

@@ -268,7 +268,7 @@ def _run_shares(work, workers: int) -> None:
     thread pool; join them all and re-raise a worker's exception. One
     worker runs ``work(0)`` inline. Otherwise OpenBLAS runs on one thread
     until every share is done, and each pool share runs in a copy of the
-    caller's context, so the caller's ``np.errstate`` holds in it."""
+    caller's context, so the caller's ``np.errstate`` and ``no_grad`` hold in it."""
     if workers == 1:
         work(0)
         return

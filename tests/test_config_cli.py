@@ -570,7 +570,7 @@ class TestCli:
         assert not (workdir / "run_diverged").exists()
         assert not list(workdir.glob(".run_diverged*"))  # nor its staging directory
 
-    @pytest.mark.parametrize("command", ["gen-bench", "train"])
+    @pytest.mark.parametrize("command", ["gen-bench", "train", "ablate", "sweep-slots"])
     def test_existing_out_is_refused_before_any_work(self, workdir, bench_dir, capsys,
                                                      monkeypatch, command):
         out = workdir / f"existing_{command}"
@@ -583,11 +583,23 @@ class TestCli:
         monkeypatch.setattr(cli.synthdata, "build_benchmark", no_work)
         monkeypatch.setattr(cli, "_load_bench", no_work)
         capsys.readouterr()
-        args = (["gen-bench"] if command == "gen-bench" else ["train", "--bench", str(bench_dir)])
+        args = (["gen-bench"] if command == "gen-bench" else [command, "--bench", str(bench_dir)])
         assert cli.main(args + ["--config", str(workdir / "tiny.cfg"), "--out", str(out)]) == 1
         _assert_one_error_line(capsys, str(out), "already exists")
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["ablate", "sweep-slots"])
+    def test_failed_ablate_or_sweep_leaves_no_out(self, workdir, bench_dir, capsys, command):
+        config = workdir / "diverging_grid.cfg"
+        config.write_text(TINY_CONFIG + "mlp_learning_rate = 1e300\n")
+        out = workdir / f"{command}_diverged"
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(config), "--bench", str(bench_dir),
+                         "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, "training diverged")
+        assert not out.exists()
+        assert not list(workdir.glob(f".{out.name}*"))  # nor its staging directory
 
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])
     def test_interrupted_gen_bench_leaves_no_out(self, workdir, monkeypatch, interrupt):
@@ -682,6 +694,20 @@ class TestCli:
                          "--bench", str(workdir / "no_bench"), "--split", split,
                          "--out", str(out)]) == 1
         _assert_one_error_line(capsys, "unknown split", repr(split.split(",")[-1]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split,repeated,name", [
+        ("unseen,test_unseen", "test_unseen", "test_unseen"), ("seen,seen", "seen", "test_seen"),
+        ("source,test_seen,source_test", "source_test", "source_test")])
+    def test_viz_mem_repeated_split_is_one_line_error(self, workdir, split, repeated, name,
+                                                     capsys):
+        # each sample would be exported twice; checked before anything loads
+        out = workdir / "viz_repeated_split"
+        capsys.readouterr()
+        assert cli.main(["viz-mem", "--ckpt", str(workdir / "no_ckpt"),
+                         "--bench", str(workdir / "no_bench"), "--split", split,
+                         "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, repr(repeated), f"repeats {name}")
         assert not out.exists()
 
     def test_config_echoed_into_outputs(self, bench_dir, run_dir):

@@ -140,26 +140,59 @@ def test_batch_arrays_give_float64_masks(bench):
 
 class TestMetrics:
     def test_dice_iou_trivial_cases(self):
-        mask = np.zeros((8, 8))
-        mask[2:5, 2:5] = 1.0
-        assert hn.dice_iou(mask > 0, mask) == (100.0, 100.0)
-        empty = np.zeros((8, 8))
+        mask = np.zeros((1, 8, 8))
+        mask[0, 2:5, 2:5] = 1.0
+        dice, iou = hn.dice_iou(mask > 0, mask)
+        assert dice.tolist() == [100.0] and iou.tolist() == [100.0]
+        empty = np.zeros((1, 8, 8))
         dice, iou = hn.dice_iou(empty > 0, mask)
-        assert dice == 0.0 and iou == 0.0
+        assert dice.tolist() == [0.0] and iou.tolist() == [0.0]
 
     def test_dice_iou_of_bool_and_float_masks_agree(self, bench, backbone):
-        for s in bench.splits["test_seen"]:
-            assert s.mask.dtype == np.bool_
-            pred = sd.backbone_forward(backbone, s.image).array[:, :, 0] > 0.5
-            assert hn.dice_iou(pred, s.mask) == hn.dice_iou(pred, s.mask.astype(np.float64))
+        samples = bench.splits["test_seen"]
+        masks = np.stack([s.mask for s in samples])
+        assert masks.dtype == np.bool_
+        preds = sd.backbone_forward(backbone, np.stack([s.image for s in samples])).array
+        dice, iou = hn.dice_iou(preds[..., 0] > 0.5, masks)
+        dice_f, iou_f = hn.dice_iou(preds[..., 0] > 0.5, masks.astype(np.float64))
+        assert dice.tobytes() == dice_f.tobytes() and iou.tobytes() == iou_f.tobytes()
+
+    @pytest.mark.parametrize("case", ["empty_vs_empty", "empty_prediction", "empty_mask",
+                                      "full_overlap", "random"])
+    def test_batched_dice_iou_equals_the_per_image_formula(self, case):
+        """Each pair of a stack scores as the per-image formula does, bit for
+        bit: 100 * (2 * inter / total), 100 * (inter / union), and 100 for
+        an empty prediction of an empty mask."""
+        rng = np.random.default_rng(3)
+        preds, masks = rng.random((2, 9, 7, 5)) > 0.6
+        if case == "empty_vs_empty":
+            preds[4] = masks[4] = False
+        elif case == "empty_prediction":
+            preds[4] = False
+        elif case == "empty_mask":
+            masks[4] = False
+        elif case == "full_overlap":
+            preds[4] = masks[4] = True
+        expected = []
+        for p, g in zip(preds, masks):
+            inter, union = float((p & g).sum()), float((p | g).sum())
+            total = float(p.sum() + g.sum())
+            expected.append((100.0 * (2.0 * inter / total) if total else 100.0,
+                             100.0 * (inter / union) if union else 100.0))
+        dice, iou = hn.dice_iou(preds, masks)
+        assert dice.dtype == iou.dtype == np.float64
+        assert list(zip(dice.tolist(), iou.tolist())) == expected
+        known = {"empty_vs_empty": (100.0, 100.0), "empty_prediction": (0.0, 0.0),
+                 "empty_mask": (0.0, 0.0), "full_overlap": (100.0, 100.0)}
+        if case in known:
+            assert expected[4] == known[case]
 
     def test_dice_geq_iou_identity(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            a = rng.random((6, 6)) > 0.5
-            b = rng.random((6, 6)) > 0.5
-            dice, iou = hn.dice_iou(a, b.astype(float))
-            assert 0.0 <= iou <= dice <= 100.0
+        a = rng.random((100, 6, 6)) > 0.5
+        b = rng.random((100, 6, 6)) > 0.5
+        dice, iou = hn.dice_iou(a, b.astype(float))
+        assert np.all((0.0 <= iou) & (iou <= dice) & (dice <= 100.0))
 
     def test_evaluate_report_invariants(self, bench, backbone):
         for split in ("seen", "unseen", "source"):
@@ -172,7 +205,7 @@ class TestMetrics:
         scores = []
         for s in bench.splits["source_test"]:
             pred = sd.backbone_forward(backbone, s.image).array[:, :, 0]
-            scores.append(hn.dice_iou(pred > 0.5, s.mask)[0])
+            scores.append(hn.dice_iou(pred[None] > 0.5, s.mask[None])[0][0])
         assert rep.per_domain["source"]["dice"] == pytest.approx(np.mean(scores), abs=1e-12)
 
     @pytest.mark.parametrize("split", ["seen", "unseen", "source"])
@@ -182,7 +215,8 @@ class TestMetrics:
         scores: dict = {}
         for s in bench.splits[hn.SPLIT_NAMES[split]]:
             pred = sd.backbone_forward(backbone, s.image).array[:, :, 0]
-            scores.setdefault(s.domain_id, []).append(hn.dice_iou(pred > 0.5, s.mask))
+            dice, iou = hn.dice_iou(pred[None] > 0.5, s.mask[None])
+            scores.setdefault(s.domain_id, []).append((dice[0], iou[0]))
         expected, dice = ["domain,group,dice,iou,count"], []
         for dom in sorted(scores):
             arr = np.asarray(scores[dom])
@@ -379,8 +413,43 @@ class TestChunkMap:
         monkeypatch.setattr(pr, "forward_batch", recording)
         with pytest.raises(NonFiniteError) as pooled:
             hn.top_slot_sets(state, samples)
-        assert str(pooled.value) == str(inline.value)
+        assert str(pooled.value) == str(inline.value) == "tensor values must all be finite"
         assert raised_in and threading.get_ident() not in raised_in
+
+    @pytest.mark.parametrize("split,source_only", [("seen", False), ("source", True)])
+    def test_nan_image_in_evaluate_raises_inline_and_from_a_worker(
+            self, state, backbone, bench, monkeypatch, split, source_only):
+        name = hn.SPLIT_NAMES[split]
+        samples = list(bench.splits[name])
+        bad = samples[7].image.copy()  # chunk 1
+        bad[0, 0, 0] = np.nan
+        samples[7] = replace(samples[7], image=bad)
+        broken = replace(bench, splits={**bench.splits, name: samples})
+        messages = []
+        for pooled in (False, True):
+            if pooled:
+                force_pool(monkeypatch)
+            with pytest.raises(NonFiniteError) as exc:
+                hn.evaluate(state, backbone, broken, split, source_only=source_only)
+            messages.append(str(exc.value))
+        assert messages == ["tensor values must all be finite"] * 2
+
+    def test_forward_passes_build_no_graph_on_every_thread(self, state, backbone, bench,
+                                                           pool, monkeypatch):
+        modes = []
+        forward = pr.forward_batch
+
+        def recording(state, images):
+            nodes = forward(state, images)
+            modes.append((threading.get_ident(), nm.grad_enabled(), nodes.output._parents))
+            return nodes
+
+        monkeypatch.setattr(pr, "forward_batch", recording)
+        hn.evaluate(state, backbone, bench, "unseen")
+        hn.top_slot_sets(state, bench.splits["test_seen"])
+        assert len({ident for ident, _, _ in modes}) > 1
+        assert all(enabled is False and parents == () for _, enabled, parents in modes)
+        assert nm.grad_enabled()
 
     @pytest.mark.skipif(nm._openblas() is None, reason="NumPy's bundled OpenBLAS not found")
     @pytest.mark.parametrize("fails", [False, True])

@@ -1,6 +1,7 @@
 """Node/autodiff engine tests: worked examples, finite-difference oracles,
 and engine-wide gradient sweeps."""
 
+import contextvars
 import math
 import zlib
 
@@ -60,6 +61,85 @@ class TestNodeContract:
         new = np.array([3.0, 4.0])
         p.set(new)
         assert list(p.array) == [3.0, 4.0] and not p.array.flags.writeable
+
+
+class TestNoGrad:
+    """Inside ``no_grad`` an op returns a value-only node: no parents, no
+    backward rule, no gradient and no finiteness check."""
+
+    @staticmethod
+    def ops(x, w, b, mem):
+        h = nm.linear(x, w, b, relu=True)
+        return [h, nm.exp(nm.clip(h, -2.0, 2.0)), nm.cosine_rows(h, mem),
+                nm.matmul(nm.transpose(h), x), nm.add(h, 1.0), nm.reduce_sum(h, axis=1),
+                nm.stop_gradient(h), nm.reshape(h, (-1,))]
+
+    @staticmethod
+    def leaves():
+        rng = np.random.default_rng(4)
+        return (nm.parameter(rng.standard_normal((5, 3))),
+                nm.parameter(rng.standard_normal((4, 3))), nm.parameter(rng.standard_normal(4)),
+                nm.parameter(rng.standard_normal((6, 4))))
+
+    def test_values_equal_the_graphs_and_no_graph_is_kept(self):
+        leaves = self.leaves()
+        graph = self.ops(*leaves)
+        with nm.no_grad():
+            plain = self.ops(*leaves)
+        for g, v in zip(graph, plain):
+            assert v.array.tobytes() == g.array.tobytes() and v.shape == g.shape
+            assert v._parents == () and v._backward is None and not v._needs_grad
+            assert v.array.flags.c_contiguous
+        loss = nm.reduce_sum(nm.mul(plain[0], plain[0]))  # graph mode again
+        nm.backward(loss)
+        assert all(leaf._grad is None for leaf in leaves)  # no parameter is reached
+
+    def test_nodes_are_not_checked(self, monkeypatch):
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda *a, **k: calls.append(1) or isfinite(*a, **k))
+        with nm.no_grad():
+            out = nm.exp(nm.as_node(np.array([0.0, np.nan, np.inf])))
+            nm.linear(nm.as_node(np.ones((2, 3))), *self.leaves()[1:3])
+        assert calls == []
+        assert np.isnan(out.array[1]) and out.array[2] == np.inf
+        with pytest.raises(NonFiniteError, match="tensor values must all be finite"):
+            nm.check_finite(out.array)
+        with pytest.raises(NonFiniteError):
+            nm.exp(nm.as_node(np.array([0.0, np.nan])))  # graph mode checks
+
+    def test_as_node_neither_copies_nor_freezes(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        with nm.no_grad():
+            node = nm.as_node(arr)
+            strided = nm.as_node(arr.T)
+        assert node.array is arr and arr.flags.writeable
+        assert strided.array.flags.c_contiguous and np.array_equal(strided.array, arr.T)
+        assert nm.as_node(arr).array is not arr
+
+    def test_checks_of_other_errors_stay(self):
+        with nm.no_grad():
+            with pytest.raises(DegenerateInputError):
+                nm.cosine_rows(nm.as_node(np.zeros((1, 3))), nm.as_node(np.ones((2, 3))))
+            with pytest.raises(NumericDomainError):
+                nm.log(nm.as_node(np.array([1.0, 0.0])))
+            with pytest.raises(ShapeError):
+                nm.matmul(nm.as_node(np.ones((2, 3))), nm.as_node(np.ones((2, 3))))
+            with pytest.raises(NonFiniteError):
+                nm.add(nm.as_node(np.ones(2)), math.nan)  # a number operand is checked
+
+    def test_mode_is_scoped_to_the_block_and_its_copied_contexts(self):
+        assert nm.grad_enabled()
+        with pytest.raises(RuntimeError):
+            with nm.no_grad():
+                with nm.no_grad():
+                    pass
+                assert not nm.grad_enabled()
+                inside = contextvars.copy_context()
+                raise RuntimeError
+        assert nm.grad_enabled()
+        assert inside.run(nm.grad_enabled) is False
+        assert contextvars.copy_context().run(nm.grad_enabled) is True
 
 
 class TestMatmul:

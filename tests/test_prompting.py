@@ -2,6 +2,7 @@
 memory's autodiff gradient against the attention-weighted rule and a
 barrier oracle, and checkpoints."""
 
+import contextlib
 import math
 from types import SimpleNamespace
 
@@ -12,7 +13,8 @@ from apex import numerics as nm
 from apex import prompting as pr
 from apex import spectral as sp
 from apex.errors import (ConfigError, CorruptInputError, DegenerateInputError,
-                         InputNotFoundError, ShapeError, TrainingDivergedError)
+                         InputNotFoundError, NonFiniteError, ShapeError,
+                         TrainingDivergedError)
 
 import oracles
 
@@ -287,7 +289,7 @@ class TestApexForward:
             a = pr.address(mem, z)
             zprime = pr.retrieve(mem, a)
             p = pr.decode_prompt(dec, zprime, region)
-            out = sp.prompted_image_node(img[None], p, region, spectrum)
+            out = sp.prompted_image_node(img[None], p, region, spectrum.copy())
             diff = nm.sub(out, nm.as_node(target[None]))
             return nm.reduce_sum(nm.mul(diff, diff))
 
@@ -497,6 +499,60 @@ class TestForwardBatch:
         ref = sp.prompted_image_node(imgs, nodes.multiplier, state.region,
                                      np.fft.fft2(imgs, axes=(1, 2)))
         assert np.array_equal(nodes.output.array, ref.array)
+
+
+class TestNoGradForward:
+    """``forward_batch`` inside ``numerics.no_grad``: the graph mode's values,
+    bit for bit, with no graph behind them."""
+
+    FIELDS = ("features", "addressing", "prompt_feature", "multiplier", "output")
+
+    @staticmethod
+    def state_and_chunk(config, size):
+        """A state whose decoder gives a non-trivial multiplier, centred on one
+        ``CHUNK`` of images in [0, 1]."""
+        state = pr.init_state(config, size, size, 1)
+        rng = np.random.default_rng(size)
+        w = state.decoder.layers[-1][0]
+        w.set(rng.standard_normal(w.shape) * 0.05)
+        imgs = rng.random((pr.CHUNK, size, size, 1))
+        pr.fit_input_center(state, [SimpleNamespace(image=img) for img in imgs])
+        return state, imgs
+
+    @pytest.mark.parametrize("config,size", [
+        (pr.ApexConfig(), 32), (pr.ApexConfig(use_memory=False), 32),
+        (pr.ApexConfig(slot_count=300, allow_block_init=True), 32), (pr.ApexConfig(), 128)],
+        ids=["default", "memory_off", "slots_300", "default_128"])
+    def test_values_equal_the_graph_modes(self, config, size):
+        state, imgs = self.state_and_chunk(config, size)
+        graph = pr.forward_batch(state, imgs)
+        with nm.no_grad():
+            plain = pr.forward_batch(state, imgs)
+        assert not np.all(plain.multiplier.array == 1.0)
+        for name in self.FIELDS:
+            assert getattr(plain, name).array.tobytes() == getattr(graph, name).array.tobytes()
+            assert getattr(plain, name)._parents == ()
+        nm.backward(nm.reduce_sum(plain.output))
+        assert all(p._grad is None for p in state.parameters().values())
+
+    @pytest.mark.parametrize("where", [(0, 3, 4, 0), (pr.CHUNK - 1, 0, 0, 0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_raises_as_in_graph_mode(self, where, bad):
+        state, imgs = self.state_and_chunk(SMALL, 8)
+        imgs[where] = bad
+        for mode in (contextlib.nullcontext, nm.no_grad):
+            with mode(), pytest.raises(NonFiniteError,
+                                       match="^tensor values must all be finite$"):
+                pr.forward_batch(state, imgs)
+
+    @pytest.mark.parametrize("mode", [contextlib.nullcontext, nm.no_grad])
+    def test_zero_feature_row_raises_in_both_modes(self, mode):
+        state, imgs = self.state_and_chunk(SMALL, 8)
+        w, b = state.encoder.layers[-1]
+        w.set(np.zeros(w.shape))
+        b.set(np.zeros(b.shape))
+        with mode(), pytest.raises(DegenerateInputError):
+            pr.forward_batch(state, imgs)
 
 
 class TestCheckpoint:

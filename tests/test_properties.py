@@ -52,10 +52,10 @@ def test_prompted_image_backward_is_the_adjoint(h, w, c, beta, batch, seed):
     g = rng.standard_normal(imgs.shape)
 
     def apply(p):
-        return sp.prompted_image_node(imgs, nm.as_node(p), region, spectrum).array
+        return sp.prompted_image_node(imgs, nm.as_node(p), region, spectrum.copy()).array
 
     leaf = nm.parameter(p1)
-    out = sp.prompted_image_node(imgs, leaf, region, spectrum)
+    out = sp.prompted_image_node(imgs, leaf, region, spectrum.copy())
     nm.backward(nm.reduce_sum(nm.mul(out, nm.as_node(g))))
     gap, scale = _adjoint_gap(apply, p1, p2, g, leaf.grad)
     assert gap <= 1e-12 * scale

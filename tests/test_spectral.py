@@ -214,7 +214,7 @@ class TestPromptedImage:
 
         def build(leaves):
             p = sp.symmetrize_multiplier(nm.exp(leaves[0]), reg)
-            out = sp.prompted_image_node(imgs, p, reg, spectrum)
+            out = sp.prompted_image_node(imgs, p, reg, spectrum.copy())
             return nm.reduce_sum(out)
 
         assert oracles.gradcheck(build, [raw0]) < 1e-4
@@ -270,20 +270,36 @@ class TestRegionOnlyNode:
         p0 = np.exp(0.3 * rng.standard_normal((b, region.flat_size)))
         upstream = rng.standard_normal(shape)
         p = nm.parameter(p0)
-        out = sp.prompted_image_node(imgs, p, region, spectrum)
+        out = sp.prompted_image_node(imgs, p, region, spectrum.copy())
         nm.backward(nm.reduce_sum(nm.mul(out, upstream)))
         ref_out, ref_grad = full_field_prompted(imgs, p0, region, spectrum, upstream)
         assert out.array.tobytes() == ref_out.tobytes()
         assert p.grad.tobytes() == ref_grad.tobytes()
 
-    def test_spectrum_left_untouched(self):
-        imgs = np.random.default_rng(5).random((2, 8, 8, 1))
-        region = sp.LowFreqRegion.plan(8, 8, 1, 0.25)
+    @pytest.mark.parametrize("shape", [(8, 32, 32, 1), (2, 128, 128, 1), (2, 12, 20, 3)])
+    def test_in_place_equals_ifft2_of_a_prompted_copy(self, shape):
+        """The node scales the square and inverts the spectrum it is given in
+        place: its output is ``real(ifft2(copy))`` of a prompted copy, bit for
+        bit, the caller's spectrum is overwritten, and the gradient is the
+        full-field formulation's."""
+        rng = np.random.default_rng(shape[1])
+        imgs = rng.random(shape)
+        region = sp.LowFreqRegion.plan(*shape[1:], 0.25)
         spectrum = np.fft.fft2(imgs, axes=(1, 2))
-        before = spectrum.tobytes()
-        sp.prompted_image_node(imgs, nm.as_node(np.full((2, region.flat_size), 2.0)),
-                               region, spectrum)
-        assert spectrum.tobytes() == before
+        p0 = np.exp(0.3 * rng.standard_normal((shape[0], region.flat_size)))
+        rows, cols = region._unshifted
+        prompted = spectrum.copy()
+        prompted[:, rows[:, None], cols, :] *= p0.reshape(region._gather(spectrum).shape)
+        expected = np.real(np.fft.ifft2(prompted, axes=(1, 2)))
+        upstream = rng.standard_normal(shape)
+        _ref_out, ref_grad = full_field_prompted(imgs, p0, region, spectrum.copy(), upstream)
+
+        p = nm.parameter(p0)
+        out = sp.prompted_image_node(imgs, p, region, spectrum)
+        assert out.array.tobytes() == expected.tobytes()
+        assert np.real(spectrum).tobytes() == expected.tobytes()  # inverted in place
+        nm.backward(nm.reduce_sum(nm.mul(out, upstream)))
+        assert p.grad.tobytes() == ref_grad.tobytes()
 
     def test_unshifted_indices(self):
         region = sp.LowFreqRegion.plan(8, 10, 1, 0.5)  # side 4, rows 3..6, cols 4..7

@@ -1,9 +1,10 @@
 """Build and save one benchmark, calibrate the backbone on it, train a
 fixed set of configs on it, and print the digests: first a ``bench digest``
 line over the saved benchmark files, then a ``backbone digest`` line, then
-for each trained state a ``label digest`` line over its tensors and a
+for each trained state a ``label digest`` line over its tensors, a
 ``label eval digest`` line over the CSV lines of its seen, unseen and
-source-only evaluation reports.
+source-only evaluation reports, and a ``label viz digest`` line over the
+three files ``harness.export_activations`` writes for ``test_unseen``.
 
 A change that only reorganises the arithmetic (fused ops, fewer graph
 nodes, fewer checks, a batched calibration, a windowed scene generator)
@@ -63,11 +64,12 @@ def eval_digest(state: prompting.ApexState, backbone: synthdata.FrozenBackbone,
                                      for line in report.csv_lines()).encode()).hexdigest()
 
 
-def files_digest(bench: synthdata.Benchmark) -> str:
-    """sha256 over the relative paths and bytes of ``save_benchmark``'s files."""
+def written_digest(write) -> str:
+    """sha256 over the relative paths and bytes of the files ``write(dir)``
+    puts into an empty directory."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        synthdata.save_benchmark(bench, tmp)
+        write(tmp)
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
                 h.update(path.relative_to(tmp).as_posix().encode())
@@ -84,13 +86,16 @@ def main() -> int:
 
     bench = synthdata.build_benchmark(synthdata.BenchmarkConfig(image_size=args.size),
                                       args.bench_seed)
-    print(f"bench {files_digest(bench)}", flush=True)
+    print(f"bench {written_digest(lambda d: synthdata.save_benchmark(bench, d))}", flush=True)
     backbone = synthdata.backbone_calibrate(bench.splits["source_cal"])
     print(f"backbone {backbone.digest()}", flush=True)
     for label, config in configs():
         state, _log = harness.train(config, bench, backbone, args.seed)
         print(f"{label} {state_digest(state)}", flush=True)
         print(f"{label} eval {eval_digest(state, backbone, bench)}", flush=True)
+        viz = written_digest(lambda d: harness.export_activations(
+            state, bench.splits["test_unseen"], d))
+        print(f"{label} viz {viz}", flush=True)
     return 0
 
 
