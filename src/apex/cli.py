@@ -172,9 +172,9 @@ def cmd_sweep_slots(args) -> int:
         j_list = tuple(int(v) for v in args.j_list.split(","))
     except ValueError:
         j_list = ()
-    if not j_list or min(j_list) < 1:
+    if not j_list or min(j_list) < 1 or len(set(j_list)) != len(j_list):
         raise ConfigError(f"bad --j-list {args.j_list!r}: expected comma-separated "
-                          "slot counts, each >= 1")
+                          "distinct slot counts, each >= 1")
     with _staged_output(Path(args.out)) as stage:
         train_cfg, _ = _load_configs(args.config)
         bench = _load_bench(args.bench)
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-slots", help="slot-count sweep")
     p.add_argument("--config", default=None)
     p.add_argument("--bench", required=True)
-    p.add_argument("--j-list", default="1,5,25,75,150,300")
+    p.add_argument("--j-list", default=",".join(map(str, harness.SWEEP_SLOT_COUNTS)))
     p.add_argument("--out", default="slot_sweep")
     p.set_defaults(func=cmd_sweep_slots)
 

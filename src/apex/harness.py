@@ -161,7 +161,6 @@ class MetricReport:
     group the split is named after, plus that group's average."""
 
     split: str
-    source_only: bool
     per_domain: dict          # domain_id -> {"dice", "iou", "count", "group"}
 
     def _group_avg(self, group: str):
@@ -218,7 +217,7 @@ def evaluate(state: ApexState | None, backbone: FrozenBackbone, bench: Benchmark
         of = domains == dom
         per_domain[dom] = {"dice": float(dice[of].mean()), "iou": float(iou[of].mean()),
                            "count": int(of.sum()), "group": split}
-    return MetricReport(split=split, source_only=state is None, per_domain=per_domain)
+    return MetricReport(split=split, per_domain=per_domain)
 
 
 def mean_std(values) -> tuple[float, float]:
@@ -281,8 +280,11 @@ def run_ablation(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone
     return lines
 
 
+SWEEP_SLOT_COUNTS = (1, 5, 25, 75, 150, 300)  # what `apex sweep-slots` trains by default
+
+
 def slot_sweep(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
-               j_list=(1, 5, 25, 75, 150, 300)) -> list[str]:
+               j_list) -> list[str]:
     """One trained run per slot count per seed; CSV of J vs mean Dice."""
     lines = ["slots,seed,avg_total_dice"]
     for j in j_list:
@@ -300,9 +302,13 @@ def slot_sweep(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
     return lines
 
 
-def top_slot_sets(state: ApexState, samples, fraction: float = 0.10):
-    """Per sample: addressing vector and the top-fraction activated slots."""
-    k = max(1, int(np.floor(state.config.slot_count * fraction + 0.5)))
+TOP_SLOT_FRACTION = 0.10  # share of the slots counted as a sample's activated set
+
+
+def top_slot_sets(state: ApexState, samples):
+    """Per sample: addressing vector and the ``TOP_SLOT_FRACTION`` most
+    activated slots."""
+    k = max(1, int(np.floor(state.config.slot_count * TOP_SLOT_FRACTION + 0.5)))
 
     def top(chunk, images) -> list:
         return [(s, a, frozenset(int(t) for t in np.argsort(-a, kind="stable")[:k]))
@@ -326,13 +332,12 @@ def slot_overlap_summary(rows) -> tuple[float, float]:
     return float(np.mean(within)), float(np.mean(cross))
 
 
-def export_activations(state: ApexState, samples, out_dir,
-                       fraction: float = 0.10) -> tuple[float, float]:
+def export_activations(state: ApexState, samples, out_dir) -> tuple[float, float]:
     """CSV of per-sample top slots, a domain-pair overlap matrix, and a PGM
     heatmap of addressing magnitudes; returns (within, cross) mean Jaccard."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = top_slot_sets(state, samples, fraction)
+    rows = top_slot_sets(state, samples)
 
     lines = ["sample_id,domain_id,top_slots"]
     for s, _a, top in rows:

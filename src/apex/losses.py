@@ -3,12 +3,12 @@ feature contrastive loss with its batch pair-sampling scheme.
 
 Training evaluates each loss once per batch. The segmentation loss is one
 fused node, ``seg_loss``: the batch mean of the per-sample Dice plus one
-cross-entropy mean over the batch, bit-identical to the primitive chain
-``dice_loss(..., batched=True) + ce_loss``, which stays as its test oracle.
-The contrastive loss is one row-wise log-sum-exp over a [B, k] matrix that
-gathers each anchor's k denominator cosines from the [B, B] cosine matrix.
-The per-sample and per-anchor forms (``dice_loss`` on one sample,
-``lfc_term``) define the losses and serve as test oracles.
+cross-entropy mean over the batch. The contrastive loss is one row-wise
+log-sum-exp over a [B, k] matrix that gathers each anchor's k denominator
+cosines from the [B, B] cosine matrix. Both are bit-identical to primitive
+chains that define the losses per sample and per anchor; those chains live
+in ``tests/oracles.py`` (``dice_loss``, ``ce_loss``, ``lfc_term``), where
+the tests compare the fused nodes against them.
 
 The contrastive denominator contains only other-domain embeddings; the
 positive term is excluded, so individual anchor terms (and the loss) can be
@@ -29,54 +29,16 @@ DICE_SMOOTH = 1.0
 CE_CLAMP = 1e-7
 
 
-def _pair(pred, gt) -> tuple[Node, Node]:
-    p, g = nm.as_node(pred), nm.as_node(gt)
-    if p.shape != g.shape:
-        raise ShapeError(f"prediction shape {p.shape} != mask shape {g.shape}")
-    return p, g
-
-
-def dice_loss(pred, gt, batched: bool = False) -> Node:
-    """1 - (2 sum(p g) + eps) / (sum p + sum g + eps), eps = 1.
-
-    The sums run over every entry. With ``batched`` the leading axis indexes
-    samples instead: each sample's Dice sums over its own entries, and the
-    mean over the batch is returned.
-    """
-    p, g = _pair(pred, gt)
-    axis = None
-    if batched:
-        rows = (p.shape[0], -1)
-        p, g, axis = nm.reshape(p, rows), nm.reshape(g, rows), 1
-    inter = nm.reduce_sum(nm.mul(p, g), axis=axis)
-    total = nm.add(nm.reduce_sum(p, axis=axis), nm.reduce_sum(g, axis=axis))
-    loss = nm.sub(1.0, nm.div(nm.add(nm.mul(2.0, inter), DICE_SMOOTH),
-                              nm.add(total, DICE_SMOOTH)))
-    return nm.reduce_mean(loss) if batched else loss
-
-
-def ce_loss(pred, gt) -> Node:
-    """Mean binary cross-entropy; predictions clamped to [1e-7, 1 - 1e-7].
-
-    Over a batch of equally sized samples the mean over every entry equals
-    the mean of the per-sample losses.
-    """
-    p, g = _pair(pred, gt)
-    pc = nm.clip(p, CE_CLAMP, 1.0 - CE_CLAMP)
-    pos = nm.mul(g, nm.log(pc))
-    negt = nm.mul(nm.sub(1.0, g), nm.log(nm.sub(1.0, pc)))
-    return nm.neg(nm.reduce_mean(nm.add(pos, negt)))
-
-
 def seg_loss(pred, masks) -> tuple[Node, float, float]:
     """Dice + cross-entropy of a [batch, h, w, c] prediction stack against
     its masks as one node; returns ``(loss, dice_part, ce_part)``.
 
     The node has the value and prediction gradient of the chain
-    ``add(dice_loss(pred, masks, batched=True), ce_loss(pred, masks))``,
-    bit for bit: the forward runs the chain's NumPy expressions in its
-    order, and the backward each per-element operation of the chain's
-    backward. ``masks`` is not copied; the backward reads it again.
+    ``add(dice_loss(pred, masks, batched=True), ce_loss(pred, masks))`` of
+    ``tests/oracles.py``, bit for bit: the forward runs the chain's NumPy
+    expressions in its order, and the backward each per-element operation
+    of the chain's backward. ``masks`` is not copied; the backward reads it
+    again.
     """
     p = nm.as_node(pred)
     m = np.asarray(masks, dtype=np.float64)
@@ -189,20 +151,6 @@ def sample_positives(labels, rng: np.random.Generator) -> np.ndarray:
 # low-frequency feature contrastive loss
 # ---------------------------------------------------------------------------
 
-def lfc_term(pos_sim, neg_sims, tau: float) -> Node:
-    """One anchor's term: -log( exp(pos/tau) / sum_i exp(neg_i/tau) ).
-
-    Evaluated as logsumexp(neg/tau) - pos/tau for stability.
-    """
-    if tau <= 0.0:
-        raise ConfigError("temperature must be positive")
-    pos = nm.div(nm.as_node(pos_sim), tau)
-    negs = nm.div(nm.as_node(neg_sims), tau)
-    peak = nm.stop_gradient(nm.reduce_max(negs))
-    lse = nm.add(peak, nm.log(nm.reduce_sum(nm.exp(nm.sub(negs, peak)))))
-    return nm.sub(lse, pos)
-
-
 def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
     """Contrastive loss over a batch of auxiliary embeddings.
 
@@ -210,9 +158,11 @@ def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
     domain, and every domain must appear equally often (at least twice), as
     in every P x S training batch. Every anchor ``i`` uses the same-domain
     positive row ``positives[i]`` (see :func:`sample_positives`) against all
-    other-domain embeddings; the mean over anchors of :func:`lfc_term` is
-    returned, computed for all anchors at once as a row-wise log-sum-exp
-    over each anchor's gathered cosines / tau.
+    other-domain embeddings. Each anchor's term is
+    -log( exp(pos/tau) / sum_i exp(neg_i/tau) ), the per-anchor ``lfc_term``
+    of ``tests/oracles.py``; the mean over anchors is returned, computed for
+    all anchors at once as a row-wise log-sum-exp over each anchor's
+    gathered cosines / tau.
     """
     if tau <= 0.0:
         raise ConfigError("temperature must be positive")
@@ -238,7 +188,7 @@ def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
         if j == i or labels[j] != labels[i]:
             raise ConfigError(f"positive {j} invalid for anchor {i}")
 
-    # each anchor's denominator columns in the order lfc_term sums them:
+    # each anchor's denominator columns in the order the per-anchor form sums them:
     # other-domain columns ascending. Equal domain sizes give every anchor
     # the same number, so they gather into one [B, k] matrix whose rows sum
     # in the per-anchor order: each anchor's term and the gradient are
@@ -249,7 +199,7 @@ def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
     sims = nm.cosine_rows(emb, emb)
     pos = nm.div(nm.getitem(sims, (anchors, positives)), tau)
     negs = nm.div(nm.getitem(sims, (anchors[:, None], index)), tau)
-    peak = negs.array.max(axis=1)  # held constant, as in lfc_term
+    peak = negs.array.max(axis=1)  # held constant, as in the per-anchor form
     shifted = nm.sub(negs, peak[:, None])
     sums = nm.reduce_sum(nm.exp(shifted), axis=1)
     lse = nm.add(peak, nm.log(sums))

@@ -19,15 +19,17 @@ sigmoid) and the segmentation loss (``losses.seg_loss``: batch Dice plus
 cross-entropy) are one node each, with a hand-written backward that runs
 the NumPy expressions of the primitive chain it replaces and accumulates
 into each input in the chain's order, so values and gradients are
-bit-identical to that chain. The primitives stay: they are the
-gradient-checked reference and build the other composites.
-A Python number used as an operand of :func:`add`, :func:`sub`, :func:`mul`
-or :func:`div` enters the arithmetic as a float, not as a constant node.
+bit-identical to that chain. The primitives that only those chains use,
+such as ``mul``, ``relu`` and ``transpose``, live in ``tests/oracles.py``,
+where they are gradient-checked and the fused nodes are compared against
+them; the primitives here also build the other composites.
+A Python number used as an operand of :func:`add`, :func:`sub` or
+:func:`div` enters the arithmetic as a float, not as a constant node.
 
 :class:`Node` is the one value type; :func:`sgd_step` updates parameters in
 place through :meth:`Node.set`. Finiteness is checked once where a value is
-made: every array a node takes, with ``numpy.isfinite`` (the two arrays that
-:class:`Node` exempts hold values checked before), a Python-number operand
+made: every array a node takes, with ``numpy.isfinite`` (the one array that
+:class:`Node` exempts holds values checked before), a Python-number operand
 with ``math.isfinite``, and in :func:`sgd_step` only the updated parameter,
 which a non-finite gradient always makes non-finite.
 
@@ -147,10 +149,9 @@ class Node:
     A node owns its array: ops and :meth:`set` take it without a copy, check
     it finite, make it row-major and freeze it. :func:`as_node` and
     :func:`parameter` copy an outside value first, so the caller's array
-    stays theirs. A view of a parent's array (:func:`reshape`) and the array
-    of a ``value`` given as a node (:func:`stop_gradient`) hold checked
-    values and are not checked again. Inside :func:`no_grad` a node takes its
-    array unchecked and unfrozen.
+    stays theirs. The array of a ``value`` given as a node
+    (:func:`stop_gradient`) holds checked values and is not checked again.
+    Inside :func:`no_grad` a node takes its array unchecked and unfrozen.
 
     The gradient buffer is allocated when the first gradient arrives (see
     :meth:`accumulate`), so nodes that no gradient reaches, such as
@@ -175,11 +176,7 @@ class Node:
         if isinstance(value, Node):
             self._array = value._array  # checked and frozen already
             return
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.flags.c_contiguous and any(arr.base is p._array for p in self._parents):
-            self._array = arr  # a view of a frozen, checked array is read-only
-        else:
-            self.set(arr)
+        self.set(value)
 
     def set(self, value) -> None:
         """Make ``value``, taken without a copy, the node's array: checked
@@ -327,10 +324,6 @@ def sub(a, b) -> Node:
     return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
-def mul(a, b) -> Node:
-    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
 def div(a, b) -> Node:
     return _binary("div", a, b, np.divide, lambda g, x, y: g / y,
                    lambda g, x, y: -g * x / (y * y))
@@ -346,10 +339,6 @@ def _unary(op_name: str, a, fwd, bwd) -> Node:
     return Node(out, parents=(a,), backward=back, op=op_name)
 
 
-def neg(a) -> Node:
-    return _unary("neg", a, np.negative, lambda g, x, y: -g)
-
-
 def exp(a) -> Node:
     return _unary("exp", a, np.exp, lambda g, x, y: g * y)
 
@@ -361,37 +350,10 @@ def log(a) -> Node:
     return _unary("log", a, np.log, lambda g, x, y: g / x)
 
 
-def sqrt(a) -> Node:
-    a = as_node(a)
-    if np.any(a.array < 0.0):
-        raise NumericDomainError("sqrt requires nonnegative input")
-    return _unary("sqrt", a, np.sqrt, lambda g, x, y: g / (2.0 * np.maximum(y, NORM_EPS)))
-
-
-def sigmoid(a) -> Node:
-    def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
-    return _unary("sigmoid", a, fwd, lambda g, x, y: g * y * (1.0 - y))
-
-
-def relu(a) -> Node:
-    return _unary("relu", a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0))
-
-
 def clip(a, lo: float, hi: float) -> Node:
     """Clamp values to [lo, hi]; gradient passes only where unclipped."""
     return _unary("clip", a, lambda x: np.clip(x, lo, hi),
                   lambda g, x, y: g * ((x >= lo) & (x <= hi)))
-
-
-def clip_min(a, lo: float) -> Node:
-    return _unary("clip_min", a, lambda x: np.maximum(x, lo), lambda g, x, y: g * (x >= lo))
 
 
 def _check_axis(axis, ndim: int) -> None:
@@ -417,38 +379,6 @@ def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Node:
     _check_axis(axis, a.array.ndim)
     count = a.array.size if axis is None else a.array.shape[axis]
     return div(reduce_sum(a, axis=axis, keepdims=keepdims), float(count))
-
-
-def reduce_max(a) -> Node:
-    a = as_node(a)
-    out = np.max(a.array)
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(g * (a.array == out))
-
-    return Node(out, parents=(a,), backward=back, op="max")
-
-
-def reshape(a, shape) -> Node:
-    a = as_node(a)
-    out = a.array.reshape(shape)
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(g.reshape(a.shape))
-
-    return Node(out, parents=(a,), backward=back, op="reshape")
-
-
-def transpose(a) -> Node:
-    a = as_node(a)
-    if a.array.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = a.array.T.copy()
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(g.T)
-
-    return Node(out, parents=(a,), backward=back, op="transpose")
 
 
 def getitem(a, index) -> Node:
@@ -484,34 +414,10 @@ def matmul(a, b) -> Node:
 # cosine similarity
 # ---------------------------------------------------------------------------
 
-def _guarded_norm(v: Node) -> Node:
-    sq = reduce_sum(mul(v, v))
-    # max(norm, eps) rather than norm + eps so that scaling by powers of two
-    # leaves the similarity bit-identical (exact scale invariance).
-    return clip_min(sqrt(sq), NORM_EPS)
-
-
-def cosine_similarity(u, v) -> Node:
-    """cos(u, v) for vectors, differentiable in both arguments.
-
-    Raises on an exactly-zero input; near-zero norms are guarded by
-    ``NORM_EPS`` instead so training never divides by zero.
-    """
-    u, v = as_node(u), as_node(v)
-    if u.array.ndim != 1 or v.array.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine_similarity expects equal-length vectors, got {u.shape}, {v.shape}")
-    if not np.any(u.array) or not np.any(v.array):
-        raise DegenerateInputError("cosine_similarity: zero-norm input")
-    uhat = div(u, _guarded_norm(u))
-    vhat = div(v, _guarded_norm(v))
-    raw = reduce_sum(mul(uhat, vhat))
-    return clip(raw, -1.0, 1.0)  # trims fp overshoot beyond the cosine range
-
-
 def _row_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row norms of ``v`` as [m, 1] columns, as computed and as floored at
-    ``NORM_EPS``: the values of ``sqrt(reduce_sum(mul(v, v), axis=1,
-    keepdims=True))`` and of ``clip_min`` of it."""
+    ``NORM_EPS``: the values of the chain ``sqrt(reduce_sum(mul(v, v),
+    axis=1, keepdims=True))`` and of ``clip_min`` of it (``tests/oracles.py``)."""
     root = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
     return root, np.maximum(root, NORM_EPS)
 
@@ -534,8 +440,9 @@ def cosine_rows(a, b) -> Node:
     """Pairwise cosine similarities between rows of ``a`` [m,K] and ``b`` [n,K].
 
     One node with the values and gradients of the primitive chain
-    ``clip(matmul(a / |a|, transpose(b / |b|)), -1, 1)``, bit for bit; for
-    ``b is a`` the rows are normalized once.
+    ``clip(matmul(a / |a|, transpose(b / |b|)), -1, 1)``, bit for bit, whose
+    ``transpose`` and norm are in ``tests/oracles.py``; for ``b is a`` the
+    rows are normalized once.
     """
     a, b = as_node(a), as_node(b)
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -620,8 +527,9 @@ def linear(x, w, b, relu: bool = False) -> Node:
     [out, in] and ``b`` [out], followed by a ReLU when ``relu`` is set.
 
     One node with the values and gradients of the primitive chain
-    ``relu(add(matmul(x, transpose(w)), b))``, bit for bit: it runs the
-    chain's NumPy expressions, including the row-major copy of ``w.T``.
+    ``relu(add(matmul(x, transpose(w)), b))``, bit for bit, whose ``relu``
+    and ``transpose`` are in ``tests/oracles.py``: it runs the chain's NumPy
+    expressions, including the row-major copy of ``w.T``.
     """
     x, w, b = as_node(x), as_node(w), as_node(b)
     if x.array.ndim != 2 or w.array.ndim != 2 or x.shape[1] != w.shape[1] \

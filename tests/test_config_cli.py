@@ -664,7 +664,7 @@ class TestCli:
         assert text.startswith("slots,seed,avg_total_dice")
         assert _sha(outs[0] / "slot_sweep.csv") == _sha(outs[1] / "slot_sweep.csv")
 
-    @pytest.mark.parametrize("j_list", ["1,x", "5,0", "", "3,,4", "-2"])
+    @pytest.mark.parametrize("j_list", ["1,x", "5,0", "", "3,,4", "-2", "1,1"])
     def test_sweep_slots_bad_j_list_is_one_line_error(self, workdir, j_list, capsys):
         # checked before anything loads: the benchmark does not exist
         out = workdir / "sweep_bad_j_list"
@@ -672,7 +672,7 @@ class TestCli:
         assert cli.main(["sweep-slots", "--config", str(workdir / "tiny.cfg"),
                          "--bench", str(workdir / "no_bench"), "--j-list", j_list,
                          "--out", str(out)]) == 1
-        _assert_one_error_line(capsys, "--j-list", repr(j_list))
+        _assert_one_error_line(capsys, "--j-list", repr(j_list), "distinct")
         assert not out.exists()
 
     def test_viz_mem_and_rerun_identical(self, workdir, bench_dir, run_dir):

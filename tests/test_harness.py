@@ -1,5 +1,6 @@
 """Training loop, evaluation, ablation code paths, and activation export."""
 
+import inspect
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from apex import harness as hn
+from apex import losses
 from apex import numerics as nm
 from apex import prompting as pr
 from apex import synthdata as sd
@@ -295,6 +297,35 @@ class TestRunResult:
         res = hn.train_and_eval(TINY_TRAIN, bench, backbone, seed=0)
         assert res.avg_total == pytest.approx(
             (res.seen.avg_seen + res.unseen.avg_unseen) / 2.0)
+
+
+def test_library_functions_all_run(bench, backbone, tmp_path):
+    """Every public function of ``numerics`` and ``losses`` is called by a
+    training run with its evaluation, a checkpoint round trip and an
+    activation export; reference chains that only tests call belong in
+    ``tests/oracles.py``."""
+    public = {f"{mod.__name__}.{name}": inspect.unwrap(fn).__code__
+              for mod in (nm, losses) for name, fn in vars(mod).items()
+              if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+              and not name.startswith("_")}
+    called = set()
+
+    def probe(frame, event, _arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile(), threading.getprofile()
+    sys.setprofile(probe)
+    threading.setprofile(probe)
+    try:
+        res = hn.train_and_eval(TINY_TRAIN, bench, backbone, seed=0)
+        pr.save_state(res.state, tmp_path / "ckpt")
+        hn.export_activations(pr.load_state(tmp_path / "ckpt"),
+                              bench.splits["test_unseen"], tmp_path / "viz")
+    finally:
+        sys.setprofile(previous[0])
+        threading.setprofile(previous[1])
+    assert sorted(name for name, code in public.items() if code not in called) == []
 
 
 def force_pool(monkeypatch, cpus: int = 4) -> None:

@@ -18,7 +18,7 @@ class TestDice:
     def test_perfect_overlap(self):
         mask = np.zeros((10, 10))
         mask[2:6, 2:6] = 1.0
-        val = losses.dice_loss(nm.as_node(mask), nm.as_node(mask)).item()
+        val = oracles.dice_loss(nm.as_node(mask), nm.as_node(mask)).item()
         assert val == pytest.approx(0.0, abs=1.0 / 17.0)  # eps smoothing only
 
     def test_disjoint_large_masks(self):
@@ -26,14 +26,14 @@ class TestDice:
         pred[:20] = 1.0
         gt = np.zeros((40, 40))
         gt[20:] = 1.0
-        val = losses.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
+        val = oracles.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
         assert val == pytest.approx(1.0, abs=1e-3)
 
     def test_half_prediction_worked_example(self):
         gt = np.zeros(400)
         gt[:100] = 1.0
         pred = gt / 2.0
-        val = losses.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
+        val = oracles.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
         assert val == pytest.approx(1.0 - 101.0 / 151.0, abs=1e-12)
 
     def test_range_and_finiteness(self):
@@ -41,34 +41,34 @@ class TestDice:
         for _ in range(50):
             pred = rng.random((6, 6))
             gt = (rng.random((6, 6)) > 0.5).astype(float)
-            val = losses.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
+            val = oracles.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
             assert 0.0 <= val <= 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            losses.dice_loss(nm.as_node(np.ones((2, 2))), nm.as_node(np.ones((3, 3))))
+            oracles.dice_loss(nm.as_node(np.ones((2, 2))), nm.as_node(np.ones((3, 3))))
 
 
 class TestCrossEntropy:
     def test_uniform_prediction(self):
         pred = np.full((5, 5), 0.5)
         gt = (np.random.default_rng(1).random((5, 5)) > 0.5).astype(float)
-        assert losses.ce_loss(nm.as_node(pred), nm.as_node(gt)).item() == \
+        assert oracles.ce_loss(nm.as_node(pred), nm.as_node(gt)).item() == \
             pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_approaches_zero_for_confident_correct(self):
         gt = np.ones((4, 4))
         for p in (0.9, 0.99, 0.999999):
-            val = losses.ce_loss(nm.as_node(np.full((4, 4), p)), nm.as_node(gt)).item()
+            val = oracles.ce_loss(nm.as_node(np.full((4, 4), p)), nm.as_node(gt)).item()
             assert val == pytest.approx(-math.log(p), abs=1e-9)
 
     def test_worked_example(self):
-        val = losses.ce_loss(nm.as_node(np.full((3, 3), 0.9)), nm.as_node(np.ones((3, 3)))).item()
+        val = oracles.ce_loss(nm.as_node(np.full((3, 3), 0.9)), nm.as_node(np.ones((3, 3)))).item()
         assert val == pytest.approx(0.10536051565782628, abs=1e-12)
 
     def test_clamping_keeps_finite(self):
         gt = np.ones((2, 2))
-        val = losses.ce_loss(nm.as_node(np.zeros((2, 2))), nm.as_node(gt)).item()
+        val = oracles.ce_loss(nm.as_node(np.zeros((2, 2))), nm.as_node(gt)).item()
         assert np.isfinite(val)
 
 
@@ -89,8 +89,8 @@ class TestSegLoss:
         pred, gt = rng.random((6, 6)), (rng.random((6, 6)) > 0.6).astype(float)
         seg, dice_part, ce_part = losses.seg_loss(_one(pred), _one(gt))
         assert seg.item() == dice_part + ce_part
-        assert dice_part == losses.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
-        assert ce_part == losses.ce_loss(nm.as_node(pred), nm.as_node(gt)).item()
+        assert dice_part == oracles.dice_loss(nm.as_node(pred), nm.as_node(gt)).item()
+        assert ce_part == oracles.ce_loss(nm.as_node(pred), nm.as_node(gt)).item()
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(3)
@@ -110,17 +110,17 @@ def chain_seg_loss(pred, masks, upstream=1.0):
     primitive chain ``dice_loss(batched=True) + ce_loss``: its value, Dice
     part, CE part and the prediction gradient for an upstream gradient."""
     p = nm.parameter(pred)
-    dice = losses.dice_loss(p, masks, batched=True)
-    ce = losses.ce_loss(p, masks)
+    dice = oracles.dice_loss(p, masks, batched=True)
+    ce = oracles.ce_loss(p, masks)
     seg = nm.add(dice, ce)
-    nm.backward(nm.mul(seg, upstream))
+    nm.backward(oracles.mul(seg, upstream))
     return seg.item(), dice.item(), ce.item(), p.grad
 
 
 def fused_seg_loss(pred, masks, upstream=1.0):
     p = nm.parameter(pred)
     seg, dice, ce = losses.seg_loss(p, masks)
-    nm.backward(nm.mul(seg, upstream))
+    nm.backward(oracles.mul(seg, upstream))
     return seg.item(), dice, ce, p.grad
 
 
@@ -172,13 +172,13 @@ class TestFusedSegLoss:
         with pytest.raises(NonFiniteError):
             losses.seg_loss(np.full((2, 4, 4, 1), 0.5), masks)
         with pytest.raises(NonFiniteError):  # as the chain's as_node did
-            losses.ce_loss(np.full((2, 4, 4, 1), 0.5), masks)
+            oracles.ce_loss(np.full((2, 4, 4, 1), 0.5), masks)
 
     def test_overflowing_sum_raises_as_the_chain_did(self):
         pred = np.full((1, 2, 2, 1), 1e308)
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteError):
-                losses.dice_loss(pred, np.zeros_like(pred), batched=True)
+                oracles.dice_loss(pred, np.zeros_like(pred), batched=True)
             with pytest.raises(NonFiniteError):
                 losses.seg_loss(pred, np.zeros_like(pred))
 
@@ -194,34 +194,34 @@ class TestFusedSegLoss:
 
 class TestLfcTerm:
     def test_worked_example_minus_one(self):
-        val = losses.lfc_term(nm.as_node(1.0), nm.as_node([0.0]), tau=1.0).item()
+        val = oracles.lfc_term(nm.as_node(1.0), nm.as_node([0.0]), tau=1.0).item()
         assert val == pytest.approx(-1.0, abs=1e-12)
 
     def test_symmetric_case_is_zero(self):
         for s in (-0.4, 0.0, 0.9):
-            val = losses.lfc_term(nm.as_node(s), nm.as_node([s]), tau=0.5).item()
+            val = oracles.lfc_term(nm.as_node(s), nm.as_node([s]), tau=0.5).item()
             assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_brute_force_example(self):
-        val = losses.lfc_term(nm.as_node(0.8), nm.as_node([0.2, -0.4]), tau=0.5).item()
+        val = oracles.lfc_term(nm.as_node(0.8), nm.as_node([0.2, -0.4]), tau=0.5).item()
         oracle = -math.log(math.exp(1.6) / (math.exp(0.4) + math.exp(-0.8)))
         assert val == pytest.approx(oracle, abs=1e-10)
 
     def test_monotonicity(self):
-        base = losses.lfc_term(nm.as_node(0.5), nm.as_node([0.1, 0.2]), tau=0.5).item()
-        higher_pos = losses.lfc_term(nm.as_node(0.6), nm.as_node([0.1, 0.2]), tau=0.5).item()
-        higher_neg = losses.lfc_term(nm.as_node(0.5), nm.as_node([0.3, 0.2]), tau=0.5).item()
+        base = oracles.lfc_term(nm.as_node(0.5), nm.as_node([0.1, 0.2]), tau=0.5).item()
+        higher_pos = oracles.lfc_term(nm.as_node(0.6), nm.as_node([0.1, 0.2]), tau=0.5).item()
+        higher_neg = oracles.lfc_term(nm.as_node(0.5), nm.as_node([0.3, 0.2]), tau=0.5).item()
         assert higher_pos < base
         assert higher_neg > base
 
     def test_tau_scaling_leaves_exponents_unchanged(self):
-        a = losses.lfc_term(nm.as_node(0.5), nm.as_node([0.1, -0.3]), tau=0.25).item()
-        b = losses.lfc_term(nm.as_node(2.0 * 0.5), nm.as_node([0.2, -0.6]), tau=0.5).item()
+        a = oracles.lfc_term(nm.as_node(0.5), nm.as_node([0.1, -0.3]), tau=0.25).item()
+        b = oracles.lfc_term(nm.as_node(2.0 * 0.5), nm.as_node([0.2, -0.6]), tau=0.5).item()
         assert a == b
 
     def test_invalid_tau(self):
         with pytest.raises(ConfigError):
-            losses.lfc_term(nm.as_node(0.5), nm.as_node([0.1]), tau=0.0)
+            oracles.lfc_term(nm.as_node(0.5), nm.as_node([0.1]), tau=0.0)
 
 
 def _two_domain_embeddings():
@@ -324,16 +324,16 @@ class TestBatchedForms:
         rng = np.random.default_rng(21)
         for _ in range(30):
             pred, gt = self._seg_batch(rng, int(rng.integers(1, 9)))
-            val = losses.dice_loss(pred, gt, batched=True).item()
-            oracle = float(np.mean([losses.dice_loss(p, g).item() for p, g in zip(pred, gt)]))
+            val = oracles.dice_loss(pred, gt, batched=True).item()
+            oracle = float(np.mean([oracles.dice_loss(p, g).item() for p, g in zip(pred, gt)]))
             assert _rel_close(val, oracle)
 
     def test_batch_ce_is_mean_of_per_sample(self):
         rng = np.random.default_rng(22)
         for _ in range(30):
             pred, gt = self._seg_batch(rng, int(rng.integers(1, 9)))
-            val = losses.ce_loss(pred, gt).item()
-            oracle = float(np.mean([losses.ce_loss(p, g).item() for p, g in zip(pred, gt)]))
+            val = oracles.ce_loss(pred, gt).item()
+            oracle = float(np.mean([oracles.ce_loss(p, g).item() for p, g in zip(pred, gt)]))
             assert _rel_close(val, oracle)
 
     def test_batched_seg_gradients(self):
@@ -341,8 +341,8 @@ class TestBatchedForms:
         pred, gt = self._seg_batch(rng, 3)
 
         def build(leaves):
-            return nm.add(losses.dice_loss(leaves[0], gt, batched=True),
-                          losses.ce_loss(leaves[0], gt))
+            return nm.add(oracles.dice_loss(leaves[0], gt, batched=True),
+                          oracles.ce_loss(leaves[0], gt))
 
         assert oracles.gradcheck(build, [pred]) < 1e-6
 
@@ -351,13 +351,13 @@ class TestBatchedForms:
         rng = np.random.default_rng(25)
         pred, gt = self._seg_batch(rng, 8)
         batched = nm.parameter(pred)
-        nm.backward(nm.add(losses.dice_loss(batched, gt, batched=True),
-                           losses.ce_loss(batched, gt)))
+        nm.backward(nm.add(oracles.dice_loss(batched, gt, batched=True),
+                           oracles.ce_loss(batched, gt)))
         looped = nm.parameter(pred)
         dice = ce = None
         for i in range(len(pred)):
-            d = losses.dice_loss(nm.getitem(looped, i), gt[i])
-            e = losses.ce_loss(nm.getitem(looped, i), gt[i])
+            d = oracles.dice_loss(nm.getitem(looped, i), gt[i])
+            e = oracles.ce_loss(nm.getitem(looped, i), gt[i])
             dice = d if dice is None else nm.add(dice, d)
             ce = e if ce is None else nm.add(ce, e)
         nm.backward(nm.add(nm.div(dice, 8.0), nm.div(ce, 8.0)))
@@ -365,7 +365,7 @@ class TestBatchedForms:
 
     def test_batched_dice_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            losses.dice_loss(np.ones((2, 4, 4, 1)), np.ones((3, 4, 4, 1)), batched=True)
+            oracles.dice_loss(np.ones((2, 4, 4, 1)), np.ones((3, 4, 4, 1)), batched=True)
 
     def test_batched_lfc_is_mean_of_anchor_terms(self):
         rng = np.random.default_rng(24)
@@ -384,7 +384,7 @@ class TestBatchedForms:
             terms = []
             for i, lab in enumerate(labels):
                 cols = [j for j, other in enumerate(labels) if other != lab]
-                terms.append(losses.lfc_term(sims[i, positives[i]], sims[i, cols], tau).item())
+                terms.append(oracles.lfc_term(sims[i, positives[i]], sims[i, cols], tau).item())
             assert _rel_close(val, float(np.mean(terms))), trial
 
     def test_batched_lfc_gradient_matches_anchor_loop_exactly(self):
@@ -404,7 +404,7 @@ class TestBatchedForms:
             cols = [j for j, other in enumerate(labels) if other != lab]
             pos = nm.getitem(sims, (i, int(positives[i])))
             negs = nm.getitem(sims, (np.full(len(cols), i), np.array(cols)))
-            term = losses.lfc_term(pos, negs, 0.1)
+            term = oracles.lfc_term(pos, negs, 0.1)
             total = term if total is None else nm.add(total, term)
         nm.backward(nm.div(total, 8.0))
         assert np.array_equal(batched.grad, looped.grad)

@@ -78,7 +78,7 @@ class TestEncodeDomain:
             layers = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)]
             enc = nm.MlpParams(layers=layers)
             z = pr.encode_batch(enc, low)
-            return nm.reduce_sum(nm.mul(z, z))
+            return nm.reduce_sum(oracles.mul(z, z))
 
         assert oracles.gradcheck(build, inputs) < 1e-4
 
@@ -252,7 +252,7 @@ class TestProjectAux:
             layers = [(leaves[0], leaves[1]), (leaves[2], leaves[3])]
             head = nm.MlpParams(layers=layers)
             out = pr.project_aux(head, nm.as_node(z))
-            return nm.reduce_sum(nm.mul(out, out))
+            return nm.reduce_sum(oracles.mul(out, out))
 
         assert oracles.gradcheck(build, inputs) < 1e-4
 
@@ -291,7 +291,7 @@ class TestApexForward:
             p = pr.decode_prompt(dec, zprime, region)
             out = sp.prompted_image_node(img[None], p, region, spectrum.copy())
             diff = nm.sub(out, nm.as_node(target[None]))
-            return nm.reduce_sum(nm.mul(diff, diff))
+            return nm.reduce_sum(oracles.mul(diff, diff))
 
         assert oracles.gradcheck(build, inputs) < 1e-4
 
@@ -336,7 +336,7 @@ def memory_grad_of(a, upstream, mem):
     """``mem.grad`` after backpropagating ``sum(retrieve(mem, a) * upstream)``,
     so the upstream gradient dL/dz' is ``upstream`` itself."""
     zprime = pr.retrieve(mem, nm.as_node(a))
-    nm.backward(nm.reduce_sum(nm.mul(zprime, nm.as_node(upstream))))
+    nm.backward(nm.reduce_sum(oracles.mul(zprime, nm.as_node(upstream))))
     return mem.grad
 
 
@@ -364,7 +364,8 @@ class TestMemoryGradient:
             w = rng.standard_normal(7)
             a = pr.address(nm.stop_gradient(mem), nm.as_node(z))
             zprime = pr.retrieve(mem, a)  # retrieval stays live
-            loss = nm.reduce_sum(nm.mul(zprime, nm.as_node(np.broadcast_to(w, (3, 7)).copy())))
+            weights = nm.as_node(np.broadcast_to(w, (3, 7)).copy())
+            loss = nm.reduce_sum(oracles.mul(zprime, weights))
             nm.backward(loss)
             explicit = a.array.T @ zprime.grad
             assert np.max(np.abs(explicit - mem.grad)) < 1e-10
@@ -378,7 +379,7 @@ class TestMemoryGradient:
         mem_full = nm.parameter(mem_arr)
         a_full = pr.address(mem_full, nm.as_node(z))
         zp_full = pr.retrieve(mem_full, a_full)
-        nm.backward(nm.reduce_sum(nm.mul(zp_full, nm.as_node(w[None].copy()))))
+        nm.backward(nm.reduce_sum(oracles.mul(zp_full, nm.as_node(w[None].copy()))))
 
         explicit = a_full.array.T @ zp_full.grad
         assert np.max(np.abs(explicit - mem_full.grad)) > 1e-6
@@ -437,7 +438,7 @@ class TestAttentionRuleInvariant:
         """``forward_batch`` and ``backward`` of a loss on its output."""
         nodes = pr.forward_batch(state, imgs)
         nm.zero_grads(state.parameters().values())
-        nm.backward(nm.reduce_sum(nm.mul(nodes.output, nodes.output)))
+        nm.backward(nm.reduce_sum(oracles.mul(nodes.output, nodes.output)))
         return nodes
 
     def test_trainer_graph_matches_explicit_rule(self):
@@ -460,7 +461,7 @@ class TestAttentionRuleInvariant:
         p = pr.decode_prompt(state.decoder, zprime, state.region)
         out = sp.prompted_image_node(imgs, p, state.region, spectrum)
         nm.zero_grads(state.parameters().values())
-        nm.backward(nm.reduce_sum(nm.mul(out, out)))
+        nm.backward(nm.reduce_sum(oracles.mul(out, out)))
         assert np.max(np.abs(trainer_grad - state.memory.grad)) < 1e-10
         assert np.array_equal(trainer.addressing.array, a.array)
 
