@@ -82,6 +82,8 @@ def _backbone_for(bench: synthdata.Benchmark) -> synthdata.FrozenBackbone:
 def cmd_gen_bench(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"bad --seed {args.seed}: expected an integer >= 0")
+    if args.dump_samples < 0:
+        raise ConfigError(f"bad --dump-samples {args.dump_samples}: expected an integer >= 0")
     out = Path(args.out)
     with _staged_output(out) as stage:
         train_cfg, bench_cfg = _load_configs(args.config)
@@ -142,6 +144,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out and Path(args.out).is_dir():
+        raise ConfigError(f"--out {args.out} is a directory; pass a file path")
     bench = _load_bench(args.bench)
     backbone = _backbone_for(bench)
     state = None if args.source_only else prompting.load_state(args.ckpt)
@@ -202,8 +206,9 @@ def cmd_viz_mem(args) -> int:
     samples = []
     for name in names:
         samples.extend(bench.splits[name])
-    within, cross = harness.export_activations(state, samples, args.out)
-    print(f"within-domain mean Jaccard {within!r}, cross-domain {cross!r}")
+    within, cross = ("n/a" if v is None else repr(v)
+                     for v in harness.export_activations(state, samples, args.out))
+    print(f"within-domain mean Jaccard {within}, cross-domain {cross}")
     print(f"activation maps written to {args.out}")
     return 0
 
@@ -267,7 +272,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ApexError as exc:
+    except (ApexError, OSError) as exc:  # an OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

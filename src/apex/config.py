@@ -167,9 +167,7 @@ def echo_lines(train: TrainConfig, bench: BenchmarkConfig) -> list[str]:
     lines = [f"{key} = {format_value(getattr(sections[section], key))}"
              for key, (section, _) in _KEYS.items()]
     for spec in (bench.source,) + bench.seen + bench.unseen:
-        shading = ";".join(f"{fu}:{fv}:{amp}" for fu, fv, amp in spec.shading)
-        lines.append(f"domain_{spec.domain_id}_gain = {spec.gain}")
-        lines.append(f"domain_{spec.domain_id}_bias = {spec.bias}")
-        lines.append(f"domain_{spec.domain_id}_noise_sigma = {spec.noise_sigma}")
-        lines.append(f"domain_{spec.domain_id}_shading = {shading}")
+        lines += [f"domain_{spec.domain_id}_{name} = "
+                  + (spec.shading_text() if name == "shading" else str(getattr(spec, name)))
+                  for name in _DOMAIN_FIELDS]
     return lines

@@ -322,19 +322,20 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / union if union else 1.0
 
 
-def slot_overlap_summary(rows) -> tuple[float, float]:
-    """(mean within-domain, mean cross-domain) Jaccard of top-slot sets."""
+def slot_overlap_summary(rows) -> tuple[float | None, float | None]:
+    """(mean within-domain, mean cross-domain) Jaccard of top-slot sets; None
+    for a group without pairs, such as cross-domain on a single domain."""
     within, cross = [], []
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             val = jaccard(rows[i][2], rows[j][2])
             (within if rows[i][0].domain_id == rows[j][0].domain_id else cross).append(val)
-    return float(np.mean(within)), float(np.mean(cross))
+    return tuple(float(np.mean(vals)) if vals else None for vals in (within, cross))
 
 
-def export_activations(state: ApexState, samples, out_dir) -> tuple[float, float]:
+def export_activations(state: ApexState, samples, out_dir) -> tuple:
     """CSV of per-sample top slots, a domain-pair overlap matrix, and a PGM
-    heatmap of addressing magnitudes; returns (within, cross) mean Jaccard."""
+    heatmap of addressing magnitudes; returns :func:`slot_overlap_summary`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = top_slot_sets(state, samples)

@@ -46,6 +46,8 @@ import contextvars
 import ctypes
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,6 +129,46 @@ def one_blas_thread():
         yield
     finally:
         put(previous)
+
+
+# Generation and evaluation share their items out over threads from images
+# of this many pixels up. Below it an item is mostly Python-level work that
+# holds the GIL, so threads only add hand-offs, and the items run inline.
+# On 2 CPUs threaded generation lost at 64x64 (0.58-0.64 s inline,
+# 0.75-0.92 s threaded), broke even at 80x80 and won at 96x96 and 128x128.
+PARALLEL_MIN_PIXELS = 96 * 96
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_ordered(fn, items: Sequence, threaded: bool = True) -> list:
+    """``[fn(item) for item in items]``. With ``threaded``, item i runs in
+    share i % n of n = min(len(items), usable CPUs) shares: share 0 on this
+    thread, the others on a pool, each in a copy of this thread's context
+    (its ``np.errstate`` and :func:`no_grad` hold there), with OpenBLAS on
+    one thread. Every share ends before a share's exception is re-raised.
+    One share runs inline. An ``fn`` of its item alone gives the same
+    results on any number of threads."""
+    shares = min(len(items), _usable_cpus()) if threaded else 1
+    if shares <= 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+
+    def run(k: int) -> None:
+        for i in range(k, len(items), shares):
+            results[i] = fn(items[i])
+
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=shares - 1) as pool:
+        pending = [pool.submit(contextvars.copy_context().run, run, k) for k in range(1, shares)]
+        run(0)
+        for share in pending:
+            share.result()
+    return results
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import spectral as sp
-from . import synthdata, tensorio
+from . import tensorio
 from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError, read_text
 from .numerics import MlpParams, Node
 
@@ -154,31 +154,15 @@ def region_amplitudes(region: sp.LowFreqRegion, spectrum: np.ndarray) -> np.ndar
 
 def map_chunks(fn, samples) -> list:
     """``fn(chunk, images)`` for each run of ``CHUNK`` consecutive samples
-    (each with an ``image``), with the run's images stacked [B, h, w, c],
-    inside :func:`numerics.no_grad`; the results come back in chunk order.
-    No array of the whole set is ever held.
-
-    From ``synthdata.PARALLEL_MIN_PIXELS`` pixels up, the chunks are shared
-    out over one thread per usable CPU (pocketfft, the blur and ``exp``
-    release the GIL), with OpenBLAS on one thread; below it they run
-    inline, one after another. Each chunk is computed as it is inline, so
-    the results do not depend on the threads.
-    """
-    starts = range(0, len(samples), CHUNK)
-    results = [None] * len(starts)
+    (each with an ``image``), the run's images stacked [B, h, w, c], in chunk
+    order, inside :func:`numerics.no_grad`, through :func:`numerics.map_ordered`
+    (threaded from ``numerics.PARALLEL_MIN_PIXELS`` pixels up: pocketfft, the
+    blur and ``exp`` release the GIL). No array of the whole set is held."""
+    chunks = [samples[lo:lo + CHUNK] for lo in range(0, len(samples), CHUNK)]
     pixels = samples[0].image.shape[0] * samples[0].image.shape[1] if samples else 0
-    workers = (min(len(starts), synthdata._usable_cpus())
-               if pixels >= synthdata.PARALLEL_MIN_PIXELS else 1)
-
-    def run(k: int) -> None:
-        # share k: chunks k, k + workers, ...
-        for i in range(k, len(starts), workers):
-            chunk = samples[starts[i]:starts[i] + CHUNK]
-            results[i] = fn(chunk, np.stack([s.image for s in chunk]))
-
     with nm.no_grad():
-        synthdata._run_shares(run, workers)
-    return results
+        return nm.map_ordered(lambda chunk: fn(chunk, np.stack([s.image for s in chunk])),
+                              chunks, threaded=pixels >= nm.PARALLEL_MIN_PIXELS)
 
 
 def fit_input_center(state: ApexState, samples) -> None:

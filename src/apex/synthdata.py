@@ -15,19 +15,17 @@ only, never to its parameters. In training it is one fused graph node
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import numerics as nm
 from . import tensorio
 from .errors import (ConfigError, CorruptInputError, InputNotFoundError, NonFiniteError,
                      ShapeError, read_text)
-from .numerics import Node, one_blas_thread
+from .numerics import Node
 
 SCENE_BACKGROUND = 0.3
 SCENE_LESION = 0.7
@@ -60,9 +58,12 @@ class DomainSpec:
             if amp < 0:
                 raise ConfigError("shading amplitude must be nonnegative")
 
+    def shading_text(self) -> str:
+        """The modes as ``fu:fv:amp`` joined by ``;``, as config files spell them."""
+        return ";".join(f"{fu}:{fv}:{amp!r}" for fu, fv, amp in self.shading)
+
     def manifest_fields(self) -> str:
-        modes = ";".join(f"{fu}:{fv}:{amp!r}" for fu, fv, amp in self.shading)
-        return f"{self.gain!r},{self.bias!r},{modes},{self.noise_sigma!r}"
+        return f"{self.gain!r},{self.bias!r},{self.shading_text()},{self.noise_sigma!r}"
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,9 @@ def _shading_field(spec: DomainSpec, rng: np.random.Generator, h: int, w: int) -
     return out
 
 
-def _apply_domain(arr: np.ndarray, spec: DomainSpec, seed: int, out=None) -> np.ndarray:
-    """clamp(gain * shading * img + bias + noise, 0, 1) of an [h, w, c] image,
-    into ``out`` if given; the adds run in place, in the expression's order."""
+def _apply_domain(arr: np.ndarray, spec: DomainSpec, seed: int) -> np.ndarray:
+    """clamp(gain * shading * img + bias + noise, 0, 1) of an [h, w, c] image
+    as a new array; the adds and the clamp run in place, in that order."""
     h, w = arr.shape[:2]
     rng = np.random.default_rng(seed)
     fld = _shading_field(spec, rng, h, w)[:, :, None]
@@ -175,7 +176,7 @@ def _apply_domain(arr: np.ndarray, spec: DomainSpec, seed: int, out=None) -> np.
     shifted = spec.gain * fld * arr
     shifted += spec.bias
     shifted += noise
-    return np.clip(shifted, 0.0, 1.0, out=out)
+    return np.clip(shifted, 0.0, 1.0, out=shifted)
 
 
 # Seen domains shade along different axes, so confusing them costs Dice;
@@ -248,38 +249,6 @@ class Benchmark:
         return "\n".join(lines) + "\n"
 
 
-# Samples are built on one thread per usable CPU from images of this many
-# pixels up. Below it a sample is mostly Python-level work that holds the
-# GIL, so threads only add hand-offs, and the same loop runs inline. On
-# 2 CPUs threads lost at 64x64 (0.58-0.64 s inline, 0.75-0.92 s threaded),
-# broke even at 80x80 and won at 96x96 and 128x128.
-PARALLEL_MIN_PIXELS = 96 * 96
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_shares(work, workers: int) -> None:
-    """Run ``work(0)`` here and ``work(1)``, ..., ``work(workers - 1)`` on a
-    thread pool; join them all and re-raise a worker's exception. One
-    worker runs ``work(0)`` inline. Otherwise OpenBLAS runs on one thread
-    until every share is done, and each pool share runs in a copy of the
-    caller's context, so the caller's ``np.errstate`` and ``no_grad`` hold in it."""
-    if workers == 1:
-        work(0)
-        return
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        shares = [pool.submit(contextvars.copy_context().run, work, k)
-                  for k in range(1, workers)]
-        work(0)
-        for share in shares:
-            share.result()
-
-
 def _plan(config: BenchmarkConfig) -> list:
     """``(spec, split, count)`` for each domain of each split, in the order
     the samples take their seeds."""
@@ -296,36 +265,32 @@ def build_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
     (and unique per sample), so no base scene is ever shared.
 
     A sample draws only from its own two seeded generators, so samples can
-    be built in any order, with the same bytes. Every sample's arrays are
-    allocated here. From ``PARALLEL_MIN_PIXELS`` pixels up, one share per
-    usable CPU fills every so-many-th sample's arrays (NumPy's generators
-    and large ufuncs release the GIL).
+    be built in any order, with the same bytes; from
+    ``numerics.PARALLEL_MIN_PIXELS`` pixels up they are built on every usable
+    CPU (:func:`numerics.map_ordered`).
     """
     size = config.image_size
     _grid(size, size)  # the caches are filled here, so the workers only read them
-    splits: dict = {name: [] for name in Benchmark.SPLITS}
-    jobs = []  # (spec, sample), in seed order; the sample's arrays are filled later
+    jobs = []  # (spec, split, index in split), in seed order
     for spec, split, count in _plan(config):
         for fu, fv, _ in spec.shading:
             _shading_table(fu, fv, size, size)
-        for i in range(count):
-            # one array per sample reuses freed heap memory; split-sized stacks
-            # are fresh pages and raised the peak RSS
-            sample = DomainSample(f"{spec.domain_id}-{split}-{i:04d}", spec.domain_id,
-                                  np.empty((size, size, 1)), np.empty((size, size), dtype=bool),
-                                  scene_seed=(seed << 24) + len(jobs))
-            jobs.append((spec, sample))
-            splits[split].append(sample)
-    workers = min(len(jobs), _usable_cpus()) if size * size >= PARALLEL_MIN_PIXELS else 1
+        jobs += [(spec, split, i) for i in range(count)]
 
-    def build(k: int) -> None:
-        # share k: jobs k, k + workers, ...; no public (tracer-wrapped) calls
-        for spec, sample in jobs[k::workers]:
-            img, inside = _base_scene(sample.scene_seed, size, size)
-            sample.mask[...] = inside
-            _apply_domain(img[:, :, None], spec, sample.scene_seed + 0x800000, out=sample.image)
+    def build(n: int) -> DomainSample:
+        # no public (tracer-wrapped) calls: this may run on a worker thread
+        spec, split, i = jobs[n]
+        scene_seed = (seed << 24) + n
+        img, mask = _base_scene(scene_seed, size, size)
+        return DomainSample(f"{spec.domain_id}-{split}-{i:04d}", spec.domain_id,
+                            _apply_domain(img[:, :, None], spec, scene_seed + 0x800000), mask,
+                            scene_seed)
 
-    _run_shares(build, workers)
+    samples = nm.map_ordered(build, range(len(jobs)),
+                             threaded=size * size >= nm.PARALLEL_MIN_PIXELS)
+    splits: dict = {name: [] for name in Benchmark.SPLITS}
+    for (_, split, _), sample in zip(jobs, samples):
+        splits[split].append(sample)
     return Benchmark(config=config, seed=seed, splits=splits)
 
 
@@ -472,8 +437,8 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
 
 # Samples are scored in row blocks of about this many float64 values, so a
 # block's five arrays stay in L2 while every grid point re-reads them; blocks
-# run on one thread per usable CPU, so this working set is per thread. One
-# unblocked batch of 128x128 images is slower than a per-sample loop.
+# run on every usable CPU, so this working set is per thread. One unblocked
+# batch of 128x128 images is slower than a per-sample loop.
 CALIBRATION_BLOCK_ELEMENTS = 32768
 CALIBRATION_BLUR_RADIUS = 1
 CALIBRATION_THRESHOLDS = tuple(np.round(np.linspace(0.2, 0.8, 61), 10).tolist())
@@ -488,50 +453,44 @@ def calibration_scores(samples) -> np.ndarray:
     channel-0 pixels; the mean adds the samples in order, then divides.
     Samples are evaluated a block of rows at a time with in-place ufuncs in
     the per-sample expression's order, and each row sums on its own, so
-    every score is bit-identical to evaluating one sample at a time. One
-    share of blocks per usable CPU is scored (NumPy's loops release the
-    GIL), each writing only its own samples' Dice.
+    every score is bit-identical to evaluating one sample at a time. The
+    blocks are scored on every usable CPU (:func:`numerics.map_ordered`;
+    NumPy's loops release the GIL).
     """
     if not samples:
         raise ConfigError("cannot calibrate on an empty source set")
     thresholds, slopes = CALIBRATION_THRESHOLDS, CALIBRATION_SLOPES
-    n, pixels = len(samples), samples[0].mask.size
+    pixels = samples[0].mask.size
     rows = max(1, CALIBRATION_BLOCK_ELEMENTS // pixels)
-    starts = range(0, n, rows)
-    workers = min(len(starts), _usable_cpus())
-    blurred = np.empty((n, pixels))
-    for lo in starts:
-        images = np.stack([s.image for s in samples[lo:lo + rows]])
-        blurred[lo:lo + rows] = _blur(images, CALIBRATION_BLUR_RADIUS)[..., 0].reshape(-1, pixels)
-    # float64, as a bool mask would be cast again in every np.multiply below
-    masks = np.stack([smp.mask for smp in samples], dtype=np.float64).reshape(n, pixels)
-    mask_sums = masks.sum(axis=1)
-    scratch = np.empty((workers, 3, min(rows, n), pixels))
-    dice = np.empty((len(thresholds), len(slopes), n))
 
-    def score_blocks(k: int) -> None:
-        # share k: blocks k, k + workers, ...; no public (tracer-wrapped) calls
-        for lo in starts[k::workers]:
-            x, m, m_sums = blurred[lo:lo + rows], masks[lo:lo + rows], mask_sums[lo:lo + rows]
-            d, p, pm = scratch[k, :, :len(x)]
-            for i, t in enumerate(thresholds):
-                # t - x is exactly -(x - t): IEEE rounding is symmetric in sign
-                np.subtract(t, x, out=d)
-                for j, s in enumerate(slopes):
-                    np.divide(d, s, out=p)
-                    np.exp(p, out=p)
-                    np.add(p, 1.0, out=p)
-                    np.reciprocal(p, out=p)
-                    inter = np.multiply(p, m, out=pm).sum(axis=1)
-                    dice[i, j, lo:lo + rows] = ((2.0 * inter + 1.0)
-                                                / (p.sum(axis=1) + m_sums + 1.0))
+    def score(block) -> np.ndarray:
+        # no public (tracer-wrapped) calls: this may run on a worker thread
+        images = np.stack([smp.image for smp in block])
+        x = _blur(images, CALIBRATION_BLUR_RADIUS)[..., 0].reshape(-1, pixels)
+        # float64, as a bool mask would be cast again in every np.multiply below
+        m = np.stack([smp.mask for smp in block], dtype=np.float64).reshape(-1, pixels)
+        m_sums = m.sum(axis=1)
+        d, p, pm = np.empty((3, len(block), pixels))
+        dice = np.empty((len(thresholds), len(slopes), len(block)))
+        for i, t in enumerate(thresholds):
+            # t - x is exactly -(x - t): IEEE rounding is symmetric in sign
+            np.subtract(t, x, out=d)
+            for j, s in enumerate(slopes):
+                np.divide(d, s, out=p)
+                np.exp(p, out=p)
+                np.add(p, 1.0, out=p)
+                np.reciprocal(p, out=p)
+                inter = np.multiply(p, m, out=pm).sum(axis=1)
+                dice[i, j] = (2.0 * inter + 1.0) / (p.sum(axis=1) + m_sums + 1.0)
+        return dice
 
-    _run_shares(score_blocks, workers)
+    blocks = nm.map_ordered(score, [samples[lo:lo + rows] for lo in range(0, len(samples), rows)])
     # the mean adds the samples in order; np.sum would reorder the adds
-    scores = np.zeros(dice.shape[:2])
-    for k in range(n):
-        scores += dice[:, :, k]
-    return scores / n
+    scores = np.zeros((len(thresholds), len(slopes)))
+    for dice in blocks:
+        for k in range(dice.shape[2]):
+            scores += dice[:, :, k]
+    return scores / len(samples)
 
 
 def backbone_calibrate(samples) -> FrozenBackbone:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,23 @@ class TestParse:
         for key, val in kv.items():
             assert key in echoed
             assert echoed[key].replace(" ", "") == val.replace(" ", "")
+
+    def test_echo_spells_domains_as_the_manifest_does(self):
+        train, bench = cfgmod.build_configs({"domain_A_shading": "0:1:0.1;1:1:3",
+                                             "domain_C_noise_sigma": "1e-5"})
+        lines = cfgmod.echo_lines(train, bench)
+        specs = (bench.source,) + bench.seen + bench.unseen
+        domain_lines = [line for line in lines if line.startswith("domain_")]
+        assert [line.split(" = ")[0] for line in domain_lines] == [
+            f"domain_{spec.domain_id}_{name}" for spec in specs
+            for name in ("gain", "bias", "noise_sigma", "shading")]
+        for spec in specs:
+            gain, bias, shading, noise = spec.manifest_fields().split(",")
+            assert (f"domain_{spec.domain_id}_gain = {gain}" in lines
+                    and f"domain_{spec.domain_id}_bias = {bias}" in lines
+                    and f"domain_{spec.domain_id}_noise_sigma = {noise}" in lines
+                    and f"domain_{spec.domain_id}_shading = {shading}" in lines)
+        assert "domain_A_shading = 0:1:0.1;1:1:3.0" in lines
 
 
 # The dataclass fields that are not config keys, spelled out by name.
@@ -589,6 +607,41 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "kept"
 
+    @pytest.mark.parametrize("command, out_kind", [
+        ("eval", "dir"), ("eval", "under_file"), ("viz-mem", "file"),
+        ("gen-bench", "under_file"), ("train", "under_file"), ("ablate", "under_file"),
+        ("sweep-slots", "under_file")])
+    def test_unwritable_out_is_one_line_error(self, workdir, bench_dir, run_dir, capsys,
+                                              monkeypatch, command, out_kind):
+        # each ended in a raw IsADirectoryError or FileExistsError traceback
+        base = workdir / f"unwritable_{command}_{out_kind}"
+        base.mkdir()
+        blocker = base / "file.txt"
+        blocker.write_text("kept")
+        out = {"dir": base, "file": blocker, "under_file": blocker / "sub"}[out_kind]
+        if command in ("eval", "viz-mem"):
+            args = [command, "--ckpt", str(run_dir / "seed0"), "--bench", str(bench_dir),
+                    "--split", "seen"]
+        elif command == "gen-bench":
+            args = ["gen-bench", "--config", str(workdir / "tiny.cfg")]
+        else:
+            args = [command, "--config", str(workdir / "tiny.cfg"), "--bench", str(bench_dir)]
+        if out_kind == "dir":  # refused before anything loads, so no report is printed
+            monkeypatch.setattr(cli, "_load_bench", lambda *a: pytest.fail("bench loaded"))
+        capsys.readouterr()
+        assert cli.main(args + ["--out", str(out)]) == 1
+        _assert_one_error_line(capsys, "is a directory" if out_kind == "dir" else str(blocker))
+        assert sorted(p.name for p in base.iterdir()) == ["file.txt"]
+        assert blocker.read_text() == "kept"
+
+    def test_gen_bench_negative_dump_samples_is_one_line_error(self, workdir, capsys):
+        out = workdir / "bench_negative_dump"
+        capsys.readouterr()
+        assert cli.main(["gen-bench", "--config", str(workdir / "tiny.cfg"),
+                         "--dump-samples", "-3", "--out", str(out)]) == 1
+        _assert_one_error_line(capsys, "--dump-samples", "-3", ">= 0")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ablate", "sweep-slots"])
     def test_failed_ablate_or_sweep_leaves_no_out(self, workdir, bench_dir, capsys, command):
         config = workdir / "diverging_grid.cfg"
@@ -602,8 +655,9 @@ class TestCli:
         assert not list(workdir.glob(f".{out.name}*"))  # nor its staging directory
 
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])
-    def test_interrupted_gen_bench_leaves_no_out(self, workdir, monkeypatch, interrupt):
-        """A write cut short after some files exist removes them all."""
+    def test_interrupted_gen_bench_leaves_no_out(self, workdir, monkeypatch, capsys, interrupt):
+        """A write cut short after some files exist removes them all; an
+        OSError (a full disk, say) ends as one error line."""
         real_write = cli.tensorio.write_tensor
         written = []
 
@@ -615,9 +669,15 @@ class TestCli:
 
         monkeypatch.setattr(cli.synthdata.tensorio, "write_tensor", write_then_fail)
         out = workdir / f"bench_cut_{interrupt.__name__}"
-        with pytest.raises(interrupt):
-            cli.main(["gen-bench", "--config", str(workdir / "tiny.cfg"), "--seed", "4",
-                      "--out", str(out)])
+        args = ["gen-bench", "--config", str(workdir / "tiny.cfg"), "--seed", "4",
+                "--out", str(out)]
+        if interrupt is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(args)
+        else:
+            capsys.readouterr()
+            assert cli.main(args) == 1
+            _assert_one_error_line(capsys, "cut short")
         assert len(written) == 3 and not any(p.exists() for p in written)
         assert not out.exists()
         assert not list(workdir.glob(f".{out.name}*"))
@@ -684,6 +744,22 @@ class TestCli:
         for name in ("activations.csv", "overlap_matrix.csv", "activations.pgm"):
             assert (outs[0] / name).exists()
             assert _sha(outs[0] / name) == _sha(outs[1] / name), name
+
+    @pytest.mark.parametrize("split, single_domain", [
+        ("source", True), ("source_test", True), ("unseen", False)])
+    def test_viz_mem_prints_n_a_for_a_group_without_pairs(self, workdir, bench_dir, run_dir,
+                                                          capsys, split, single_domain):
+        # one domain used to print NumPy's mean-of-empty warning and "nan"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["viz-mem", "--ckpt", str(run_dir / "seed0"),
+                             "--bench", str(bench_dir), "--split", split,
+                             "--out", str(workdir / f"viz_pairs_{split}")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        within, cross = line.removeprefix("within-domain mean Jaccard ").split(", cross-domain ")
+        assert 0.0 <= float(within) <= 1.0
+        assert cross == "n/a" if single_domain else 0.0 <= float(cross) <= 1.0
 
     @pytest.mark.parametrize("split", ["foo", "seen,foo", "unseen,", "test_seen,Source"])
     def test_viz_mem_bad_split_is_one_line_error(self, workdir, split, capsys):

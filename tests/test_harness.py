@@ -4,6 +4,7 @@ import inspect
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -291,6 +292,23 @@ class TestActivations:
         assert hn.jaccard(frozenset({1, 2}), frozenset({2, 3})) == pytest.approx(1.0 / 3.0)
         assert hn.jaccard(frozenset(), frozenset()) == 1.0
 
+    @pytest.mark.parametrize("domains, expected", [
+        ("AAA", (4.0 / 9.0, None)),   # one domain: no cross-domain pair
+        ("ABC", (None, 4.0 / 9.0)),   # one sample per domain: no within-domain pair
+        ("A", (None, None)),
+        ("", (None, None)),
+        ("AAB", (1.0 / 3.0, 0.5)),
+    ])
+    def test_overlap_summary_of_a_group_without_pairs_is_none(self, domains, expected):
+        tops = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 2, 3})]
+        rows = [(sd.DomainSample(f"s{i}", d, None, None, 0), None, tops[i])
+                for i, d in enumerate(domains)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.mean([]) used to warn and give NaN
+            summary = hn.slot_overlap_summary(rows)
+        assert summary == pytest.approx(expected)
+        assert [v is None for v in summary] == [v is None for v in expected]
+
 
 class TestRunResult:
     def test_avg_total_combines_groups(self, bench, backbone):
@@ -330,8 +348,8 @@ def test_library_functions_all_run(bench, backbone, tmp_path):
 
 def force_pool(monkeypatch, cpus: int = 4) -> None:
     """Share 32x32 chunks out over threads, as if the machine had ``cpus``."""
-    monkeypatch.setattr(sd, "PARALLEL_MIN_PIXELS", 32 * 32)
-    monkeypatch.setattr(sd, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(nm, "PARALLEL_MIN_PIXELS", 32 * 32)
+    monkeypatch.setattr(nm, "_usable_cpus", lambda: cpus)
 
 
 class TestChunkMap:
@@ -372,8 +390,8 @@ class TestChunkMap:
         assert threading.active_count() == before
 
     def test_inline_below_the_cut_off(self, bench, monkeypatch):
-        monkeypatch.setattr(sd, "_usable_cpus", lambda: 4)
-        assert 32 * 32 < sd.PARALLEL_MIN_PIXELS
+        monkeypatch.setattr(nm, "_usable_cpus", lambda: 4)
+        assert 32 * 32 < nm.PARALLEL_MIN_PIXELS
         assert self.threads_used(bench.splits["test_seen"]) == {threading.get_ident()}
 
     def test_evaluate_matches_inline(self, state, backbone, bench, monkeypatch):

@@ -3,6 +3,8 @@ and engine-wide gradient sweeps."""
 
 import contextvars
 import math
+import threading
+import time
 import zlib
 
 import numpy as np
@@ -593,6 +595,126 @@ class TestOrthogonalRows:
         finally:
             put(original)
         assert seen == [1, 1]
+
+
+class TestMapOrdered:
+    """``map_ordered`` returns ``[fn(item) for item in items]``; with several
+    shares, share 0 runs on the caller and the others on a pool."""
+
+    @staticmethod
+    def fake_cpus(monkeypatch, n: int) -> None:
+        monkeypatch.setattr(nm, "_usable_cpus", lambda: n)
+
+    @staticmethod
+    def count_thread_starts(monkeypatch) -> list:
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        return started
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("count", [0, 1, 3, 40])
+    def test_results_in_item_order(self, monkeypatch, cpus, count):
+        self.fake_cpus(monkeypatch, cpus)
+        items = [f"item{i}" for i in range(count)]
+
+        def fn(item):
+            if item == "item0":
+                time.sleep(0.05)  # the caller's first item ends after the pool's
+            return item.upper(), threading.get_ident()
+
+        before = threading.active_count()
+        results = nm.map_ordered(fn, items)
+        assert [name for name, _ in results] == [item.upper() for item in items]
+        threads = {ident for _, ident in results}
+        assert len(threads) <= min(count, cpus)
+        assert threading.active_count() == before
+
+    def test_share_zero_runs_on_the_caller(self, monkeypatch):
+        self.fake_cpus(monkeypatch, 4)
+        ran = nm.map_ordered(lambda k: threading.get_ident(), range(4))
+        assert ran[0] == threading.get_ident()
+        assert threading.get_ident() not in ran[1:]
+
+    def test_items_share_out_round_robin(self, monkeypatch):
+        self.fake_cpus(monkeypatch, 3)
+        ran = nm.map_ordered(lambda k: threading.get_ident(), range(9))
+        assert ran[0::3] == [threading.get_ident()] * 3
+        for k in (1, 2):
+            assert len(set(ran[k::3])) == 1 and ran[k] != threading.get_ident()
+
+    def test_one_share_runs_inline_without_a_thread(self, monkeypatch):
+        started = self.count_thread_starts(monkeypatch)
+        caller = threading.get_ident()
+        self.fake_cpus(monkeypatch, 4)
+        assert nm.map_ordered(lambda k: (k, threading.get_ident()), [7]) == [(7, caller)]
+        assert nm.map_ordered(lambda k: threading.get_ident(), range(5),
+                              threaded=False) == [caller] * 5
+        self.fake_cpus(monkeypatch, 1)
+        assert nm.map_ordered(lambda k: threading.get_ident(), range(5)) == [caller] * 5
+        assert not started
+
+    @pytest.mark.parametrize("failing", [0, 2], ids=["caller", "pool"])
+    def test_worker_exception_reaches_caller_after_every_share(self, monkeypatch, failing):
+        # item 0 runs on the caller and item 2 on the pool; the others are
+        # slow, so each failure comes before they end
+        self.fake_cpus(monkeypatch, 4)
+        finished = []
+
+        def work(k):
+            if k == failing:
+                raise ValueError(f"item {k} failed")
+            time.sleep(0.05)
+            finished.append(k)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"item {failing} failed"):
+            nm.map_ordered(work, range(4))
+        assert sorted(finished) == sorted({0, 1, 2, 3} - {failing})
+        assert threading.active_count() == before
+
+    def test_no_grad_and_errstate_hold_in_pool_shares(self, monkeypatch):
+        self.fake_cpus(monkeypatch, 3)
+
+        def fn(k):
+            time.sleep(0.01)
+            return threading.get_ident(), nm.grad_enabled(), np.geterr()
+
+        with nm.no_grad(), np.errstate(over="raise", divide="ignore", invalid="warn",
+                                       under="raise"):
+            expected = np.geterr()
+            seen = nm.map_ordered(fn, range(6))
+        assert len({ident for ident, _, _ in seen}) == 3
+        assert all(not enabled and err == expected for _, enabled, err in seen)
+        assert nm.grad_enabled()
+        assert nm.map_ordered(lambda k: nm.grad_enabled(), range(6)) == [True] * 6
+
+    @pytest.mark.skipif(nm._openblas() is None, reason="NumPy's bundled OpenBLAS not found")
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_blas_threads_one_inside_and_restored_after(self, monkeypatch, fails):
+        self.fake_cpus(monkeypatch, 3)
+        get, put = nm._openblas()
+        seen = []
+
+        def fn(k):
+            seen.append(get())
+            if fails and k == 4:
+                raise ValueError("item failed")
+
+        original = get()
+        put(2)
+        expected = get()  # 2 wherever OpenBLAS allows it
+        try:
+            if fails:
+                with pytest.raises(ValueError, match="item failed"):
+                    nm.map_ordered(fn, range(6))
+            else:
+                nm.map_ordered(fn, range(6))
+            assert get() == expected
+        finally:
+            put(original)
+        assert seen and set(seen) == {1}
 
 
 class TestSgd:

@@ -219,9 +219,7 @@ class TestGeneratorMatchesOracle:
             img = sd._base_scene(seed, size, size)[0][:, :, None]
             out = sd._apply_domain(img, spec, 1000 + seed)
             assert out.tobytes() == oracle_apply_domain(img, spec, 1000 + seed).tobytes()
-            into = np.empty_like(img)
-            assert sd._apply_domain(img, spec, 1000 + seed, out=into) is into
-            assert into.tobytes() == out.tobytes()
+            assert not np.shares_memory(out, img) and out.flags.c_contiguous
 
     @pytest.mark.parametrize("size", [32, 48, 66, 128])
     @pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=lambda s: s.domain_id)
@@ -556,40 +554,6 @@ def fake_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-class TestRunShares:
-    """``_run_shares`` runs share 0 on the caller and the others on a pool."""
-
-    def test_share_zero_runs_on_the_caller(self):
-        ran = {}
-        sd._run_shares(lambda k: ran.setdefault(k, threading.get_ident()), 4)
-        assert sorted(ran) == [0, 1, 2, 3]
-        assert ran[0] == threading.get_ident()
-        assert threading.get_ident() not in {ran[1], ran[2], ran[3]}
-
-    def test_one_worker_runs_inline_without_a_thread(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda thread: started.append(thread) or start(thread))
-        ran = []
-        sd._run_shares(lambda k: ran.append((k, threading.get_ident())), 1)
-        assert ran == [(0, threading.get_ident())] and not started
-
-    def test_worker_exception_reaches_caller_after_every_share(self):
-        finished = []
-
-        def work(k):
-            if k == 2:
-                raise ValueError("share 2 failed")
-            finished.append(k)
-
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="share 2 failed"):
-            sd._run_shares(work, 4)
-        assert sorted(finished) == [0, 1, 3]
-        assert threading.active_count() == before
-
-
 class TestThreadedCalibration:
     """``calibration_scores`` shares its row blocks out over threads; the
     scores must not depend on how the blocks interleave."""
@@ -678,8 +642,8 @@ class TestThreadedCalibration:
 
 
 class TestThreadedGeneration:
-    """From ``PARALLEL_MIN_PIXELS`` up, ``build_benchmark`` shares its samples
-    out over threads; the bytes must not depend on how they interleave."""
+    """From ``numerics.PARALLEL_MIN_PIXELS`` up, ``build_benchmark`` shares its
+    samples out over threads; the bytes must not depend on how they interleave."""
 
     CONFIG = sd.BenchmarkConfig(image_size=128, train_per_domain=3, test_per_domain=2,
                                 source_train=3, source_test=2)
@@ -696,9 +660,9 @@ class TestThreadedGeneration:
 
     @pytest.fixture(scope="class")
     def inline(self):
-        assert 128 * 128 >= sd.PARALLEL_MIN_PIXELS
+        assert 128 * 128 >= nm.PARALLEL_MIN_PIXELS
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sd, "PARALLEL_MIN_PIXELS", 128 * 128 + 1)
+            mp.setattr(nm, "PARALLEL_MIN_PIXELS", 128 * 128 + 1)
             return self.digest(sd.build_benchmark(self.CONFIG, self.SEED))
 
     def test_inline_path_is_the_oracle_one_by_one_path(self, inline):
@@ -769,11 +733,11 @@ class TestThreadedGeneration:
         fake_cpus(monkeypatch, 4)
         apply, raised_in = sd._apply_domain, []
 
-        def failing(arr, spec, seed, out=None):
-            if seed == (self.SEED << 24) + 0x800000 + 1:  # job 1: worker 1's first
+        def failing(arr, spec, seed):
+            if seed == (self.SEED << 24) + 0x800000 + 1:  # sample 1: share 1's first
                 raised_in.append(threading.get_ident())
                 raise ValueError("sample 1 failed")
-            return apply(arr, spec, seed, out)
+            return apply(arr, spec, seed)
 
         monkeypatch.setattr(sd, "_apply_domain", failing)
         before = threading.active_count()
@@ -791,4 +755,4 @@ class TestThreadedGeneration:
                             lambda thread: started.append(thread) or start(thread))
         sd.build_benchmark(dataclasses.replace(self.CONFIG, image_size=size), self.SEED)
         # at most one thread besides the caller per CPU; an idle one may take two shares
-        assert (1 <= len(started) <= 3) if size * size >= sd.PARALLEL_MIN_PIXELS else not started
+        assert (1 <= len(started) <= 3) if size * size >= nm.PARALLEL_MIN_PIXELS else not started
