@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import shutil
 import sys
 import tempfile
@@ -41,6 +42,17 @@ def _load_configs(path: str | None):
 def _write(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _check_out(out: Path, directory: bool) -> None:
+    """Refuse, before any work starts, an ``--out`` that cannot be written as
+    a directory or as a file: one below a file, or an existing path of the
+    other kind."""
+    if out.exists() and out.is_dir() != directory:
+        raise ConfigError(f"--out {out} is {'not ' if directory else ''}a directory")
+    blocker = next(p for p in out.parents if p.exists())
+    if not blocker.is_dir():
+        raise ConfigError(f"--out {out} lies below {blocker}, which is not a directory")
 
 
 @contextlib.contextmanager
@@ -118,24 +130,22 @@ def cmd_train(args) -> int:
             f"digest = {backbone.digest()}"])
 
         metric_lines = ["seed,scope,dice,iou"]
+        names = ("avg_seen", "avg_unseen", "avg_total")
         per_seed = []
         for seed in train_cfg.seeds:
             res = harness.train_and_eval(train_cfg, bench, backbone, seed)
             seed_dir = stage / f"seed{seed}"
             prompting.save_state(res.state, seed_dir)
             harness.write_step_log(res.log, seed_dir / "steps.csv")
-            for rep in (res.seen, res.unseen):
-                for dom in sorted(rep.per_domain):
-                    row = rep.per_domain[dom]
-                    metric_lines.append(f"{seed},{dom},{row['dice']!r},{row['iou']!r}")
-            triple = (res.seen.avg_seen, res.unseen.avg_unseen, res.avg_total)
-            per_seed.append(triple)
-            for name, val in zip(("avg_seen", "avg_unseen", "avg_total"), triple):
-                metric_lines.append(f"{seed},{name},{val!r},")
-            print(f"seed {seed}: seen {triple[0]:.2f} unseen {triple[1]:.2f} "
-                  f"total {triple[2]:.2f}")
-        for i, name in enumerate(("avg_seen", "avg_unseen", "avg_total")):
-            m, s = harness.mean_std([t[i] for t in per_seed])
+            metric_lines += [f"{seed},{dom},{row['dice']!r},{row['iou']!r}"
+                             for rep in (res.seen, res.unseen)
+                             for dom, row in sorted(rep.per_domain.items())]
+            per_seed.append(res.averages)
+            metric_lines += [f"{seed},{name},{val!r}," for name, val in zip(names, res.averages)]
+            seen, unseen, total = res.averages
+            print(f"seed {seed}: seen {seen:.2f} unseen {unseen:.2f} total {total:.2f}")
+        for name, column in zip(names, zip(*per_seed)):
+            m, s = harness.mean_std(column)
             metric_lines.append(f"mean,{name},{m!r},")
             metric_lines.append(f"std,{name},{s!r},")
         _write(stage / "metrics.csv", metric_lines)
@@ -144,31 +154,34 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.out and Path(args.out).is_dir():
-        raise ConfigError(f"--out {args.out} is a directory; pass a file path")
+    if args.out:
+        _check_out(Path(args.out), directory=False)
     bench = _load_bench(args.bench)
     backbone = _backbone_for(bench)
     state = None if args.source_only else prompting.load_state(args.ckpt)
     report = harness.evaluate(state, backbone, bench, args.split,
                               source_only=args.source_only)
     lines = report.csv_lines()
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     if args.out:
         _write(Path(args.out), lines)
     return 0
 
 
-def cmd_ablate(args) -> int:
+def _table(args, name: str, experiment) -> int:
+    """Stage ``--out``, run ``experiment(train_cfg, bench, backbone)`` and
+    write its lines to ``--out``/``name``, then print them."""
     with _staged_output(Path(args.out)) as stage:
         train_cfg, _ = _load_configs(args.config)
         bench = _load_bench(args.bench)
-        backbone = _backbone_for(bench)
-        lines = harness.run_ablation(train_cfg, bench, backbone)
-        _write(stage / "ablation.csv", lines)
-    for line in lines:
-        print(line)
+        lines = experiment(train_cfg, bench, _backbone_for(bench))
+        _write(stage / name, lines)
+    print("\n".join(lines))
     return 0
+
+
+def cmd_ablate(args) -> int:
+    return _table(args, "ablation.csv", harness.run_ablation)
 
 
 def cmd_sweep_slots(args) -> int:
@@ -179,15 +192,7 @@ def cmd_sweep_slots(args) -> int:
     if not j_list or min(j_list) < 1 or len(set(j_list)) != len(j_list):
         raise ConfigError(f"bad --j-list {args.j_list!r}: expected comma-separated "
                           "distinct slot counts, each >= 1")
-    with _staged_output(Path(args.out)) as stage:
-        train_cfg, _ = _load_configs(args.config)
-        bench = _load_bench(args.bench)
-        backbone = _backbone_for(bench)
-        lines = harness.slot_sweep(train_cfg, bench, backbone, j_list)
-        _write(stage / "slot_sweep.csv", lines)
-    for line in lines:
-        print(line)
-    return 0
+    return _table(args, "slot_sweep.csv", functools.partial(harness.slot_sweep, j_list=j_list))
 
 
 def cmd_viz_mem(args) -> int:
@@ -201,6 +206,7 @@ def cmd_viz_mem(args) -> int:
             raise ConfigError(f"split {split!r} repeats {name}; name each split once")
     if args.out is None:
         args.out = str(Path(args.ckpt) / "viz")
+    _check_out(Path(args.out), directory=True)
     bench = _load_bench(args.bench)
     state = prompting.load_state(args.ckpt)
     samples = []

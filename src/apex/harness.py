@@ -157,32 +157,27 @@ def dice_iou(preds: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 @dataclass
 class MetricReport:
-    """Per-domain Dice/IoU (%) of one split, whose domains all belong to the
-    group the split is named after, plus that group's average."""
+    """Per-domain Dice/IoU (%) of one split, plus the mean Dice of the seen or
+    unseen split's domains; the source split has no mean."""
 
     split: str
-    per_domain: dict          # domain_id -> {"dice", "iou", "count", "group"}
+    per_domain: dict          # domain_id -> {"dice", "iou", "count"}
 
-    def _group_avg(self, group: str):
-        vals = [row["dice"] for row in self.per_domain.values() if row["group"] == group]
-        return float(np.mean(vals)) if vals else None
+    def _average(self, split: str):
+        if self.split != split:
+            return None
+        return float(np.mean([row["dice"] for row in self.per_domain.values()]))
 
-    @property
-    def avg_seen(self):
-        return self._group_avg("seen")
-
-    @property
-    def avg_unseen(self):
-        return self._group_avg("unseen")
+    avg_seen = property(lambda self: self._average("seen"))
+    avg_unseen = property(lambda self: self._average("unseen"))
 
     def csv_lines(self) -> list[str]:
         lines = ["domain,group,dice,iou,count"]
         for dom in sorted(self.per_domain):
             row = self.per_domain[dom]
-            lines.append(f"{dom},{row['group']},{row['dice']!r},{row['iou']!r},{row['count']}")
-        for name, val in (("avg_seen", self.avg_seen), ("avg_unseen", self.avg_unseen)):
-            if val is not None:
-                lines.append(f"{name},,{val!r},,")
+            lines.append(f"{dom},{self.split},{row['dice']!r},{row['iou']!r},{row['count']}")
+        if self.split in ("seen", "unseen"):
+            lines.append(f"avg_{self.split},,{self._average(self.split)!r},,")
         return lines
 
 
@@ -213,10 +208,10 @@ def evaluate(state: ApexState | None, backbone: FrozenBackbone, bench: Benchmark
     dice, iou = (np.concatenate(parts) for parts in zip(*prompting.map_chunks(score, samples)))
     domains = np.array([s.domain_id for s in samples])
     per_domain = {}
-    for dom in dict.fromkeys(domains.tolist()):  # first-seen order, which _group_avg sums in
+    for dom in dict.fromkeys(domains.tolist()):  # first-seen order, which the average sums in
         of = domains == dom
         per_domain[dom] = {"dice": float(dice[of].mean()), "iou": float(iou[of].mean()),
-                           "count": int(of.sum()), "group": split}
+                           "count": int(of.sum())}
     return MetricReport(split=split, per_domain=per_domain)
 
 
@@ -231,27 +226,39 @@ def mean_std(values) -> tuple[float, float]:
 
 @dataclass
 class RunResult:
-    seed: int
     state: ApexState
     log: list
     seen: MetricReport
     unseen: MetricReport
 
     @property
-    def avg_total(self) -> float:
-        both = [self.seen.avg_seen, self.unseen.avg_unseen]
-        return float(np.mean(both))
+    def averages(self) -> tuple[float, float, float]:
+        """(seen, unseen, total) mean Dice; the total is the mean of the two."""
+        both = (self.seen.avg_seen, self.unseen.avg_unseen)
+        return (*both, float(np.mean(both)))
 
 
 def train_and_eval(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
                    seed: int) -> RunResult:
     state, log = train(config, bench, backbone, seed)
-    return RunResult(seed=seed, state=state, log=log,
+    return RunResult(state=state, log=log,
                      seen=evaluate(state, backbone, bench, "seen"),
                      unseen=evaluate(state, backbone, bench, "unseen"))
 
 
 ABLATION_CELLS = (("on", "on"), ("on", "off"), ("off", "on"), ("off", "off"))
+
+
+def ablation_variant(config: TrainConfig, mem_flag: str, lfc_flag: str) -> TrainConfig:
+    """``config`` with the memory and the contrastive loss each "on" or "off"."""
+    return replace(config, apex=replace(config.apex, use_memory=mem_flag == "on"),
+                   lfc_enabled=lfc_flag == "on")
+
+
+def slot_variant(config: TrainConfig, j: int) -> TrainConfig:
+    """``config`` with ``j`` slots, set up in orthonormal blocks if j > feature_dim."""
+    return replace(config, apex=replace(config.apex, slot_count=j,
+                                        allow_block_init=j > config.apex.feature_dim))
 
 
 def run_ablation(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone) -> list[str]:
@@ -261,23 +268,16 @@ def run_ablation(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone
     touches the slot matrix.
     """
     lines = ["memory,lfc,seed,avg_seen_dice,avg_unseen_dice,avg_total_dice"]
-    cell_totals: dict = {}
+    summary = []
     for mem_flag, lfc_flag in ABLATION_CELLS:
-        variant = replace(config,
-                          apex=replace(config.apex, use_memory=mem_flag == "on"),
-                          lfc_enabled=lfc_flag == "on")
-        for seed in config.seeds:
-            res = train_and_eval(variant, bench, backbone, seed)
-            lines.append(f"{mem_flag},{lfc_flag},{seed},{res.seen.avg_seen!r},"
-                         f"{res.unseen.avg_unseen!r},{res.avg_total!r}")
-            cell_totals.setdefault((mem_flag, lfc_flag), []).append(
-                (res.seen.avg_seen, res.unseen.avg_unseen, res.avg_total))
-    for (mem_flag, lfc_flag), triples in cell_totals.items():
-        arr = np.asarray(triples)
-        means = [mean_std(arr[:, i]) for i in range(3)]
-        lines.append(f"{mem_flag},{lfc_flag},mean," + ",".join(f"{m!r}" for m, _ in means))
-        lines.append(f"{mem_flag},{lfc_flag},std," + ",".join(f"{s!r}" for _, s in means))
-    return lines
+        variant = ablation_variant(config, mem_flag, lfc_flag)
+        runs = [train_and_eval(variant, bench, backbone, seed).averages for seed in config.seeds]
+        lines += [f"{mem_flag},{lfc_flag},{seed}," + ",".join(map(repr, averages))
+                  for seed, averages in zip(config.seeds, runs)]
+        means = [mean_std(column) for column in zip(*runs)]
+        summary.append(f"{mem_flag},{lfc_flag},mean," + ",".join(f"{m!r}" for m, _ in means))
+        summary.append(f"{mem_flag},{lfc_flag},std," + ",".join(f"{s!r}" for _, s in means))
+    return lines + summary
 
 
 SWEEP_SLOT_COUNTS = (1, 5, 25, 75, 150, 300)  # what `apex sweep-slots` trains by default
@@ -288,15 +288,11 @@ def slot_sweep(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
     """One trained run per slot count per seed; CSV of J vs mean Dice."""
     lines = ["slots,seed,avg_total_dice"]
     for j in j_list:
-        apex_cfg = replace(config.apex, slot_count=j,
-                           allow_block_init=j > config.apex.feature_dim)
-        variant = replace(config, apex=apex_cfg)
-        per_seed = []
-        for seed in config.seeds:
-            res = train_and_eval(variant, bench, backbone, seed)
-            per_seed.append(res.avg_total)
-            lines.append(f"{j},{seed},{res.avg_total!r}")
-        m, s = mean_std(per_seed)
+        variant = slot_variant(config, j)
+        totals = [train_and_eval(variant, bench, backbone, seed).averages[2]
+                  for seed in config.seeds]
+        lines += [f"{j},{seed},{total!r}" for seed, total in zip(config.seeds, totals)]
+        m, s = mean_std(totals)
         lines.append(f"{j},mean,{m!r}")
         lines.append(f"{j},std,{s!r}")
     return lines

@@ -609,17 +609,15 @@ def mlp_forward(params: MlpParams, x) -> Node:
 # initialization and the optimizer
 # ---------------------------------------------------------------------------
 
-def orthogonal_rows(j: int, k: int, seed: int, *, allow_blocks: bool = False) -> np.ndarray:
+def orthogonal_rows(j: int, k: int, seed: int) -> np.ndarray:
     """[j,k] matrix with pairwise orthonormal rows (j <= k).
 
-    For j > k no such matrix exists; with ``allow_blocks`` the rows are
-    produced in stacked orthonormal blocks of at most k rows each
-    (cross-block rows unconstrained), otherwise it is an error.
+    For j > k no such matrix exists; the rows are then produced in stacked
+    orthonormal blocks of at most k rows each (cross-block rows
+    unconstrained).
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be positive")
-    if j > k and not allow_blocks:
-        raise ShapeError(f"cannot make {j} orthonormal rows in dimension {k} (use allow_blocks)")
     rng = np.random.default_rng(seed)
     blocks = []
     remaining = j

@@ -117,9 +117,7 @@ def init_state(config: ApexConfig, height: int, width: int, channels: int = 1) -
     decoder = nm.init_mlp(dec_sizes, rng, final_zero=True, name="dec")
     head = nm.init_mlp(head_sizes, rng, name="head")
     memory = nm.parameter(
-        nm.orthogonal_rows(config.slot_count, config.feature_dim, config.seed,
-                           allow_blocks=config.allow_block_init),
-        op="memory")
+        nm.orthogonal_rows(config.slot_count, config.feature_dim, config.seed), op="memory")
     return ApexState(config=config, region=region, encoder=encoder,
                      memory=memory, decoder=decoder, head=head)
 

@@ -69,11 +69,10 @@ def ablation_cells(default_bench, default_backbone, default_runs):
     default runs."""
     config = default_runs["config"]
     cells = {("on", "on"): float(np.mean(
-        [default_runs["runs"][s].avg_total for s in SEEDS]))}
+        [default_runs["runs"][s].averages[2] for s in SEEDS]))}
     for mem_flag, lfc_flag in (("on", "off"), ("off", "on"), ("off", "off")):
-        variant = replace(config, apex=replace(config.apex, use_memory=mem_flag == "on"),
-                          lfc_enabled=lfc_flag == "on")
-        totals = [hn.train_and_eval(variant, default_bench, default_backbone, s).avg_total
+        variant = hn.ablation_variant(config, mem_flag, lfc_flag)
+        totals = [hn.train_and_eval(variant, default_bench, default_backbone, s).averages[2]
                   for s in SEEDS]
         cells[(mem_flag, lfc_flag)] = float(np.mean(totals))
     return cells
@@ -82,11 +81,10 @@ def ablation_cells(default_bench, default_backbone, default_runs):
 @pytest.fixture(scope="session")
 def sweep_means(default_bench, default_backbone, default_runs):
     config = default_runs["config"]
-    means = {150: float(np.mean([default_runs["runs"][s].avg_total for s in SEEDS]))}
+    means = {150: float(np.mean([default_runs["runs"][s].averages[2] for s in SEEDS]))}
     for j in (1, 25, 300):
-        variant = replace(config, apex=replace(
-            config.apex, slot_count=j, allow_block_init=j > config.apex.feature_dim))
-        totals = [hn.train_and_eval(variant, default_bench, default_backbone, s).avg_total
+        variant = hn.slot_variant(config, j)
+        totals = [hn.train_and_eval(variant, default_bench, default_backbone, s).averages[2]
                   for s in SEEDS]
         means[j] = float(np.mean(totals))
     return means

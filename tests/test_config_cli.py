@@ -177,11 +177,14 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _assert_one_error_line(capsys, *needles: str) -> None:
-    err = capsys.readouterr().err
+def _assert_one_error_line(capsys, *needles: str) -> str:
+    """Check that stderr is one ``error:`` line holding every needle; return stdout."""
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     for needle in needles:
         assert needle in err, err
+    return captured.out
 
 
 def _edit_text(path: Path, old: str, new: str) -> None:
@@ -626,11 +629,13 @@ class TestCli:
             args = ["gen-bench", "--config", str(workdir / "tiny.cfg")]
         else:
             args = [command, "--config", str(workdir / "tiny.cfg"), "--bench", str(bench_dir)]
-        if out_kind == "dir":  # refused before anything loads, so no report is printed
-            monkeypatch.setattr(cli, "_load_bench", lambda *a: pytest.fail("bench loaded"))
+        # refused before anything loads, so no report is printed
+        monkeypatch.setattr(cli, "_load_bench", lambda *a: pytest.fail("bench loaded"))
+        monkeypatch.setattr(cli.synthdata, "build_benchmark", lambda *a: pytest.fail("built"))
         capsys.readouterr()
         assert cli.main(args + ["--out", str(out)]) == 1
-        _assert_one_error_line(capsys, "is a directory" if out_kind == "dir" else str(blocker))
+        assert _assert_one_error_line(
+            capsys, "is a directory" if out_kind == "dir" else str(blocker)) == ""
         assert sorted(p.name for p in base.iterdir()) == ["file.txt"]
         assert blocker.read_text() == "kept"
 

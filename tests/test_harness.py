@@ -1,11 +1,13 @@
 """Training loop, evaluation, ablation code paths, and activation export."""
 
+import importlib.util
 import inspect
 import sys
 import threading
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,11 +199,21 @@ class TestMetrics:
         dice, iou = hn.dice_iou(a, b.astype(float))
         assert np.all((0.0 <= iou) & (iou <= dice) & (dice <= 100.0))
 
-    def test_evaluate_report_invariants(self, bench, backbone):
-        for split in ("seen", "unseen", "source"):
-            rep = hn.evaluate(None, backbone, bench, split, source_only=True)
-            for dom, row in rep.per_domain.items():
-                assert 0.0 <= row["iou"] <= row["dice"] <= 100.0
+    @pytest.mark.parametrize("split", ["seen", "unseen", "source"])
+    def test_evaluate_report_invariants(self, bench, backbone, split):
+        """Each row lies in the split's group, and only the seen or unseen
+        split has a mean Dice, under its own name."""
+        rep = hn.evaluate(None, backbone, bench, split, source_only=True)
+        for dom, row in rep.per_domain.items():
+            assert 0.0 <= row["iou"] <= row["dice"] <= 100.0
+        lines = rep.csv_lines()
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("avg_")]
+        assert [row[1] for row in rows] == [split] * len(rep.per_domain)
+        averages = {"avg_seen": rep.avg_seen, "avg_unseen": rep.avg_unseen}
+        present = [name for name, val in averages.items() if val is not None]
+        assert present == ([] if split == "source" else [f"avg_{split}"])
+        assert [line for line in lines if line.startswith("avg_")] == \
+            [f"{name},,{averages[name]!r},," for name in present]
 
     def test_source_only_matches_direct_computation(self, bench, backbone):
         rep = hn.evaluate(None, backbone, bench, "source", source_only=True)
@@ -264,6 +276,21 @@ class TestExperiments:
         lines = hn.slot_sweep(cfg, bench, backbone, j_list=(TINY_APEX.feature_dim + 4,))
         assert any(line.startswith(f"{TINY_APEX.feature_dim + 4},0,") for line in lines)
 
+    def test_perfbench_variants_are_the_harness_builders(self, monkeypatch):
+        """perfbench's ablate32 workload spells out its own copies of the
+        ablation cells and of the slot counts 1 and 300; they must stay the
+        configs ``ablation_variant`` and ``slot_variant`` build."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read perfbench/, write nothing
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        base = hn.TrainConfig()
+        expected = ([hn.ablation_variant(base, *cell) for cell in hn.ABLATION_CELLS]
+                    + [hn.slot_variant(base, j) for j in (1, 300)])
+        assert [job.config for job in workloads.WORKLOADS["ablate32"].jobs] == expected
+
 
 class TestActivations:
     def test_top_slot_count_and_determinism(self, tmp_path):
@@ -311,10 +338,14 @@ class TestActivations:
 
 
 class TestRunResult:
-    def test_avg_total_combines_groups(self, bench, backbone):
+    def test_averages_are_the_reports_means_and_their_mean(self, bench, backbone):
         res = hn.train_and_eval(TINY_TRAIN, bench, backbone, seed=0)
-        assert res.avg_total == pytest.approx(
-            (res.seen.avg_seen + res.unseen.avg_unseen) / 2.0)
+        seen, unseen, total = res.averages
+        assert seen == np.mean([row["dice"] for row in res.seen.per_domain.values()])
+        assert unseen == np.mean([row["dice"] for row in res.unseen.per_domain.values()])
+        assert f"avg_seen,,{seen!r},," in res.seen.csv_lines()
+        assert f"avg_unseen,,{unseen!r},," in res.unseen.csv_lines()
+        assert total == np.mean([seen, unseen])
 
 
 def test_library_functions_all_run(bench, backbone, tmp_path):

@@ -563,10 +563,8 @@ class TestOrthogonalRows:
         gram = b @ b.T
         assert np.max(np.abs(gram - np.eye(150))) < 1e-10
 
-    def test_j_greater_than_k_needs_flag(self):
-        with pytest.raises(ShapeError):
-            nm.orthogonal_rows(5, 3, seed=0)
-        b = nm.orthogonal_rows(5, 3, seed=0, allow_blocks=True)
+    def test_j_greater_than_k_stacks_blocks(self):
+        b = nm.orthogonal_rows(5, 3, seed=0)
         assert b.shape == (5, 3)
         assert np.max(np.abs(b[:3] @ b[:3].T - np.eye(3))) < 1e-10
         assert np.max(np.abs(b[3:] @ b[3:].T - np.eye(2))) < 1e-10
@@ -590,7 +588,7 @@ class TestOrthogonalRows:
         put(2)
         expected = get()  # 2 wherever OpenBLAS allows it
         try:
-            nm.orthogonal_rows(5, 3, seed=0, allow_blocks=True)
+            nm.orthogonal_rows(5, 3, seed=0)
             assert get() == expected
         finally:
             put(original)

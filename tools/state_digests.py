@@ -15,8 +15,9 @@ the change and compare the output line by line:
     python3 tools/state_digests.py [--bench-seed 10] [--size 32] [--seed 0]
 
 The configs cover the default, the four memory x LFC ablation cells and
-the slot counts J=1 and J=300, built as ``harness.run_ablation`` and
-``harness.slot_sweep`` build them. The memory-off cells are the sensitive
+the slot counts J=1 and J=300, from ``harness.ablation_variant`` and
+``harness.slot_variant``, the builders that ``harness.run_ablation`` and
+``harness.slot_sweep`` train. The memory-off cells are the sensitive
 ones: their training turns a last-bit change of a gradient into Dice
 changes of several points.
 """
@@ -27,7 +28,6 @@ import argparse
 import hashlib
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -37,16 +37,10 @@ from apex import harness, prompting, synthdata, tensorio  # noqa: E402
 
 def configs() -> list[tuple[str, harness.TrainConfig]]:
     base = harness.TrainConfig()
-    out = [("default", base)]
-    for mem_flag, lfc_flag in harness.ABLATION_CELLS:
-        out.append((f"memory_{mem_flag}-lfc_{lfc_flag}",
-                    replace(base, apex=replace(base.apex, use_memory=mem_flag == "on"),
-                            lfc_enabled=lfc_flag == "on")))
-    for j in (1, 300):
-        out.append((f"slots_{j}",
-                    replace(base, apex=replace(base.apex, slot_count=j,
-                                               allow_block_init=j > base.apex.feature_dim))))
-    return out
+    return ([("default", base)]
+            + [(f"memory_{mem}-lfc_{lfc}", harness.ablation_variant(base, mem, lfc))
+               for mem, lfc in harness.ABLATION_CELLS]
+            + [(f"slots_{j}", harness.slot_variant(base, j)) for j in (1, 300)])
 
 
 def state_digest(state: prompting.ApexState) -> str:
