@@ -144,6 +144,7 @@ def cmd_train(args) -> int:
             metric_lines += [f"{seed},{name},{val!r}," for name, val in zip(names, res.averages)]
             seen, unseen, total = res.averages
             print(f"seed {seed}: seen {seen:.2f} unseen {unseen:.2f} total {total:.2f}")
+            del res  # the next seed trains without this one's state alive
         for name, column in zip(names, zip(*per_seed)):
             m, s = harness.mean_std(column)
             metric_lines.append(f"mean,{name},{m!r},")

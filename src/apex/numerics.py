@@ -43,14 +43,11 @@ inf that a clamp (``clip``, a ReLU) maps back into range goes unreported.
 from __future__ import annotations
 
 import contextvars
-import ctypes
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -92,45 +89,6 @@ def check_finite(arr: np.ndarray) -> None:
         raise NonFiniteError("tensor values must all be finite")
 
 
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of the OpenBLAS bundled with NumPy,
-    or None when that library is not found."""
-    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
-                       .glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))  # the copy NumPy has loaded already
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and put is not None:
-            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextmanager
-def one_blas_thread():
-    """Run OpenBLAS on one thread inside the block; its previous thread count
-    comes back on the way out, also on error. Does nothing when NumPy's
-    bundled OpenBLAS is not found.
-
-    Worker threads that each call BLAS would otherwise compete with
-    OpenBLAS's own threads for the same cores, and a first threaded QR in
-    a fresh process can stall. The count is process-wide: enter the block
-    from one thread at a time.
-    """
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    previous = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(previous)
-
-
 # Generation and evaluation share their items out over threads from images
 # of this many pixels up. Below it an item is mostly Python-level work that
 # holds the GIL, so threads only add hand-offs, and the items run inline.
@@ -150,10 +108,10 @@ def map_ordered(fn, items: Sequence, threaded: bool = True) -> list:
     """``[fn(item) for item in items]``. With ``threaded``, item i runs in
     share i % n of n = min(len(items), usable CPUs) shares: share 0 on this
     thread, the others on a pool, each in a copy of this thread's context
-    (its ``np.errstate`` and :func:`no_grad` hold there), with OpenBLAS on
-    one thread. Every share ends before a share's exception is re-raised.
-    One share runs inline. An ``fn`` of its item alone gives the same
-    results on any number of threads."""
+    (its ``np.errstate`` and :func:`no_grad` hold there); ``import apex``
+    has set OpenBLAS to one thread. Every share ends before a share's
+    exception is re-raised. One share runs inline. An ``fn`` of its item
+    alone gives the same results on any number of threads."""
     shares = min(len(items), _usable_cpus()) if threaded else 1
     if shares <= 1:
         return [fn(item) for item in items]
@@ -163,7 +121,7 @@ def map_ordered(fn, items: Sequence, threaded: bool = True) -> list:
         for i in range(k, len(items), shares):
             results[i] = fn(items[i])
 
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=shares - 1) as pool:
+    with ThreadPoolExecutor(max_workers=shares - 1) as pool:
         pending = [pool.submit(contextvars.copy_context().run, run, k) for k in range(1, shares)]
         run(0)
         for share in pending:
@@ -624,8 +582,7 @@ def orthogonal_rows(j: int, k: int, seed: int) -> np.ndarray:
     while remaining > 0:
         size = min(remaining, k)
         g = rng.standard_normal((k, size))
-        with one_blas_thread():  # the same bits as on more threads, without the stall
-            q, r = np.linalg.qr(g)
+        q, r = np.linalg.qr(g)
         q = q * np.sign(np.diag(r))  # fix signs so the result is seed-deterministic
         blocks.append(q.T)
         remaining -= size

@@ -15,6 +15,7 @@ only, never to its parameters. In training it is one fused graph node
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,17 +76,13 @@ class DomainSample:
     scene_seed: int
 
 
-_GRIDS: dict = {}
-_SHADING_TABLES: dict = {}
-
-
+# Both caches fill on first use, on any thread; two threads that miss at once
+# each build an equal read-only array, so the bytes cannot depend on it.
+@functools.cache
 def _grid(h: int, w: int) -> np.ndarray:
     """``np.mgrid[0:h, 0:w]``, built once per size and read-only."""
-    grid = _GRIDS.get((h, w))
-    if grid is None:
-        grid = np.mgrid[0:h, 0:w]
-        grid.flags.writeable = False
-        _GRIDS[(h, w)] = grid
+    grid = np.mgrid[0:h, 0:w]
+    grid.flags.writeable = False
     return grid
 
 
@@ -137,18 +134,16 @@ def _base_scene(seed: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(img, 0.0, 1.0, out=img), mask
 
 
+@functools.cache
 def _shading_table(fu: int, fv: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a mode's argument 2 pi (fu y / h + fv x / w)
-    and the [h, w] index of each pixel's value among them; read-only."""
-    key = (fu, fv, h, w)
-    table = _SHADING_TABLES.get(key)
-    if table is None:
-        yy, xx = _grid(h, w)
-        vals, inv = np.unique(2.0 * np.pi * (fu * yy / h + fv * xx / w), return_inverse=True)
-        table = (vals, inv.reshape(h, w))
-        for arr in table:
-            arr.flags.writeable = False
-        _SHADING_TABLES[key] = table
+    and the [h, w] index of each pixel's value among them; built once per
+    mode and size and read-only."""
+    yy, xx = _grid(h, w)
+    vals, inv = np.unique(2.0 * np.pi * (fu * yy / h + fv * xx / w), return_inverse=True)
+    table = (vals, inv.reshape(h, w))
+    for arr in table:
+        arr.flags.writeable = False
     return table
 
 
@@ -270,12 +265,8 @@ def build_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
     CPU (:func:`numerics.map_ordered`).
     """
     size = config.image_size
-    _grid(size, size)  # the caches are filled here, so the workers only read them
-    jobs = []  # (spec, split, index in split), in seed order
-    for spec, split, count in _plan(config):
-        for fu, fv, _ in spec.shading:
-            _shading_table(fu, fv, size, size)
-        jobs += [(spec, split, i) for i in range(count)]
+    jobs = [(spec, split, i)  # (spec, split, index in split), in seed order
+            for spec, split, count in _plan(config) for i in range(count)]
 
     def build(n: int) -> DomainSample:
         # no public (tracer-wrapped) calls: this may run on a worker thread

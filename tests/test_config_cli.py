@@ -2,19 +2,21 @@
 byte-identical rerun checks."""
 
 import dataclasses
+import gc
 import hashlib
 import os
 import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import apex
-from apex import cli, config as cfgmod, tensorio
+from apex import cli, config as cfgmod, harness, tensorio
 from apex.errors import ConfigError
 from apex.harness import TrainConfig
 from apex.prompting import ApexConfig
@@ -166,11 +168,16 @@ class TestSchema:
     @pytest.mark.parametrize("module", ["apex.prompting", "apex.config", "apex.harness",
                                         "apex.cli"])
     def test_module_imports_first(self, module):
+        # the import also sets OpenBLAS to one thread, whatever the environment asks
         src = str(Path(apex.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", f"import {module}"], cwd=src,
+        code = f"import {module}, apex; b = apex._openblas(); print(b and b[0]())"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=src,
                               capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"})
         assert proc.returncode == 0, proc.stderr
+        if proc.stdout == "None\n":
+            pytest.skip("NumPy's bundled OpenBLAS not found")
+        assert proc.stdout == "1\n"
 
 
 def _sha(path: Path) -> str:
@@ -419,6 +426,25 @@ class TestCli:
         for rel in ("metrics.csv", "seed0/steps.csv", "seed0/memory.apxt",
                     "seed0/encoder.w0.apxt", "seed0/manifest.txt"):
             assert _sha(run_dir / rel) == _sha(out2 / rel), rel
+
+    def test_train_keeps_one_state_alive(self, workdir, bench_dir, monkeypatch):
+        # a seed's trained state is dropped once its files are written, so it
+        # is gone before the next seed trains
+        train_and_eval, states = harness.train_and_eval, []
+
+        def recording(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in states)
+            res = train_and_eval(*args, **kwargs)
+            states.append(weakref.ref(res.state))
+            return res
+
+        monkeypatch.setattr(harness, "train_and_eval", recording)
+        config = workdir / "three_seeds.cfg"
+        config.write_text(_config_with("seeds = 0,1,2"))
+        assert cli.main(["train", "--config", str(config), "--bench", str(bench_dir),
+                         "--out", str(workdir / "run_three_seeds")]) == 0
+        assert len(states) == 3
 
     def test_eval_writes_csv(self, workdir, bench_dir, run_dir):
         out = workdir / "eval_unseen.csv"

@@ -531,32 +531,6 @@ class TestChunkMap:
         assert all(enabled is False and parents == () for _, enabled, parents in modes)
         assert nm.grad_enabled()
 
-    @pytest.mark.skipif(nm._openblas() is None, reason="NumPy's bundled OpenBLAS not found")
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_blas_threads_one_inside_and_restored_after(self, bench, pool, fails):
-        get, put = nm._openblas()
-        seen = []
-
-        def fn(chunk, images):
-            seen.append(get())
-            if fails and chunk[0] is not samples[0]:
-                raise ValueError("chunk failed")
-
-        samples = bench.splits["test_seen"]
-        original = get()
-        put(2)
-        expected = get()  # 2 wherever OpenBLAS allows it
-        try:
-            if fails:
-                with pytest.raises(ValueError, match="chunk failed"):
-                    pr.map_chunks(fn, samples)
-            else:
-                pr.map_chunks(fn, samples)
-            assert get() == expected
-        finally:
-            put(original)
-        assert seen and set(seen) == {1}
-
     def test_caller_errstate_reaches_the_workers(self, bench, pool):
         seen = {}
 

@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+import apex
 from apex import numerics as nm
 from apex import spectral as sp
 from apex.errors import (DegenerateInputError, NonFiniteError, NumericDomainError, ShapeError,
@@ -574,26 +575,6 @@ class TestOrthogonalRows:
         b = nm.orthogonal_rows(8, 16, seed=3)
         assert np.array_equal(a, b)
 
-    @pytest.mark.skipif(nm._openblas() is None, reason="NumPy's bundled OpenBLAS not found")
-    def test_qr_runs_on_one_blas_thread(self, monkeypatch):
-        get, put = nm._openblas()
-        qr, seen = np.linalg.qr, []
-
-        def recording(g):
-            seen.append(get())
-            return qr(g)
-
-        monkeypatch.setattr(np.linalg, "qr", recording)
-        original = get()
-        put(2)
-        expected = get()  # 2 wherever OpenBLAS allows it
-        try:
-            nm.orthogonal_rows(5, 3, seed=0)
-            assert get() == expected
-        finally:
-            put(original)
-        assert seen == [1, 1]
-
 
 class TestMapOrdered:
     """``map_ordered`` returns ``[fn(item) for item in items]``; with several
@@ -688,31 +669,23 @@ class TestMapOrdered:
         assert nm.grad_enabled()
         assert nm.map_ordered(lambda k: nm.grad_enabled(), range(6)) == [True] * 6
 
-    @pytest.mark.skipif(nm._openblas() is None, reason="NumPy's bundled OpenBLAS not found")
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_blas_threads_one_inside_and_restored_after(self, monkeypatch, fails):
+    @pytest.mark.skipif(apex._openblas() is None, reason="NumPy's bundled OpenBLAS not found")
+    def test_pool_shares_and_qr_see_a_single_blas_thread(self, monkeypatch):
+        # ``import apex`` set the count; nothing sets it again
         self.fake_cpus(monkeypatch, 3)
-        get, put = nm._openblas()
-        seen = []
+        get, _ = apex._openblas()
+        qr, seen = np.linalg.qr, []
 
-        def fn(k):
+        def recording(g):
             seen.append(get())
-            if fails and k == 4:
-                raise ValueError("item failed")
+            return qr(g)
 
-        original = get()
-        put(2)
-        expected = get()  # 2 wherever OpenBLAS allows it
-        try:
-            if fails:
-                with pytest.raises(ValueError, match="item failed"):
-                    nm.map_ordered(fn, range(6))
-            else:
-                nm.map_ordered(fn, range(6))
-            assert get() == expected
-        finally:
-            put(original)
-        assert seen and set(seen) == {1}
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        shares = nm.map_ordered(lambda k: (threading.get_ident(), get()), range(6))
+        assert len({ident for ident, _ in shares}) > 1  # pool shares ran
+        assert {count for _, count in shares} == {1}
+        nm.orthogonal_rows(5, 3, seed=0)
+        assert seen == [1, 1] and get() == 1
 
 
 class TestSgd:

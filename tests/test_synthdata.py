@@ -244,16 +244,17 @@ class TestGeneratorMatchesOracle:
     def test_cached_tables_are_read_only(self):
         sd._base_scene(0, 32, 32)
         sd._apply_domain(np.full((32, 32, 1), 0.5), sd.DEFAULT_SEEN[0], 0)
-        assert sd._GRIDS and sd._SHADING_TABLES
-        tables = list(sd._GRIDS.values())
-        for vals, inv in sd._SHADING_TABLES.values():
-            tables += [vals, inv]
-        for arr in tables:
+        assert sd._grid.cache_info().currsize and sd._shading_table.cache_info().currsize
+        fu, fv, _ = sd.DEFAULT_SEEN[0].shading[0]
+        grid = sd._grid(32, 32)
+        vals, inv = sd._shading_table(fu, fv, 32, 32)
+        for arr in (grid, vals, inv):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1
-        yy, xx = sd._grid(32, 32)
+        yy, xx = grid
         assert not yy.flags.writeable and not xx.flags.writeable
+        assert sd._grid(32, 32) is grid and sd._shading_table(fu, fv, 32, 32)[0] is vals
 
 
 class TestBuildBenchmark:
@@ -696,12 +697,17 @@ class TestThreadedGeneration:
 
     def test_identical_under_forced_interleaving(self, inline, monkeypatch):
         # more workers than this machine's cores, switching threads as often as
-        # the interpreter allows: a lost or misplaced write would change the bytes
+        # the interpreter allows, each run from cold caches that the workers
+        # fill: a lost or misplaced write would change the bytes
         fake_cpus(monkeypatch, 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        runs = []
         try:
-            runs = [self.digest(sd.build_benchmark(self.CONFIG, self.SEED)) for _ in range(3)]
+            for _ in range(3):
+                sd._grid.cache_clear()
+                sd._shading_table.cache_clear()
+                runs.append(self.digest(sd.build_benchmark(self.CONFIG, self.SEED)))
         finally:
             sys.setswitchinterval(interval)
         assert runs == [inline] * 3
