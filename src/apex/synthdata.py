@@ -427,30 +427,33 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
 
 
 # Samples are scored in row blocks of about this many float64 values, so a
-# block's five arrays stay in L2 while every grid point re-reads them; blocks
+# block's four arrays stay in L2 while every grid point re-reads them; blocks
 # run on every usable CPU, so this working set is per thread. One unblocked
 # batch of 128x128 images is slower than a per-sample loop.
 CALIBRATION_BLOCK_ELEMENTS = 32768
 CALIBRATION_BLUR_RADIUS = 1
 CALIBRATION_THRESHOLDS = tuple(np.round(np.linspace(0.2, 0.8, 61), 10).tolist())
 CALIBRATION_SLOPES = (0.05, 0.08, 0.12)
+# far above the relative rounding of a score or a bound (about 1e-13)
+CALIBRATION_BOUND_MARGIN = 1.0 + 1e-6
 
 
-def calibration_scores(samples) -> np.ndarray:
-    """Mean soft Dice of sigmoid((blur(x) - t) / s) on ``samples`` at every
-    point of the ``CALIBRATION_*`` grid, as a [thresholds, slopes] array.
+def calibration_scores(samples, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean soft Dice of sigmoid((blur(x) - t) / s) on ``samples`` at each
+    (t, s) of ``points``, as a [points] array, and the per-sample sums it is
+    made of, inter = sum(p m) and denom = sum p + sum m + 1, as [points,
+    samples] arrays.
 
-    A sample's soft Dice is (2 sum(p m) + 1) / (sum p + sum m + 1) over its
-    channel-0 pixels; the mean adds the samples in order, then divides.
-    Samples are evaluated a block of rows at a time with in-place ufuncs in
-    the per-sample expression's order, and each row sums on its own, so
-    every score is bit-identical to evaluating one sample at a time. The
+    A sample's soft Dice is (2 inter + 1) / denom over its channel-0 pixels;
+    the mean adds the samples in order, then divides. Samples are evaluated
+    a block of rows at a time with in-place ufuncs in the per-sample
+    expression's order, and each row sums on its own, so every score is
+    bit-identical to evaluating one sample at one point at a time. The
     blocks are scored on every usable CPU (:func:`numerics.map_ordered`;
     NumPy's loops release the GIL).
     """
     if not samples:
         raise ConfigError("cannot calibrate on an empty source set")
-    thresholds, slopes = CALIBRATION_THRESHOLDS, CALIBRATION_SLOPES
     pixels = samples[0].mask.size
     rows = max(1, CALIBRATION_BLOCK_ELEMENTS // pixels)
 
@@ -461,39 +464,75 @@ def calibration_scores(samples) -> np.ndarray:
         # float64, as a bool mask would be cast again in every np.multiply below
         m = np.stack([smp.mask for smp in block], dtype=np.float64).reshape(-1, pixels)
         m_sums = m.sum(axis=1)
-        d, p, pm = np.empty((3, len(block), pixels))
-        dice = np.empty((len(thresholds), len(slopes), len(block)))
-        for i, t in enumerate(thresholds):
+        d, p = np.empty((2, len(block), pixels))
+        sums = np.empty((2, len(points), len(block)))
+        for i, (t, s) in enumerate(points):
             # t - x is exactly -(x - t): IEEE rounding is symmetric in sign
             np.subtract(t, x, out=d)
-            for j, s in enumerate(slopes):
-                np.divide(d, s, out=p)
-                np.exp(p, out=p)
-                np.add(p, 1.0, out=p)
-                np.reciprocal(p, out=p)
-                inter = np.multiply(p, m, out=pm).sum(axis=1)
-                dice[i, j] = (2.0 * inter + 1.0) / (p.sum(axis=1) + m_sums + 1.0)
-        return dice
+            np.divide(d, s, out=p)
+            np.exp(p, out=p)
+            np.add(p, 1.0, out=p)
+            np.reciprocal(p, out=p)
+            sums[0, i] = np.multiply(p, m, out=d).sum(axis=1)
+            sums[1, i] = p.sum(axis=1) + m_sums + 1.0
+        return sums
 
-    blocks = nm.map_ordered(score, [samples[lo:lo + rows] for lo in range(0, len(samples), rows)])
+    blocks = [samples[lo:lo + rows] for lo in range(0, len(samples), rows)]
+    inter, denom = np.concatenate(nm.map_ordered(score, blocks), axis=2)
+    dice = (2.0 * inter + 1.0) / denom
     # the mean adds the samples in order; np.sum would reorder the adds
-    scores = np.zeros((len(thresholds), len(slopes)))
-    for dice in blocks:
-        for k in range(dice.shape[2]):
-            scores += dice[:, :, k]
-    return scores / len(samples)
+    scores = np.zeros(len(points))
+    for k in range(len(samples)):
+        scores += dice[:, k]
+    return scores / len(samples), inter, denom
+
+
+def calibration_search(samples) -> dict:
+    """Branch and bound (Land and Doig, 1960) over the ``CALIBRATION_*``
+    grid: the score of each point it visits, keyed by (threshold index,
+    slope index); every point it skips scores below the best it visited.
+
+    With s > 0, p = sigmoid((x - t) / s) falls as t rises, so for t_a < t <
+    t_b a sample's inter is at most inter(t_a) and its denom at least
+    denom(t_b), and the score at t is at most bound = mean over samples of
+    (2 inter(t_a) + 1) / denom(t_b). Per slope, it scores the first and last
+    threshold, then bisects, one :func:`calibration_scores` call per level,
+    and skips the points inside [t_a, t_b] when bound times the margin
+    ``CALIBRATION_BOUND_MARGIN`` is below the best score so far; the margin
+    covers the rounding, so a skipped point can neither beat nor tie that
+    best. Thresholds that do not increase strictly or a slope that is not
+    positive raise :class:`ConfigError`.
+    """
+    thresholds, slopes = CALIBRATION_THRESHOLDS, CALIBRATION_SLOPES
+    if any(a >= b for a, b in zip(thresholds, thresholds[1:])) or min(slopes) <= 0:
+        raise ConfigError("calibration thresholds must increase strictly, slopes be positive")
+    last = len(thresholds) - 1
+    todo = sorted({(i, j) for i in (0, last) for j in range(len(slopes))})
+    intervals, scored, sums = [(0, last, j) for j in range(len(slopes))], {}, {}
+    while todo:
+        scores, inter, denom = calibration_scores(
+            samples, [(thresholds[i], slopes[j]) for i, j in todo])
+        for key, score, *sample_sums in zip(todo, scores, inter, denom):
+            scored[key], sums[key] = score, sample_sums
+        best, todo, split = max(scored.values()), [], []
+        for a, b, j in intervals:
+            bound = np.mean((2.0 * sums[a, j][0] + 1.0) / sums[b, j][1])
+            if b - a > 1 and bound * CALIBRATION_BOUND_MARGIN >= best:
+                mid = (a + b) // 2
+                todo.append((mid, j))
+                split += [(a, mid, j), (mid, b, j)]
+        intervals = split
+    return scored
 
 
 def backbone_calibrate(samples) -> FrozenBackbone:
-    """Grid-search (t, s) maximizing mean soft Dice on the source samples.
-
-    The search is batched, cache-blocked and spread over every usable CPU
-    (:func:`calibration_scores`), and bit-identical to scoring one sample at
-    a time. Deterministic: the grid is fixed and ties keep the first maximum
-    in scan order (thresholds outer, slopes inner). The returned backbone is
-    immutable; hash it with ``digest()``.
+    """The grid point (t, s) of highest mean soft Dice on the source samples,
+    by :func:`calibration_search`: the full grid's argmax, as each visited
+    score is the full grid's, a skipped point scores below the best, and ties
+    keep the first maximum in scan order (thresholds outer, slopes inner).
+    The returned backbone is immutable; hash it with ``digest()``.
     """
-    scores = calibration_scores(samples)
-    ti, si = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    scored = calibration_search(samples)
+    ti, si = max(sorted(scored), key=scored.get)  # max keeps the first of equal scores
     return FrozenBackbone(float(CALIBRATION_THRESHOLDS[ti]), float(CALIBRATION_SLOPES[si]),
                           CALIBRATION_BLUR_RADIUS)

@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: finite-difference gradient
 checks, the primitive chains that the library's fused nodes replace, the
-box blur as a graph node, the low-frequency region's mask and amplitudes,
-the identity prompt, and a reader for PGM dumps.
+box blur as a graph node, the backbone's calibration score, the
+low-frequency region's mask and amplitudes, the identity prompt, and a
+reader for PGM dumps.
 
 The primitive chains define what the fused nodes compute: ``numerics.linear``
 (with ``relu`` and ``transpose``), ``numerics.cosine_rows``, the backbone
@@ -233,7 +234,7 @@ def lfc_term(pos_sim, neg_sims, tau: float) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# the backbone's blur as a node
+# the backbone's blur as a node, and its calibration score
 # ---------------------------------------------------------------------------
 
 def box_blur(x, radius: int):
@@ -251,6 +252,24 @@ def box_blur(x, radius: int):
             x.accumulate(sd._blur(g, radius))
 
     return Node(result, parents=(x,), backward=back, op="box_blur")
+
+
+def calibration_scores(samples, thresholds, slopes) -> np.ndarray:
+    """The calibration score by its definition, as a [thresholds, slopes]
+    array: mean soft Dice of sigmoid((blur(x) - t) / s), one sample at one
+    point at a time, summed in sample order."""
+    out = np.empty((len(thresholds), len(slopes)))
+    for i, t in enumerate(thresholds):
+        for j, s in enumerate(slopes):
+            score = 0.0
+            for smp in samples:
+                blurred = box_blur(smp.image, 1)[:, :, 0]
+                pred = 1.0 / (1.0 + np.exp(-(blurred - t) / s))
+                inter = float((pred * smp.mask).sum())
+                score += ((2.0 * inter + 1.0)
+                          / (float(pred.sum()) + float(smp.mask.sum()) + 1.0))
+            out[i, j] = score / len(samples)
+    return out
 
 
 # ---------------------------------------------------------------------------

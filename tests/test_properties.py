@@ -2,20 +2,28 @@
 prompted reconstruction and the multiplier symmetrization match their
 backward rules as adjoints, the reconstruction stays real, unpaired
 multiplier entries stay exactly 1, and row cosines are scale invariant.
+Over random calibration grids and small scene sets, flat ones among them
+whose scores tie, the backbone's branch-and-bound calibration finds the
+full grid's argmax and scores each point it visits as the full grid does.
 
 They add to the fixed-seed loops of acceptance criteria 1 and 2. Examples
 are derived from the test names (``derandomize``) and no example database
 is kept, so runs are deterministic and leave nothing in the checkout.
 """
 
+import functools
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from hypothesis import configuration, given, settings, strategies as st
+import pytest
+from hypothesis import assume, configuration, example, given, settings, strategies as st
 
 from apex import numerics as nm
 from apex import spectral as sp
+from apex import synthdata as sd
+from apex.errors import ConfigError
 
 import oracles
 
@@ -122,3 +130,56 @@ def test_cosine_rows_is_scale_invariant(m, n, k, seed, exponent, scale):
     assert np.array_equal(nm.cosine_rows(a * power_of_two, b).array, base)
     assert np.array_equal(nm.cosine_rows(a, b * power_of_two).array, base)
     assert np.max(np.abs(nm.cosine_rows(a * scale, b / scale).array - base)) <= 1e-14
+
+
+@functools.cache
+def _calibration_sample(kind: str, value, full_mask: bool = False) -> sd.DomainSample:
+    """A 32x32 source sample: the base scene of seed ``value``, or a flat
+    image at level ``value`` with an empty or a full mask."""
+    if kind == "scene":
+        img, mask = sd._base_scene(value, 32, 32)
+    else:
+        img, mask = np.full((32, 32), value), np.full((32, 32), full_mask)
+    return sd.DomainSample(f"{kind}{value}", "source", img[:, :, None], mask, 0)
+
+
+# the ends of [0, 1] and the smallest slope saturate the sigmoid of a flat
+# image, so a set of flat images ties at a soft Dice of exactly 1 over a run
+# of thresholds
+LEVELS = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+SLOPES = st.lists(st.sampled_from((0.01, 0.05)) | st.floats(0.01, 0.3), min_size=1,
+                  max_size=3).map(tuple)
+FLATS = st.builds(_calibration_sample, st.just("flat"), LEVELS, st.booleans())
+SAMPLE_SETS = (st.lists(FLATS, min_size=1, max_size=3)
+               | st.lists(FLATS | st.builds(_calibration_sample, st.just("scene"),
+                                            st.integers(900, 905)), min_size=1, max_size=4))
+
+
+def _calibration_grid(thresholds, slopes):
+    return mock.patch.multiple(sd, CALIBRATION_THRESHOLDS=thresholds, CALIBRATION_SLOPES=slopes)
+
+
+@PROPERTY
+@given(samples=SAMPLE_SETS, slopes=SLOPES,
+       thresholds=st.lists(LEVELS, min_size=1, max_size=12, unique=True).map(sorted).map(tuple))
+# ties at 1 from threshold 0.5 up, in the last two slopes: the first maximum in
+# scan order, (0.5, 0.01), is visited after the last threshold's
+@example(samples=[_calibration_sample("flat", 0.0)], slopes=(0.05, 0.01, 0.01),
+         thresholds=(0.2, 0.3, 0.5, 0.6, 0.7, 0.8))
+def test_calibration_search_finds_the_full_grid_argmax(samples, thresholds, slopes):
+    oracle = oracles.calibration_scores(samples, thresholds, slopes)
+    with _calibration_grid(thresholds, slopes):
+        scored = sd.calibration_search(samples)
+        backbone = sd.backbone_calibrate(samples)
+    assert all(score.tobytes() == oracle[key].tobytes() for key, score in scored.items())
+    t, s = np.unravel_index(np.argmax(oracle), oracle.shape)  # the first of equal maxima
+    assert (backbone.threshold, backbone.slope) == (thresholds[t], slopes[s])
+
+
+@PROPERTY
+@given(samples=SAMPLE_SETS, slopes=SLOPES,
+       thresholds=st.lists(LEVELS, min_size=2, max_size=12).map(tuple))
+def test_calibration_refuses_thresholds_that_do_not_increase(samples, thresholds, slopes):
+    assume(any(a >= b for a, b in zip(thresholds, thresholds[1:])))
+    with _calibration_grid(thresholds, slopes), pytest.raises(ConfigError):
+        sd.backbone_calibrate(samples)

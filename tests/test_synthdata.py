@@ -37,6 +37,14 @@ def scene_sample(seed, size):
     return sd.DomainSample(f"s{seed}", "source", img[:, :, None], mask, seed)
 
 
+def grid_scores(samples):
+    """``calibration_scores`` at every point of the ``CALIBRATION_*`` grid, as
+    a [thresholds, slopes] array."""
+    thresholds, slopes = sd.CALIBRATION_THRESHOLDS, sd.CALIBRATION_SLOPES
+    scores, _, _ = sd.calibration_scores(samples, [(t, s) for t in thresholds for s in slopes])
+    return scores.reshape(len(thresholds), len(slopes))
+
+
 class TestBaseScene:
     def test_determinism(self):
         a_img, a_mask = sd._base_scene(99, 32, 32)
@@ -352,31 +360,34 @@ class TestBackbone:
         assert 0.35 <= backbone.threshold <= 0.65
 
     @staticmethod
-    def per_sample_scores(samples, thresholds, slopes):
-        """The definition: mean soft Dice, one sample at a time, summed in
-        sample order."""
-        out = np.empty((len(thresholds), len(slopes)))
-        for i, t in enumerate(thresholds):
-            for j, s in enumerate(slopes):
-                score = 0.0
-                for smp in samples:
-                    blurred = oracles.box_blur(smp.image, 1)[:, :, 0]
-                    pred = 1.0 / (1.0 + np.exp(-(blurred - t) / s))
-                    inter = float((pred * smp.mask).sum())
-                    score += ((2.0 * inter + 1.0)
-                              / (float(pred.sum()) + float(smp.mask.sum()) + 1.0))
-                out[i, j] = score / len(samples)
-        return out
+    def assert_search_matches(samples, oracle):
+        """Every score the search visits is the oracle's, byte for byte."""
+        scored = sd.calibration_search(samples)
+        assert scored and all(score.tobytes() == oracle[key].tobytes()
+                              for key, score in scored.items())
 
     def test_matches_independent_grid_search(self, small_bench, backbone):
         samples = small_bench.splits["source_cal"]
         thresholds = np.round(np.linspace(0.2, 0.8, 61), 10)
         slopes = (0.05, 0.08, 0.12)
-        oracle = self.per_sample_scores(samples, thresholds, slopes)
-        scores = sd.calibration_scores(samples)
-        assert scores.tobytes() == oracle.tobytes()
+        oracle = oracles.calibration_scores(samples, thresholds, slopes)
+        assert grid_scores(samples).tobytes() == oracle.tobytes()
+        self.assert_search_matches(samples, oracle)
         t, s = np.unravel_index(np.argmax(oracle), oracle.shape)
         assert (backbone.threshold, backbone.slope) == (float(thresholds[t]), slopes[s])
+
+    def test_search_prunes_the_default_grid(self):
+        # a silent fallback to the full grid would pass every bit test
+        samples = sd.build_benchmark(sd.BenchmarkConfig(), seed=0).splits["source_cal"]
+        assert len(sd.CALIBRATION_THRESHOLDS) * len(sd.CALIBRATION_SLOPES) == 183
+        assert len(sd.calibration_search(samples)) <= 40
+
+    @pytest.mark.parametrize("slopes", [(0.05, 0.0), (-0.05,)])
+    def test_slope_not_positive_rejected(self, small_bench, monkeypatch, slopes):
+        # the search's bound needs p to fall as the threshold rises
+        monkeypatch.setattr(sd, "CALIBRATION_SLOPES", slopes)
+        with pytest.raises(ConfigError, match="slopes be positive"):
+            sd.backbone_calibrate(small_bench.splits["source_cal"])
 
     def test_non_default_grid_across_partial_blocks(self, monkeypatch):
         # 5 images at 128x128 fill two rows per block: the last block is short
@@ -386,8 +397,9 @@ class TestBackbone:
         thresholds, slopes = np.array([0.31, 0.5, 0.62]), (0.03, 0.2)
         monkeypatch.setattr(sd, "CALIBRATION_THRESHOLDS", thresholds)
         monkeypatch.setattr(sd, "CALIBRATION_SLOPES", slopes)
-        oracle = self.per_sample_scores(samples, thresholds, slopes)
-        assert sd.calibration_scores(samples).tobytes() == oracle.tobytes()
+        oracle = oracles.calibration_scores(samples, thresholds, slopes)
+        assert grid_scores(samples).tobytes() == oracle.tobytes()
+        self.assert_search_matches(samples, oracle)
         bb = sd.backbone_calibrate(samples)
         t, s = np.unravel_index(np.argmax(oracle), oracle.shape)
         assert (bb.threshold, bb.slope) == (float(thresholds[t]), slopes[s])
@@ -575,10 +587,10 @@ class TestThreadedCalibration:
         return [scene_sample(700 + k, 128) for k in range(9)]
 
     def scores(self, samples):
-        return sd.calibration_scores(samples)
+        return grid_scores(samples)
 
     def test_matches_per_sample_oracle(self, samples):
-        oracle = TestBackbone.per_sample_scores(samples, self.THRESHOLDS, self.SLOPES)
+        oracle = oracles.calibration_scores(samples, self.THRESHOLDS, self.SLOPES)
         assert self.scores(samples).tobytes() == oracle.tobytes()
 
     def test_bool_masks_score_as_float_masks(self, samples):

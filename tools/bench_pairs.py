@@ -6,7 +6,10 @@ pair (parent first on even pair index), so drift of the machine's speed
 falls on both sides alike. For every end-to-end metric the file holds both
 sides' runs, medians and quartiles (inclusive method), the number of pairs
 the change won and the median change in percent. It is rewritten after
-every pair, so an interrupted comparison keeps the pairs it finished.
+every pair, so an interrupted comparison keeps the pairs it finished. The
+source lines of ``src/apex`` and ``tests`` on each side are counted after
+the last pair, so an edit made while the pairs ran is counted; a side
+without ``*.py`` files in either directory is refused before any run.
 
 Before each run a fresh process times a fixed NumPy loop (an ``fft2`` of
 [8, 128, 128] and a 256x256 matmul) that no change to the code can move;
@@ -32,6 +35,9 @@ import sys
 from pathlib import Path
 
 RUN = ["perfbench/run.py", "--trace", "0"]
+# the source lines counted on each side; both counts, so code moved from the
+# library into the tests is not read as deleted
+COUNTED = (("src_apex_lines", "src/apex"), ("tests_lines", "tests"))
 PROBE = """
 import json, time
 import numpy as np
@@ -121,6 +127,10 @@ def main() -> int:
     parser.add_argument("--tier1", nargs=2, metavar=("PARENT", "CHANGE"),
                         help="the Tier-1 results of both sides, as pytest prints them")
     args = parser.parse_args()
+    for side in ("parent", "change"):
+        for _, sub in COUNTED:
+            if not any((getattr(args, side) / sub).glob("*.py")):
+                sys.exit(f"error: --{side} {getattr(args, side)} has no *.py files in {sub}")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds or spec["run_seconds"]
@@ -138,11 +148,8 @@ def main() -> int:
                     if args.claim else None),
         "environment": None,
         "cpu": f"{os.cpu_count()} CPUs, {platform.machine()}",
-        # both counts, so code moved from the library into the tests is not read as deleted
-        "src_apex_lines": {side: line_count(getattr(args, side) / "src" / "apex")
-                           for side in ("parent", "change")},
-        "tests_lines": {side: line_count(getattr(args, side) / "tests")
-                        for side in ("parent", "change")},
+        "src_apex_lines": None,  # counted after the last pair
+        "tests_lines": None,
         "tier1": dict(zip(("parent", "change"), args.tier1)) if args.tier1 else None,
         "workloads": {},
         "drift_probe": {},
@@ -167,6 +174,9 @@ def main() -> int:
             print(f"{name} seed {seed}: " + ", ".join(
                 f"{m} {runs['parent']['metrics'][m]['value']:.4g} -> "
                 f"{runs['change']['metrics'][m]['value']:.4g}" for m, _ in metrics), flush=True)
+    record.update({key: {side: line_count(getattr(args, side) / sub)
+                         for side in ("parent", "change")} for key, sub in COUNTED})
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -14,6 +14,10 @@ the change and compare the output line by line:
 
     python3 tools/state_digests.py [--bench-seed 10] [--size 32] [--seed 0]
 
+or let it do that: with ``--against DIR`` it also runs DIR's copy of this
+script with the same arguments, prints only the lines that differ (``-``
+DIR's, ``+`` this checkout's) and exits 1 if any does.
+
 The configs cover the default, the four memory x LFC ablation cells and
 the slot counts J=1 and J=300, from ``harness.ablation_variant`` and
 ``harness.slot_variant``, the builders that ``harness.run_ablation`` and
@@ -26,6 +30,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -71,26 +77,44 @@ def written_digest(write) -> str:
     return h.hexdigest()
 
 
+def digest_lines(bench_seed: int, size: int, seed: int):
+    """The output lines, one at a time, as each digest is ready."""
+    bench = synthdata.build_benchmark(synthdata.BenchmarkConfig(image_size=size), bench_seed)
+    yield f"bench {written_digest(lambda d: synthdata.save_benchmark(bench, d))}"
+    backbone = synthdata.backbone_calibrate(bench.splits["source_cal"])
+    yield f"backbone {backbone.digest()}"
+    for label, config in configs():
+        state, _log = harness.train(config, bench, backbone, seed)
+        yield f"{label} {state_digest(state)}"
+        yield f"{label} eval {eval_digest(state, backbone, bench)}"
+        viz = written_digest(lambda d: harness.export_activations(
+            state, bench.splits["test_unseen"], d))
+        yield f"{label} viz {viz}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--bench-seed", type=int, default=10)
     parser.add_argument("--size", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0, help="training seed")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="another checkout: print only the lines that differ from its")
     args = parser.parse_args()
 
-    bench = synthdata.build_benchmark(synthdata.BenchmarkConfig(image_size=args.size),
-                                      args.bench_seed)
-    print(f"bench {written_digest(lambda d: synthdata.save_benchmark(bench, d))}", flush=True)
-    backbone = synthdata.backbone_calibrate(bench.splits["source_cal"])
-    print(f"backbone {backbone.digest()}", flush=True)
-    for label, config in configs():
-        state, _log = harness.train(config, bench, backbone, args.seed)
-        print(f"{label} {state_digest(state)}", flush=True)
-        print(f"{label} eval {eval_digest(state, backbone, bench)}", flush=True)
-        viz = written_digest(lambda d: harness.export_activations(
-            state, bench.splits["test_unseen"], d))
-        print(f"{label} viz {viz}", flush=True)
-    return 0
+    lines = digest_lines(args.bench_seed, args.size, args.seed)
+    if args.against is None:
+        for line in lines:
+            print(line, flush=True)
+        return 0
+    theirs = subprocess.run(
+        [sys.executable, str(args.against / "tools" / "state_digests.py"),
+         "--bench-seed", str(args.bench_seed), "--size", str(args.size), "--seed", str(args.seed)],
+        stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
+    differ = [(t, o) for t, o in itertools.zip_longest(theirs, lines, fillvalue="(no line)")
+              if t != o]
+    for t, o in differ:
+        print(f"- {t}\n+ {o}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
