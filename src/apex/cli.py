@@ -11,12 +11,12 @@
 Outputs are plain CSV, binary tensors, and PGM dumps; nothing carries
 timestamps, so reruns with equal seeds are byte-identical.
 
-``gen-bench``, ``train``, ``ablate`` and ``sweep-slots`` never overwrite:
-an ``--out`` that already exists is refused with one ``error:`` line before
-any work starts. They write into a hidden sibling directory and rename it
-to ``--out`` only when the command succeeds, so a failed or interrupted run
-leaves no ``--out``. ``viz-mem`` still writes into its ``--out`` in place:
-its default, ``<ckpt>/viz``, would refuse every rerun.
+No command overwrites a directory: ``gen-bench``, ``train``, ``ablate``,
+``sweep-slots`` and ``viz-mem`` refuse an ``--out`` that already exists
+with one ``error:`` line before any work starts, so rerunning ``viz-mem``
+into its default, ``<ckpt>/viz``, needs that directory removed first. They
+write into a hidden sibling directory and rename it to ``--out`` only when
+the command succeeds, so a failed or interrupted run leaves no ``--out``.
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ def _write(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _check_out(out: Path, directory: bool) -> None:
+def _check_out(out: Path) -> None:
     """Refuse, before any work starts, an ``--out`` that cannot be written as
-    a directory or as a file: one below a file, or an existing path of the
-    other kind."""
-    if out.exists() and out.is_dir() != directory:
-        raise ConfigError(f"--out {out} is {'not ' if directory else ''}a directory")
+    a file: a directory, or a path below a file."""
+    if out.is_dir():
+        raise ConfigError(f"--out {out} is a directory")
     blocker = next(p for p in out.parents if p.exists())
     if not blocker.is_dir():
         raise ConfigError(f"--out {out} lies below {blocker}, which is not a directory")
@@ -156,7 +155,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.out:
-        _check_out(Path(args.out), directory=False)
+        _check_out(Path(args.out))
     bench = _load_bench(args.bench)
     backbone = _backbone_for(bench)
     state = None if args.source_only else prompting.load_state(args.ckpt)
@@ -205,18 +204,17 @@ def cmd_viz_mem(args) -> int:
                               f"{', '.join(synthdata.Benchmark.SPLITS)}")
         if name in names[:i]:  # its samples would be counted twice
             raise ConfigError(f"split {split!r} repeats {name}; name each split once")
-    if args.out is None:
-        args.out = str(Path(args.ckpt) / "viz")
-    _check_out(Path(args.out), directory=True)
-    bench = _load_bench(args.bench)
-    state = prompting.load_state(args.ckpt)
-    samples = []
-    for name in names:
-        samples.extend(bench.splits[name])
-    within, cross = ("n/a" if v is None else repr(v)
-                     for v in harness.export_activations(state, samples, args.out))
+    out = Path(args.ckpt) / "viz" if args.out is None else Path(args.out)
+    with _staged_output(out) as stage:
+        bench = _load_bench(args.bench)
+        state = prompting.load_state(args.ckpt)
+        samples = []
+        for name in names:
+            samples.extend(bench.splits[name])
+        summary = harness.export_activations(state, samples, stage)
+    within, cross = ("n/a" if v is None else repr(v) for v in summary)
     print(f"within-domain mean Jaccard {within}, cross-domain {cross}")
-    print(f"activation maps written to {args.out}")
+    print(f"activation maps written to {out}")
     return 0
 
 

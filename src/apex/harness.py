@@ -132,7 +132,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
 
 
 def write_step_log(log: list[LossReport], path) -> None:
-    lines = [LossReport.CSV_HEADER]
+    lines = [LossReport.csv_header()]
     lines += [rep.csv_row(i) for i, rep in enumerate(log)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 

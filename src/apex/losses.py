@@ -17,7 +17,7 @@ negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -208,7 +208,8 @@ def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Per-step scalars; ``total`` is exactly seg + lfc."""
+    """Per-step scalars; ``total`` is exactly seg + lfc. A ``steps.csv`` row
+    is the step, the fields in order, then ``total``."""
 
     seg: float
     dice_part: float
@@ -219,7 +220,10 @@ class LossReport:
     def total(self) -> float:
         return self.seg + self.lfc
 
-    CSV_HEADER = "step,seg,dice_part,ce_part,lfc,total"
+    @classmethod
+    def csv_header(cls) -> str:
+        return ",".join(["step", *(f.name for f in fields(cls)), "total"])
 
     def csv_row(self, step: int) -> str:
-        return f"{step},{self.seg!r},{self.dice_part!r},{self.ce_part!r},{self.lfc!r},{self.total!r}"
+        return ",".join([str(step), *(repr(getattr(self, f.name)) for f in fields(self)),
+                         repr(self.total)])

@@ -441,21 +441,17 @@ def cosine_rows(a, b) -> Node:
 
     One node with the values and gradients of the primitive chain
     ``clip(matmul(a / |a|, transpose(b / |b|)), -1, 1)``, bit for bit, whose
-    ``transpose`` and norm are in ``tests/oracles.py``; for ``b is a`` the
-    rows are normalized once.
+    ``transpose`` and norm are in ``tests/oracles.py``.
     """
     a, b = as_node(a), as_node(b)
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"cosine_rows expects [m,K] and [n,K], got {a.shape}, {b.shape}")
-    if np.any(~np.any(a.array, axis=1)) or (b is not a and np.any(~np.any(b.array, axis=1))):
+    if np.any(~np.any(a.array, axis=1)) or np.any(~np.any(b.array, axis=1)):
         raise DegenerateInputError("cosine_rows: a row has zero norm")
     a_root, a_norm = _row_norms(a.array)
     ahat = a.array / a_norm
-    if b is a:
-        b_root, b_norm, bhat = a_root, a_norm, ahat
-    else:
-        b_root, b_norm = _row_norms(b.array)
-        bhat = b.array / b_norm
+    b_root, b_norm = _row_norms(b.array)
+    bhat = b.array / b_norm
     bt = bhat.T.copy()
     sims = ahat @ bt
 

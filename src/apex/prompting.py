@@ -87,12 +87,8 @@ class ApexState:
     memory: Node          # [J, K]
     decoder: MlpParams
     head: MlpParams
-    input_center: np.ndarray = None
+    input_center: np.ndarray
     step: int = 0
-
-    def __post_init__(self) -> None:
-        if self.input_center is None:
-            self.input_center = np.zeros(self.region.flat_size)
 
     def parameters(self) -> dict[str, Node]:
         """The trainable nodes by checkpoint tensor name: the memory, then
@@ -118,8 +114,8 @@ def init_state(config: ApexConfig, height: int, width: int, channels: int = 1) -
     head = nm.init_mlp(head_sizes, rng, name="head")
     memory = nm.parameter(
         nm.orthogonal_rows(config.slot_count, config.feature_dim, config.seed), op="memory")
-    return ApexState(config=config, region=region, encoder=encoder,
-                     memory=memory, decoder=decoder, head=head)
+    return ApexState(config=config, region=region, encoder=encoder, memory=memory,
+                     decoder=decoder, head=head, input_center=np.zeros(region.flat_size))
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +131,10 @@ def lowfreq_features(region_values: np.ndarray) -> np.ndarray:
     return np.log1p(vals).reshape(vals.shape[0], -1)
 
 
-def encode_batch(encoder: MlpParams, region_values: np.ndarray, center=None) -> Node:
-    """Domain features for a [batch, l, l, c] stack of region amplitudes."""
-    x = lowfreq_features(region_values)
-    if center is not None:
-        x = x - center
-    return nm.mlp_forward(encoder, nm.as_node(x))
+def encode_batch(encoder: MlpParams, region_values: np.ndarray, center: np.ndarray) -> Node:
+    """Domain features for a [batch, l, l, c] stack of region amplitudes,
+    their :func:`lowfreq_features` centred on ``center``."""
+    return nm.mlp_forward(encoder, nm.as_node(lowfreq_features(region_values) - center))
 
 
 def region_amplitudes(region: sp.LowFreqRegion, spectrum: np.ndarray) -> np.ndarray:
@@ -254,7 +248,7 @@ def forward_batch(state: ApexState, images: np.ndarray) -> ForwardNodes:
     a = address(nm.stop_gradient(state.memory), z)
     zprime = retrieve(state.memory, a) if state.config.use_memory else z
     p = decode_prompt(state.decoder, zprime, region)
-    out = sp.prompted_image_node(imgs, p, region, spectrum)
+    out = sp.prompted_image_node(p, region, spectrum)
     if checked:
         nm.check_finite(out.array)
     return ForwardNodes(features=z, addressing=a, prompt_feature=zprime,

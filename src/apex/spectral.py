@@ -257,12 +257,12 @@ def symmetrize_multiplier(raw: nm.Node, region: LowFreqRegion) -> nm.Node:
     return nm.Node(out, parents=(raw,), backward=back, op="symmetrize")
 
 
-def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion,
+def prompted_image_node(p_flat: nm.Node, region: LowFreqRegion,
                         spectrum_owned: np.ndarray) -> nm.Node:
     """Differentiable reconstruction of a batch of prompted images.
 
-    ``imgs`` is a constant [batch, h, w, c] array and ``spectrum_owned``
-    its unshifted ``np.fft.fft2(imgs, axes=(1, 2))``, which the caller has
+    ``spectrum_owned`` is the unshifted ``np.fft.fft2(imgs, axes=(1, 2))``
+    of a constant [batch, h, w, c] image stack, which the caller has
     already computed for the encoder input. The node owns that spectrum
     from then on: it scales the square and inverts the transform in place,
     so the caller must not read it afterwards. ``p_flat`` [batch, flat_size]
@@ -272,15 +272,11 @@ def prompted_image_node(imgs: np.ndarray, p_flat: nm.Node, region: LowFreqRegion
     directions work on the region's square alone, gathered from the unshifted
     layout; values are the same as scaling by the full multiplier field.
     """
-    arr = np.asarray(imgs, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ShapeError(f"images must be [batch, h, w, c], got {arr.shape}")
-    b, h, w, c = arr.shape
+    if spectrum_owned.ndim != 4:
+        raise ShapeError(f"spectrum must be [batch, h, w, c], got {spectrum_owned.shape}")
+    b, h, w, c = spectrum_owned.shape
     if (h, w, c) != (region.height, region.width, region.channels):
-        raise ShapeError(f"image shape {(h, w, c)} does not match region")
-    if spectrum_owned.shape != arr.shape:
-        raise ShapeError(f"spectrum shape {spectrum_owned.shape} != image batch shape "
-                         f"{arr.shape}")
+        raise ShapeError(f"spectrum shape {(h, w, c)} does not match region")
     p = p_flat.array
     if p.shape != (b, region.flat_size):
         raise ShapeError(f"multiplier batch shape {p.shape} != {(b, region.flat_size)}")

@@ -404,9 +404,8 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
     self-adjoint. A non-finite z raises :class:`NonFiniteError`, as the
     chain's ``div`` node did.
     """
-    node = isinstance(img, Node)
-    x = img.array if node else np.asarray(img, dtype=np.float64)
-    z = _blur(x, bb.blur_radius)
+    img = nm.as_node(img)
+    z = _blur(img.array, bb.blur_radius)
     z -= bb.threshold
     z /= bb.slope
     if not np.isfinite(z).all():
@@ -422,8 +421,7 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
     def back(g: np.ndarray) -> None:
         img.accumulate(_blur(g * y * (1.0 - y) / bb.slope, bb.blur_radius))
 
-    # an array input has no parent: the backward never runs
-    return Node(y, parents=(img,) if node else (), backward=back, op="backbone")
+    return Node(y, parents=(img,), backward=back, op="backbone")
 
 
 # Samples are scored in row blocks of about this many float64 values, so a

@@ -617,8 +617,9 @@ class TestCli:
         assert not (workdir / "run_diverged").exists()
         assert not list(workdir.glob(".run_diverged*"))  # nor its staging directory
 
-    @pytest.mark.parametrize("command", ["gen-bench", "train", "ablate", "sweep-slots"])
-    def test_existing_out_is_refused_before_any_work(self, workdir, bench_dir, capsys,
+    @pytest.mark.parametrize("command",
+                             ["gen-bench", "train", "ablate", "sweep-slots", "viz-mem"])
+    def test_existing_out_is_refused_before_any_work(self, workdir, bench_dir, run_dir, capsys,
                                                      monkeypatch, command):
         out = workdir / f"existing_{command}"
         out.mkdir()
@@ -629,15 +630,19 @@ class TestCli:
 
         monkeypatch.setattr(cli.synthdata, "build_benchmark", no_work)
         monkeypatch.setattr(cli, "_load_bench", no_work)
+        monkeypatch.setattr(cli.prompting, "load_state", no_work)
         capsys.readouterr()
-        args = (["gen-bench"] if command == "gen-bench" else [command, "--bench", str(bench_dir)])
-        assert cli.main(args + ["--config", str(workdir / "tiny.cfg"), "--out", str(out)]) == 1
+        config = ["--config", str(workdir / "tiny.cfg")]
+        args = {"gen-bench": ["gen-bench", *config],
+                "viz-mem": [command, "--ckpt", str(run_dir / "seed0"), "--bench", str(bench_dir)],
+                }.get(command, [command, "--bench", str(bench_dir), *config])
+        assert cli.main(args + ["--out", str(out)]) == 1
         _assert_one_error_line(capsys, str(out), "already exists")
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "kept"
 
     @pytest.mark.parametrize("command, out_kind", [
-        ("eval", "dir"), ("eval", "under_file"), ("viz-mem", "file"),
+        ("eval", "dir"), ("eval", "under_file"), ("viz-mem", "file"), ("viz-mem", "under_file"),
         ("gen-bench", "under_file"), ("train", "under_file"), ("ablate", "under_file"),
         ("sweep-slots", "under_file")])
     def test_unwritable_out_is_one_line_error(self, workdir, bench_dir, run_dir, capsys,
@@ -775,6 +780,40 @@ class TestCli:
         for name in ("activations.csv", "overlap_matrix.csv", "activations.pgm"):
             assert (outs[0] / name).exists()
             assert _sha(outs[0] / name) == _sha(outs[1] / name), name
+
+    def test_viz_mem_rerun_into_the_default_out_is_refused(self, workdir, run_dir, bench_dir,
+                                                           capsys):
+        ckpt = workdir / "ckpt_default_viz"
+        shutil.copytree(run_dir / "seed0", ckpt)
+        args = ["viz-mem", "--ckpt", str(ckpt), "--bench", str(bench_dir)]
+        assert cli.main(args) == 0
+        written = {p.name: _sha(p) for p in (ckpt / "viz").iterdir()}
+        assert sorted(written) == ["activations.csv", "activations.pgm", "overlap_matrix.csv"]
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        _assert_one_error_line(capsys, str(ckpt / "viz"), "already exists")
+        assert {p.name: _sha(p) for p in (ckpt / "viz").iterdir()} == written
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])
+    def test_failed_viz_mem_leaves_no_out(self, workdir, bench_dir, run_dir, monkeypatch,
+                                          capsys, interrupt):
+        def write_then_fail(state, samples, out_dir):
+            (Path(out_dir) / "activations.csv").write_text("partial")
+            raise interrupt("cut short")
+
+        monkeypatch.setattr(cli.harness, "export_activations", write_then_fail)
+        out = workdir / f"viz_cut_{interrupt.__name__}"
+        args = ["viz-mem", "--ckpt", str(run_dir / "seed0"), "--bench", str(bench_dir),
+                "--out", str(out)]
+        if interrupt is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(args)
+        else:
+            capsys.readouterr()
+            assert cli.main(args) == 1
+            _assert_one_error_line(capsys, "cut short")
+        assert not out.exists()
+        assert not list(workdir.glob(f".{out.name}*"))  # nor its staging directory
 
     @pytest.mark.parametrize("split, single_domain", [
         ("source", True), ("source_test", True), ("unseen", False)])

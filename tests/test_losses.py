@@ -463,3 +463,10 @@ class TestLossReport:
         assert rep.total == rep.seg + rep.lfc
         row = rep.csv_row(3)
         assert row.startswith("3,") and str(rep.total) in row
+
+    def test_csv_columns_are_the_fields_then_total(self):
+        """``steps.csv`` keeps the header and row text it had when both were
+        spelled out by hand."""
+        rep = LossReport(seg=1.25, dice_part=0.5, ce_part=0.75, lfc=-0.1)
+        assert LossReport.csv_header() == "step,seg,dice_part,ce_part,lfc,total"
+        assert rep.csv_row(3) == f"3,1.25,0.5,0.75,-0.1,{1.25 + -0.1!r}"

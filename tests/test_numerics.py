@@ -362,6 +362,32 @@ class TestFusedOps:
                 lambda ls: _weighted(_cosine_rows_chain(ls[0], ls[0]), trial),
                 arrays)
 
+    def test_cosine_rows_of_one_matrix_equals_a_copy(self, monkeypatch):
+        """``cosine_rows(x, x)`` has the values of ``cosine_rows(x, x.copy())``
+        and adds into ``x`` the copy case's gradient contributions, the first
+        input's, then the second's, each byte-equal and in the same order."""
+        added = []
+        accumulate = nm.Node.accumulate
+
+        def recording(node, g):
+            added.append((node, np.array(g)))
+            accumulate(node, g)
+
+        monkeypatch.setattr(nm.Node, "accumulate", recording)
+        rng = np.random.default_rng(37)
+        for trial in range(10):
+            m, k = (int(d) for d in rng.integers(1, 7, size=2))
+            x = rng.standard_normal((m, k))
+            results = []
+            for leaves in ([nm.parameter(x)] * 2, [nm.parameter(x), nm.parameter(x.copy())]):
+                added.clear()
+                out, loss = _weighted(nm.cosine_rows(*leaves), trial)
+                nm.backward(loss)
+                results.append((out.array.tobytes(), [
+                    g.tobytes() for node, g in added if any(node is leaf for leaf in leaves)]))
+            assert len(results[1][1]) == 6  # three per input
+            assert results[0] == results[1]
+
     def test_input_with_a_second_consumer_matches_chain(self):
         """The gradient of an input that also feeds other ops sums several
         contributions; the fused ops add theirs in the chain's order."""
@@ -492,7 +518,7 @@ class TestBackward:
             (lambda c: nm.reduce_sum(c, axis=1), rng.standard_normal((2, 3))),
             (oracles.reduce_max, rng.standard_normal(4)),
             (lambda c: sp.symmetrize_multiplier(c, region), rng.random(region.flat_size) + 0.5),
-            (lambda c: sp.prompted_image_node(imgs, c, region, np.fft.fft2(imgs, axes=(1, 2))),
+            (lambda c: sp.prompted_image_node(c, region, np.fft.fft2(imgs, axes=(1, 2))),
              rng.random((1, region.flat_size)) + 0.5),
         ]
         consts = [nm.as_node(arr) for _, arr in ops]

@@ -48,7 +48,7 @@ class TestEncodeDomain:
                     (nm.parameter(np.zeros((3, 4))), nm.parameter(bias))])
         img = np.random.default_rng(0).random((8, 8, 1))
         low = oracles.extract_low_freq(sp.fft2(img), sp.LowFreqRegion.plan(8, 8, 1, 0.375))
-        z = pr.encode_batch(enc, low[None])
+        z = pr.encode_batch(enc, low[None], center=np.zeros(9))
         assert np.allclose(z.array[0], bias)
 
     def test_sees_only_masked_amplitudes(self):
@@ -77,7 +77,7 @@ class TestEncodeDomain:
         def build(leaves):
             layers = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)]
             enc = nm.MlpParams(layers=layers)
-            z = pr.encode_batch(enc, low)
+            z = pr.encode_batch(enc, low, center=np.zeros(9))
             return nm.reduce_sum(oracles.mul(z, z))
 
         assert oracles.gradcheck(build, inputs) < 1e-4
@@ -285,11 +285,11 @@ class TestApexForward:
             enc = nm.MlpParams(layers=[(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)])
             dec = nm.MlpParams(layers=[(leaves[8 + 2 * i], leaves[9 + 2 * i]) for i in range(4)])
             mem = leaves[16]
-            z = pr.encode_batch(enc, amps)
+            z = pr.encode_batch(enc, amps, center=np.zeros(region.flat_size))
             a = pr.address(mem, z)
             zprime = pr.retrieve(mem, a)
             p = pr.decode_prompt(dec, zprime, region)
-            out = sp.prompted_image_node(img[None], p, region, spectrum.copy())
+            out = sp.prompted_image_node(p, region, spectrum.copy())
             diff = nm.sub(out, nm.as_node(target[None]))
             return nm.reduce_sum(oracles.mul(diff, diff))
 
@@ -459,7 +459,7 @@ class TestAttentionRuleInvariant:
         a = pr.address(nm.stop_gradient(state.memory), z)
         zprime = pr.retrieve(state.memory, a)
         p = pr.decode_prompt(state.decoder, zprime, state.region)
-        out = sp.prompted_image_node(imgs, p, state.region, spectrum)
+        out = sp.prompted_image_node(p, state.region, spectrum)
         nm.zero_grads(state.parameters().values())
         nm.backward(nm.reduce_sum(oracles.mul(out, out)))
         assert np.max(np.abs(trainer_grad - state.memory.grad)) < 1e-10
@@ -497,7 +497,7 @@ class TestForwardBatch:
         nodes = pr.forward_batch(state, imgs)
         assert calls == [imgs.shape]
         monkeypatch.undo()
-        ref = sp.prompted_image_node(imgs, nodes.multiplier, state.region,
+        ref = sp.prompted_image_node(nodes.multiplier, state.region,
                                      np.fft.fft2(imgs, axes=(1, 2)))
         assert np.array_equal(nodes.output.array, ref.array)
 

@@ -62,10 +62,10 @@ def test_prompted_image_backward_is_the_adjoint(h, w, c, beta, batch, seed):
     g = rng.standard_normal(imgs.shape)
 
     def apply(p):
-        return sp.prompted_image_node(imgs, nm.as_node(p), region, spectrum.copy()).array
+        return sp.prompted_image_node(nm.as_node(p), region, spectrum.copy()).array
 
     leaf = nm.parameter(p1)
-    out = sp.prompted_image_node(imgs, leaf, region, spectrum.copy())
+    out = sp.prompted_image_node(leaf, region, spectrum.copy())
     nm.backward(nm.reduce_sum(oracles.mul(out, nm.as_node(g))))
     gap, scale = _adjoint_gap(apply, p1, p2, g, leaf.grad)
     assert gap <= 1e-12 * scale
@@ -114,7 +114,7 @@ def test_reconstruction_stays_real(h, w, c, beta, seed):
     recon = np.fft.ifft2(field * np.fft.fft2(img, axes=(0, 1)), axes=(0, 1))
     peak = np.abs(recon.real).max()
     assert np.abs(recon.imag).max() <= 1e-12 * peak
-    out = sp.prompted_image_node(img[None], p, region, np.fft.fft2(img[None], axes=(1, 2)))
+    out = sp.prompted_image_node(p, region, np.fft.fft2(img[None], axes=(1, 2)))
     assert np.max(np.abs(out.array[0] - sp.prompted_image(img, prompt))) <= 1e-12 * peak
 
 

@@ -214,7 +214,7 @@ class TestPromptedImage:
 
         def build(leaves):
             p = sp.symmetrize_multiplier(nm.exp(leaves[0]), reg)
-            out = sp.prompted_image_node(imgs, p, reg, spectrum.copy())
+            out = sp.prompted_image_node(p, reg, spectrum.copy())
             return nm.reduce_sum(out)
 
         assert oracles.gradcheck(build, [raw0]) < 1e-4
@@ -226,16 +226,18 @@ class TestPromptedImage:
         raws = rng.standard_normal((3, reg.flat_size)) * 0.2
         p = sp.symmetrize_multiplier(nm.exp(nm.as_node(raws)), reg)
         spectrum = np.fft.fft2(imgs, axes=(1, 2))
-        outs = sp.prompted_image_node(imgs, p, reg, spectrum)
+        outs = sp.prompted_image_node(p, reg, spectrum)
         for i in range(3):
             pm = sp.PromptMultiplier(region=reg,
                                      values=p.array[i].reshape(3, 3, 1))
             ref = sp.prompted_image(imgs[i], pm)
             assert np.max(np.abs(outs.array[i] - ref)) < 1e-12
         with pytest.raises(ShapeError):
-            sp.prompted_image_node(imgs, p, reg, spectrum[:2])
+            sp.prompted_image_node(p, reg, spectrum[:2])
         with pytest.raises(ShapeError):
-            sp.prompted_image_node(imgs[0], p, reg, spectrum[0])
+            sp.prompted_image_node(p, reg, spectrum[0])
+        with pytest.raises(ShapeError):
+            sp.prompted_image_node(p, reg, spectrum[:, :6])
 
 
 def full_field_prompted(imgs, p, region, spectrum, upstream):
@@ -270,7 +272,7 @@ class TestRegionOnlyNode:
         p0 = np.exp(0.3 * rng.standard_normal((b, region.flat_size)))
         upstream = rng.standard_normal(shape)
         p = nm.parameter(p0)
-        out = sp.prompted_image_node(imgs, p, region, spectrum.copy())
+        out = sp.prompted_image_node(p, region, spectrum.copy())
         nm.backward(nm.reduce_sum(oracles.mul(out, upstream)))
         ref_out, ref_grad = full_field_prompted(imgs, p0, region, spectrum, upstream)
         assert out.array.tobytes() == ref_out.tobytes()
@@ -295,7 +297,7 @@ class TestRegionOnlyNode:
         _ref_out, ref_grad = full_field_prompted(imgs, p0, region, spectrum.copy(), upstream)
 
         p = nm.parameter(p0)
-        out = sp.prompted_image_node(imgs, p, region, spectrum)
+        out = sp.prompted_image_node(p, region, spectrum)
         assert out.array.tobytes() == expected.tobytes()
         assert np.real(spectrum).tobytes() == expected.tobytes()  # inverted in place
         nm.backward(nm.reduce_sum(oracles.mul(out, upstream)))

@@ -1,6 +1,7 @@
 """Benchmark generator and frozen backbone tests, including the domain-shift
 potency and low-frequency energy audits for the shipped domain table."""
 
+import contextlib
 import dataclasses
 import inspect
 import os
@@ -522,10 +523,14 @@ class TestFusedBackbone:
         assert results[0][1] == results[1][1]
 
     def test_single_image_and_array_input(self):
-        img = self.images((1, 32, 32, 1), seed=3)[0]
-        ref = chain_backbone(self.BB, img).array
-        assert sd.backbone_forward(self.BB, img).array.tobytes() == ref.tobytes()
-        assert sd.backbone_forward(self.BB, nm.as_node(img)).array.tobytes() == ref.tobytes()
+        """An array and a node give the chain's bytes, with and without grad."""
+        batch = self.images((2, 32, 32, 1), seed=3)
+        for img in (batch[0], batch):
+            ref = chain_backbone(self.BB, img).array.tobytes()
+            for mode in (contextlib.nullcontext, nm.no_grad):
+                with mode():
+                    for x in (img, nm.as_node(img)):
+                        assert sd.backbone_forward(self.BB, x).array.tobytes() == ref
 
     def test_one_node(self):
         x = nm.parameter(self.images((2, 32, 32, 1), seed=4))

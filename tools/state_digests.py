@@ -77,13 +77,17 @@ def written_digest(write) -> str:
     return h.hexdigest()
 
 
-def digest_lines(bench_seed: int, size: int, seed: int):
-    """The output lines, one at a time, as each digest is ready."""
+def digest_lines(bench_seed: int, size: int, seed: int, labels=None):
+    """The output lines, one at a time, as each digest is ready; with
+    ``labels``, only the lines of the configs so labelled after the
+    ``bench`` and ``backbone`` lines."""
     bench = synthdata.build_benchmark(synthdata.BenchmarkConfig(image_size=size), bench_seed)
     yield f"bench {written_digest(lambda d: synthdata.save_benchmark(bench, d))}"
     backbone = synthdata.backbone_calibrate(bench.splits["source_cal"])
     yield f"backbone {backbone.digest()}"
     for label, config in configs():
+        if labels is not None and label not in labels:
+            continue
         state, _log = harness.train(config, bench, backbone, seed)
         yield f"{label} {state_digest(state)}"
         yield f"{label} eval {eval_digest(state, backbone, bench)}"
