@@ -157,9 +157,9 @@ def cmd_eval(args) -> int:
     if args.out:
         _check_out(Path(args.out))
     bench = _load_bench(args.bench)
-    backbone = _backbone_for(bench)
+    # a bad checkpoint fails before the backbone is calibrated
     state = None if args.source_only else prompting.load_state(args.ckpt)
-    report = harness.evaluate(state, backbone, bench, args.split,
+    report = harness.evaluate(state, _backbone_for(bench), bench, args.split,
                               source_only=args.source_only)
     lines = report.csv_lines()
     print("\n".join(lines))

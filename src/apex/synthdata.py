@@ -297,22 +297,26 @@ def save_benchmark(bench: Benchmark, directory) -> None:
 def _read_split(path: Path, entries: list, shape: tuple, binary: bool) -> np.ndarray:
     """A split's tensor: one sample of ``shape`` per manifest entry, and values
     in [0, 1], or 0 and 1 only if ``binary``, which returns it as ``bool``; a
-    NaN fails every comparison. Samples are checked (and a binary one
-    converted) one at a time, so no temporary is larger than one."""
-    arr = tensorio.read_tensor(path)
-    if arr.shape != (len(entries), *shape):
-        raise CorruptInputError(f"{path}: shape {arr.shape}, but manifest.csv lists "
-                                f"{len(entries)} samples of shape {shape}")
-    out = np.empty(arr.shape, dtype=bool) if binary else arr
-    for (sample_id, _, _), x, o in zip(entries, arr, out):
-        if binary:
-            np.equal(x, 1.0, out=o)
-            ok = (o | (x == 0.0)).all()
-        else:
-            ok = ((x >= 0.0) & (x <= 1.0)).all()
-        if not ok:
-            raise CorruptInputError(f"{path}: sample {sample_id} has values "
-                                    + ("other than 0 and 1" if binary else "outside [0, 1]"))
+    NaN fails every comparison. Samples are read and checked one at a time; a
+    binary one is read into one reused float64 buffer and converted, so no
+    float64 copy of a whole mask split is made."""
+    with tensorio.tensor_reader(path) as (file_shape, read):
+        if file_shape != (len(entries), *shape):
+            raise CorruptInputError(f"{path}: shape {file_shape}, but manifest.csv lists "
+                                    f"{len(entries)} samples of shape {shape}")
+        out = np.empty(file_shape, dtype=bool if binary else "<f8")
+        x = np.empty(shape, dtype="<f8")
+        for (sample_id, _, _), o in zip(entries, out):
+            if binary:
+                read(x)
+                np.equal(x, 1.0, out=o)
+                ok = (o | (x == 0.0)).all()
+            else:
+                read(o)
+                ok = ((o >= 0.0) & (o <= 1.0)).all()
+            if not ok:
+                raise CorruptInputError(f"{path}: sample {sample_id} has values "
+                                        + ("other than 0 and 1" if binary else "outside [0, 1]"))
     return out
 
 
@@ -436,53 +440,69 @@ CALIBRATION_SLOPES = (0.05, 0.08, 0.12)
 CALIBRATION_BOUND_MARGIN = 1.0 + 1e-6
 
 
-def calibration_scores(samples, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean soft Dice of sigmoid((blur(x) - t) / s) on ``samples`` at each
-    (t, s) of ``points``, as a [points] array, and the per-sample sums it is
-    made of, inter = sum(p m) and denom = sum p + sum m + 1, as [points,
-    samples] arrays.
+def calibration_scorer(samples):
+    """A function of ``points`` that gives the mean soft Dice of
+    sigmoid((blur(x) - t) / s) on ``samples`` at each (t, s) of ``points``,
+    as a [points] array, and the per-sample sums it is made of, inter =
+    sum(p m) and denom = sum p + sum m + 1, as [points, samples] arrays.
 
     A sample's soft Dice is (2 inter + 1) / denom over its channel-0 pixels;
-    the mean adds the samples in order, then divides. Samples are evaluated
-    a block of rows at a time with in-place ufuncs in the per-sample
-    expression's order, and each row sums on its own, so every score is
-    bit-identical to evaluating one sample at one point at a time. The
-    blocks are scored on every usable CPU (:func:`numerics.map_ordered`;
-    NumPy's loops release the GIL).
+    the mean adds the samples in order, then divides. The samples are
+    blurred once, here, a block of rows at a time, and their masks stacked
+    and summed once; every call scores those blocks. A call evaluates a
+    block at each point with in-place ufuncs in the per-sample expression's
+    order, and each row sums on its own, so every score is bit-identical to
+    evaluating one sample at one point at a time. Blocks are blurred and
+    scored on every usable CPU (:func:`numerics.map_ordered`; NumPy's loops
+    release the GIL).
     """
     if not samples:
         raise ConfigError("cannot calibrate on an empty source set")
-    pixels = samples[0].mask.size
+    n, pixels = len(samples), samples[0].mask.size
     rows = max(1, CALIBRATION_BLOCK_ELEMENTS // pixels)
+    blocks = [slice(lo, lo + rows) for lo in range(0, n, rows)]
+    # one array for all blurred rows, freed whole when the search ends: one
+    # array per block left the heap fragmented, and a later allocation raised
+    # set-up's peak RSS; masks stay as the samples hold them, bool
+    blurred = np.empty((n, pixels))
+    masks = np.stack([smp.mask for smp in samples]).reshape(n, pixels)
+    m_sums = masks.sum(axis=1, dtype=np.float64)
 
-    def score(block) -> np.ndarray:
+    def blur(block: slice) -> None:
         # no public (tracer-wrapped) calls: this may run on a worker thread
-        images = np.stack([smp.image for smp in block])
-        x = _blur(images, CALIBRATION_BLUR_RADIUS)[..., 0].reshape(-1, pixels)
-        # float64, as a bool mask would be cast again in every np.multiply below
-        m = np.stack([smp.mask for smp in block], dtype=np.float64).reshape(-1, pixels)
-        m_sums = m.sum(axis=1)
-        d, p = np.empty((2, len(block), pixels))
-        sums = np.empty((2, len(points), len(block)))
-        for i, (t, s) in enumerate(points):
-            # t - x is exactly -(x - t): IEEE rounding is symmetric in sign
-            np.subtract(t, x, out=d)
-            np.divide(d, s, out=p)
-            np.exp(p, out=p)
-            np.add(p, 1.0, out=p)
-            np.reciprocal(p, out=p)
-            sums[0, i] = np.multiply(p, m, out=d).sum(axis=1)
-            sums[1, i] = p.sum(axis=1) + m_sums + 1.0
-        return sums
+        images = np.stack([smp.image for smp in samples[block]])
+        blurred[block] = _blur(images, CALIBRATION_BLUR_RADIUS)[..., 0].reshape(-1, pixels)
 
-    blocks = [samples[lo:lo + rows] for lo in range(0, len(samples), rows)]
-    inter, denom = np.concatenate(nm.map_ordered(score, blocks), axis=2)
-    dice = (2.0 * inter + 1.0) / denom
-    # the mean adds the samples in order; np.sum would reorder the adds
-    scores = np.zeros(len(points))
-    for k in range(len(samples)):
-        scores += dice[:, k]
-    return scores / len(samples), inter, denom
+    nm.map_ordered(blur, blocks)
+
+    def scores(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def score(block: slice) -> np.ndarray:
+            # no public (tracer-wrapped) calls: this may run on a worker thread
+            x, m_sum = blurred[block], m_sums[block]
+            # float64, as a bool mask would be cast again in every np.multiply below
+            m = masks[block].astype(np.float64)
+            d, p = np.empty((2, *x.shape))
+            sums = np.empty((2, len(points), len(x)))
+            for i, (t, s) in enumerate(points):
+                # t - x is exactly -(x - t): IEEE rounding is symmetric in sign
+                np.subtract(t, x, out=d)
+                np.divide(d, s, out=p)
+                np.exp(p, out=p)
+                np.add(p, 1.0, out=p)
+                np.reciprocal(p, out=p)
+                sums[0, i] = np.multiply(p, m, out=d).sum(axis=1)
+                sums[1, i] = p.sum(axis=1) + m_sum + 1.0
+            return sums
+
+        inter, denom = np.concatenate(nm.map_ordered(score, blocks), axis=2)
+        dice = (2.0 * inter + 1.0) / denom
+        # the mean adds the samples in order; np.sum would reorder the adds
+        total = np.zeros(len(points))
+        for k in range(n):
+            total += dice[:, k]
+        return total / n, inter, denom
+
+    return scores
 
 
 def calibration_search(samples) -> dict:
@@ -494,8 +514,8 @@ def calibration_search(samples) -> dict:
     t_b a sample's inter is at most inter(t_a) and its denom at least
     denom(t_b), and the score at t is at most bound = mean over samples of
     (2 inter(t_a) + 1) / denom(t_b). Per slope, it scores the first and last
-    threshold, then bisects, one :func:`calibration_scores` call per level,
-    and skips the points inside [t_a, t_b] when bound times the margin
+    threshold, then bisects, one call of a :func:`calibration_scorer` per
+    level, and skips the points inside [t_a, t_b] when bound times the margin
     ``CALIBRATION_BOUND_MARGIN`` is below the best score so far; the margin
     covers the rounding, so a skipped point can neither beat nor tie that
     best. Thresholds that do not increase strictly or a slope that is not
@@ -507,9 +527,9 @@ def calibration_search(samples) -> dict:
     last = len(thresholds) - 1
     todo = sorted({(i, j) for i in (0, last) for j in range(len(slopes))})
     intervals, scored, sums = [(0, last, j) for j in range(len(slopes))], {}, {}
+    scorer = calibration_scorer(samples)
     while todo:
-        scores, inter, denom = calibration_scores(
-            samples, [(thresholds[i], slopes[j]) for i, j in todo])
+        scores, inter, denom = scorer([(thresholds[i], slopes[j]) for i, j in todo])
         for key, score, *sample_sums in zip(todo, scores, inter, denom):
             scored[key], sums[key] = score, sample_sums
         best, todo, split = max(scored.values()), [], []

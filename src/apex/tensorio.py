@@ -14,6 +14,7 @@ always use the binary format.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -44,7 +45,13 @@ def write_tensor(path, arr) -> None:
             fh.write(np.asarray(part, dtype="<f8", order="C"))
 
 
-def read_tensor(path) -> np.ndarray:
+@contextlib.contextmanager
+def tensor_reader(path):
+    """Open a tensor file and check its magic, and its length against its
+    header, before any data is read; give its shape and ``read(out)``, which
+    fills the C-contiguous little-endian float64 array ``out`` with the
+    file's next ``out.size`` values. So a caller can read a tensor a sample
+    at a time, into one reused buffer."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -65,9 +72,18 @@ def read_tensor(path) -> np.ndarray:
         if file_size > size:
             raise CorruptInputError(f"{path}: {file_size - size} trailing bytes "
                                     "after tensor data")
+
+        def read(out: np.ndarray) -> None:
+            if fh.readinto(out) != out.nbytes:
+                raise CorruptInputError(f"{path}: tensor file ended while its data was read")
+
+        yield shape, read
+
+
+def read_tensor(path) -> np.ndarray:
+    with tensor_reader(path) as (shape, read):
         out = np.empty(shape, dtype="<f8")
-        if fh.readinto(out) != out.nbytes:
-            raise CorruptInputError(f"{path}: tensor file ended while its data was read")
+        read(out)
     return out.astype(np.float64, copy=False)
 
 

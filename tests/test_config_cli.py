@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import apex
-from apex import cli, config as cfgmod, harness, tensorio
+from apex import cli, config as cfgmod, harness, synthdata, tensorio
 from apex.errors import ConfigError
 from apex.harness import TrainConfig
 from apex.prompting import ApexConfig
@@ -477,6 +477,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "no_ckpt" in err
+
+    def test_eval_reports_missing_ckpt_before_calibrating(self, workdir, bench_dir, capsys,
+                                                          monkeypatch):
+        def refuse(samples):
+            raise AssertionError("calibrated before the checkpoint was loaded")
+
+        monkeypatch.setattr(synthdata, "backbone_calibrate", refuse)
+        assert cli.main(["eval", "--ckpt", str(workdir / "no_ckpt"),
+                         "--bench", str(bench_dir), "--split", "seen"]) == 1
+        _assert_one_error_line(capsys, "no_ckpt")
 
     def test_eval_missing_tensor_file_is_one_line_error(self, workdir, bench_dir, capsys):
         broken = workdir / "bench_missing_tensor"

@@ -39,10 +39,10 @@ def scene_sample(seed, size):
 
 
 def grid_scores(samples):
-    """``calibration_scores`` at every point of the ``CALIBRATION_*`` grid, as
-    a [thresholds, slopes] array."""
+    """A ``calibration_scorer``'s scores at every point of the ``CALIBRATION_*``
+    grid, as a [thresholds, slopes] array."""
     thresholds, slopes = sd.CALIBRATION_THRESHOLDS, sd.CALIBRATION_SLOPES
-    scores, _, _ = sd.calibration_scores(samples, [(t, s) for t in thresholds for s in slopes])
+    scores, _, _ = sd.calibration_scorer(samples)([(t, s) for t in thresholds for s in slopes])
     return scores.reshape(len(thresholds), len(slopes))
 
 
@@ -342,6 +342,16 @@ class TestBuildBenchmark:
                                                     "other than 0 and 1"):
             sd.load_benchmark(tmp_path, SMALL_BENCH, seed=5)
 
+    def test_load_refuses_mask_file_cut_in_mid_sample(self, small_bench, tmp_path):
+        # masks are read a sample at a time; the file's length is still
+        # checked against its header before the first one
+        sd.save_benchmark(small_bench, tmp_path)
+        path = tmp_path / "train_seen_masks.apxt"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) - 8 * 32 * 32 - 8 * 100])
+        with pytest.raises(CorruptInputError, match="train_seen_masks.apxt: truncated"):
+            sd.load_benchmark(tmp_path, SMALL_BENCH, seed=5)
+
     @pytest.mark.parametrize("count", ["train_per_domain", "test_per_domain",
                                        "source_train", "source_test"])
     def test_empty_or_negative_split_rejected(self, count):
@@ -382,6 +392,21 @@ class TestBackbone:
         samples = sd.build_benchmark(sd.BenchmarkConfig(), seed=0).splits["source_cal"]
         assert len(sd.CALIBRATION_THRESHOLDS) * len(sd.CALIBRATION_SLOPES) == 183
         assert len(sd.calibration_search(samples)) <= 40
+
+    def test_search_blurs_each_sample_once(self, monkeypatch):
+        # the search scores 7 levels on the default grid; the blocks they
+        # score are blurred once, not once per level
+        samples = sd.build_benchmark(sd.BenchmarkConfig(), seed=0).splits["source_cal"]
+        assert len(samples) == 120
+        rows, blur = [], sd._blur
+
+        def counting(data, radius):
+            rows.append(len(data))  # list.append is atomic: blocks blur on threads
+            return blur(data, radius)
+
+        monkeypatch.setattr(sd, "_blur", counting)
+        sd.backbone_calibrate(samples)
+        assert sum(rows) == 120
 
     @pytest.mark.parametrize("slopes", [(0.05, 0.0), (-0.05,)])
     def test_slope_not_positive_rejected(self, small_bench, monkeypatch, slopes):
@@ -573,7 +598,7 @@ def fake_cpus(monkeypatch, n):
 
 
 class TestThreadedCalibration:
-    """``calibration_scores`` shares its row blocks out over threads; the
+    """``calibration_scorer`` shares its row blocks out over threads; the
     scores must not depend on how the blocks interleave."""
 
     THRESHOLDS, SLOPES = np.array([0.3, 0.47, 0.6]), (0.04, 0.1)
