@@ -33,6 +33,13 @@ made: every array a node takes, with ``numpy.isfinite`` (the one array that
 with ``math.isfinite``, and in :func:`sgd_step` only the updated parameter,
 which a non-finite gradient always makes non-finite.
 
+Arrays derived from a value are made once per value: a frozen array keeps
+what :meth:`Node.derived` makes from it, such as :func:`linear`'s transposed
+weight and :func:`cosine_rows`'s norms and unit-row transpose of the slot
+memory, until :meth:`Node.set` replaces it. So an evaluation makes each once
+per weight, not once per chunk. An array taken unfrozen inside
+:func:`no_grad` may change in place and keeps nothing.
+
 Inference runs in :func:`no_grad` mode, as ``torch.no_grad`` does: the same
 NumPy expressions, so the same values, but no graph and no check per node.
 The caller checks the input and the output of a whole pass instead; a NaN
@@ -153,40 +160,64 @@ class Node:
     (:func:`stop_gradient`) holds checked values and is not checked again.
     Inside :func:`no_grad` a node takes its array unchecked and unfrozen.
 
+    Arrays derived from a frozen array, such as :func:`linear`'s transposed
+    weight, are kept with it (:meth:`derived`). The rule: only an array that
+    :meth:`set` froze keeps derived arrays, and :meth:`set`, the one way a
+    node's array changes, drops them. A node made from another node shares
+    its array and so its derived arrays. An unfrozen :func:`no_grad` array
+    keeps none: they are made again on every use.
+
     The gradient buffer is allocated when the first gradient arrives (see
     :meth:`accumulate`), so nodes that no gradient reaches, such as
     constants and everything built in evaluation, never hold one; until
     then ``grad`` reads as zeros.
     """
 
-    __slots__ = ("_array", "_grad", "op", "_parents", "_backward", "_needs_grad")
+    __slots__ = ("_array", "_grad", "op", "_parents", "_backward", "_needs_grad", "_derived")
 
     def __init__(self, value, requires_grad: bool = False, parents: Sequence["Node"] = (),
                  backward: Callable[[np.ndarray], None] | None = None, op: str = "leaf"):
         self._grad = None
         self.op = op
-        if not _GRAD_ENABLED.get():  # a value only: see no_grad
+        graph = _GRAD_ENABLED.get()
+        if graph:
+            self._parents = tuple(parents)
+            self._backward = backward
+            self._needs_grad = requires_grad or any(p._needs_grad for p in self._parents)
+        else:  # a value only: see no_grad
             self._parents, self._backward, self._needs_grad = (), None, requires_grad
-            arr = value._array if isinstance(value, Node) else np.asarray(value, dtype=np.float64)
+        if isinstance(value, Node):  # checked already, and frozen unless made in no_grad
+            self._array, self._derived = value._array, value._derived
+        elif graph:
+            self.set(value)
+        else:
+            arr = np.asarray(value, dtype=np.float64)
             self._array = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
-            return
-        self._parents = tuple(parents)
-        self._backward = backward
-        self._needs_grad = requires_grad or any(p._needs_grad for p in self._parents)
-        if isinstance(value, Node):
-            self._array = value._array  # checked and frozen already
-            return
-        self.set(value)
+            self._derived = None  # unfrozen: see derived
 
     def set(self, value) -> None:
         """Make ``value``, taken without a copy, the node's array: checked
-        finite, made row-major and frozen. Parameter updates use this."""
+        finite, made row-major and frozen, with no array derived from it yet.
+        Parameter updates use this."""
         arr = np.asarray(value, dtype=np.float64)
         check_finite(arr)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # 0-d arrays are already contiguous
         arr.flags.writeable = False
         self._array = arr
+        self._derived = {}
+
+    def derived(self, make: Callable[[np.ndarray], object]):
+        """``make(array)``, made once per frozen array (see the class
+        docstring); ``make`` returns read-only arrays, never None. Threads
+        that miss at once each make equal arrays, and either is kept."""
+        cache = self._derived
+        if cache is None:
+            return make(self._array)
+        found = cache.get(make)
+        if found is None:
+            found = cache[make] = make(self._array)
+        return found
 
     @property
     def array(self) -> np.ndarray:
@@ -436,23 +467,38 @@ def _normalized_rows_backward(v: Node, root: np.ndarray, norm: np.ndarray,
     v.accumulate(gvv)
 
 
+def _check_nonzero_rows(v: np.ndarray) -> None:
+    if np.any(~np.any(v, axis=1)):
+        raise DegenerateInputError("cosine_rows: a row has zero norm")
+
+
+def _unit_rows_transposed(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_row_norms` of ``v``, which must have no zero row, and the
+    row-major transpose of ``v``'s unit rows, all read-only."""
+    _check_nonzero_rows(v)
+    root, norm = _row_norms(v)
+    vt = (v / norm).T.copy()
+    for arr in (root, norm, vt):
+        arr.flags.writeable = False
+    return root, norm, vt
+
+
 def cosine_rows(a, b) -> Node:
     """Pairwise cosine similarities between rows of ``a`` [m,K] and ``b`` [n,K].
 
     One node with the values and gradients of the primitive chain
     ``clip(matmul(a / |a|, transpose(b / |b|)), -1, 1)``, bit for bit, whose
-    ``transpose`` and norm are in ``tests/oracles.py``.
+    ``transpose`` and norm are in ``tests/oracles.py``. ``b``'s norms and
+    unit-row transpose are :meth:`Node.derived` arrays, made once per value
+    of a frozen ``b`` such as the slot memory.
     """
     a, b = as_node(a), as_node(b)
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"cosine_rows expects [m,K] and [n,K], got {a.shape}, {b.shape}")
-    if np.any(~np.any(a.array, axis=1)) or np.any(~np.any(b.array, axis=1)):
-        raise DegenerateInputError("cosine_rows: a row has zero norm")
+    _check_nonzero_rows(a.array)
+    b_root, b_norm, bt = b.derived(_unit_rows_transposed)
     a_root, a_norm = _row_norms(a.array)
     ahat = a.array / a_norm
-    b_root, b_norm = _row_norms(b.array)
-    bhat = b.array / b_norm
-    bt = bhat.T.copy()
     sims = ahat @ bt
 
     def back(g: np.ndarray) -> None:
@@ -518,6 +564,13 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
     return MlpParams(layers=layers)
 
 
+def _transposed(w: np.ndarray) -> np.ndarray:
+    """A read-only row-major copy of ``w.T``."""
+    wt = w.T.copy()
+    wt.flags.writeable = False
+    return wt
+
+
 def linear(x, w, b, relu: bool = False) -> Node:
     """One fully connected layer, ``x @ w.T + b`` for ``x`` [batch, in], ``w``
     [out, in] and ``b`` [out], followed by a ReLU when ``relu`` is set.
@@ -525,13 +578,14 @@ def linear(x, w, b, relu: bool = False) -> Node:
     One node with the values and gradients of the primitive chain
     ``relu(add(matmul(x, transpose(w)), b))``, bit for bit, whose ``relu``
     and ``transpose`` are in ``tests/oracles.py``: it runs the chain's NumPy
-    expressions, including the row-major copy of ``w.T``.
+    expressions, including the row-major copy of ``w.T``, which is a
+    :meth:`Node.derived` array, made once per value of a frozen ``w``.
     """
     x, w, b = as_node(x), as_node(w), as_node(b)
     if x.array.ndim != 2 or w.array.ndim != 2 or x.shape[1] != w.shape[1] \
             or b.shape != (w.shape[0],):
         raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} disagree")
-    wt = w.array.T.copy()
+    wt = w.derived(_transposed)
     pre = x.array @ wt + b.array
 
     def back(g: np.ndarray) -> None:

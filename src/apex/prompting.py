@@ -277,6 +277,7 @@ def save_state(state: ApexState, directory) -> None:
               for key in cfgmod.schema(ApexConfig)]
     lines += [f"region = {state.region.height},{state.region.width},{state.region.channels}",
               f"step = {state.step}",
+              f"digests = {','.join(tensorio.tensor_digest(tensors[n]) for n in sorted(tensors))}",
               f"tensors = {','.join(sorted(tensors))}"]
     (d / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -288,7 +289,10 @@ def load_state(directory) -> ApexState:
     that records a field removed since it was written still loads, unless
     it records ``softmax_addressing = true``: that removed switch changed
     what the state computes. Every tensor the state holds must be listed
-    and present, with ``init_state``'s shape and finite values; any other
+    and present, with ``init_state``'s shape and finite values, and with
+    the ``tensorio.tensor_digest`` that ``digests`` lists for it in the
+    order of ``tensors``. A manifest written before checkpoints recorded
+    digests has no ``digests`` key; its tensors load unchecked. Any other
     manifest or tensor fault raises :class:`CorruptInputError`.
     """
     from . import config as cfgmod  # not at the top: config imports this module
@@ -326,8 +330,11 @@ def load_state(directory) -> ApexState:
     missing, extra = sorted(set(expected) - set(names)), sorted(set(names) - set(expected))
     if missing or extra:
         raise CorruptInputError(f"{manifest}: tensors missing {missing}, unexpected {extra}")
+    digests = meta["digests"].split(",") if "digests" in meta else [None] * len(names)
+    if len(digests) != len(names):
+        raise CorruptInputError(f"{manifest}: {len(digests)} digests for {len(names)} tensors")
     params = state.parameters()
-    for name in names:
+    for name, digest in zip(names, digests):
         path = d / f"{name}.apxt"
         arr = tensorio.read_tensor(path)
         if arr.shape != expected[name].shape:
@@ -335,6 +342,9 @@ def load_state(directory) -> ApexState:
                                     f"{expected[name].shape}")
         if not np.isfinite(arr).all():
             raise CorruptInputError(f"{path}: non-finite values")
+        if digest is not None and tensorio.tensor_digest(arr) != digest:
+            raise CorruptInputError(f"{path}: digest does not match the one {manifest.name} "
+                                    "records; the file has changed since it was saved")
         if name == "input_center":
             state.input_center = arr
         else:

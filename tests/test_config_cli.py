@@ -212,6 +212,12 @@ def _nan_into_encoder(ckpt: Path) -> None:
     tensorio.write_tensor(ckpt / "encoder.w0.apxt", arr)
 
 
+def _flip_last_payload_bit(path: Path) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[-8] ^= 1  # the lowest mantissa bit of the last value: still finite
+    path.write_bytes(bytes(raw))
+
+
 def _cut_one_row(bench: Path) -> None:
     arr = tensorio.read_tensor(bench / "test_seen_images.apxt")
     tensorio.write_tensor(bench / "test_seen_images.apxt", arr[:-1])
@@ -236,6 +242,8 @@ def _short_manifest_row(bench: Path) -> None:
 # (fault id, how to break a copy of a trained checkpoint, what the error names)
 CKPT_FAULTS = [
     ("nan_tensor", _nan_into_encoder, ("encoder.w0.apxt", "non-finite")),
+    ("flipped_payload_bit", lambda d: _flip_last_payload_bit(d / "decoder.b2.apxt"),
+     ("decoder.b2.apxt", "digest")),
     ("missing_tensor_name", lambda d: _edit_text(d / "manifest.txt", "head.b0,", ""),
      ("manifest.txt", "head.b0")),
     ("extra_tensor_name", lambda d: _edit_text(d / "manifest.txt", "tensors = ",

@@ -377,6 +377,39 @@ def test_library_functions_all_run(bench, backbone, tmp_path):
     assert sorted(name for name, code in public.items() if code not in called) == []
 
 
+def test_evaluations_make_each_weight_transpose_and_memory_norm_once(bench, backbone,
+                                                                     monkeypatch):
+    # the weights are frozen through an evaluation: the first chunk makes the
+    # arrays derived from them, every later chunk and evaluation reuses them
+    state = pr.init_state(ApexConfig(), 32, 32, 1)
+    transposed, memory_norms = [], []
+    transpose, row_norms = nm._transposed, nm._row_norms
+
+    def counting_transpose(w):
+        transposed.append(w)
+        return transpose(w)
+
+    def counting_row_norms(v):
+        if v is state.memory.array:
+            memory_norms.append(v)
+        return row_norms(v)
+
+    monkeypatch.setattr(nm, "_transposed", counting_transpose)
+    monkeypatch.setattr(nm, "_row_norms", counting_row_norms)
+    for split in ("seen", "unseen"):
+        hn.evaluate(state, backbone, bench, split)
+    weights = [w.array for mlp in (state.encoder, state.decoder) for w, _b in mlp.layers]
+    assert len(transposed) == len(weights) == 8
+    assert all(any(w is arr for arr in transposed) for w in weights)
+    assert len(memory_norms) == 1
+
+
+def drop_derived_arrays(state) -> None:
+    """Give every parameter its own array again, which empties its cache."""
+    for node in state.parameters().values():
+        node.set(node.array)
+
+
 def force_pool(monkeypatch, cpus: int = 4) -> None:
     """Share 32x32 chunks out over threads, as if the machine had ``cpus``."""
     monkeypatch.setattr(nm, "PARALLEL_MIN_PIXELS", 32 * 32)
@@ -443,6 +476,27 @@ class TestChunkMap:
         finally:
             sys.setswitchinterval(interval)
         assert runs == [inline] * 3
+
+    @pytest.mark.parametrize("cpus", [2, 16])
+    def test_evaluate_from_cold_caches_matches_inline(self, state, backbone, bench,
+                                                      monkeypatch, cpus):
+        # every evaluation starts with no derived array: the shares that
+        # miss at once each make their own, which must not change a byte
+        inline = self.reports(state, backbone, bench)
+        top = self.top_slots(state, bench.splits["test_unseen"])
+        force_pool(monkeypatch, cpus=cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        runs = []
+        try:
+            for split in ("seen", "unseen"):
+                drop_derived_arrays(state)
+                runs.append(hn.evaluate(state, backbone, bench, split).csv_lines())
+            drop_derived_arrays(state)
+            pooled_top = self.top_slots(state, bench.splits["test_unseen"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == inline[:2] and pooled_top == top
 
     def test_fit_input_center_matches_inline(self, state, bench, monkeypatch):
         samples = bench.splits["train_seen"]

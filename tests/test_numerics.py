@@ -453,6 +453,92 @@ class TestFusedOps:
             nm.linear(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(3))
 
 
+class TestDerivedArrays:
+    """A frozen array keeps what ``Node.derived`` makes from it until
+    ``Node.set`` replaces it: ``linear``'s weight transpose and
+    ``cosine_rows``'s norms and unit-row transpose of its second input."""
+
+    @staticmethod
+    def arrays(seed):
+        rng = np.random.default_rng(seed)
+        # a positive bias keeps every row of the ReLU output away from zero
+        return (rng.standard_normal((4, 5)), rng.standard_normal((3, 5)),
+                rng.random(3) + 2.0, rng.standard_normal((6, 3)))
+
+    @staticmethod
+    def value_and_grads(x, w, b, mem) -> list[bytes]:
+        out = nm.cosine_rows(nm.linear(x, w, b, relu=True), mem)
+        nm.zero_grads([x, w, b, mem])
+        nm.backward(_weighted(out, 7)[1])
+        return [out.array.tobytes()] + [n.grad.tobytes() for n in (x, w, b, mem)]
+
+    @staticmethod
+    def no_grad_value(x, w, b, mem) -> bytes:
+        with nm.no_grad():
+            return nm.cosine_rows(nm.linear(x, w, b, relu=True), nm.stop_gradient(mem)) \
+                .array.tobytes()
+
+    def fresh(self, nodes) -> tuple[list[bytes], bytes]:
+        copies = [nm.parameter(n.array) for n in nodes]
+        return self.value_and_grads(*copies), self.no_grad_value(*copies)
+
+    def test_made_once_read_only_and_shared_until_set(self):
+        x, w, b, mem = (nm.parameter(a) for a in self.arrays(1))
+        made = []
+
+        def make(arr):
+            made.append(arr)
+            return nm._transposed(arr)
+
+        wt = w.derived(make)
+        assert w.derived(make) is wt and nm.stop_gradient(w).derived(make) is wt
+        with nm.no_grad():
+            assert nm.stop_gradient(w).derived(make) is wt
+        assert len(made) == 1 and made[0] is w.array
+        nm.cosine_rows(nm.linear(x, w, b), mem)
+        for arr in (wt, w.derived(nm._transposed), *mem.derived(nm._unit_rows_transposed)):
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        w.set(w.array * 2.0)
+        assert w.derived(make) is not wt and len(made) == 2 and made[1] is w.array
+
+    def test_after_sgd_step_equal_to_fresh_nodes(self):
+        nodes = [nm.parameter(a) for a in self.arrays(2)]
+        x, w, b, mem = nodes
+        before = self.value_and_grads(*nodes), self.no_grad_value(*nodes)  # fills the caches
+        nm.sgd_step([w, b, mem], [w.grad, b.grad, mem.grad], 0.5)
+        after = self.value_and_grads(*nodes), self.no_grad_value(*nodes)
+        assert after == self.fresh(nodes)
+        assert after[0][0] != before[0][0] and after[1] != before[1]  # the step moved the value
+
+    def test_after_set_in_no_grad_equal_to_fresh_nodes(self):
+        nodes = [nm.parameter(a) for a in self.arrays(3)]
+        self.no_grad_value(*nodes)
+        rng = np.random.default_rng(4)
+        for n in nodes[1:]:
+            n.set(rng.standard_normal(n.shape) + 1.0)
+        assert (self.value_and_grads(*nodes), self.no_grad_value(*nodes)) == self.fresh(nodes)
+
+    def test_unfrozen_no_grad_array_changed_in_place_is_not_served_stale(self):
+        x_arr, w_arr, b_arr, mem_arr = self.arrays(5)
+        with nm.no_grad():
+            x, w, b, mem = (nm.as_node(a) for a in (x_arr, w_arr, b_arr, mem_arr))
+            assert w.array is w_arr and w_arr.flags.writeable
+            first = nm.cosine_rows(nm.linear(x, w, b, relu=True), nm.stop_gradient(mem)).array
+            w_arr *= -1.5
+            mem_arr[::2] *= -3.0
+            second = nm.cosine_rows(nm.linear(x, w, b, relu=True), nm.stop_gradient(mem)).array
+        expected = self.no_grad_value(*(nm.parameter(a) for a in (x_arr, w_arr, b_arr, mem_arr)))
+        assert second.tobytes() == expected and not np.array_equal(first, second)
+
+    def test_zero_row_of_a_frozen_second_input_raises_every_time(self):
+        a, b = nm.parameter(np.ones((2, 3))), nm.parameter([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError):
+                nm.cosine_rows(a, b)
+
+
 class TestScalarOperands:
     def test_scalar_is_no_node(self):
         x = nm.parameter(np.array([1.0, -2.0]))

@@ -3,6 +3,7 @@ memory's autodiff gradient against the attention-weighted rule and a
 barrier oracle, and checkpoints."""
 
 import contextlib
+import re
 import math
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import pytest
 from apex import numerics as nm
 from apex import prompting as pr
 from apex import spectral as sp
+from apex import tensorio
 from apex.errors import (ConfigError, CorruptInputError, DegenerateInputError,
                          InputNotFoundError, NonFiniteError, ShapeError,
                          TrainingDivergedError)
@@ -643,3 +645,96 @@ class TestCheckpoint:
                                       if not ln.startswith(f"{key} =")) + "\n")
         with pytest.raises(CorruptInputError, match=f"manifest.txt: missing key '{key}'"):
             pr.load_state(tmp_path / "ckpt")
+
+    @staticmethod
+    def random_state(seed):
+        """A state whose every tensor is random, so each one moves the output."""
+        state = small_state()
+        rng = np.random.default_rng(seed)
+        for node in state.parameters().values():
+            node.set(0.5 * rng.standard_normal(node.shape) + 0.1)
+        state.input_center = rng.standard_normal(state.region.flat_size)
+        return state
+
+    @staticmethod
+    def manifest_lists(ckpt, key: str) -> list[str]:
+        line, = [ln for ln in (ckpt / "manifest.txt").read_text().splitlines()
+                 if ln.startswith(f"{key} = ")]
+        return line.partition(" = ")[2].split(",")
+
+    def test_manifest_records_each_tensor_digest(self, tmp_path):
+        state = self.random_state(40)
+        pr.save_state(state, tmp_path / "ckpt")
+        tensors = pr.state_tensors(state)
+        names = self.manifest_lists(tmp_path / "ckpt", "tensors")
+        assert self.manifest_lists(tmp_path / "ckpt", "digests") == [
+            tensorio.tensor_digest(tensors[name]) for name in names]
+
+    @pytest.mark.parametrize("name", ["decoder.b2", "decoder.b3", "encoder.b1", "encoder.w0",
+                                      "input_center"])
+    def test_flipped_payload_bit_rejected(self, tmp_path, name):
+        # a byte-mutation probe once saw a flipped bit in each of these
+        # payloads load silently and change the printed Dice
+        pr.save_state(self.random_state(41), tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / f"{name}.apxt"
+        raw = bytearray(path.read_bytes())
+        raw[-8] ^= 1  # the lowest mantissa bit of the last value: still finite
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptInputError, match=re.escape(f"{name}.apxt: digest")):
+            pr.load_state(tmp_path / "ckpt")
+
+    def test_digest_count_must_match_the_tensors(self, tmp_path):
+        state = small_state()
+        pr.save_state(state, tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("digests = ", "digests = 00,", 1))
+        count = len(pr.state_tensors(state))
+        with pytest.raises(CorruptInputError,
+                           match=f"manifest.txt: {count + 1} digests for {count} tensors"):
+            pr.load_state(tmp_path / "ckpt")
+
+    def test_manifest_without_digests_loads_unchecked(self, tmp_path):
+        # checkpoints written before digests were recorded keep loading
+        state = self.random_state(42)
+        pr.save_state(state, tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        manifest.write_text("".join(ln for ln in manifest.read_text().splitlines(True)
+                                    if not ln.startswith("digests = ")))
+        path = tmp_path / "ckpt" / "encoder.w0.apxt"
+        raw = bytearray(path.read_bytes())
+        raw[-8] ^= 1
+        path.write_bytes(bytes(raw))
+        loaded = pr.load_state(tmp_path / "ckpt")
+        assert np.array_equal(loaded.memory.array, state.memory.array)
+        w0 = loaded.encoder.layers[0][0].array
+        assert not np.array_equal(w0, state.encoder.layers[0][0].array)
+
+    def test_forward_after_load_state_equals_fresh_nodes(self, tmp_path, monkeypatch):
+        # load_state sets each tensor into a state whose derived arrays, here,
+        # were made first: none of them may reach a pass over the loaded state
+        images = np.random.default_rng(43).random((3, 8, 8, 1))
+        pr.save_state(self.random_state(44), tmp_path / "ckpt")
+        init_state = pr.init_state
+
+        def warmed(*args):
+            state = init_state(*args)
+            with nm.no_grad():
+                pr.forward_batch(state, images)
+            pr.forward_batch(state, images)
+            return state
+
+        monkeypatch.setattr(pr, "init_state", warmed)
+        loaded = pr.load_state(tmp_path / "ckpt")
+        monkeypatch.undo()
+
+        def value_and_grads(state) -> list[bytes]:
+            with nm.no_grad():
+                plain = pr.forward_batch(state, images).output.array.tobytes()
+            params = list(state.parameters().values())
+            nodes = pr.forward_batch(state, images)
+            nm.zero_grads(params)
+            weights = np.random.default_rng(45).standard_normal(nodes.output.shape)
+            nm.backward(nm.reduce_sum(oracles.mul(nodes.output, weights)))
+            return [plain, nodes.output.array.tobytes()] + [p.grad.tobytes() for p in params]
+
+        assert value_and_grads(loaded) == value_and_grads(self.random_state(44))
