@@ -159,8 +159,7 @@ def cmd_eval(args) -> int:
     bench = _load_bench(args.bench)
     # a bad checkpoint fails before the backbone is calibrated
     state = None if args.source_only else prompting.load_state(args.ckpt)
-    report = harness.evaluate(state, _backbone_for(bench), bench, args.split,
-                              source_only=args.source_only)
+    report = harness.evaluate(state, _backbone_for(bench), bench, args.split)
     lines = report.csv_lines()
     print("\n".join(lines))
     if args.out:

@@ -89,7 +89,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
         seg, dice_part, ce_part = losses.seg_loss(preds, masks)
 
         if config.lfc_enabled:
-            aux = prompting.project_aux(state.head, nodes.features)
+            aux = nm.mlp_forward(state.head, nodes.features)
             lfc = losses.lfc_loss(aux, labels, cfg.temperature, positives)
             total_loss = nm.add(seg, lfc)
         else:

@@ -90,7 +90,7 @@ def seg_loss(pred, masks) -> tuple[Node, float, float]:
         ce_grad += grad.reshape(x.shape)
         p.accumulate(ce_grad)
 
-    return Node(dice + ce, parents=(p,), backward=back, op="seg_loss"), float(dice), float(ce)
+    return Node(dice + ce, parents=(p,), backward=back), float(dice), float(ce)
 
 
 # ---------------------------------------------------------------------------

@@ -173,12 +173,11 @@ class Node:
     then ``grad`` reads as zeros.
     """
 
-    __slots__ = ("_array", "_grad", "op", "_parents", "_backward", "_needs_grad", "_derived")
+    __slots__ = ("_array", "_grad", "_parents", "_backward", "_needs_grad", "_derived")
 
     def __init__(self, value, requires_grad: bool = False, parents: Sequence["Node"] = (),
-                 backward: Callable[[np.ndarray], None] | None = None, op: str = "leaf"):
+                 backward: Callable[[np.ndarray], None] | None = None):
         self._grad = None
-        self.op = op
         graph = _GRAD_ENABLED.get()
         if graph:
             self._parents = tuple(parents)
@@ -255,19 +254,16 @@ class Node:
             raise ShapeError(f"item() on a node of shape {self.shape}")
         return float(self._array.reshape(()))
 
-    def __repr__(self) -> str:
-        return f"Node(op={self.op!r}, shape={self.shape})"
-
 
 def as_node(x) -> Node:
     if isinstance(x, Node):
         return x
-    return Node(np.array(x, dtype=np.float64) if _GRAD_ENABLED.get() else x, op="const")
+    return Node(np.array(x, dtype=np.float64) if _GRAD_ENABLED.get() else x)
 
 
-def parameter(values, op: str = "param") -> Node:
+def parameter(values) -> Node:
     """Leaf node that accumulates gradients."""
-    return Node(np.array(values, dtype=np.float64), requires_grad=True, op=op)
+    return Node(np.array(values, dtype=np.float64), requires_grad=True)
 
 
 def backward(loss: Node) -> None:
@@ -308,7 +304,7 @@ def zero_grads(nodes: Iterable[Node]) -> None:
 
 def stop_gradient(a: Node) -> Node:
     """Value of ``a`` with the gradient path severed."""
-    return Node(as_node(a), op="stop_gradient")
+    return Node(as_node(a))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +340,7 @@ def _binary(op_name: str, a, b, fwd, bwd_a, bwd_b) -> Node:
             b.accumulate(_unbroadcast(bwd_b(g, xa, xb), b.shape))
 
     parents = tuple(x for x in (a, b) if isinstance(x, Node))
-    return Node(out, parents=parents, backward=back, op=op_name)
+    return Node(out, parents=parents, backward=back)
 
 
 def add(a, b) -> Node:
@@ -360,30 +356,30 @@ def div(a, b) -> Node:
                    lambda g, x, y: -g * x / (y * y))
 
 
-def _unary(op_name: str, a, fwd, bwd) -> Node:
+def _unary(a, fwd, bwd) -> Node:
     a = as_node(a)
     out = fwd(a.array)
 
     def back(g: np.ndarray) -> None:
         a.accumulate(bwd(g, a.array, out))
 
-    return Node(out, parents=(a,), backward=back, op=op_name)
+    return Node(out, parents=(a,), backward=back)
 
 
 def exp(a) -> Node:
-    return _unary("exp", a, np.exp, lambda g, x, y: g * y)
+    return _unary(a, np.exp, lambda g, x, y: g * y)
 
 
 def log(a) -> Node:
     a = as_node(a)
     if np.any(a.array <= 0.0):
         raise NumericDomainError("log requires strictly positive input")
-    return _unary("log", a, np.log, lambda g, x, y: g / x)
+    return _unary(a, np.log, lambda g, x, y: g / x)
 
 
 def clip(a, lo: float, hi: float) -> Node:
     """Clamp values to [lo, hi]; gradient passes only where unclipped."""
-    return _unary("clip", a, lambda x: np.clip(x, lo, hi),
+    return _unary(a, lambda x: np.clip(x, lo, hi),
                   lambda g, x, y: g * ((x >= lo) & (x <= hi)))
 
 
@@ -402,7 +398,7 @@ def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Node:
             g = np.expand_dims(g, axis=axis)
         a.accumulate(np.broadcast_to(g, a.shape))
 
-    return Node(out, parents=(a,), backward=back, op="sum")
+    return Node(out, parents=(a,), backward=back)
 
 
 def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Node:
@@ -421,7 +417,7 @@ def getitem(a, index) -> Node:
         np.add.at(buf, index, g)
         a.accumulate(buf)
 
-    return Node(out, parents=(a,), backward=back, op="getitem")
+    return Node(out, parents=(a,), backward=back)
 
 
 def matmul(a, b) -> Node:
@@ -438,7 +434,7 @@ def matmul(a, b) -> Node:
         if b._needs_grad:
             b.accumulate(a.array.T @ g)
 
-    return Node(out, parents=(a, b), backward=back, op="matmul")
+    return Node(out, parents=(a, b), backward=back)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +504,7 @@ def cosine_rows(a, b) -> Node:
         if b._needs_grad:
             _normalized_rows_backward(b, b_root, b_norm, np.asarray((ahat.T @ g).T, order="C"))
 
-    return Node(np.clip(sims, -1.0, 1.0), parents=(a, b), backward=back, op="cosine_rows")
+    return Node(np.clip(sims, -1.0, 1.0), parents=(a, b), backward=back)
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +528,9 @@ class MlpParams:
             if i > 0 and w.shape[1] != self.layers[i - 1][0].shape[0]:
                 raise ShapeError(f"layer {i}: input dim {w.shape[1]} does not chain")
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0][0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1][0].shape[0]
-
 
 def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
-             final_zero: bool = False, name: str = "mlp") -> MlpParams:
+             final_zero: bool = False) -> MlpParams:
     """He-initialized stack with ReLU hidden layers and a linear final layer.
 
     ``final_zero`` zeroes the last layer so the stack starts as the constant
@@ -560,7 +548,7 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
         else:
             w = rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in)
         b = np.zeros(fan_out)
-        layers.append((parameter(w, op=f"{name}.w{i}"), parameter(b, op=f"{name}.b{i}")))
+        layers.append((parameter(w), parameter(b)))
     return MlpParams(layers=layers)
 
 
@@ -599,14 +587,13 @@ def linear(x, w, b, relu: bool = False) -> Node:
             b.accumulate(_unbroadcast(g, b.shape))
 
     out = np.maximum(pre, 0.0) if relu else pre
-    return Node(out, parents=(x, w, b), backward=back, op="linear")
+    return Node(out, parents=(x, w, b), backward=back)
 
 
 def mlp_forward(params: MlpParams, x) -> Node:
-    """Apply the stack to ``x`` of shape [batch, in]."""
+    """Apply the stack to ``x`` of shape [batch, in]; :func:`linear`
+    checks the shapes."""
     h = as_node(x)
-    if h.array.ndim != 2 or h.shape[1] != params.in_dim:
-        raise ShapeError(f"mlp input {h.shape} is not [batch, {params.in_dim}]")
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
         h = linear(h, w, b, relu=i < last)

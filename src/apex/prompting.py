@@ -109,11 +109,10 @@ def init_state(config: ApexConfig, height: int, width: int, channels: int = 1) -
     enc_sizes = [region.flat_size, *config.encoder_hidden, config.feature_dim]
     dec_sizes = [config.feature_dim, *config.decoder_hidden, region.flat_size]
     head_sizes = [config.feature_dim, *config.head_hidden, config.aux_dim]
-    encoder = nm.init_mlp(enc_sizes, rng, name="enc")
-    decoder = nm.init_mlp(dec_sizes, rng, final_zero=True, name="dec")
-    head = nm.init_mlp(head_sizes, rng, name="head")
-    memory = nm.parameter(
-        nm.orthogonal_rows(config.slot_count, config.feature_dim, config.seed), op="memory")
+    encoder = nm.init_mlp(enc_sizes, rng)
+    decoder = nm.init_mlp(dec_sizes, rng, final_zero=True)
+    head = nm.init_mlp(head_sizes, rng)
+    memory = nm.parameter(nm.orthogonal_rows(config.slot_count, config.feature_dim, config.seed))
     return ApexState(config=config, region=region, encoder=encoder, memory=memory,
                      decoder=decoder, head=head, input_center=np.zeros(region.flat_size))
 
@@ -173,20 +172,15 @@ def address(memory, z) -> Node:
 
     Gradient flows into whatever nodes are passed in, so callers control the
     attention-weighted barrier by passing ``stop_gradient(memory)``.
+    :func:`numerics.cosine_rows` checks the shapes.
     """
-    zn = nm.as_node(z)
-    if zn.array.ndim != 2:
-        raise ShapeError(f"features must be [batch, K], got {zn.shape}")
-    return nm.cosine_rows(zn, nm.as_node(memory))
+    return nm.cosine_rows(z, memory)
 
 
 def retrieve(memory, a) -> Node:
-    """Weighted sums of slots [B, K]: z'_i = sum_j a_ij b_j for ``a`` [B, J]."""
-    mem = nm.as_node(memory)
-    an = nm.as_node(a)
-    if an.array.ndim != 2 or an.shape[1] != mem.shape[0]:
-        raise ShapeError(f"addressing {an.shape} is not [batch, {mem.shape[0]} slots]")
-    return nm.matmul(an, mem)
+    """Weighted sums of slots [B, K]: z'_i = sum_j a_ij b_j for ``a`` [B, J];
+    :func:`numerics.matmul` checks the shapes."""
+    return nm.matmul(a, memory)
 
 
 def decode_prompt(decoder: MlpParams, zprime, region: sp.LowFreqRegion) -> Node:
@@ -194,19 +188,13 @@ def decode_prompt(decoder: MlpParams, zprime, region: sp.LowFreqRegion) -> Node:
 
     The decoder's raw output r becomes exp(r), so a zero stack yields the
     identity prompt; symmetrization then averages each entry with its
-    frequency-negation partner (boundary entries pinned to 1).
+    frequency-negation partner (boundary entries pinned to 1), which checks
+    that the decoder's output has the region's size.
     """
-    if decoder.out_dim != region.flat_size:
-        raise ShapeError(f"decoder output {decoder.out_dim} != region size {region.flat_size}")
-    raw = nm.mlp_forward(decoder, nm.as_node(zprime))
+    raw = nm.mlp_forward(decoder, zprime)
     # clamp keeps exp() finite and positive however far a run drifts
     return sp.symmetrize_multiplier(nm.exp(nm.clip(raw, -RAW_PROMPT_LIMIT, RAW_PROMPT_LIMIT)),
                                     region)
-
-
-def project_aux(head: MlpParams, z) -> Node:
-    """Auxiliary embedding for the contrastive loss; training only."""
-    return nm.mlp_forward(head, nm.as_node(z))
 
 
 # ---------------------------------------------------------------------------

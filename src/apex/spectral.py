@@ -120,7 +120,6 @@ def lowfreq_side(beta: float, h: int, w: int) -> int:
 class LowFreqRegion:
     """Geometry of the centered low-frequency square of an [h, w, c] spectrum."""
 
-    beta: float
     height: int
     width: int
     channels: int
@@ -133,7 +132,7 @@ class LowFreqRegion:
         side = lowfreq_side(beta, height, width)
         row0 = min(max(height // 2 - (side - 1) // 2, 0), height - side)
         col0 = min(max(width // 2 - (side - 1) // 2, 0), width - side)
-        return cls(beta=beta, height=height, width=width, channels=channels,
+        return cls(height=height, width=width, channels=channels,
                    row0=row0, col0=col0, side=side)
 
     @property
@@ -254,7 +253,7 @@ def symmetrize_multiplier(raw: nm.Node, region: LowFreqRegion) -> nm.Node:
         gg[..., pinned] = 0.0
         raw.accumulate(0.5 * (gg + gg[..., perm]))
 
-    return nm.Node(out, parents=(raw,), backward=back, op="symmetrize")
+    return nm.Node(out, parents=(raw,), backward=back)
 
 
 def prompted_image_node(p_flat: nm.Node, region: LowFreqRegion,
@@ -298,4 +297,4 @@ def prompted_image_node(p_flat: nm.Node, region: LowFreqRegion,
         grad = np.real(square * g_cols.take(rows, axis=1))
         p_flat.accumulate(grad.reshape(b, region.flat_size))
 
-    return nm.Node(out, parents=(p_flat,), backward=back, op="prompted_image")
+    return nm.Node(out, parents=(p_flat,), backward=back)

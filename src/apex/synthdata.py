@@ -16,6 +16,7 @@ only, never to its parameters. In training it is one fused graph node
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -234,25 +235,31 @@ class Benchmark:
         return out
 
     def manifest_csv(self) -> str:
+        """One row per sample that the config and seed give (:func:`_samples`)."""
         lines = ["sample_id,domain_id,split,scene_seed,gain,bias,shading,noise_sigma"]
-        domains = {spec.domain_id: spec for spec, _, _ in _plan(self.config)}
-        for split in self.SPLITS:
-            for s in self.splits[split]:
-                spec = domains[s.domain_id]
-                lines.append(f"{s.sample_id},{s.domain_id},{split},{s.scene_seed},"
-                             f"{spec.manifest_fields()}")
+        lines += [f"{sample_id},{spec.domain_id},{split},{scene_seed},{spec.manifest_fields()}"
+                  for spec, split, sample_id, scene_seed in _samples(self.config, self.seed)]
         return "\n".join(lines) + "\n"
 
 
-def _plan(config: BenchmarkConfig) -> list:
-    """``(spec, split, count)`` for each domain of each split, in the order
-    the samples take their seeds."""
+def _samples(config: BenchmarkConfig, seed: int) -> list:
+    """``(spec, split, sample_id, scene_seed)`` for every sample of the
+    benchmark that ``config`` and ``seed`` give, split by split in
+    ``Benchmark.SPLITS`` order, each split in the config's domain order.
+    Scene seeds count up from ``seed << 24`` in another order: the source
+    splits, then each seen domain's train and test samples, then the unseen
+    domains'."""
     plan = [(config.source, "source_cal", config.source_train),
             (config.source, "source_test", config.source_test)]
     for spec in config.seen:
         plan += [(spec, "train_seen", config.train_per_domain),
                  (spec, "test_seen", config.test_per_domain)]
-    return plan + [(spec, "test_unseen", config.test_per_domain) for spec in config.unseen]
+    plan += [(spec, "test_unseen", config.test_per_domain) for spec in config.unseen]
+    seeded = [(spec, split, i) for spec, split, count in plan for i in range(count)]
+    samples = [(spec, split, f"{spec.domain_id}-{split}-{i:04d}", (seed << 24) + n)
+               for n, (spec, split, i) in enumerate(seeded)]
+    # a stable sort: each split keeps the plan's domain order
+    return sorted(samples, key=lambda smp: Benchmark.SPLITS.index(smp[1]))
 
 
 def build_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
@@ -265,22 +272,19 @@ def build_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
     CPU (:func:`numerics.map_ordered`).
     """
     size = config.image_size
-    jobs = [(spec, split, i)  # (spec, split, index in split), in seed order
-            for spec, split, count in _plan(config) for i in range(count)]
+    jobs = _samples(config, seed)
 
-    def build(n: int) -> DomainSample:
+    def build(job) -> DomainSample:
         # no public (tracer-wrapped) calls: this may run on a worker thread
-        spec, split, i = jobs[n]
-        scene_seed = (seed << 24) + n
+        spec, _, sample_id, scene_seed = job
         img, mask = _base_scene(scene_seed, size, size)
-        return DomainSample(f"{spec.domain_id}-{split}-{i:04d}", spec.domain_id,
+        return DomainSample(sample_id, spec.domain_id,
                             _apply_domain(img[:, :, None], spec, scene_seed + 0x800000), mask,
                             scene_seed)
 
-    samples = nm.map_ordered(build, range(len(jobs)),
-                             threaded=size * size >= nm.PARALLEL_MIN_PIXELS)
+    samples = nm.map_ordered(build, jobs, threaded=size * size >= nm.PARALLEL_MIN_PIXELS)
     splits: dict = {name: [] for name in Benchmark.SPLITS}
-    for (_, split, _), sample in zip(jobs, samples):
+    for (_, split, _, _), sample in zip(jobs, samples):
         splits[split].append(sample)
     return Benchmark(config=config, seed=seed, splits=splits)
 
@@ -295,18 +299,18 @@ def save_benchmark(bench: Benchmark, directory) -> None:
 
 
 def _read_split(path: Path, entries: list, shape: tuple, binary: bool) -> np.ndarray:
-    """A split's tensor: one sample of ``shape`` per manifest entry, and values
-    in [0, 1], or 0 and 1 only if ``binary``, which returns it as ``bool``; a
-    NaN fails every comparison. Samples are read and checked one at a time; a
-    binary one is read into one reused float64 buffer and converted, so no
-    float64 copy of a whole mask split is made."""
+    """A split's tensor: one sample of ``shape`` per entry of :func:`_samples`,
+    and values in [0, 1], or 0 and 1 only if ``binary``, which returns it as
+    ``bool``; a NaN fails every comparison. Samples are read and checked one
+    at a time; a binary one is read into one reused float64 buffer and
+    converted, so no float64 copy of a whole mask split is made."""
     with tensorio.tensor_reader(path) as (file_shape, read):
         if file_shape != (len(entries), *shape):
             raise CorruptInputError(f"{path}: shape {file_shape}, but manifest.csv lists "
                                     f"{len(entries)} samples of shape {shape}")
         out = np.empty(file_shape, dtype=bool if binary else "<f8")
         x = np.empty(shape, dtype="<f8")
-        for (sample_id, _, _), o in zip(entries, out):
+        for (_, _, sample_id, _), o in zip(entries, out):
             if binary:
                 read(x)
                 np.equal(x, 1.0, out=o)
@@ -320,36 +324,41 @@ def _read_split(path: Path, entries: list, shape: tuple, binary: bool) -> np.nda
     return out
 
 
+def _check_manifest(manifest: Path, bench: Benchmark) -> None:
+    """Raise :class:`CorruptInputError`, naming the first line and field that
+    differ, unless ``manifest`` holds, line by line, ``bench.manifest_csv()``."""
+    found = read_text(manifest, "ascii", CorruptInputError).splitlines()
+    wanted = bench.manifest_csv().splitlines()
+    for lineno, (row, want) in enumerate(itertools.zip_longest(found, wanted, fillvalue=""), 1):
+        if row != want:
+            for column, have, give in itertools.zip_longest(
+                    wanted[0].split(","), row.split(","), want.split(",")):
+                if have != give:
+                    raise CorruptInputError(
+                        f"{manifest}: line {lineno} has {column or 'an extra field'} {have!r} "
+                        f"where the config and bench seed {bench.seed} give {give!r}")
+
+
 def load_benchmark(directory, config: BenchmarkConfig, seed: int) -> Benchmark:
-    """Load tensors saved by :func:`save_benchmark`; metadata comes from the
-    manifest, each of whose rows must name a split and one of that split's
-    domains in ``config``. :func:`_read_split` checks each split's image and
-    mask tensors; a fault raises :class:`CorruptInputError`."""
+    """Load tensors saved by :func:`save_benchmark` for ``config`` and
+    ``seed``. The directory's ``manifest.csv`` must be the one they give
+    (:meth:`Benchmark.manifest_csv`), and :func:`_read_split` checks each
+    split's image and mask tensors; a fault raises :class:`CorruptInputError`."""
     d, side = Path(directory), config.image_size
     manifest = d / "manifest.csv"
     if not manifest.is_file():
         raise InputNotFoundError(f"no benchmark in {d}: {manifest.name} does not exist")
-    planned = {(split, spec.domain_id) for spec, split, _ in _plan(config)}
-    rows = read_text(manifest, "ascii", CorruptInputError).splitlines()[1:]
-    meta: dict = {name: [] for name in Benchmark.SPLITS}
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            sample_id, domain_id, split, scene_seed = row.split(",")[:4]
-            scene_seed = int(scene_seed)
-        except ValueError:
-            raise CorruptInputError(f"{manifest}: line {lineno}: malformed row {row!r}") from None
-        if (split, domain_id) not in planned:
-            raise CorruptInputError(f"{manifest}: line {lineno}: the config has no domain "
-                                    f"{domain_id!r} in split {split!r}")
-        meta[split].append((sample_id, domain_id, scene_seed))
-    splits: dict = {}
-    for split, entries in meta.items():
+    bench = Benchmark(config=config, seed=seed, splits={})
+    _check_manifest(manifest, bench)
+    samples = _samples(config, seed)
+    for split in Benchmark.SPLITS:
+        entries = [smp for smp in samples if smp[1] == split]
         images = _read_split(d / f"{split}_images.apxt", entries, (side, side, 1), binary=False)
         masks = _read_split(d / f"{split}_masks.apxt", entries, (side, side), binary=True)
-        splits[split] = [DomainSample(sample_id, domain_id, img, mask, scene_seed)
-                         for (sample_id, domain_id, scene_seed), img, mask
-                         in zip(entries, images, masks)]
-    return Benchmark(config=config, seed=seed, splits=splits)
+        bench.splits[split] = [DomainSample(sample_id, spec.domain_id, img, mask, scene_seed)
+                               for (spec, _, sample_id, scene_seed), img, mask
+                               in zip(entries, images, masks)]
+    return bench
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +434,7 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
     def back(g: np.ndarray) -> None:
         img.accumulate(_blur(g * y * (1.0 - y) / bb.slope, bb.blur_radius))
 
-    return Node(y, parents=(img,), backward=back, op="backbone")
+    return Node(y, parents=(img,), backward=back)
 
 
 # Samples are scored in row blocks of about this many float64 values, so a

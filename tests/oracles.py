@@ -94,14 +94,14 @@ def mul(a, b) -> Node:
 
 
 def neg(a) -> Node:
-    return nm._unary("neg", a, np.negative, lambda g, x, y: -g)
+    return nm._unary(a, np.negative, lambda g, x, y: -g)
 
 
 def sqrt(a) -> Node:
     a = nm.as_node(a)
     if np.any(a.array < 0.0):
         raise NumericDomainError("sqrt requires nonnegative input")
-    return nm._unary("sqrt", a, np.sqrt, lambda g, x, y: g / (2.0 * np.maximum(y, nm.NORM_EPS)))
+    return nm._unary(a, np.sqrt, lambda g, x, y: g / (2.0 * np.maximum(y, nm.NORM_EPS)))
 
 
 def sigmoid(a) -> Node:
@@ -113,15 +113,15 @@ def sigmoid(a) -> Node:
         out[~pos] = ex / (1.0 + ex)
         return out
 
-    return nm._unary("sigmoid", a, fwd, lambda g, x, y: g * y * (1.0 - y))
+    return nm._unary(a, fwd, lambda g, x, y: g * y * (1.0 - y))
 
 
 def relu(a) -> Node:
-    return nm._unary("relu", a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0))
+    return nm._unary(a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0))
 
 
 def clip_min(a, lo: float) -> Node:
-    return nm._unary("clip_min", a, lambda x: np.maximum(x, lo), lambda g, x, y: g * (x >= lo))
+    return nm._unary(a, lambda x: np.maximum(x, lo), lambda g, x, y: g * (x >= lo))
 
 
 def reduce_max(a) -> Node:
@@ -131,7 +131,7 @@ def reduce_max(a) -> Node:
     def back(g: np.ndarray) -> None:
         a.accumulate(g * (a.array == out))
 
-    return Node(out, parents=(a,), backward=back, op="max")
+    return Node(out, parents=(a,), backward=back)
 
 
 def reshape(a, shape) -> Node:
@@ -141,7 +141,7 @@ def reshape(a, shape) -> Node:
     def back(g: np.ndarray) -> None:
         a.accumulate(g.reshape(a.shape))
 
-    return Node(out, parents=(a,), backward=back, op="reshape")
+    return Node(out, parents=(a,), backward=back)
 
 
 def transpose(a) -> Node:
@@ -153,7 +153,7 @@ def transpose(a) -> Node:
     def back(g: np.ndarray) -> None:
         a.accumulate(g.T)
 
-    return Node(out, parents=(a,), backward=back, op="transpose")
+    return Node(out, parents=(a,), backward=back)
 
 
 def _guarded_norm(v: Node) -> Node:
@@ -251,7 +251,7 @@ def box_blur(x, radius: int):
         if x._needs_grad:
             x.accumulate(sd._blur(g, radius))
 
-    return Node(result, parents=(x,), backward=back, op="box_blur")
+    return Node(result, parents=(x,), backward=back)
 
 
 def calibration_scores(samples, thresholds, slopes) -> np.ndarray:

@@ -298,6 +298,14 @@ BENCH_FAULTS = [
     ("domain_of_other_split", lambda d: _edit_text(d / "manifest.csv", ",A,test_seen,",
                                                    ",C,test_seen,"),
      ("manifest.csv", "'C'")),
+    # a config.txt edited after gen-bench used to load the files made with the
+    # old values, and a run copied the new ones into its own config.txt
+    ("edited_domain_gain", lambda d: _edit_text(d / "config.txt", "domain_A_gain = 0.55",
+                                                "domain_A_gain = 0.9"),
+     ("manifest.csv", "line 18 has gain '0.55'", "bench seed 4 give '0.9'")),
+    ("edited_train_count", lambda d: _edit_text(d / "config.txt", "train_per_domain = 8",
+                                                "train_per_domain = 6"),
+     ("manifest.csv", "line 24 has sample_id 'A-train_seen-0006'", "give 'B-train_seen-0000'")),
     ("bad_bench_seed", lambda d: _edit_text(d / "config.txt", "bench_seed = 4", "bench_seed = x"),
      ("config.txt", "bench_seed", "'x'")),
     ("manifest_not_ascii", lambda d: _edit_bytes(d / "manifest.csv", b",A,test_seen,",

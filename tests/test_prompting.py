@@ -232,7 +232,7 @@ class TestProjectAux:
         head = nm.MlpParams(
             layers=[(nm.parameter(np.zeros((5, 16))), nm.parameter(np.zeros(5))),
                     (nm.parameter(np.zeros((4, 5))), nm.parameter(bias))])
-        out = pr.project_aux(head, nm.as_node(np.ones((1, 16))))
+        out = nm.mlp_forward(head, nm.as_node(np.ones((1, 16))))
         assert np.allclose(out.array[0], bias)
 
     def test_not_on_inference_path(self):
@@ -253,7 +253,7 @@ class TestProjectAux:
         def build(leaves):
             layers = [(leaves[0], leaves[1]), (leaves[2], leaves[3])]
             head = nm.MlpParams(layers=layers)
-            out = pr.project_aux(head, nm.as_node(z))
+            out = nm.mlp_forward(head, nm.as_node(z))
             return nm.reduce_sum(oracles.mul(out, out))
 
         assert oracles.gradcheck(build, inputs) < 1e-4

@@ -331,6 +331,14 @@ class TestBuildBenchmark:
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_load_refuses_another_bench_seed(self, small_bench, tmp_path):
+        # the manifest records the scene seeds that bench seed 5 gives
+        sd.save_benchmark(small_bench, tmp_path)
+        with pytest.raises(CorruptInputError, match=r"manifest.csv: line 2 has scene_seed "
+                                                    r"'83886080' where the config and bench "
+                                                    r"seed 6 give '100663296'"):
+            sd.load_benchmark(tmp_path, SMALL_BENCH, seed=6)
+
     @pytest.mark.parametrize("value", [0.5, 7.0, -1.0, np.nan, np.inf])
     def test_load_refuses_mask_values_other_than_0_and_1(self, small_bench, tmp_path, value):
         sd.save_benchmark(small_bench, tmp_path)

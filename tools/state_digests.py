@@ -1,6 +1,7 @@
-"""Build and save one benchmark, calibrate the backbone on it, train a
-fixed set of configs on it, and print the digests: first a ``bench digest``
-line over the saved benchmark files, then a ``backbone digest`` line, then
+"""Build and save one benchmark, load it back as ``apex train`` does,
+calibrate the backbone on the loaded copy, train a fixed set of configs on
+it, and print the digests: first a ``bench digest`` line over the saved
+benchmark files, then a ``backbone digest`` line, then
 for each trained state a ``label digest`` line over its tensors, a
 ``label eval digest`` line over the CSV lines of its seen, unseen and
 source-only evaluation reports, and a ``label viz digest`` line over the
@@ -64,25 +65,33 @@ def eval_digest(state: prompting.ApexState, backbone: synthdata.FrozenBackbone,
                                      for line in report.csv_lines()).encode()).hexdigest()
 
 
-def written_digest(write) -> str:
-    """sha256 over the relative paths and bytes of the files ``write(dir)``
-    puts into an empty directory."""
+def tree_digest(directory) -> str:
+    """sha256 over the relative paths and bytes of the files below ``directory``."""
     h = hashlib.sha256()
+    for path in sorted(Path(directory).rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(directory).as_posix().encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def written_digest(write) -> str:
+    """:func:`tree_digest` of the files ``write(dir)`` puts into an empty
+    directory."""
     with tempfile.TemporaryDirectory() as tmp:
         write(tmp)
-        for path in sorted(Path(tmp).rglob("*")):
-            if path.is_file():
-                h.update(path.relative_to(tmp).as_posix().encode())
-                h.update(path.read_bytes())
-    return h.hexdigest()
+        return tree_digest(tmp)
 
 
 def digest_lines(bench_seed: int, size: int, seed: int, labels=None):
     """The output lines, one at a time, as each digest is ready; with
     ``labels``, only the lines of the configs so labelled after the
     ``bench`` and ``backbone`` lines."""
-    bench = synthdata.build_benchmark(synthdata.BenchmarkConfig(image_size=size), bench_seed)
-    yield f"bench {written_digest(lambda d: synthdata.save_benchmark(bench, d))}"
+    bench_config = synthdata.BenchmarkConfig(image_size=size)
+    with tempfile.TemporaryDirectory() as tmp:
+        synthdata.save_benchmark(synthdata.build_benchmark(bench_config, bench_seed), tmp)
+        yield f"bench {tree_digest(tmp)}"
+        bench = synthdata.load_benchmark(tmp, bench_config, bench_seed)
     backbone = synthdata.backbone_calibrate(bench.splits["source_cal"])
     yield f"backbone {backbone.digest()}"
     for label, config in configs():
