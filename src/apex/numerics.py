@@ -34,11 +34,10 @@ with ``math.isfinite``, and in :func:`sgd_step` only the updated parameter,
 which a non-finite gradient always makes non-finite.
 
 Arrays derived from a value are made once per value: a frozen array keeps
-what :meth:`Node.derived` makes from it, such as :func:`linear`'s transposed
-weight and :func:`cosine_rows`'s norms and unit-row transpose of the slot
-memory, until :meth:`Node.set` replaces it. So an evaluation makes each once
-per weight, not once per chunk. An array taken unfrozen inside
-:func:`no_grad` may change in place and keeps nothing.
+what :meth:`Node.derived` makes from it, such as :func:`cosine_rows`'s norms
+and unit-row transpose of the slot memory, until :meth:`Node.set` replaces
+it, so an evaluation makes them once, not once per chunk. An array taken
+unfrozen inside :func:`no_grad` may change in place and keeps nothing.
 
 Inference runs in :func:`no_grad` mode, as ``torch.no_grad`` does: the same
 NumPy expressions, so the same values, but no graph and no check per node.
@@ -160,8 +159,8 @@ class Node:
     (:func:`stop_gradient`) holds checked values and is not checked again.
     Inside :func:`no_grad` a node takes its array unchecked and unfrozen.
 
-    Arrays derived from a frozen array, such as :func:`linear`'s transposed
-    weight, are kept with it (:meth:`derived`). The rule: only an array that
+    Arrays derived from a frozen array, such as the slot memory's unit rows,
+    are kept with it (:meth:`derived`). The rule: only an array that
     :meth:`set` froze keeps derived arrays, and :meth:`set`, the one way a
     node's array changes, drops them. A node made from another node shares
     its array and so its derived arrays. An unfrozen :func:`no_grad` array
@@ -516,25 +515,32 @@ class MlpParams:
     """Weights and biases of a fully connected stack: ReLU after every layer
     but the last, which is linear.
 
-    ``layers[i] = (W, b)`` with W shaped [out, in].
+    ``layers[i] = (W, b)`` with W stored [in, out], as :func:`linear` reads it.
     """
 
     layers: list[tuple[Node, Node]]
 
     def __post_init__(self) -> None:
         for i, (w, b) in enumerate(self.layers):
-            if w.array.ndim != 2 or b.array.ndim != 1 or b.shape[0] != w.shape[0]:
+            if w.array.ndim != 2 or b.array.ndim != 1 or b.shape[0] != w.shape[1]:
                 raise ShapeError(f"layer {i}: weight {w.shape} and bias {b.shape} disagree")
-            if i > 0 and w.shape[1] != self.layers[i - 1][0].shape[0]:
-                raise ShapeError(f"layer {i}: input dim {w.shape[1]} does not chain")
+            if i > 0 and w.shape[0] != self.layers[i - 1][0].shape[1]:
+                raise ShapeError(f"layer {i}: input dim {w.shape[0]} does not chain")
+
+
+def out_in(param: np.ndarray) -> np.ndarray:
+    """A stored MLP parameter as checkpoints and the clip norm read it: a
+    weight's [out, in] transposed view, a bias itself; its own inverse."""
+    return param.T
 
 
 def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
              final_zero: bool = False) -> MlpParams:
     """He-initialized stack with ReLU hidden layers and a linear final layer.
 
-    ``final_zero`` zeroes the last layer so the stack starts as the constant
-    zero map (identity prompt at the start of training).
+    Each weight is drawn [out, in] from ``rng`` and stored transposed;
+    ``final_zero`` zeroes the last layer, so the stack starts as the zero map
+    (identity prompt at the start of training).
     """
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
@@ -548,41 +554,33 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
         else:
             w = rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in)
         b = np.zeros(fan_out)
-        layers.append((parameter(w), parameter(b)))
+        layers.append((parameter(out_in(w)), parameter(b)))
     return MlpParams(layers=layers)
 
 
-def _transposed(w: np.ndarray) -> np.ndarray:
-    """A read-only row-major copy of ``w.T``."""
-    wt = w.T.copy()
-    wt.flags.writeable = False
-    return wt
-
-
 def linear(x, w, b, relu: bool = False) -> Node:
-    """One fully connected layer, ``x @ w.T + b`` for ``x`` [batch, in], ``w``
-    [out, in] and ``b`` [out], followed by a ReLU when ``relu`` is set.
+    """One fully connected layer, ``x @ w + b`` for ``x`` [batch, in], ``w``
+    [in, out] and ``b`` [out], followed by a ReLU when ``relu`` is set.
 
     One node with the values and gradients of the primitive chain
-    ``relu(add(matmul(x, transpose(w)), b))``, bit for bit, whose ``relu``
-    and ``transpose`` are in ``tests/oracles.py``: it runs the chain's NumPy
-    expressions, including the row-major copy of ``w.T``, which is a
-    :meth:`Node.derived` array, made once per value of a frozen ``w``.
+    ``relu(add(matmul(x, transpose(out_in(w))), b))``, bit for bit, whose
+    ``relu`` and ``transpose`` are in ``tests/oracles.py``: the chain's
+    row-major copy holds ``w``'s bytes, so the products are the same BLAS
+    calls. The weight's gradient is ``x.T @ g``, [in, out] as it comes.
     """
     x, w, b = as_node(x), as_node(w), as_node(b)
-    if x.array.ndim != 2 or w.array.ndim != 2 or x.shape[1] != w.shape[1] \
-            or b.shape != (w.shape[0],):
+    if x.array.ndim != 2 or w.array.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} disagree")
-    wt = w.derived(_transposed)
-    pre = x.array @ wt + b.array
+    pre = x.array @ w.array + b.array
 
     def back(g: np.ndarray) -> None:
         if relu:
             g = g * (pre > 0.0)
         if x._needs_grad:
-            x.accumulate(g @ wt.T)
+            x.accumulate(g @ w.array.T)
         if w._needs_grad:
-            w.accumulate((x.array.T @ g).T)
+            w.accumulate(x.array.T @ g)
         if b._needs_grad:
             b.accumulate(_unbroadcast(g, b.shape))
 

@@ -76,9 +76,9 @@ class ApexState:
     """All trainable pieces plus the region geometry they are sized for.
 
     ``input_center`` is a fixed preprocessing constant (mean log-amplitude
-    profile of the training data, set once by the trainer): subtracting it
-    turns encoder inputs into deviation vectors, whose directions carry the
-    domain signal the cosine addressing needs.
+    profile of the training data, fitted once per benchmark and region by the
+    trainer): subtracting it turns encoder inputs into deviation vectors,
+    whose directions carry the domain signal the cosine addressing needs.
     """
 
     config: ApexConfig
@@ -158,10 +158,13 @@ def map_chunks(fn, samples) -> list:
 
 def fit_input_center(state: ApexState, samples) -> None:
     """Set the encoder's centering constant to the mean training profile of
-    ``samples`` (each with an ``image``), transformed a chunk at a time."""
+    ``samples`` (each with an ``image``), transformed a chunk at a time as
+    ``fft2`` does, line by line along axis 2, then along axis 1 for the
+    square's columns alone, which gives the square the same values."""
     def features(_chunk, images):
-        spectrum = np.fft.fft2(images, axes=(1, 2), out=np.empty(images.shape, complex))
-        return lowfreq_features(region_amplitudes(state.region, spectrum))
+        rows, cols = state.region._unshifted
+        square = np.fft.fft(np.fft.fft(images, axis=2).take(cols, axis=2), axis=1).take(rows, 1)
+        return lowfreq_features(np.abs(square))
 
     state.input_center = np.concatenate(map_chunks(features, samples)).mean(axis=0)
 
@@ -248,7 +251,8 @@ def forward_batch(state: ApexState, images: np.ndarray) -> ForwardNodes:
 # ---------------------------------------------------------------------------
 
 def state_tensors(state: ApexState) -> dict:
-    tensors = {name: node.array for name, node in state.parameters().items()}
+    tensors = {name: node.array if name == "memory" else nm.out_in(node.array)
+               for name, node in state.parameters().items()}
     tensors["input_center"] = state.input_center
     return tensors
 
@@ -336,6 +340,6 @@ def load_state(directory) -> ApexState:
         if name == "input_center":
             state.input_center = arr
         else:
-            params[name].set(arr)
+            params[name].set(arr if name == "memory" else nm.out_in(arr))
     state.step = ints("step", 1, 0)[0]
     return state

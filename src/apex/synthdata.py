@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +225,8 @@ class Benchmark:
     config: BenchmarkConfig
     seed: int
     splits: dict  # split name -> list[DomainSample]
+    # harness.train's input centre per LowFreqRegion; dataclasses.replace starts empty
+    input_centers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     SPLITS = ("source_cal", "source_test", "train_seen", "test_seen", "test_unseen")
 

@@ -77,6 +77,31 @@ class TestTrain:
             assert rep.total == rep.seg + rep.lfc
             assert rep.seg == rep.dice_part + rep.ce_part
 
+    def test_input_center_fitted_once_per_benchmark(self, bench, backbone, monkeypatch):
+        fits = []
+        fit = pr.fit_input_center
+
+        def counting(state, samples):
+            fits.append(samples)
+            fit(state, samples)
+
+        monkeypatch.setattr(pr, "fit_input_center", counting)
+        one = replace(bench)  # a copy holds no centre the fixture's runs fitted
+        other = replace(bench, splits={**bench.splits, "train_seen": bench.splits["test_seen"]})
+        runs = [(TINY_TRAIN, one, 0), (replace(TINY_TRAIN, lfc_enabled=False), one, 1),
+                (TINY_TRAIN, other, 0)]
+        states = [hn.train(cfg, b, backbone, seed)[0] for cfg, b, seed in runs]
+        assert len(fits) == 2 and fits[0] is bench.splits["train_seen"] \
+            and fits[1] is bench.splits["test_seen"]
+        assert states[0].input_center is states[1].input_center
+        assert not states[0].input_center.flags.writeable
+        assert not np.array_equal(states[0].input_center, states[2].input_center)
+        for state, (cfg, b, seed) in zip(states, runs):
+            fresh = hn.train(cfg, replace(b), backbone, seed)[0]  # fits its own centre
+            assert tensorio.tensor_digest(*pr.state_tensors(state).values()) \
+                == tensorio.tensor_digest(*pr.state_tensors(fresh).values())
+        assert len(fits) == 5
+
     def test_backbone_untouched(self, bench, backbone):
         before = backbone.digest()
         hn.train(TINY_TRAIN, bench, backbone, seed=2)
@@ -377,30 +402,25 @@ def test_library_functions_all_run(bench, backbone, tmp_path):
     assert sorted(name for name, code in public.items() if code not in called) == []
 
 
-def test_evaluations_make_each_weight_transpose_and_memory_norm_once(bench, backbone,
-                                                                     monkeypatch):
-    # the weights are frozen through an evaluation: the first chunk makes the
-    # arrays derived from them, every later chunk and evaluation reuses them
+def test_evaluations_copy_no_weight_and_make_the_memory_norms_once(bench, backbone,
+                                                                   monkeypatch):
+    # linear reads each weight as it is stored, so no array is derived from
+    # a weight; the first chunk makes the memory's norms and unit rows, and
+    # every later chunk and evaluation reuses them
     state = pr.init_state(ApexConfig(), 32, 32, 1)
-    transposed, memory_norms = [], []
-    transpose, row_norms = nm._transposed, nm._row_norms
-
-    def counting_transpose(w):
-        transposed.append(w)
-        return transpose(w)
+    memory_norms = []
+    row_norms = nm._row_norms
 
     def counting_row_norms(v):
         if v is state.memory.array:
             memory_norms.append(v)
         return row_norms(v)
 
-    monkeypatch.setattr(nm, "_transposed", counting_transpose)
     monkeypatch.setattr(nm, "_row_norms", counting_row_norms)
     for split in ("seen", "unseen"):
         hn.evaluate(state, backbone, bench, split)
-    weights = [w.array for mlp in (state.encoder, state.decoder) for w, _b in mlp.layers]
-    assert len(transposed) == len(weights) == 8
-    assert all(any(w is arr for arr in transposed) for w in weights)
+    weights = [w for mlp in (state.encoder, state.decoder) for w, _b in mlp.layers]
+    assert len(weights) == 8 and all(w._derived == {} for w in weights)
     assert len(memory_norms) == 1
 
 

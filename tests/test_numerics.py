@@ -81,7 +81,8 @@ class TestNoGrad:
     def leaves():
         rng = np.random.default_rng(4)
         return (nm.parameter(rng.standard_normal((5, 3))),
-                nm.parameter(rng.standard_normal((4, 3))), nm.parameter(rng.standard_normal(4)),
+                nm.parameter(nm.out_in(rng.standard_normal((4, 3)))),
+                nm.parameter(rng.standard_normal(4)),
                 nm.parameter(rng.standard_normal((6, 4))))
 
     def test_values_equal_the_graphs_and_no_graph_is_kept(self):
@@ -244,8 +245,8 @@ class TestCosine:
 class TestMlp:
     def _zero_mlp_with_bias(self, bias):
         layers = [
-            (nm.parameter(np.zeros((3, 2))), nm.parameter(np.zeros(3))),
-            (nm.parameter(np.zeros((2, 3))), nm.parameter(np.asarray(bias, dtype=float))),
+            (nm.parameter(np.zeros((2, 3))), nm.parameter(np.zeros(3))),
+            (nm.parameter(np.zeros((3, 2))), nm.parameter(np.asarray(bias, dtype=float))),
         ]
         return nm.MlpParams(layers=layers)
 
@@ -282,8 +283,8 @@ class TestMlp:
 
     def test_dimension_chain_validated(self):
         with pytest.raises(ShapeError):
-            nm.MlpParams(layers=[(nm.parameter(np.zeros((3, 2))), nm.parameter(np.zeros(3))),
-                                 (nm.parameter(np.zeros((2, 4))), nm.parameter(np.zeros(2)))])
+            nm.MlpParams(layers=[(nm.parameter(np.zeros((2, 3))), nm.parameter(np.zeros(3))),
+                                 (nm.parameter(np.zeros((4, 2))), nm.parameter(np.zeros(2)))])
 
 
 def _linear_chain(x, w, b, relu):
@@ -320,13 +321,18 @@ class TestFusedOps:
     """``linear`` and ``cosine_rows`` are single nodes that must reproduce
     the primitive chains they replace bit for bit, in value and gradient."""
 
-    def _assert_bit_identical(self, fused, chain, arrays):
-        v_fused, g_fused = _value_and_grads(fused, arrays)
+    def _assert_bit_identical(self, fused, chain, arrays, weight=None):
+        """``arrays[weight]``, if given, is an [out, in] weight, which the
+        fused side gets and returns the gradient of in ``linear``'s [in, out]."""
+        stored = list(arrays)
+        if weight is not None:
+            stored[weight] = nm.out_in(arrays[weight])
+        v_fused, g_fused = _value_and_grads(fused, stored)
         v_chain, g_chain = _value_and_grads(chain, arrays)
         assert np.array_equal(v_fused, v_chain)
-        for gf, gc in zip(g_fused, g_chain):
-            assert np.array_equal(gf, gc)
+        for i, (gf, gc) in enumerate(zip(g_fused, g_chain)):
             assert gf.flags.c_contiguous
+            assert np.array_equal(nm.out_in(gf) if i == weight else gf, gc)
 
     @pytest.mark.parametrize("relu", [True, False])
     def test_linear_matches_chain(self, relu):
@@ -338,7 +344,25 @@ class TestFusedOps:
             self._assert_bit_identical(
                 lambda ls: _weighted(nm.linear(ls[0], ls[1], ls[2], relu=relu), trial),
                 lambda ls: _weighted(_linear_chain(ls[0], ls[1], ls[2], relu), trial),
-                arrays)
+                arrays, weight=1)
+
+    def test_linear_weight_gradient_is_the_product_uncopied(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        x, w, b = (nm.parameter(a) for a in (rng.standard_normal((4, 3)),
+                                             rng.standard_normal((3, 5)), rng.standard_normal(5)))
+        handed = {}
+        accumulate = nm.Node.accumulate
+
+        def recording(node, g):
+            handed.setdefault(id(node), g)
+            accumulate(node, g)
+
+        monkeypatch.setattr(nm.Node, "accumulate", recording)
+        out = nm.linear(x, w, b, relu=True)
+        nm.backward(_weighted(out, 3)[1])
+        upstream = np.random.default_rng(3).standard_normal((4, 5)) * (out.array > 0.0)
+        assert w.grad is handed[id(w)] and w.grad.flags.c_contiguous
+        assert w.grad.tobytes() == (x.array.T @ upstream).tobytes()
 
     def test_cosine_rows_matches_chain(self):
         rng = np.random.default_rng(32)
@@ -411,14 +435,14 @@ class TestFusedOps:
                 lambda ls: build(ls, lambda x_, w_, b_, r: nm.linear(x_, w_, b_, relu=r),
                                  nm.cosine_rows),
                 lambda ls: build(ls, _linear_chain, _cosine_rows_chain),
-                [x, w, b, mem])
+                [x, w, b, mem], weight=1)
 
     @pytest.mark.parametrize("relu", [True, False])
     def test_linear_gradcheck(self, relu):
         rng = np.random.default_rng(35)
         for trial in range(20):
             n, k, m = (int(d) for d in rng.integers(1, 6, size=3))
-            inputs = [rng.standard_normal((n, k)), rng.standard_normal((m, k)),
+            inputs = [rng.standard_normal((n, k)), nm.out_in(rng.standard_normal((m, k))),
                       rng.standard_normal(m)]
             weights = rng.standard_normal((n, m))
 
@@ -448,21 +472,21 @@ class TestFusedOps:
 
     def test_linear_shape_checked(self):
         with pytest.raises(ShapeError):
-            nm.linear(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(4))
+            nm.linear(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
         with pytest.raises(ShapeError):
-            nm.linear(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(3))
+            nm.linear(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(3))
 
 
 class TestDerivedArrays:
     """A frozen array keeps what ``Node.derived`` makes from it until
-    ``Node.set`` replaces it: ``linear``'s weight transpose and
-    ``cosine_rows``'s norms and unit-row transpose of its second input."""
+    ``Node.set`` replaces it, such as ``cosine_rows``'s norms and unit-row
+    transpose of its second input."""
 
     @staticmethod
     def arrays(seed):
         rng = np.random.default_rng(seed)
         # a positive bias keeps every row of the ReLU output away from zero
-        return (rng.standard_normal((4, 5)), rng.standard_normal((3, 5)),
+        return (rng.standard_normal((4, 5)), nm.out_in(rng.standard_normal((3, 5))).copy(),
                 rng.random(3) + 2.0, rng.standard_normal((6, 3)))
 
     @staticmethod
@@ -488,20 +512,22 @@ class TestDerivedArrays:
 
         def make(arr):
             made.append(arr)
-            return nm._transposed(arr)
+            negated = -arr
+            negated.flags.writeable = False
+            return negated
 
-        wt = w.derived(make)
-        assert w.derived(make) is wt and nm.stop_gradient(w).derived(make) is wt
+        kept = w.derived(make)
+        assert w.derived(make) is kept and nm.stop_gradient(w).derived(make) is kept
         with nm.no_grad():
-            assert nm.stop_gradient(w).derived(make) is wt
+            assert nm.stop_gradient(w).derived(make) is kept
         assert len(made) == 1 and made[0] is w.array
         nm.cosine_rows(nm.linear(x, w, b), mem)
-        for arr in (wt, w.derived(nm._transposed), *mem.derived(nm._unit_rows_transposed)):
+        for arr in (kept, *mem.derived(nm._unit_rows_transposed)):
             assert not arr.flags.writeable and arr.flags.c_contiguous
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         w.set(w.array * 2.0)
-        assert w.derived(make) is not wt and len(made) == 2 and made[1] is w.array
+        assert w.derived(make) is not kept and len(made) == 2 and made[1] is w.array
 
     def test_after_sgd_step_equal_to_fresh_nodes(self):
         nodes = [nm.parameter(a) for a in self.arrays(2)]

@@ -46,8 +46,8 @@ class TestEncodeDomain:
     def test_zero_encoder_outputs_bias(self):
         bias = np.array([0.5, -1.0, 0.25])
         enc = nm.MlpParams(
-            layers=[(nm.parameter(np.zeros((4, 9))), nm.parameter(np.zeros(4))),
-                    (nm.parameter(np.zeros((3, 4))), nm.parameter(bias))])
+            layers=[(nm.parameter(np.zeros((9, 4))), nm.parameter(np.zeros(4))),
+                    (nm.parameter(np.zeros((4, 3))), nm.parameter(bias))])
         img = np.random.default_rng(0).random((8, 8, 1))
         low = oracles.extract_low_freq(sp.fft2(img), sp.LowFreqRegion.plan(8, 8, 1, 0.375))
         z = pr.encode_batch(enc, low[None], center=np.zeros(9))
@@ -198,7 +198,7 @@ class TestDecodePrompt:
     def test_constant_log_two(self):
         state = small_state()
         dec = nm.MlpParams(
-            layers=[(nm.parameter(np.zeros((9, 16))),
+            layers=[(nm.parameter(np.zeros((16, 9))),
                      nm.parameter(np.full(9, math.log(2.0))))])
         p = pr.decode_prompt(dec, nm.as_node(np.zeros((1, 16))), state.region)
         # odd-sided region: every entry pairs inside, so the 2 survives everywhere
@@ -220,7 +220,7 @@ class TestDecodePrompt:
 
     def test_output_size_validated(self):
         state = small_state()
-        bad = nm.MlpParams(layers=[(nm.parameter(np.zeros((5, 16))),
+        bad = nm.MlpParams(layers=[(nm.parameter(np.zeros((16, 5))),
                                     nm.parameter(np.zeros(5)))])
         with pytest.raises(ShapeError):
             pr.decode_prompt(bad, nm.as_node(np.zeros((1, 16))), state.region)
@@ -230,8 +230,8 @@ class TestProjectAux:
     def test_zero_head_outputs_bias(self):
         bias = np.array([1.0, 2.0, 3.0, 4.0])
         head = nm.MlpParams(
-            layers=[(nm.parameter(np.zeros((5, 16))), nm.parameter(np.zeros(5))),
-                    (nm.parameter(np.zeros((4, 5))), nm.parameter(bias))])
+            layers=[(nm.parameter(np.zeros((16, 5))), nm.parameter(np.zeros(5))),
+                    (nm.parameter(np.zeros((5, 4))), nm.parameter(bias))])
         out = nm.mlp_forward(head, nm.as_node(np.ones((1, 16))))
         assert np.allclose(out.array[0], bias)
 
@@ -276,7 +276,7 @@ class TestApexForward:
         enc_proto = nm.init_mlp([9, 6, 6, 6, 8], rng)
         dec_proto = nm.init_mlp([8, 6, 6, 6, 9], rng)
         for w, _ in dec_proto.layers:
-            w.set(rng.standard_normal(w.shape) * 0.1)
+            w.set(nm.out_in(rng.standard_normal(w.shape[::-1]) * 0.1))
         mem0 = nm.orthogonal_rows(4, 8, seed=3)
         spectrum = np.fft.fft2(img[None], axes=(1, 2))
         amps = pr.region_amplitudes(region, spectrum)
@@ -669,6 +669,14 @@ class TestCheckpoint:
         names = self.manifest_lists(tmp_path / "ckpt", "tensors")
         assert self.manifest_lists(tmp_path / "ckpt", "digests") == [
             tensorio.tensor_digest(tensors[name]) for name in names]
+
+    def test_weights_are_saved_out_in(self, tmp_path):
+        state = self.random_state(45)
+        pr.save_state(state, tmp_path / "ckpt")
+        for mlp in ("encoder", "decoder", "head"):
+            for i, (w, _b) in enumerate(getattr(state, mlp).layers):
+                saved = tensorio.read_tensor(tmp_path / "ckpt" / f"{mlp}.w{i}.apxt")
+                assert saved.shape == w.shape[::-1] and saved.tobytes() == w.array.T.tobytes()
 
     @pytest.mark.parametrize("name", ["decoder.b2", "decoder.b3", "encoder.b1", "encoder.w0",
                                       "input_center"])

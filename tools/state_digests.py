@@ -6,6 +6,9 @@ for each trained state a ``label digest`` line over its tensors, a
 ``label eval digest`` line over the CSV lines of its seen, unseen and
 source-only evaluation reports, and a ``label viz digest`` line over the
 three files ``harness.export_activations`` writes for ``test_unseen``.
+Each trained state is also saved with ``prompting.save_state`` and loaded
+back; the script exits 1 if the loaded state's tensor or evaluation digest
+differs from the trained one's.
 
 A change that only reorganises the arithmetic (fused ops, fewer graph
 nodes, fewer checks, a batched calibration, a windowed scene generator)
@@ -83,6 +86,13 @@ def written_digest(write) -> str:
         return tree_digest(tmp)
 
 
+def reloaded(state: prompting.ApexState) -> prompting.ApexState:
+    """``state`` saved by ``prompting.save_state`` and read back by ``load_state``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        prompting.save_state(state, tmp)
+        return prompting.load_state(tmp)
+
+
 def digest_lines(bench_seed: int, size: int, seed: int, labels=None):
     """The output lines, one at a time, as each digest is ready; with
     ``labels``, only the lines of the configs so labelled after the
@@ -98,8 +108,12 @@ def digest_lines(bench_seed: int, size: int, seed: int, labels=None):
         if labels is not None and label not in labels:
             continue
         state, _log = harness.train(config, bench, backbone, seed)
-        yield f"{label} {state_digest(state)}"
-        yield f"{label} eval {eval_digest(state, backbone, bench)}"
+        digests = state_digest(state), eval_digest(state, backbone, bench)
+        loaded = reloaded(state)
+        if (state_digest(loaded), eval_digest(loaded, backbone, bench)) != digests:
+            sys.exit(f"{label}: the state loaded from its checkpoint differs from the saved one")
+        yield f"{label} {digests[0]}"
+        yield f"{label} eval {digests[1]}"
         viz = written_digest(lambda d: harness.export_activations(
             state, bench.splits["test_unseen"], d))
         yield f"{label} viz {viz}"
