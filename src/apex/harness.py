@@ -77,10 +77,10 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
     total = sum(counts.values())
     steps_per_epoch = max(1, total // plan.batch_size)
     rng = np.random.default_rng([seed, 0x5EED])
-    params = state.parameters()
-    memory = params.pop("memory")
-    mlp_params = list(params.values())
-    clipped = [not name.startswith("decoder.") for name in params]  # encoder and head
+    views = state.tensor_views()
+    memory = views.pop("memory")[0]
+    mlp_params = [node for node, _view in views.values()]
+    clipped = [None if name.startswith("decoder.") else view for name, (_, view) in views.items()]
     log: list[LossReport] = []
 
     def one_step() -> LossReport:
@@ -104,15 +104,15 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
         nm.zero_grads([memory, *mlp_params])
         nm.backward(total_loss)
 
-        # clip the feature path (encoder + head) so their weight norms
-        # cannot run away; cosine gradients scale as 1/norm, so runaway
-        # norms freeze the feature directions the addressing relies on
+        # clip the feature path (encoder + head), its norm summed over each gradient
+        # in checkpoint layout, so weight norms cannot run away: cosine gradients
+        # scale as 1/norm, and runaway norms freeze the addressing's feature directions
         grads = [p.grad for p in mlp_params]
-        gnorm = math.sqrt(sum(float(np.square(nm.out_in(g), order="C").sum())
-                              for g, c in zip(grads, clipped) if c))
+        gnorm = math.sqrt(sum(float(np.square(view(g), order="C").sum())
+                              for g, view in zip(grads, clipped) if view))
         if gnorm > config.feature_grad_clip:
             scale = config.feature_grad_clip / gnorm
-            grads = [g * scale if c else g for g, c in zip(grads, clipped)]
+            grads = [g * scale if view else g for g, view in zip(grads, clipped)]
         nm.sgd_step(mlp_params, grads, config.mlp_learning_rate)
         if cfg.use_memory:
             nm.sgd_step([memory], [memory.grad], cfg.learning_rate)

@@ -529,8 +529,8 @@ class MlpParams:
 
 
 def out_in(param: np.ndarray) -> np.ndarray:
-    """A stored MLP parameter as checkpoints and the clip norm read it: a
-    weight's [out, in] transposed view, a bias itself; its own inverse."""
+    """A stored [in, out] MLP weight as its [out, in] transposed view, the
+    layout checkpoints hold; its own inverse."""
     return param.T
 
 
@@ -548,13 +548,9 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator, *,
     n_layers = len(sizes) - 1
     for i in range(n_layers):
         fan_in, fan_out = sizes[i], sizes[i + 1]
-        last = i == n_layers - 1
-        if last and final_zero:
-            w = np.zeros((fan_out, fan_in))
-        else:
-            w = rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in)
-        b = np.zeros(fan_out)
-        layers.append((parameter(out_in(w)), parameter(b)))
+        w = (np.zeros((fan_out, fan_in)) if final_zero and i == n_layers - 1
+             else rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in))
+        layers.append((parameter(out_in(w)), parameter(np.zeros(fan_out))))
     return MlpParams(layers=layers)
 
 

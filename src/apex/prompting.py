@@ -91,14 +91,18 @@ class ApexState:
     step: int = 0
 
     def parameters(self) -> dict[str, Node]:
-        """The trainable nodes by checkpoint tensor name: the memory, then
-        the encoder, decoder and head, weight then bias per layer."""
-        nodes = {"memory": self.memory}
-        for name, mlp in (("encoder", self.encoder), ("decoder", self.decoder),
-                          ("head", self.head)):
+        """The trainable nodes by checkpoint tensor name, in :meth:`tensor_views` order."""
+        return {name: node for name, (node, _view) in self.tensor_views().items()}
+
+    def tensor_views(self) -> dict:
+        """Each trainable node by checkpoint tensor name with the map, its own inverse,
+        between its array and the tensor: the memory as it is, then the encoder,
+        decoder and head, per layer the weight [out, in] (``nm.out_in``) then the bias."""
+        views = {"memory": (self.memory, np.asarray)}
+        for name, mlp in (("encoder", self.encoder), ("decoder", self.decoder), ("head", self.head)):
             for i, (w, b) in enumerate(mlp.layers):
-                nodes[f"{name}.w{i}"], nodes[f"{name}.b{i}"] = w, b
-        return nodes
+                views[f"{name}.w{i}"], views[f"{name}.b{i}"] = (w, nm.out_in), (b, np.asarray)
+        return views
 
 
 def init_state(config: ApexConfig, height: int, width: int, channels: int = 1) -> ApexState:
@@ -251,8 +255,7 @@ def forward_batch(state: ApexState, images: np.ndarray) -> ForwardNodes:
 # ---------------------------------------------------------------------------
 
 def state_tensors(state: ApexState) -> dict:
-    tensors = {name: node.array if name == "memory" else nm.out_in(node.array)
-               for name, node in state.parameters().items()}
+    tensors = {name: view(node.array) for name, (node, view) in state.tensor_views().items()}
     tensors["input_center"] = state.input_center
     return tensors
 
@@ -325,7 +328,7 @@ def load_state(directory) -> ApexState:
     digests = meta["digests"].split(",") if "digests" in meta else [None] * len(names)
     if len(digests) != len(names):
         raise CorruptInputError(f"{manifest}: {len(digests)} digests for {len(names)} tensors")
-    params = state.parameters()
+    views = state.tensor_views()
     for name, digest in zip(names, digests):
         path = d / f"{name}.apxt"
         arr = tensorio.read_tensor(path)
@@ -340,6 +343,7 @@ def load_state(directory) -> ApexState:
         if name == "input_center":
             state.input_center = arr
         else:
-            params[name].set(arr if name == "memory" else nm.out_in(arr))
+            node, view = views[name]
+            node.set(view(arr))
     state.step = ints("step", 1, 0)[0]
     return state

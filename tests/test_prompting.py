@@ -673,10 +673,18 @@ class TestCheckpoint:
     def test_weights_are_saved_out_in(self, tmp_path):
         state = self.random_state(45)
         pr.save_state(state, tmp_path / "ckpt")
+        def saved(name):
+            return tensorio.read_tensor(tmp_path / "ckpt" / f"{name}.apxt")
+
         for mlp in ("encoder", "decoder", "head"):
-            for i, (w, _b) in enumerate(getattr(state, mlp).layers):
-                saved = tensorio.read_tensor(tmp_path / "ckpt" / f"{mlp}.w{i}.apxt")
-                assert saved.shape == w.shape[::-1] and saved.tobytes() == w.array.T.tobytes()
+            for i, (w, b) in enumerate(getattr(state, mlp).layers):
+                assert saved(f"{mlp}.w{i}").shape == w.shape[::-1]
+                assert saved(f"{mlp}.w{i}").tobytes() == w.array.T.tobytes()
+                assert saved(f"{mlp}.b{i}").tobytes() == b.array.tobytes()
+        # the memory and the centre are saved as they are held
+        assert saved("memory").shape == state.memory.shape
+        assert saved("memory").tobytes() == state.memory.array.tobytes()
+        assert saved("input_center").tobytes() == state.input_center.tobytes()
 
     @pytest.mark.parametrize("name", ["decoder.b2", "decoder.b3", "encoder.b1", "encoder.w0",
                                       "input_center"])
