@@ -30,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 from . import config as cfgmod
-from . import harness, prompting, synthdata, tensorio
+from . import harness, losses, prompting, synthdata, tensorio
 from .errors import ApexError, ConfigError, CorruptInputError
 
 
@@ -135,7 +135,8 @@ def cmd_train(args) -> int:
             res = harness.train_and_eval(train_cfg, bench, backbone, seed)
             seed_dir = stage / f"seed{seed}"
             prompting.save_state(res.state, seed_dir)
-            harness.write_step_log(res.log, seed_dir / "steps.csv")
+            _write(seed_dir / "steps.csv", [losses.LossReport.csv_header()]
+                   + [rep.csv_row(i) for i, rep in enumerate(res.log)])
             metric_lines += [f"{seed},{dom},{row['dice']!r},{row['iou']!r}"
                              for rep in (res.seen, res.unseen)
                              for dom, row in sorted(rep.per_domain.items())]

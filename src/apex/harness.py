@@ -137,12 +137,6 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
     return state, log
 
 
-def write_step_log(log: list[LossReport], path) -> None:
-    lines = [LossReport.csv_header()]
-    lines += [rep.csv_row(i) for i, rep in enumerate(log)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -307,32 +301,34 @@ def slot_sweep(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
 TOP_SLOT_FRACTION = 0.10  # share of the slots counted as a sample's activated set
 
 
-def top_slot_sets(state: ApexState, samples):
-    """Per sample: addressing vector and the ``TOP_SLOT_FRACTION`` most
-    activated slots."""
+def top_slot_sets(state: ApexState, samples) -> tuple[np.ndarray, np.ndarray]:
+    """The [n, J] addressing of ``samples`` and the boolean [n, J] matrix marking each
+    row's ``TOP_SLOT_FRACTION`` most activated slots, the first ones among equals."""
     k = max(1, int(np.floor(state.config.slot_count * TOP_SLOT_FRACTION + 0.5)))
-
-    def top(chunk, images) -> list:
-        return [(s, a, frozenset(int(t) for t in np.argsort(-a, kind="stable")[:k]))
-                for s, a in zip(chunk, prompting.forward_batch(state, images).addressing.array)]
-
-    return [row for rows in prompting.map_chunks(top, samples) for row in rows]
-
-
-def jaccard(a: frozenset, b: frozenset) -> float:
-    union = len(a | b)
-    return len(a & b) / union if union else 1.0
+    addressing = np.concatenate(prompting.map_chunks(
+        lambda _chunk, images: prompting.forward_batch(state, images).addressing.array, samples))
+    member = np.zeros(addressing.shape, dtype=bool)
+    np.put_along_axis(member, np.argsort(-addressing, axis=1, kind="stable")[:, :k], True, axis=1)
+    return addressing, member
 
 
-def slot_overlap_summary(rows) -> tuple[float | None, float | None]:
-    """(mean within-domain, mean cross-domain) Jaccard of top-slot sets; None
-    for a group without pairs, such as cross-domain on a single domain."""
-    within, cross = [], []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            val = jaccard(rows[i][2], rows[j][2])
-            (within if rows[i][0].domain_id == rows[j][0].domain_id else cross).append(val)
-    return tuple(float(np.mean(vals)) if vals else None for vals in (within, cross))
+def jaccard_matrix(member: np.ndarray) -> np.ndarray:
+    """[n, n] Jaccard index of each pair of rows of a boolean [n, J] matrix, 1.0 for
+    two empty rows; exact integer counts make each one ``len(a & b) / len(a | b)``."""
+    m = member.astype(np.float64)
+    inter = m @ m.T  # its diagonal holds each row's size
+    union = np.add.outer(inter.diagonal(), inter.diagonal()) - inter
+    return np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+
+
+def slot_overlap_summary(domains, member) -> tuple[float | None, float | None]:
+    """(mean within-domain, mean cross-domain) Jaccard of the row pairs i < j of
+    ``member`` by the rows' ``domains``; None for a group without pairs."""
+    ids = np.asarray(domains)
+    i, j = np.triu_indices(len(ids), k=1)
+    pairs = jaccard_matrix(member)[i, j]
+    same = ids[i] == ids[j]
+    return tuple(float(np.mean(pairs[of])) if of.any() else None for of in (same, ~same))
 
 
 def export_activations(state: ApexState, samples, out_dir) -> tuple:
@@ -340,29 +336,27 @@ def export_activations(state: ApexState, samples, out_dir) -> tuple:
     heatmap of addressing magnitudes; returns :func:`slot_overlap_summary`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = top_slot_sets(state, samples)
+    addressing, member = top_slot_sets(state, samples)
+    ids = np.array([s.domain_id for s in samples])
 
     lines = ["sample_id,domain_id,top_slots"]
-    for s, _a, top in rows:
-        lines.append(f"{s.sample_id},{s.domain_id},{'|'.join(str(t) for t in sorted(top))}")
+    lines += [f"{s.sample_id},{s.domain_id},{'|'.join(map(str, np.flatnonzero(row)))}"
+              for s, row in zip(samples, member)]
     (out / "activations.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
-    domains = sorted({s.domain_id for s, _, _ in rows})
+    jac = jaccard_matrix(member)
+    domains = sorted(set(ids.tolist()))
     matrix = ["domain," + ",".join(domains)]
     for da in domains:
-        vals = []
-        for db in domains:
-            pair_vals = [jaccard(ra[2], rb[2])
-                         for ia, ra in enumerate(rows) if ra[0].domain_id == da
-                         for ib, rb in enumerate(rows)
-                         if rb[0].domain_id == db and (da != db or ib > ia)]
-            vals.append(repr(float(np.mean(pair_vals))) if pair_vals else "")
-        matrix.append(f"{da}," + ",".join(vals))
+        cells = []
+        for db in domains:  # the block's pairs row-major; within one domain, those i < j
+            block = jac[np.ix_(ids == da, ids == db)]
+            pairs = block[np.triu_indices(len(block), k=1)] if da == db else block.ravel()
+            cells.append(repr(float(np.mean(pairs))) if pairs.size else "")
+        matrix.append(f"{da}," + ",".join(cells))
     (out / "overlap_matrix.csv").write_text("\n".join(matrix) + "\n", encoding="ascii")
 
-    heat = np.stack([np.abs(a) for _s, a, _t in rows])
+    heat = np.abs(addressing)
     peak = heat.max()
-    if peak > 0:
-        heat = heat / peak
-    tensorio.write_pgm(out / "activations.pgm", heat)
-    return slot_overlap_summary(rows)
+    tensorio.write_pgm(out / "activations.pgm", heat / peak if peak > 0 else heat)
+    return slot_overlap_summary(ids, member)

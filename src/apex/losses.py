@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import ConfigError, ShapeError
 from .numerics import Node
 
 DICE_SMOOTH = 1.0
@@ -45,8 +45,7 @@ def seg_loss(pred, masks) -> tuple[Node, float, float]:
     if p.shape != m.shape or m.ndim != 4:
         raise ShapeError(f"prediction shape {p.shape} and mask shape {m.shape} "
                          "must be the same [batch, h, w, c]")
-    if not np.isfinite(m).all():
-        raise NonFiniteError("tensor values must all be finite")
+    nm.check_finite(m)
     x = p.array
     batch = x.shape[0]
     x_rows, m_rows = x.reshape(batch, -1), m.reshape(batch, -1)
@@ -56,8 +55,7 @@ def seg_loss(pred, masks) -> tuple[Node, float, float]:
     den = np.sum(x_rows, axis=1) + np.sum(m_rows, axis=1) + DICE_SMOOTH
     # an overflowing sum makes den infinite and the quotient a finite 0; any
     # other non-finite value reaches the loss, which the node checks
-    if not np.isfinite(den).all():
-        raise NonFiniteError("tensor values must all be finite")
+    nm.check_finite(den)
     dice = np.sum(1.0 - num / den) / float(batch)
 
     # cross-entropy: one mean over every entry

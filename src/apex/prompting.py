@@ -90,10 +90,6 @@ class ApexState:
     input_center: np.ndarray
     step: int = 0
 
-    def parameters(self) -> dict[str, Node]:
-        """The trainable nodes by checkpoint tensor name, in :meth:`tensor_views` order."""
-        return {name: node for name, (node, _view) in self.tensor_views().items()}
-
     def tensor_views(self) -> dict:
         """Each trainable node by checkpoint tensor name with the map, its own inverse,
         between its array and the tensor: the memory as it is, then the encoder,

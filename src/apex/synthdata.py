@@ -25,8 +25,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import tensorio
-from .errors import (ConfigError, CorruptInputError, InputNotFoundError, NonFiniteError,
-                     ShapeError, read_text)
+from .errors import ConfigError, CorruptInputError, InputNotFoundError, ShapeError, read_text
 from .numerics import Node
 
 SCENE_BACKGROUND = 0.3
@@ -423,8 +422,7 @@ def backbone_forward(bb: FrozenBackbone, img) -> Node:
     z = _blur(img.array, bb.blur_radius)
     z -= bb.threshold
     z /= bb.slope
-    if not np.isfinite(z).all():
-        raise NonFiniteError("tensor values must all be finite")
+    nm.check_finite(z)
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)

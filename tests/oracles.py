@@ -1,8 +1,9 @@
 """Reference helpers that only the tests use: finite-difference gradient
 checks, the primitive chains that the library's fused nodes replace, the
 box blur as a graph node, the backbone's calibration score, the
-low-frequency region's mask and amplitudes, the identity prompt, and a
-reader for PGM dumps.
+low-frequency region's mask and amplitudes, the identity prompt, a reader
+for PGM dumps, and the slot statistics of ``harness.export_activations``
+computed pair by pair over per-sample sets.
 
 The primitive chains define what the fused nodes compute: ``numerics.linear``
 (with ``relu`` and ``transpose``), ``numerics.cosine_rows``, the backbone
@@ -23,8 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from apex import losses
+from apex import harness, losses
 from apex import numerics as nm
+from apex import prompting, tensorio
 from apex import spectral as sp
 from apex import synthdata as sd
 from apex.errors import ConfigError, DegenerateInputError, NumericDomainError, ShapeError
@@ -308,3 +310,69 @@ def read_pnm(path) -> np.ndarray:
     w, h = (int(v) for v in size.split())
     raw = np.frombuffer(pixels[:w * h], dtype=np.uint8)
     return raw.reshape(h, w, 1).astype(np.float64) / 255.0
+
+
+# ---------------------------------------------------------------------------
+# slot statistics, pair by pair
+# ---------------------------------------------------------------------------
+
+def top_slot_rows(state, samples) -> list:
+    """Per sample: (sample, addressing vector, frozenset of its
+    ``harness.TOP_SLOT_FRACTION`` most activated slots), each set from its
+    own row's stable argsort."""
+    k = max(1, int(np.floor(state.config.slot_count * harness.TOP_SLOT_FRACTION + 0.5)))
+
+    def top(chunk, images) -> list:
+        return [(s, a, frozenset(int(t) for t in np.argsort(-a, kind="stable")[:k]))
+                for s, a in zip(chunk, prompting.forward_batch(state, images).addressing.array)]
+
+    return [row for rows in prompting.map_chunks(top, samples) for row in rows]
+
+
+def jaccard(a: frozenset, b: frozenset) -> float:
+    union = len(a | b)
+    return len(a & b) / union if union else 1.0
+
+
+def slot_overlap_summary(rows) -> tuple:
+    """(mean within-domain, mean cross-domain) :func:`jaccard` over the pairs
+    i < j of :func:`top_slot_rows` rows; None for a group without pairs."""
+    within, cross = [], []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            val = jaccard(rows[i][2], rows[j][2])
+            (within if rows[i][0].domain_id == rows[j][0].domain_id else cross).append(val)
+    return tuple(float(np.mean(vals)) if vals else None for vals in (within, cross))
+
+
+def export_activations(state, samples, out_dir) -> tuple:
+    """The three files of ``harness.export_activations`` and its summary, from
+    one frozenset per sample and a list of pairs per domain pair."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = top_slot_rows(state, samples)
+
+    lines = ["sample_id,domain_id,top_slots"]
+    for s, _a, top in rows:
+        lines.append(f"{s.sample_id},{s.domain_id},{'|'.join(str(t) for t in sorted(top))}")
+    (out / "activations.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+
+    domains = sorted({s.domain_id for s, _, _ in rows})
+    matrix = ["domain," + ",".join(domains)]
+    for da in domains:
+        vals = []
+        for db in domains:
+            pair_vals = [jaccard(ra[2], rb[2])
+                         for ia, ra in enumerate(rows) if ra[0].domain_id == da
+                         for ib, rb in enumerate(rows)
+                         if rb[0].domain_id == db and (da != db or ib > ia)]
+            vals.append(repr(float(np.mean(pair_vals))) if pair_vals else "")
+        matrix.append(f"{da}," + ",".join(vals))
+    (out / "overlap_matrix.csv").write_text("\n".join(matrix) + "\n", encoding="ascii")
+
+    heat = np.stack([np.abs(a) for _s, a, _t in rows])
+    peak = heat.max()
+    if peak > 0:
+        heat = heat / peak
+    tensorio.write_pgm(out / "activations.pgm", heat)
+    return slot_overlap_summary(rows)

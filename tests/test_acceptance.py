@@ -317,8 +317,9 @@ def test_criterion_10_slot_overlap(default_bench, default_runs):
     for seed in SEEDS:
         state = default_runs["runs"][seed].state
         samples = default_bench.splits["test_unseen"]
-        rows = hn.top_slot_sets(state, samples[:40] + samples[-40:])
-        within, cross = hn.slot_overlap_summary(rows)
+        samples = samples[:40] + samples[-40:]
+        _addressing, member = hn.top_slot_sets(state, samples)
+        within, cross = hn.slot_overlap_summary([s.domain_id for s in samples], member)
         assert within > cross, (seed, within, cross)
         margins.append((within, cross))
     detail = "; ".join(f"seed{s}: {w:.2f}>{c:.2f}" for s, (w, c) in zip(SEEDS, margins))

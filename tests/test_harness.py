@@ -21,6 +21,8 @@ from apex import tensorio
 from apex.errors import ConfigError, NonFiniteError
 from apex.prompting import ApexConfig
 
+import oracles
+
 TINY_APEX = ApexConfig(feature_dim=16, slot_count=8, encoder_hidden=(10, 10, 10),
                        decoder_hidden=(10, 10, 10), head_hidden=(8,), aux_dim=4,
                        learning_rate=0.05, seed=0)
@@ -325,9 +327,10 @@ class TestActivations:
         samples = [sd.DomainSample("s0", "A", img, mask, 0),
                    sd.DomainSample("s1", "A", img, mask, 0),
                    sd.DomainSample("s2", "B", img * 0.8, mask, 0)]
-        rows = hn.top_slot_sets(state, samples)
-        assert all(len(top) == 15 for _s, _a, top in rows)
-        assert rows[0][2] == rows[1][2]  # identical samples, identical slots
+        addressing, member = hn.top_slot_sets(state, samples)
+        assert addressing.shape == member.shape == (3, 150)
+        assert member.sum(axis=1).tolist() == [15, 15, 15]
+        assert (member[0] == member[1]).all()  # identical samples, identical slots
 
     def test_export_files(self, bench, backbone, tmp_path):
         state, _ = hn.train(TINY_TRAIN, bench, backbone, seed=0)
@@ -341,8 +344,32 @@ class TestActivations:
         assert 0.0 <= cross <= 1.0 and 0.0 <= within <= 1.0
 
     def test_jaccard(self):
-        assert hn.jaccard(frozenset({1, 2}), frozenset({2, 3})) == pytest.approx(1.0 / 3.0)
-        assert hn.jaccard(frozenset(), frozenset()) == 1.0
+        member = np.array([[0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=bool)
+        jac = hn.jaccard_matrix(member)
+        assert jac[0, 1] == jac[1, 0] == 1.0 / 3.0
+        assert jac[2, 3] == 1.0  # two empty sets
+        assert jac[0, 2] == 0.0 and np.diag(jac).tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("label, config", [
+        ("default", hn.TrainConfig()),
+        ("slots_300", hn.slot_variant(hn.TrainConfig(), 300)),
+    ])
+    @pytest.mark.parametrize("order", ["splits", "shuffled"])
+    def test_export_matches_pair_by_pair_reference(self, bench, backbone, tmp_path,
+                                                   label, config, order):
+        # five domains: both seen, both unseen and the source
+        samples = [s for split in ("test_seen", "test_unseen", "source_test")
+                   for s in bench.splits[split]]
+        if order == "shuffled":
+            samples = [samples[i] for i in np.random.default_rng(0).permutation(len(samples))]
+        assert len({s.domain_id for s in samples}) == 5
+        state, _ = hn.train(config, bench, backbone, seed=0)
+        summary = hn.export_activations(state, samples, tmp_path / "export")
+        expected = oracles.export_activations(state, samples, tmp_path / "reference")
+        assert repr(summary) == repr(expected)
+        for name in ("activations.csv", "overlap_matrix.csv", "activations.pgm"):
+            written = (tmp_path / "export" / name).read_bytes()
+            assert written == (tmp_path / "reference" / name).read_bytes(), (label, name)
 
     @pytest.mark.parametrize("domains, expected", [
         ("AAA", (4.0 / 9.0, None)),   # one domain: no cross-domain pair
@@ -352,12 +379,13 @@ class TestActivations:
         ("AAB", (1.0 / 3.0, 0.5)),
     ])
     def test_overlap_summary_of_a_group_without_pairs_is_none(self, domains, expected):
-        tops = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 2, 3})]
-        rows = [(sd.DomainSample(f"s{i}", d, None, None, 0), None, tops[i])
-                for i, d in enumerate(domains)]
+        tops = [[0, 1], [1, 2], [0, 1, 2, 3]]
+        member = np.zeros((len(domains), 4), dtype=bool)
+        for row, top in zip(member, tops):
+            row[top] = True
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # np.mean([]) used to warn and give NaN
-            summary = hn.slot_overlap_summary(rows)
+            summary = hn.slot_overlap_summary(list(domains), member)
         assert summary == pytest.approx(expected)
         assert [v is None for v in summary] == [v is None for v in expected]
 
@@ -426,7 +454,7 @@ def test_evaluations_copy_no_weight_and_make_the_memory_norms_once(bench, backbo
 
 def drop_derived_arrays(state) -> None:
     """Give every parameter its own array again, which empties its cache."""
-    for node in state.parameters().values():
+    for node, _view in state.tensor_views().values():
         node.set(node.array)
 
 
@@ -460,7 +488,7 @@ class TestChunkMap:
 
     @staticmethod
     def top_slots(state, samples) -> list:
-        return [(s.sample_id, a.tobytes(), top) for s, a, top in hn.top_slot_sets(state, samples)]
+        return [array.tobytes() for array in hn.top_slot_sets(state, samples)]
 
     @staticmethod
     def threads_used(samples) -> set:

@@ -283,6 +283,21 @@ class TestApexForward:
         inputs = [p.array for layer in enc_proto.layers for p in layer] \
             + [p.array for layer in dec_proto.layers for p in layer] + [mem0]
 
+        # a ReLU input that one finite-difference step (1e-5) can push across
+        # zero makes the numeric gradient straddle the kink. With these draws
+        # no step moves a pre-activation by more than 6.5e-5, and the nearest
+        # to zero, in decoder layer 1, is 4.2e-4 from it: ask for 1e-4
+        with nm.no_grad():
+            z = pr.encode_batch(enc_proto, amps, center=np.zeros(region.flat_size))
+            zprime = pr.retrieve(mem0, pr.address(mem0, z)).array
+        for name, mlp, x in (("encoder", enc_proto, pr.lowfreq_features(amps)),
+                             ("decoder", dec_proto, zprime)):
+            for i, (w, b) in enumerate(mlp.layers[:-1]):
+                pre = x @ w.array + b.array
+                gap = float(np.min(np.abs(pre)))
+                assert gap >= 1e-4, f"{name} layer {i}: a pre-activation is {gap!r} from zero"
+                x = np.maximum(pre, 0.0)
+
         def build(leaves):
             enc = nm.MlpParams(layers=[(leaves[2 * i], leaves[2 * i + 1]) for i in range(4)])
             dec = nm.MlpParams(layers=[(leaves[8 + 2 * i], leaves[9 + 2 * i]) for i in range(4)])
@@ -439,7 +454,7 @@ class TestAttentionRuleInvariant:
     def trained_graph(state, imgs):
         """``forward_batch`` and ``backward`` of a loss on its output."""
         nodes = pr.forward_batch(state, imgs)
-        nm.zero_grads(state.parameters().values())
+        nm.zero_grads([node for node, _view in state.tensor_views().values()])
         nm.backward(nm.reduce_sum(oracles.mul(nodes.output, nodes.output)))
         return nodes
 
@@ -462,7 +477,7 @@ class TestAttentionRuleInvariant:
         zprime = pr.retrieve(state.memory, a)
         p = pr.decode_prompt(state.decoder, zprime, state.region)
         out = sp.prompted_image_node(p, state.region, spectrum)
-        nm.zero_grads(state.parameters().values())
+        nm.zero_grads([node for node, _view in state.tensor_views().values()])
         nm.backward(nm.reduce_sum(oracles.mul(out, out)))
         assert np.max(np.abs(trainer_grad - state.memory.grad)) < 1e-10
         assert np.array_equal(trainer.addressing.array, a.array)
@@ -536,7 +551,7 @@ class TestNoGradForward:
             assert getattr(plain, name).array.tobytes() == getattr(graph, name).array.tobytes()
             assert getattr(plain, name)._parents == ()
         nm.backward(nm.reduce_sum(plain.output))
-        assert all(p._grad is None for p in state.parameters().values())
+        assert all(node._grad is None for node, _view in state.tensor_views().values())
 
     @pytest.mark.parametrize("where", [(0, 3, 4, 0), (pr.CHUNK - 1, 0, 0, 0)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -578,12 +593,12 @@ class TestCheckpoint:
         """One name list: the memory, then encoder, decoder and head, weight
         then bias per layer; the checkpoint holds these plus the centre."""
         state = small_state()
-        names = list(state.parameters())
+        names = list(state.tensor_views())
         assert names == ["memory"] + [f"{mlp}.{kind}{i}" for mlp in ("encoder", "decoder", "head")
                                       for i in range(len(getattr(state, mlp).layers))
                                       for kind in ("w", "b")]
         assert set(pr.state_tensors(state)) == {*names, "input_center"}
-        nodes = list(state.parameters().values())
+        nodes = [node for node, _view in state.tensor_views().values()]
         assert nodes[0] is state.memory and nodes[1] is state.encoder.layers[0][0]
 
     def test_missing_checkpoint_rejected(self, tmp_path):
@@ -651,7 +666,7 @@ class TestCheckpoint:
         """A state whose every tensor is random, so each one moves the output."""
         state = small_state()
         rng = np.random.default_rng(seed)
-        for node in state.parameters().values():
+        for node, _view in state.tensor_views().values():
             node.set(0.5 * rng.standard_normal(node.shape) + 0.1)
         state.input_center = rng.standard_normal(state.region.flat_size)
         return state
@@ -746,7 +761,7 @@ class TestCheckpoint:
         def value_and_grads(state) -> list[bytes]:
             with nm.no_grad():
                 plain = pr.forward_batch(state, images).output.array.tobytes()
-            params = list(state.parameters().values())
+            params = [node for node, _view in state.tensor_views().values()]
             nodes = pr.forward_batch(state, images)
             nm.zero_grads(params)
             weights = np.random.default_rng(45).standard_normal(nodes.output.shape)

@@ -63,7 +63,7 @@ def eval_digest(state: prompting.ApexState, backbone: synthdata.FrozenBackbone,
     """sha256 over the CSV lines of the seen, unseen and source-only reports."""
     reports = [harness.evaluate(state, backbone, bench, "seen"),
                harness.evaluate(state, backbone, bench, "unseen"),
-               harness.evaluate(None, backbone, bench, "source", source_only=True)]
+               harness.evaluate(None, backbone, bench, "source")]
     return hashlib.sha256("\n".join(line for report in reports
                                      for line in report.csv_lines()).encode()).hexdigest()
 
