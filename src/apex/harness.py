@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,17 +40,23 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.feature_grad_clip <= 0:
             raise ConfigError("feature_grad_clip must be positive")
+        if self.mlp_learning_rate < 0:
+            raise ConfigError(f"mlp_learning_rate must be >= 0, got {self.mlp_learning_rate}")
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be a nonempty list of distinct integers >= 0, "
                               f"got {self.seeds}")
-        BatchPlan(self.domains_per_batch, self.samples_per_domain)  # validates P, S
+        self.plan  # validates P, S
+
+    @cached_property
+    def plan(self) -> BatchPlan:
+        """The layout of every training batch: P domains of S rows each."""
+        return BatchPlan(self.domains_per_batch, self.samples_per_domain)
 
 
-def _batch_arrays(samples) -> tuple[np.ndarray, np.ndarray, list]:
+def _batch_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
     images = np.stack([s.image for s in samples])
     masks = np.stack([s.mask for s in samples], dtype=np.float64)[:, :, :, None]
-    labels = [s.domain_id for s in samples]
-    return images, masks, labels
+    return images, masks
 
 
 def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
@@ -73,7 +80,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
 
     by_domain = bench.by_domain("train_seen")
     counts = {dom: len(samples) for dom, samples in by_domain.items()}
-    plan = BatchPlan(config.domains_per_batch, config.samples_per_domain)
+    plan = config.plan
     total = sum(counts.values())
     steps_per_epoch = max(1, total // plan.batch_size)
     rng = np.random.default_rng([seed, 0x5EED])
@@ -86,8 +93,8 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
     def one_step() -> LossReport:
         drawn = losses.sample_batch(counts, plan, rng)
         batch = [by_domain[dom][i] for dom, idx in drawn for i in idx]
-        images, masks, labels = _batch_arrays(batch)
-        positives = losses.sample_positives(labels, rng)
+        images, masks = _batch_arrays(batch)
+        positives = losses.sample_positives(plan, rng)  # drawn with LFC off too: one stream
 
         nodes = prompting.forward_batch(state, images)
         preds = synthdata.backbone_forward(backbone, nodes.output)
@@ -95,7 +102,7 @@ def train(config: TrainConfig, bench: Benchmark, backbone: FrozenBackbone,
 
         if config.lfc_enabled:
             aux = nm.mlp_forward(state.head, nodes.features)
-            lfc = losses.lfc_loss(aux, labels, cfg.temperature, positives)
+            lfc = losses.lfc_loss(aux, plan, cfg.temperature, positives)
             total_loss = nm.add(seg, lfc)
         else:
             lfc = None
@@ -321,12 +328,12 @@ def jaccard_matrix(member: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
 
 
-def slot_overlap_summary(domains, member) -> tuple[float | None, float | None]:
-    """(mean within-domain, mean cross-domain) Jaccard of the row pairs i < j of
-    ``member`` by the rows' ``domains``; None for a group without pairs."""
+def slot_overlap_summary(domains, jac) -> tuple[float | None, float | None]:
+    """(mean within-domain, mean cross-domain) of the entries i < j of the [n, n]
+    Jaccard matrix ``jac`` by the rows' ``domains``; None for a group without pairs."""
     ids = np.asarray(domains)
     i, j = np.triu_indices(len(ids), k=1)
-    pairs = jaccard_matrix(member)[i, j]
+    pairs = jac[i, j]
     same = ids[i] == ids[j]
     return tuple(float(np.mean(pairs[of])) if of.any() else None for of in (same, ~same))
 
@@ -359,4 +366,4 @@ def export_activations(state: ApexState, samples, out_dir) -> tuple:
     heat = np.abs(addressing)
     peak = heat.max()
     tensorio.write_pgm(out / "activations.pgm", heat / peak if peak > 0 else heat)
-    return slot_overlap_summary(ids, member)
+    return slot_overlap_summary(ids, jac)

@@ -10,14 +10,15 @@ chains that define the losses per sample and per anchor; those chains live
 in ``tests/oracles.py`` (``dice_loss``, ``ce_loss``, ``lfc_term``), where
 the tests compare the fused nodes against them.
 
-The contrastive denominator contains only other-domain embeddings; the
-positive term is excluded, so individual anchor terms (and the loss) can be
-negative.
+The contrastive denominator contains only other-domain embeddings, the rows
+outside the anchor's :class:`BatchPlan` block; the positive term is
+excluded, so individual anchor terms (and the loss) can be negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -97,7 +98,7 @@ def seg_loss(pred, masks) -> tuple[Node, float, float]:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """P domains x S samples per batch."""
+    """P domains x S samples per batch: row ``b*S + k`` is sample k of block b."""
 
     domains_per_batch: int
     samples_per_domain: int
@@ -111,6 +112,14 @@ class BatchPlan:
     @property
     def batch_size(self) -> int:
         return self.domains_per_batch * self.samples_per_domain
+
+    @cached_property
+    def negatives(self) -> np.ndarray:
+        """Read-only [B, (P-1)S]: each row's columns outside its own block, ascending."""
+        block = np.arange(self.batch_size) // self.samples_per_domain
+        out = np.stack([np.flatnonzero(block != b) for b in block])
+        out.flags.writeable = False
+        return out
 
 
 def sample_batch(counts: dict, plan: BatchPlan, rng: np.random.Generator) -> tuple:
@@ -133,70 +142,52 @@ def sample_batch(counts: dict, plan: BatchPlan, rng: np.random.Generator) -> tup
     return tuple(assignments)
 
 
-def sample_positives(labels, rng: np.random.Generator) -> np.ndarray:
-    """Uniform same-domain positive index (!= anchor) for every anchor."""
-    labels = list(labels)
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        pool = [j for j, other in enumerate(labels) if other == lab and j != i]
-        if not pool:
-            raise ConfigError(f"anchor {i} (domain {lab!r}) has no same-domain positive")
-        out[i] = pool[rng.integers(len(pool))]
-    return out
+def sample_positives(plan: BatchPlan, rng: np.random.Generator) -> np.ndarray:
+    """Uniform positive for every anchor: another row of its block. Anchor i,
+    slot k of block b, draws r uniform in [0, S - 1), one draw per anchor in
+    row order, and gets row ``b*S + r + (r >= k)``."""
+    rows = np.arange(plan.batch_size)
+    slot = rows % plan.samples_per_domain
+    r = rng.integers(plan.samples_per_domain - 1, size=len(rows))
+    return rows - slot + r + (r >= slot)
 
 
 # ---------------------------------------------------------------------------
 # low-frequency feature contrastive loss
 # ---------------------------------------------------------------------------
 
-def lfc_loss(embeddings, labels, tau: float, positives) -> Node:
+def lfc_loss(embeddings, plan: BatchPlan, tau: float, positives) -> Node:
     """Contrastive loss over a batch of auxiliary embeddings.
 
-    ``embeddings`` is [B, D] (Node or array); ``labels`` gives each row's
-    domain, and every domain must appear equally often (at least twice), as
-    in every P x S training batch. Every anchor ``i`` uses the same-domain
-    positive row ``positives[i]`` (see :func:`sample_positives`) against all
-    other-domain embeddings. Each anchor's term is
+    ``embeddings`` is [B, D] (Node or array), its rows laid out by ``plan``.
+    Anchor ``i`` uses the positive row ``positives[i]``, another row of its
+    block (see :func:`sample_positives`), against the other-block rows
+    ``plan.negatives[i]``. Each anchor's term is
     -log( exp(pos/tau) / sum_i exp(neg_i/tau) ), the per-anchor ``lfc_term``
     of ``tests/oracles.py``; the mean over anchors is returned, computed for
-    all anchors at once as a row-wise log-sum-exp over each anchor's
-    gathered cosines / tau.
+    all anchors at once as a row-wise log-sum-exp over the gathered cosines
+    / tau. Each row sums its negatives in ascending order, as the per-anchor
+    form does, so each term and the gradient are bit-identical to it.
     """
     if tau <= 0.0:
         raise ConfigError("temperature must be positive")
     emb = nm.as_node(embeddings)
-    labels = list(labels)
-    n = len(labels)
+    n = plan.batch_size
     if emb.array.ndim != 2 or emb.shape[0] != n:
-        raise ShapeError(f"embeddings {emb.shape} do not match {n} labels")
-    counts = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    if len(counts) < 2:
-        raise ConfigError("contrastive batch needs at least 2 domains")
-    short = [lab for lab, c in counts.items() if c < 2]
-    if short:
-        raise ConfigError(f"domains with fewer than 2 samples in batch: {short}")
-    if len(set(counts.values())) != 1:
-        raise ConfigError(f"contrastive batch needs equal domain sizes, got {counts}")
+        raise ShapeError(f"embeddings {emb.shape} do not match the plan's {n} rows")
     positives = np.asarray(positives, dtype=np.int64)
     if positives.shape != (n,):
         raise ShapeError(f"positives shape {positives.shape} != ({n},)")
-    for i, j in enumerate(positives):
-        if j == i or labels[j] != labels[i]:
-            raise ConfigError(f"positive {j} invalid for anchor {i}")
-
-    # each anchor's denominator columns in the order the per-anchor form sums them:
-    # other-domain columns ascending. Equal domain sizes give every anchor
-    # the same number, so they gather into one [B, k] matrix whose rows sum
-    # in the per-anchor order: each anchor's term and the gradient are
-    # bit-identical to the per-anchor form.
-    index = np.array([[j for j in range(n) if labels[j] != labels[i]] for i in range(n)])
-
     anchors = np.arange(n)
+    block = plan.samples_per_domain
+    bad = (positives == anchors) | (positives // block != anchors // block)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(f"positive {positives[i]} invalid for anchor {i}")
+
     sims = nm.cosine_rows(emb, emb)
     pos = nm.div(nm.getitem(sims, (anchors, positives)), tau)
-    negs = nm.div(nm.getitem(sims, (anchors[:, None], index)), tau)
+    negs = nm.div(nm.getitem(sims, (anchors[:, None], plan.negatives)), tau)
     peak = negs.array.max(axis=1)  # held constant, as in the per-anchor form
     shifted = nm.sub(negs, peak[:, None])
     sums = nm.reduce_sum(nm.exp(shifted), axis=1)

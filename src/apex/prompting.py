@@ -69,6 +69,8 @@ class ApexConfig:
             raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
         if self.temperature <= 0.0:
             raise ConfigError("temperature must be positive")
+        if self.learning_rate < 0.0:
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -282,9 +284,8 @@ def load_state(directory) -> ApexState:
     what the state computes. Every tensor the state holds must be listed
     and present, with ``init_state``'s shape and finite values, and with
     the ``tensorio.tensor_digest`` that ``digests`` lists for it in the
-    order of ``tensors``. A manifest written before checkpoints recorded
-    digests has no ``digests`` key; its tensors load unchecked. Any other
-    manifest or tensor fault raises :class:`CorruptInputError`.
+    order of ``tensors``. Any other manifest or tensor fault, a missing
+    ``digests`` key included, raises :class:`CorruptInputError`.
     """
     from . import config as cfgmod  # not at the top: config imports this module
     d = Path(directory)
@@ -321,7 +322,7 @@ def load_state(directory) -> ApexState:
     missing, extra = sorted(set(expected) - set(names)), sorted(set(names) - set(expected))
     if missing or extra:
         raise CorruptInputError(f"{manifest}: tensors missing {missing}, unexpected {extra}")
-    digests = meta["digests"].split(",") if "digests" in meta else [None] * len(names)
+    digests = need("digests").split(",")
     if len(digests) != len(names):
         raise CorruptInputError(f"{manifest}: {len(digests)} digests for {len(names)} tensors")
     views = state.tensor_views()
@@ -333,7 +334,7 @@ def load_state(directory) -> ApexState:
                                     f"{expected[name].shape}")
         if not np.isfinite(arr).all():
             raise CorruptInputError(f"{path}: non-finite values")
-        if digest is not None and tensorio.tensor_digest(arr) != digest:
+        if tensorio.tensor_digest(arr) != digest:
             raise CorruptInputError(f"{path}: digest does not match the one {manifest.name} "
                                     "records; the file has changed since it was saved")
         if name == "input_center":

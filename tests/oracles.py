@@ -1,9 +1,11 @@
 """Reference helpers that only the tests use: finite-difference gradient
 checks, the primitive chains that the library's fused nodes replace, the
-box blur as a graph node, the backbone's calibration score, the
-low-frequency region's mask and amplitudes, the identity prompt, a reader
-for PGM dumps, and the slot statistics of ``harness.export_activations``
-computed pair by pair over per-sample sets.
+batch layout of ``losses.BatchPlan`` rebuilt from domain labels row by row
+(``sample_positives``, ``negatives``), the box blur as a graph node, the
+backbone's calibration score, the low-frequency region's mask and
+amplitudes, the identity prompt, a reader for PGM dumps, and the slot
+statistics of ``harness.export_activations`` computed pair by pair over
+per-sample sets.
 
 The primitive chains define what the fused nodes compute: ``numerics.linear``
 (with ``relu`` and ``transpose``), ``numerics.cosine_rows``, the backbone
@@ -233,6 +235,32 @@ def lfc_term(pos_sim, neg_sims, tau: float) -> Node:
     peak = nm.stop_gradient(reduce_max(negs))
     lse = nm.add(peak, nm.log(nm.reduce_sum(nm.exp(nm.sub(negs, peak)))))
     return nm.sub(lse, pos)
+
+
+# ---------------------------------------------------------------------------
+# the batch layout, rebuilt from each row's domain label
+# ---------------------------------------------------------------------------
+
+def plan_labels(plan: losses.BatchPlan) -> list[str]:
+    """Each row's domain label under ``plan``: block b is domain ``d<b>``."""
+    return [f"d{row // plan.samples_per_domain}" for row in range(plan.batch_size)]
+
+
+def sample_positives(labels, rng: np.random.Generator) -> np.ndarray:
+    """Uniform same-domain positive index (!= anchor) for every anchor, one
+    scalar draw per anchor from its pool of same-label rows."""
+    labels = list(labels)
+    out = np.empty(len(labels), dtype=np.int64)
+    for i, lab in enumerate(labels):
+        pool = [j for j, other in enumerate(labels) if other == lab and j != i]
+        out[i] = pool[rng.integers(len(pool))]
+    return out
+
+
+def negatives(labels) -> np.ndarray:
+    """Each anchor's other-domain columns, ascending, as one [B, k] array."""
+    n = len(labels)
+    return np.array([[j for j in range(n) if labels[j] != labels[i]] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

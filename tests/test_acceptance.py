@@ -242,11 +242,11 @@ def test_criterion_5_lfc_semantics():
 
     angles = [0.0, 0.15, 1.9, 2.2]
     emb = np.array([[math.cos(t), math.sin(t)] for t in angles])
-    labels = ["x", "x", "y", "y"]
+    plan = losses.BatchPlan(2, 2)
     positives = np.array([1, 0, 3, 2])
 
     def build(leaves):
-        return losses.lfc_loss(leaves[0], labels, 0.5, positives=positives)
+        return losses.lfc_loss(leaves[0], plan, 0.5, positives=positives)
 
     err = oracles.gradcheck(build, [emb])
     assert err < 1e-4
@@ -319,7 +319,8 @@ def test_criterion_10_slot_overlap(default_bench, default_runs):
         samples = default_bench.splits["test_unseen"]
         samples = samples[:40] + samples[-40:]
         _addressing, member = hn.top_slot_sets(state, samples)
-        within, cross = hn.slot_overlap_summary([s.domain_id for s in samples], member)
+        within, cross = hn.slot_overlap_summary([s.domain_id for s in samples],
+                                                hn.jaccard_matrix(member))
         assert within > cross, (seed, within, cross)
         margins.append((within, cross))
     detail = "; ".join(f"seed{s}: {w:.2f}>{c:.2f}" for s, (w, c) in zip(SEEDS, margins))

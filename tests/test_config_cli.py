@@ -218,6 +218,16 @@ def _flip_last_payload_bit(path: Path) -> None:
     path.write_bytes(bytes(raw))
 
 
+def _edited_memory_without_digests(ckpt: Path) -> None:
+    # an edited tensor used to load once the manifest's digests line was gone
+    arr = tensorio.read_tensor(ckpt / "memory.apxt")
+    arr[0, 0] += 0.5
+    tensorio.write_tensor(ckpt / "memory.apxt", arr)
+    manifest = ckpt / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(ln for ln in lines if not ln.startswith("digests = ")))
+
+
 def _cut_one_row(bench: Path) -> None:
     arr = tensorio.read_tensor(bench / "test_seen_images.apxt")
     tensorio.write_tensor(bench / "test_seen_images.apxt", arr[:-1])
@@ -244,6 +254,7 @@ CKPT_FAULTS = [
     ("nan_tensor", _nan_into_encoder, ("encoder.w0.apxt", "non-finite")),
     ("flipped_payload_bit", lambda d: _flip_last_payload_bit(d / "decoder.b2.apxt"),
      ("decoder.b2.apxt", "digest")),
+    ("no_digests_line", _edited_memory_without_digests, ("manifest.txt", "'digests'")),
     ("missing_tensor_name", lambda d: _edit_text(d / "manifest.txt", "head.b0,", ""),
      ("manifest.txt", "head.b0")),
     ("extra_tensor_name", lambda d: _edit_text(d / "manifest.txt", "tensors = ",
@@ -355,6 +366,10 @@ CONFIG_FAULTS = [
     ("zero_beta", "beta = 0", ("beta must be in (0, 1]",)),
     ("beta_above_one", "beta = 1.5", ("beta must be in (0, 1]",)),
     ("zero_temperature", "temperature = 0", ("temperature must be positive",)),
+    # each used to train by gradient ascent and exit 0
+    ("negative_mlp_learning_rate", "mlp_learning_rate = -0.25",
+     ("mlp_learning_rate must be >= 0", "-0.25")),
+    ("negative_learning_rate", "learning_rate = -0.05", ("learning_rate must be >= 0", "-0.05")),
     ("four_shading_modes", "domain_A_shading = 0:1:0.1;1:0:0.1;1:1:0.1;0:2:0.1",
      ("'A'", "at most 3 shading modes")),
     ("negative_shading_amp", "domain_A_shading = 0:1:-0.1",

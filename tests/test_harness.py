@@ -162,12 +162,11 @@ class TestGraphSize:
 def test_batch_arrays_give_float64_masks(bench):
     # seg_loss reads the masks as float64 without a copy; the samples hold bool
     samples = bench.splits["train_seen"][:5]
-    images, masks, labels = hn._batch_arrays(samples)
+    images, masks = hn._batch_arrays(samples)
     assert images.shape == (5, 32, 32, 1) and masks.shape == (5, 32, 32, 1)
     assert masks.dtype == np.float64 and masks.flags.c_contiguous
     assert np.array_equal(masks[..., 0], [s.mask for s in samples])
     assert np.asarray(masks, dtype=np.float64) is masks
-    assert labels == [s.domain_id for s in samples]
 
 
 class TestMetrics:
@@ -385,7 +384,7 @@ class TestActivations:
             row[top] = True
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # np.mean([]) used to warn and give NaN
-            summary = hn.slot_overlap_summary(list(domains), member)
+            summary = hn.slot_overlap_summary(list(domains), hn.jaccard_matrix(member))
         assert summary == pytest.approx(expected)
         assert [v is None for v in summary] == [v is None for v in expected]
 

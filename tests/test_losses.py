@@ -225,84 +225,74 @@ class TestLfcTerm:
 
 
 def _two_domain_embeddings():
-    # unit vectors: domain x at angles 0 and 0.1; domain y at 2.0 and 2.1 rad
+    # unit vectors: block 0 at angles 0 and 0.1; block 1 at 2.0 and 2.1 rad
     angles = [0.0, 0.1, 2.0, 2.1]
     emb = np.array([[math.cos(t), math.sin(t)] for t in angles])
-    labels = ["x", "x", "y", "y"]
     positives = np.array([1, 0, 3, 2])
-    return emb, labels, positives
+    return emb, BatchPlan(2, 2), positives
 
 
 class TestLfcLoss:
     def test_brute_force_full_batch(self):
-        emb, labels, positives = _two_domain_embeddings()
-        val = losses.lfc_loss(nm.as_node(emb), labels, 0.5, positives=positives).item()
+        emb, plan, positives = _two_domain_embeddings()
+        val = losses.lfc_loss(nm.as_node(emb), plan, 0.5, positives=positives).item()
         sims = emb @ emb.T
         total = 0.0
         for i in range(4):
-            negs = [sims[i, j] for j in range(4) if labels[j] != labels[i]]
+            negs = [sims[i, j] for j in range(4) if j // 2 != i // 2]
             denom = sum(math.exp(s / 0.5) for s in negs)
             total += -math.log(math.exp(sims[i, positives[i]] / 0.5) / denom)
         assert val == pytest.approx(total / 4.0, abs=1e-10)
 
     def test_can_be_negative(self):
-        emb, labels, positives = _two_domain_embeddings()
-        val = losses.lfc_loss(nm.as_node(emb), labels, 0.1, positives=positives).item()
+        emb, plan, positives = _two_domain_embeddings()
+        val = losses.lfc_loss(nm.as_node(emb), plan, 0.1, positives=positives).item()
         assert val < 0.0  # positive term excluded from the denominator
 
     def test_rescaling_invariance(self):
-        emb, labels, positives = _two_domain_embeddings()
-        base = losses.lfc_loss(nm.as_node(emb), labels, 0.5, positives=positives).item()
-        scaled = losses.lfc_loss(nm.as_node(4.0 * emb), labels, 0.5, positives=positives).item()
+        emb, plan, positives = _two_domain_embeddings()
+        base = losses.lfc_loss(nm.as_node(emb), plan, 0.5, positives=positives).item()
+        scaled = losses.lfc_loss(nm.as_node(4.0 * emb), plan, 0.5, positives=positives).item()
         assert scaled == base  # power-of-two scaling: bit-exact
-        scaled2 = losses.lfc_loss(nm.as_node(3.7 * emb), labels, 0.5, positives=positives).item()
+        scaled2 = losses.lfc_loss(nm.as_node(3.7 * emb), plan, 0.5, positives=positives).item()
         assert scaled2 == pytest.approx(base, abs=1e-12)
 
     def test_permutation_invariance(self):
-        emb, labels, positives = _two_domain_embeddings()
-        perm = [2, 0, 3, 1]
+        # the blocks swap places, and so do the two rows of the second block
+        emb, plan, positives = _two_domain_embeddings()
+        perm = [3, 2, 0, 1]
         inv = np.argsort(perm)
         emb_p = emb[perm]
-        labels_p = [labels[i] for i in perm]
         positives_p = np.array([inv[positives[perm[k]]] for k in range(4)])
-        a = losses.lfc_loss(nm.as_node(emb), labels, 0.5, positives=positives).item()
-        b = losses.lfc_loss(nm.as_node(emb_p), labels_p, 0.5, positives=positives_p).item()
+        a = losses.lfc_loss(nm.as_node(emb), plan, 0.5, positives=positives).item()
+        b = losses.lfc_loss(nm.as_node(emb_p), plan, 0.5, positives=positives_p).item()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        emb, labels, positives = _two_domain_embeddings()
+        emb, plan, positives = _two_domain_embeddings()
         rng = np.random.default_rng(4)
         emb = emb + rng.standard_normal(emb.shape) * 0.05
 
         def build(leaves):
-            return losses.lfc_loss(leaves[0], labels, 0.5, positives=positives)
+            return losses.lfc_loss(leaves[0], plan, 0.5, positives=positives)
 
         assert oracles.gradcheck(build, [emb]) < 1e-4
 
-    def test_single_domain_rejected(self):
-        emb = np.eye(3)
-        with pytest.raises(ConfigError):
-            losses.lfc_loss(nm.as_node(emb), ["x", "x", "x"], 0.5,
-                            positives=np.array([1, 0, 0]))
-
-    def test_short_domain_rejected(self):
-        emb = np.eye(3)
-        with pytest.raises(ConfigError):
-            losses.lfc_loss(nm.as_node(emb), ["x", "x", "y"], 0.5,
-                            positives=np.array([1, 0, 0]))
-
-    def test_unequal_domain_sizes_rejected(self):
-        emb = np.eye(5)
-        with pytest.raises(ConfigError, match="equal domain sizes"):
-            losses.lfc_loss(nm.as_node(emb), ["x", "x", "x", "y", "y"], 0.5,
-                            positives=np.array([1, 0, 0, 4, 3]))
+    def test_rows_outside_the_layout_rejected(self):
+        emb, plan, positives = _two_domain_embeddings()
+        with pytest.raises(ShapeError, match="plan's 4 rows"):
+            losses.lfc_loss(nm.as_node(np.eye(5)), plan, 0.5, positives=positives)
+        with pytest.raises(ConfigError, match="positive 2 invalid for anchor 1"):
+            losses.lfc_loss(nm.as_node(emb), plan, 0.5, positives=np.array([1, 2, 3, 2]))
+        with pytest.raises(ConfigError, match="positive 2 invalid for anchor 2"):
+            losses.lfc_loss(nm.as_node(emb), plan, 0.5, positives=np.array([1, 0, 2, 2]))
 
     def test_monotonicity_via_perturbation(self):
-        emb, labels, positives = _two_domain_embeddings()
-        base = losses.lfc_loss(nm.as_node(emb), labels, 0.5, positives=positives).item()
+        emb, plan, positives = _two_domain_embeddings()
+        base = losses.lfc_loss(nm.as_node(emb), plan, 0.5, positives=positives).item()
         closer = emb.copy()
         closer[1] = closer[0]  # anchor 0's positive now identical
-        val = losses.lfc_loss(nm.as_node(closer), labels, 0.5, positives=positives).item()
+        val = losses.lfc_loss(nm.as_node(closer), plan, 0.5, positives=positives).item()
         assert val < base
 
 
@@ -370,17 +360,17 @@ class TestBatchedForms:
     def test_batched_lfc_is_mean_of_anchor_terms(self):
         rng = np.random.default_rng(24)
         for trial in range(40):
-            # P domains of S samples each, shuffled
+            # P domains of S samples each
             size = int(rng.integers(2, 5))
-            labels = [f"d{k}" for k in range(int(rng.integers(2, 5))) for _ in range(size)]
-            labels = [labels[i] for i in rng.permutation(len(labels))]
+            plan = BatchPlan(int(rng.integers(2, 5)), size)
+            labels = oracles.plan_labels(plan)
             emb = rng.standard_normal((len(labels), 5))
-            positives = losses.sample_positives(labels, rng)
+            positives = losses.sample_positives(plan, rng)
             # tiny temperatures put the positive and the diagonal hundreds of
             # units above the negatives; neither may enter the peak or exp()
             tau = 1e-3 if trial % 10 == 0 else float(rng.uniform(0.05, 1.0))
             sims = nm.cosine_rows(emb, emb).array
-            val = losses.lfc_loss(emb, labels, tau, positives=positives).item()
+            val = losses.lfc_loss(emb, plan, tau, positives=positives).item()
             terms = []
             for i, lab in enumerate(labels):
                 cols = [j for j, other in enumerate(labels) if other != lab]
@@ -388,15 +378,16 @@ class TestBatchedForms:
             assert _rel_close(val, float(np.mean(terms))), trial
 
     def test_batched_lfc_gradient_matches_anchor_loop_exactly(self):
-        """With equal domain sizes, as every training batch has, each row of
-        the batched form sums in the per-anchor order, so the gradient is
+        """Every anchor of a plan has as many negatives, so each row of the
+        batched form sums in the per-anchor order, the gradient is
         bit-identical and training takes the same steps."""
         rng = np.random.default_rng(26)
-        labels = ["a"] * 4 + ["b"] * 4
+        plan = BatchPlan(2, 4)
+        labels = oracles.plan_labels(plan)
         emb = rng.standard_normal((8, 6))
-        positives = losses.sample_positives(labels, rng)
+        positives = losses.sample_positives(plan, rng)
         batched = nm.parameter(emb)
-        nm.backward(losses.lfc_loss(batched, labels, 0.1, positives=positives))
+        nm.backward(losses.lfc_loss(batched, plan, 0.1, positives=positives))
         looped = nm.parameter(emb)
         sims = nm.cosine_rows(looped, looped)
         total = None
@@ -410,9 +401,9 @@ class TestBatchedForms:
         assert np.array_equal(batched.grad, looped.grad)
 
     def test_lfc_invalid_tau(self):
-        emb, labels, positives = _two_domain_embeddings()
+        emb, plan, positives = _two_domain_embeddings()
         with pytest.raises(ConfigError):
-            losses.lfc_loss(emb, labels, 0.0, positives=positives)
+            losses.lfc_loss(emb, plan, 0.0, positives=positives)
 
 
 class TestBatchPlan:
@@ -422,6 +413,24 @@ class TestBatchPlan:
         with pytest.raises(ConfigError):
             BatchPlan(2, 1)
         assert BatchPlan(2, 2).batch_size == 4
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (3, 3), (4, 2)])
+    def test_layout_matches_the_label_scan(self, shape):
+        """Positives, the generator after their draw, and the negatives equal
+        those that each row's domain label gives, pair by pair."""
+        plan = BatchPlan(*shape)
+        labels = oracles.plan_labels(plan)
+        for seed in range(5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _step in range(3):  # a run's steps draw from one generator
+                got = losses.sample_positives(plan, rng)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, oracles.sample_positives(labels, ref))
+            assert rng.integers(1 << 62) == ref.integers(1 << 62)
+        assert plan.negatives is plan.negatives
+        assert np.array_equal(plan.negatives, oracles.negatives(labels))
+        with pytest.raises(ValueError, match="read-only"):
+            plan.negatives[0, 0] = 0
 
     def test_sample_batch_shape(self):
         drawn = losses.sample_batch({"a": 10, "b": 10}, BatchPlan(2, 2),

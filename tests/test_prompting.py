@@ -624,19 +624,20 @@ class TestCheckpoint:
         """Checkpoints written before the config schema was derived from the
         dataclass fields spell booleans True/False and carry the removed
         ``encoder_final_scale``, ``softmax_addressing`` and
-        ``memory_grad_mode``; they load to the equal config."""
+        ``memory_grad_mode``; with the digests that every checkpoint records,
+        they load to the equal config."""
         state = pr.init_state(pr.ApexConfig(), 8, 8, 1)
         pr.save_state(state, tmp_path / "ckpt")
         manifest = tmp_path / "ckpt" / "manifest.txt"
-        tensors = manifest.read_text().splitlines()[-1]
-        assert tensors.startswith("tensors = ")
+        digests, tensors = manifest.read_text().splitlines()[-2:]
+        assert digests.startswith("digests = ") and tensors.startswith("tensors = ")
         manifest.write_text("\n".join([
             "[apex-checkpoint]", "feature_dim = 256", "slot_count = 150",
             "encoder_hidden = 96,96,96", "decoder_hidden = 96,96,96", "head_hidden = 96",
             "beta = 0.25", "aux_dim = 64", "temperature = 0.1", "learning_rate = 0.05",
             "seed = 0", "encoder_final_scale = 1.0", "use_memory = True",
             "softmax_addressing = False", "memory_grad_mode = attention",
-            "allow_block_init = False", "region = 8,8,1", "step = 0", tensors]) + "\n")
+            "allow_block_init = False", "region = 8,8,1", "step = 0", digests, tensors]) + "\n")
         loaded = pr.load_state(tmp_path / "ckpt")
         assert loaded.config == pr.ApexConfig()
         assert np.array_equal(loaded.memory.array, state.memory.array)
@@ -651,7 +652,10 @@ class TestCheckpoint:
         manifest.write_text(manifest.read_text() + "memory_grad_mode = fullgraph\n")
         assert pr.load_state(tmp_path / "ckpt").config == state.config
 
-    @pytest.mark.parametrize("key", ["beta", "use_memory", "region", "step", "tensors"])
+    # a manifest without digests loads no tensor unchecked: every checkpoint
+    # written since digests were recorded has them
+    @pytest.mark.parametrize("key", ["beta", "use_memory", "region", "step", "tensors",
+                                     "digests"])
     def test_missing_manifest_key_names_key_and_file(self, tmp_path, key):
         pr.save_state(small_state(), tmp_path / "ckpt")
         manifest = tmp_path / "ckpt" / "manifest.txt"
@@ -723,22 +727,6 @@ class TestCheckpoint:
         with pytest.raises(CorruptInputError,
                            match=f"manifest.txt: {count + 1} digests for {count} tensors"):
             pr.load_state(tmp_path / "ckpt")
-
-    def test_manifest_without_digests_loads_unchecked(self, tmp_path):
-        # checkpoints written before digests were recorded keep loading
-        state = self.random_state(42)
-        pr.save_state(state, tmp_path / "ckpt")
-        manifest = tmp_path / "ckpt" / "manifest.txt"
-        manifest.write_text("".join(ln for ln in manifest.read_text().splitlines(True)
-                                    if not ln.startswith("digests = ")))
-        path = tmp_path / "ckpt" / "encoder.w0.apxt"
-        raw = bytearray(path.read_bytes())
-        raw[-8] ^= 1
-        path.write_bytes(bytes(raw))
-        loaded = pr.load_state(tmp_path / "ckpt")
-        assert np.array_equal(loaded.memory.array, state.memory.array)
-        w0 = loaded.encoder.layers[0][0].array
-        assert not np.array_equal(w0, state.encoder.layers[0][0].array)
 
     def test_forward_after_load_state_equals_fresh_nodes(self, tmp_path, monkeypatch):
         # load_state sets each tensor into a state whose derived arrays, here,
